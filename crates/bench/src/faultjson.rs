@@ -54,13 +54,12 @@ pub const MONOTONE_EPS: f64 = 0.02;
 
 /// The declared throughput budget: the warm churned replay must sustain
 /// at least this fraction of the fault-free warm replay's queries/s.
-/// The comparison is deliberately lopsided — the fault-free warm pass
-/// is nearly pure row-cache hits, while churn pays a per-hop liveness
-/// hash over every neighbour *and* re-walks rows the epoch flips
-/// invalidated — so a 10–20× gap is the honest steady-state cost at
-/// full size. The gate guards against pathological regressions (a
-/// liveness check gone quadratic), not against that inherent gap.
-pub const MIN_WARM_RATIO: f64 = 0.05;
+/// Both warm passes are pure row-cache hits — rows are exact full-graph
+/// distances, so an epoch flip invalidates none of them — and churn's
+/// remaining cost is the per-hop liveness hash over every neighbour plus
+/// the drop coins and the longer rerouted walks. The gate catches a
+/// liveness check gone quadratic, or rows refilled on every flip.
+pub const MIN_WARM_RATIO: f64 = 0.4;
 
 /// One measured point of the degradation curve.
 struct FaultRow {
@@ -306,17 +305,11 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
         ));
 
         // --- warm throughput under churn, first family only ---------------
-        // One cold pass, then best-of-two warm passes (min ms damps
-        // scheduler noise): fault-free baseline vs churn + drops at
-        // p = 0.25.
+        // One cold pass each, then three rounds that alternate the two
+        // warm passes, keeping each one's best (alternating exposes both
+        // to the same background load; min ms damps scheduler noise):
+        // fault-free baseline vs churn + drops at p = 0.25.
         if fi == 0 {
-            let warm = |mut e: ShardedEngine| {
-                let (_, _) = replay(&mut e, &queries, batch);
-                let (_, a) = replay(&mut e, &queries, batch);
-                let (_, b) = replay(&mut e, &queries, batch);
-                a.min(b)
-            };
-            let base_warm_ms = warm(engine(&g, 1, base_cfg));
             let churn_cfg = EngineConfig {
                 fault: FaultConfig {
                     drop_prob: 0.25,
@@ -324,7 +317,15 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
                 },
                 ..base_cfg
             };
-            let churn_warm_ms = warm(engine(&g, 1, churn_cfg));
+            let mut base = engine(&g, 1, base_cfg);
+            let mut churned = engine(&g, 1, churn_cfg);
+            replay(&mut base, &queries, batch);
+            replay(&mut churned, &queries, batch);
+            let (mut base_warm_ms, mut churn_warm_ms) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..3 {
+                base_warm_ms = base_warm_ms.min(replay(&mut base, &queries, batch).1);
+                churn_warm_ms = churn_warm_ms.min(replay(&mut churned, &queries, batch).1);
+            }
             let ratio = base_warm_ms / churn_warm_ms;
             assert!(
                 ratio >= MIN_WARM_RATIO,

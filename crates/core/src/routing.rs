@@ -215,16 +215,20 @@ impl<'g> GreedyRouter<'g> {
     /// target, smallest id on ties. On a connected graph this neighbour is
     /// at distance exactly `dist(u, t) − 1`.
     pub fn local_next(&self, u: NodeId) -> Option<NodeId> {
+        self.local_best(u).map(|(_, v)| v)
+    }
+
+    /// [`GreedyRouter::local_next`] with the winner's target distance.
+    fn local_best(&self, u: NodeId) -> Option<(u32, NodeId)> {
         let mut best: Option<(u32, NodeId)> = None;
         for &v in self.g.neighbors(u) {
             let d = self.dist_t.get(v as usize);
             // Sorted adjacency ⇒ first strict improvement wins ties by id.
-            match best {
-                Some((bd, _)) if d >= bd => {}
-                _ => best = Some((d, v)),
+            if best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, v));
             }
         }
-        best.map(|(_, v)| v)
+        best
     }
 
     /// One greedy step from `u` given an already-drawn contact: the next
@@ -255,22 +259,6 @@ impl<'g> GreedyRouter<'g> {
         v != self.target && f.plan.is_down(f.epoch, v)
     }
 
-    /// [`GreedyRouter::local_next`] restricted to live neighbours.
-    fn local_next_live(&self, u: NodeId, f: &FaultState) -> Option<NodeId> {
-        let mut best: Option<(u32, NodeId)> = None;
-        for &v in self.g.neighbors(u) {
-            if self.down(v, f) {
-                continue;
-            }
-            let d = self.dist_t.get(v as usize);
-            match best {
-                Some((bd, _)) if d >= bd => {}
-                _ => best = Some((d, v)),
-            }
-        }
-        best.map(|(_, v)| v)
-    }
-
     /// One step under node churn: a down contact cannot be forwarded to,
     /// the local scan is restricted to live neighbours, and the chosen
     /// hop must still strictly decrease the target distance — greedy's
@@ -291,27 +279,29 @@ impl<'g> GreedyRouter<'g> {
             }
             c => c,
         };
-        let next = match (self.local_next_live(u, f), live_contact) {
-            (None, c) => c.filter(|&v| self.dist_t.get(v as usize) < self.dist_t.get(u as usize)),
-            (Some(l), None) => Some(l),
-            (Some(l), Some(c)) => {
-                if self.dist_t.get(c as usize) < self.dist_t.get(l as usize) {
-                    Some(c)
-                } else {
-                    Some(l)
-                }
+        // One scan finds both the fault-free and the live local winner;
+        // liveness is hashed only for a neighbour that would beat the
+        // live winner so far.
+        let mut free_local: Option<(u32, NodeId)> = None;
+        let mut live_local: Option<(u32, NodeId)> = None;
+        for &v in self.g.neighbors(u) {
+            let d = self.dist_t.get(v as usize);
+            if free_local.is_none_or(|(bd, _)| d < bd) {
+                free_local = Some((d, v));
             }
-        }?;
+            if live_local.is_none_or(|(bd, _)| d < bd) && !self.down(v, f) {
+                live_local = Some((d, v));
+            }
+        }
+        let next = self.pick(u, live_local, live_contact)?;
         if self.dist_t.get(next as usize) >= self.dist_t.get(u as usize) {
             return None; // stuck: no live neighbour improves
         }
         // Filtering only removes candidates, so when the fault-free
         // winner is live it is also the live winner; the hop rerouted
-        // exactly when that winner is down.
-        if let Some(free) = self.next_hop(u, contact) {
-            if self.down(free, f) {
-                f.rerouted.set(f.rerouted.get() + 1);
-            }
+        // exactly when the two differ.
+        if self.pick(u, free_local, contact) != Some(next) {
+            f.rerouted.set(f.rerouted.get() + 1);
         }
         let long = Some(next) == live_contact && self.g.neighbors(u).binary_search(&next).is_err();
         Some((next, long))
@@ -322,12 +312,23 @@ impl<'g> GreedyRouter<'g> {
     /// neighbour (ties → local, then smallest id; the paper allows any
     /// tie-breaking).
     pub fn next_hop(&self, u: NodeId, contact: Option<NodeId>) -> Option<NodeId> {
-        let local = self.local_next(u);
+        self.pick(u, self.local_best(u), contact)
+    }
+
+    /// The greedy choice at `u` between the best local neighbour (with
+    /// its target distance) and a contact, by [`Self::next_hop`]'s rule.
+    #[inline]
+    fn pick(
+        &self,
+        u: NodeId,
+        local: Option<(u32, NodeId)>,
+        contact: Option<NodeId>,
+    ) -> Option<NodeId> {
         match (local, contact) {
             (None, c) => c.filter(|&v| self.dist_t.get(v as usize) < self.dist_t.get(u as usize)),
-            (Some(l), None) => Some(l),
-            (Some(l), Some(c)) => {
-                if self.dist_t.get(c as usize) < self.dist_t.get(l as usize) {
+            (Some((_, l)), None) => Some(l),
+            (Some((dl, l)), Some(c)) => {
+                if self.dist_t.get(c as usize) < dl {
                     Some(c)
                 } else {
                     Some(l)

@@ -20,7 +20,10 @@
 //! Rows are handed out as [`Arc`]s: eviction drops the cache's reference,
 //! never a row a batch is still routing on. Distances are exact, so cache
 //! state — including the policy choice — can never change an answer, only
-//! its latency. `tests/engine.rs` property-tests that invariance.
+//! its latency. `tests/engine.rs` property-tests that invariance. A row
+//! is the target's full-graph distance row, valid in every churn epoch
+//! (churn only restricts which hops a step may take), so rows are never
+//! invalidated — only evicted under byte pressure.
 
 use nav_graph::distance::DistRowBuf;
 use nav_graph::NodeId;
@@ -119,9 +122,6 @@ struct Slot {
     row: Arc<DistRowBuf>,
     bytes: usize,
     tier: Tier,
-    /// The cache epoch the row was admitted under (see
-    /// [`RowCache::set_epoch`]).
-    epoch: u64,
     prev: usize,
     next: usize,
 }
@@ -157,9 +157,6 @@ pub struct RowCache {
     index: HashMap<NodeId, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    /// Current churn epoch; rows admitted under a different epoch are
-    /// never served (see [`RowCache::set_epoch`]).
-    epoch: u64,
     probation: RecencyList,
     protected: RecencyList,
     resident_bytes: usize,
@@ -199,7 +196,6 @@ impl RowCache {
             index: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            epoch: 0,
             probation: RecencyList::new(),
             protected: RecencyList::new(),
             resident_bytes: 0,
@@ -239,36 +235,6 @@ impl RowCache {
         }
     }
 
-    /// The cache's current churn epoch (0 until the first
-    /// [`RowCache::set_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Advances the cache to churn `epoch`. Rows admitted under any other
-    /// epoch are dropped immediately (counted as evictions), so a churn
-    /// tick can never serve state carried over from before the tick — the
-    /// serving layer's stale-row invalidation contract. Distance rows are
-    /// exact either way; the invalidation enforces the *epoch isolation*
-    /// the fault-injection layer is property-tested against, at the cost
-    /// of re-warming after a flip. Returns `true` when the epoch actually
-    /// changed (the caller's flip counter).
-    pub fn set_epoch(&mut self, epoch: u64) -> bool {
-        if epoch == self.epoch {
-            return false;
-        }
-        self.epoch = epoch;
-        let keys: Vec<NodeId> = self.index.keys().copied().collect();
-        for key in keys {
-            let slot = self.index[&key];
-            self.detach(slot);
-            self.index.remove(&key);
-            self.free.push(slot);
-            self.evictions += 1;
-        }
-        true
-    }
-
     /// Exports every resident row in **re-insertion order**: probation
     /// then protected, each tier coldest (LRU) first, so replaying the
     /// rows through [`RowCache::import_row`] (which pushes to the front)
@@ -288,12 +254,12 @@ impl RowCache {
         out
     }
 
-    /// Re-admits one exported row at the current epoch, as the most
-    /// recent entry of its tier (`protected` is ignored under strict
-    /// LRU, where only one list exists). Same admission discipline as
-    /// [`RowCache::insert`]: an over-capacity row is rejected (counted),
-    /// and the cache evicts/demotes as needed so the byte bounds hold
-    /// even against a snapshot taken under a larger capacity.
+    /// Re-admits one exported row as the most recent entry of its tier
+    /// (`protected` is ignored under strict LRU, where only one list
+    /// exists). Same admission discipline as [`RowCache::insert`]: an
+    /// over-capacity row is rejected (counted), and the cache
+    /// evicts/demotes as needed so the byte bounds hold even against a
+    /// snapshot taken under a larger capacity.
     pub fn import_row(&mut self, t: NodeId, row: Arc<DistRowBuf>, protected: bool) {
         let bytes = row.bytes();
         if bytes > self.capacity_bytes {
@@ -327,30 +293,15 @@ impl RowCache {
 
     /// Looks up the row of target `t`. A hit promotes the row: to the
     /// front of the single list under strict LRU, into the protected tier
-    /// under SLRU. A resident row whose admission epoch differs from the
-    /// cache's current epoch is defensively dropped and reported as a
-    /// miss — [`RowCache::set_epoch`] already purges eagerly, so this is
-    /// a second, independent line of defence against stale rows.
+    /// under SLRU.
     pub fn get(&mut self, t: NodeId) -> Option<Arc<DistRowBuf>> {
-        match self.index.get(&t).copied() {
-            Some(slot) if self.slots[slot].epoch == self.epoch => {
-                self.hits += 1;
-                self.touch(slot);
-                Some(Arc::clone(&self.slots[slot].row))
-            }
-            Some(slot) => {
-                self.detach(slot);
-                self.index.remove(&t);
-                self.free.push(slot);
-                self.evictions += 1;
-                self.misses += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let Some(&slot) = self.index.get(&t) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.touch(slot);
+        Some(Arc::clone(&self.slots[slot].row))
     }
 
     /// Inserts the row of target `t`, evicting rows until it fits. A row
@@ -465,7 +416,6 @@ impl RowCache {
             row,
             bytes,
             tier,
-            epoch: self.epoch,
             prev: NIL,
             next: NIL,
         };
@@ -742,55 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_flip_purges_every_resident_row() {
-        let mut c = RowCache::new(1000);
-        for t in 0..5u32 {
-            c.insert(t, row(10, true));
-        }
-        assert_eq!(c.stats().resident_rows, 5);
-        assert_eq!(c.epoch(), 0);
-        assert!(c.set_epoch(3), "flip must report a change");
-        assert!(!c.set_epoch(3), "same epoch is a no-op");
-        let s = c.stats();
-        assert_eq!(s.resident_rows, 0, "churn tick cannot serve stale rows");
-        assert_eq!(s.resident_bytes, 0);
-        assert_eq!(s.evictions, 5);
-        assert!(c.get(0).is_none());
-        // Rows admitted after the flip serve normally.
-        c.insert(0, row(10, true));
-        assert!(c.get(0).is_some());
-        assert_eq!(c.epoch(), 3);
-    }
-
-    #[test]
-    fn stale_epoch_row_is_never_served_even_if_resident() {
-        // The defensive path in `get`: `set_epoch` purges eagerly, so a
-        // stale-tagged resident row can only be hand-forged — which is
-        // exactly the point of a second line of defence.
-        let mut c = RowCache::with_policy(1000, AdmissionPolicy::Segmented);
-        c.insert(2, row(10, true));
-        let slot = c.index[&2];
-        c.slots[slot].epoch = 999; // forge a row from another epoch
-        assert!(c.get(2).is_none(), "stale row must not serve");
-        let s = c.stats();
-        assert_eq!(s.resident_rows, 0, "stale row is dropped on lookup");
-        assert_eq!(s.resident_bytes, 0);
-        assert_eq!((s.hits, s.misses, s.evictions), (0, 1, 1));
-    }
-
-    #[test]
-    fn segmented_epoch_purge_clears_protected_tier_too() {
-        let mut c = RowCache::with_policy(1000, AdmissionPolicy::Segmented);
-        c.insert(1, row(10, true));
-        assert!(c.get(1).is_some()); // promoted to protected
-        assert_eq!(c.stats().protected_rows, 1);
-        c.set_epoch(7);
-        let s = c.stats();
-        assert_eq!((s.protected_rows, s.protected_bytes), (0, 0));
-        assert_eq!(s.resident_rows, 0);
-    }
-
-    #[test]
     fn segmented_tiny_capacity_still_bounded() {
         // Capacity smaller than one protected budget row: promotion
         // demotes the row right back; the byte bound always holds.
@@ -847,7 +748,6 @@ mod tests {
         assert_eq!(exported.len(), 4);
 
         let mut r = RowCache::with_policy(200, AdmissionPolicy::Segmented);
-        r.set_epoch(5);
         for (t, row, protected) in &exported {
             r.import_row(*t, Arc::clone(row), *protected);
         }

@@ -35,8 +35,8 @@ pub struct EngineMetrics {
     /// Hops where the fault-free greedy winner was down and routing fell
     /// back to a different live hop.
     pub rerouted_hops: u64,
-    /// Churn-epoch changes observed by the row cache (each one purges the
-    /// resident rows — stale-row invalidation).
+    /// Churn-epoch changes between consecutive batches. A plain
+    /// transition counter: rows stay resident across a flip.
     pub epoch_flips: u64,
     /// Per-batch wall-clock samples, milliseconds, log-bucketed.
     batch_ms: LogHistogram,

@@ -183,8 +183,8 @@ pub struct MetricsSnapshot {
     /// Hops where the fault-free greedy winner was down and routing fell
     /// back to a different live hop.
     pub rerouted_hops: u64,
-    /// Churn-epoch flips observed by the row cache (each purges the
-    /// resident rows).
+    /// Churn-epoch changes between consecutive engine batches (a
+    /// transition counter; rows stay resident across a flip).
     pub epoch_flips: u64,
     /// Connections whose socket deadline could not be installed
     /// (`set_read_timeout`/`set_write_timeout` failed). Such connections

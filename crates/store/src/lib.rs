@@ -11,7 +11,7 @@
 //!   [`nav_engine::ShardedEngine`] front: graph edges, the augmentation
 //!   scheme (realized schemes by their actual joint draw, so a restore
 //!   never re-rolls the links), the answer-determining config, and per
-//!   shard the lifetime counter, churn epoch, and resident cache rows.
+//!   shard the lifetime counter and resident cache rows.
 //!   The format is a magic/version/section-table header over
 //!   independently offset sections — unknown section ids are skipped, so
 //!   old readers survive new writers ([`Snapshot::encode`],

@@ -14,12 +14,19 @@
 //! it came from), `CONFIG` (every answer-determining engine knob; thread
 //! count and observability are restore-time parameters because they are
 //! answer-invisible by contract), `SHARDS` (front counters plus per
-//! shard the lifetime counter, churn epoch, and resident rows with their
-//! SLRU tier), and `WIDTH` (the engine's MS-BFS lane width — one byte,
-//! defaulting to 64 lanes when absent so pre-width snapshots restore
-//! unchanged). Readers skip unknown section ids, so the format can grow
-//! sections without a version bump; a version bump means the header
-//! itself changed.
+//! shard the lifetime counter, one reserved u64, and resident rows with
+//! their SLRU tier), and `WIDTH` (the engine's MS-BFS lane width — one
+//! byte, defaulting to 64 lanes when absent so pre-width snapshots
+//! restore unchanged). Readers skip unknown section ids, so the format
+//! can grow sections without a version bump; a version bump means the
+//! header itself changed.
+//!
+//! The reserved u64 after each shard's lifetime counter once held the
+//! row cache's churn epoch. Rows are exact full-graph distances, valid
+//! in every epoch, so nothing reads it any more: writers put 0 there and
+//! readers skip it. Keeping the slot means no version bump — older
+//! snapshots (with a nonzero slot) restore, and older readers accept new
+//! snapshots.
 
 use crate::cursor::Cur;
 use crate::StoreError;
@@ -153,8 +160,8 @@ pub struct Snapshot {
 impl Snapshot {
     /// Freezes a serving front into a snapshot: graph, scheme, the
     /// answer-determining config, front counters, and every shard's
-    /// lifetime counter, churn epoch, and resident rows. The front is
-    /// not disturbed. Errors only when the scheme cannot be represented
+    /// lifetime counter and resident rows. The front is not disturbed.
+    /// Errors only when the scheme cannot be represented
     /// ([`StoreError::UnsupportedScheme`]).
     pub fn capture(front: &ShardedEngine) -> Result<Self, StoreError> {
         let g = front.graph();
@@ -178,9 +185,9 @@ impl Snapshot {
     /// Rehydrates a serving front. `threads` and `obs` are restore-time
     /// parameters — both are answer-invisible by the engine's
     /// determinism contract, so a snapshot taken at one thread count
-    /// restores at any other without changing a bit. Per-shard state is
-    /// imported with the churn epoch set before the rows, so a restored
-    /// cache is warm *and* correctly epoch-tagged.
+    /// restores at any other without changing a bit. Per-shard rows are
+    /// re-admitted as they were exported, so a restored cache is warm in
+    /// whatever churn epoch the stream resumes in.
     pub fn restore(&self, threads: usize, obs: ObsConfig) -> Result<ShardedEngine, StoreError> {
         if let SchemeSpec::Realized(table) = &self.scheme {
             if table.len() != self.num_nodes {
@@ -308,7 +315,7 @@ impl Snapshot {
         put_u16(&mut b, self.shards.len().min(u16::MAX as usize) as u16);
         for shard in &self.shards {
             put_u64(&mut b, shard.served);
-            put_u64(&mut b, shard.epoch);
+            put_u64(&mut b, 0); // reserved (see the module docs)
             put_u32(&mut b, shard.rows.len().min(u32::MAX as usize) as u32);
             for (key, row, protected) in &shard.rows {
                 put_u32(&mut b, *key);
@@ -526,7 +533,7 @@ fn decode_shards(body: &[u8]) -> Result<(u64, u64, Vec<EngineState>), StoreError
     let mut shards = Vec::with_capacity(shard_count.min(cur.remaining() / 20 + 1));
     for _ in 0..shard_count {
         let served = cur.u64("shard served")?;
-        let epoch = cur.u64("shard epoch")?;
+        cur.u64("shard reserved")?; // ignored (see the module docs)
         let row_count = cur.u32("row count")? as usize;
         // A row entry is at least 9 header bytes, so a forged count must
         // exceed what the bytes can hold before any allocation happens.
@@ -562,11 +569,7 @@ fn decode_shards(body: &[u8]) -> Result<(u64, u64, Vec<EngineState>), StoreError
             };
             rows.push((key, Arc::new(row), flags & FLAG_PROTECTED != 0));
         }
-        shards.push(EngineState {
-            served,
-            epoch,
-            rows,
-        });
+        shards.push(EngineState { served, rows });
     }
     cur.done("trailing bytes in shards section")?;
     Ok((front_served, front_batches, shards))
@@ -695,6 +698,32 @@ mod tests {
             Snapshot::decode(&bad).unwrap_err(),
             StoreError::Malformed("unknown lane width")
         ));
+    }
+
+    #[test]
+    fn nonzero_reserved_shard_slot_restores_and_replays_bit_identically() {
+        // Older writers stored the shard's churn epoch in the u64 after
+        // its lifetime counter (past the 18-byte front header): forge it.
+        let bytes = Snapshot::capture(&warm_front(1)).unwrap().encode();
+        let count = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
+        let entry = (0..count)
+            .map(|i| &bytes[8 + 20 * i..8 + 20 * (i + 1)])
+            .find(|e| u16::from_le_bytes([e[0], e[1]]) == SEC_SHARDS)
+            .unwrap();
+        let slot = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize + 18 + 8;
+        let mut old = bytes.clone();
+        old[slot..slot + 8].copy_from_slice(&2u64.to_le_bytes());
+
+        let snap = Snapshot::decode(&old).unwrap();
+        assert_eq!(snap.encode(), bytes, "writers put 0 in the slot");
+        let mut restored = snap.restore(1, ObsConfig::default()).unwrap();
+        let mut uninterrupted = warm_front(1);
+        let next: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 5, 40 + i)).collect();
+        let batch = QueryBatch::from_pairs(&next, 4);
+        let a = uninterrupted.serve(&batch).unwrap();
+        let b = restored.serve(&batch).unwrap();
+        assert!(a.answers.iter().zip(&b.answers).all(|(x, y)| x.bits_eq(y)));
+        assert!(restored.cache_stats().hits > 0, "restored rows serve");
     }
 
     #[test]

@@ -396,8 +396,8 @@ proptest! {
         batch_size in 1usize..8,
     ) {
         // The robustness contract: with link drops *and* churn epochs on,
-        // answers stay bit-identical across cache capacities (epoch flips
-        // purge different residencies), thread counts, batch splits, and
+        // answers stay bit-identical across cache capacities (evictions
+        // leave different residencies), thread counts, batch splits, and
         // shard counts — every query's fate is a pure function of its RNG
         // index. The 3-epoch / period-4 plan guarantees streams cross
         // epoch boundaries mid-run.
@@ -478,8 +478,8 @@ proptest! {
         // on-disk snapshot *bytes*, restore at a different thread count,
         // and the continuation must be bit-identical to the engine that
         // was never interrupted — whatever the cut point, batch split,
-        // or shard count. Cache contents, churn epoch, and the RNG
-        // cursor all travel through the encoding.
+        // or shard count. Cache contents and the RNG cursor travel
+        // through the encoding.
         use navigability::engine::ShardedEngine;
         use navigability::obs::ObsConfig;
         use navigability::store::Snapshot;
@@ -616,6 +616,63 @@ fn wide_row_fallback_on_real_geometry() {
         N * 4,
         "the resident row must be charged at the wide (u32) width"
     );
+}
+
+/// Churn never costs a refill: rows are exact full-graph distances and
+/// each query routes under its own epoch, so a cache big enough for the
+/// working set computes every distinct target exactly once, however many
+/// epoch flips the stream crosses — and the answers stay bit-identical to
+/// an engine that caches nothing and to a 2-shard front.
+#[test]
+fn churn_epoch_flips_never_refill_a_resident_row() {
+    use navigability::engine::ShardedEngine;
+    let g = navigability::gen::grid::grid2d(8, 8).expect("grid");
+    let n = g.num_nodes() as NodeId;
+    // 3 epochs of 4 queries: 60 queries cross every epoch five times.
+    let pairs: Vec<(NodeId, NodeId)> = (0..60u32)
+        .map(|i| ((i * 11 + 5) % n, (i * 7) % 9 + 50))
+        .collect();
+    let mut targets: Vec<NodeId> = pairs.iter().map(|&(_, t)| t).collect();
+    targets.sort_unstable();
+    targets.dedup();
+    let cfg = |cache_bytes: usize| EngineConfig {
+        seed: 0xc0ffee,
+        threads: test_threads(),
+        cache_bytes,
+        fault: FaultConfig {
+            drop_prob: 0.2,
+            plan: Some(FailurePlan::new(17, 3, 4, 0.15)),
+        },
+        ..EngineConfig::default()
+    };
+    let serve = |engine: &mut dyn FnMut(&QueryBatch) -> Vec<PairStats>| {
+        pairs
+            .chunks(5)
+            .flat_map(|chunk| engine(&QueryBatch::from_pairs(chunk, 4)))
+            .collect::<Vec<_>>()
+    };
+
+    let mut warm = Engine::new(g.clone(), Box::new(UniformScheme), cfg(1 << 20));
+    let answers = serve(&mut |b| warm.serve(b).expect("valid").answers);
+    assert!(warm.metrics().epoch_flips >= 6, "{:?}", warm.metrics());
+    let s = warm.cache_stats();
+    assert_eq!(s.insertions, targets.len() as u64, "{s:?}");
+    assert_eq!(s.evictions, 0, "{s:?}");
+
+    let mut uncached = Engine::new(g.clone(), Box::new(UniformScheme), cfg(0));
+    let reference = serve(&mut |b| uncached.serve(b).expect("valid").answers);
+    assert!(
+        identical(&answers, &reference),
+        "diverged from cache_bytes = 0"
+    );
+
+    let mut front = ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg(1 << 20), 2);
+    let sharded = serve(&mut |b| front.serve(b).expect("valid").answers);
+    assert!(
+        identical(&answers, &sharded),
+        "diverged from the 2-shard front"
+    );
+    assert_eq!(front.cache_stats().insertions, targets.len() as u64);
 }
 
 /// Direct soak of the cache's eviction accounting: a long random

@@ -5,8 +5,9 @@
 //!    is dropped (nothing survives but the bytes), and the restored
 //!    front — at a *different* thread count and observability config —
 //!    must finish the stream **bit-identically** to an engine that was
-//!    never interrupted. Cache warmth, churn epoch, and the RNG cursor
-//!    all have to survive the disk.
+//!    never interrupted. Cache warmth and the RNG cursor have to survive
+//!    the disk; the churn epoch needs no storage, because each query's
+//!    epoch follows from its RNG index.
 //! 2. **Decoder totality** — every truncation, single-byte mutation,
 //!    and forged section-table entry of a valid snapshot decodes to a
 //!    typed [`StoreError`] or a valid value, never a panic and never an
@@ -36,7 +37,7 @@ fn world(n: usize, seed: u64) -> Graph {
 
 /// Serving knobs with the fault layer fully on: link drops plus a
 /// 3-epoch churn plan short enough that streams cross epoch boundaries,
-/// so a snapshot that loses the epoch or the RNG cursor cannot pass.
+/// so a snapshot that loses the RNG cursor cannot pass.
 fn serving_cfg(seed: u64) -> EngineConfig {
     EngineConfig {
         seed,
