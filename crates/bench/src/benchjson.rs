@@ -238,9 +238,9 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
     // --- E1-style ball-scheme sweep: scalar vs batched sampler -----------
     // The ball scheme's per-step draw is a truncated BFS, so this sweep
     // paid O(visited · ball-BFS) under the scalar sampler — the last
-    // scalar hot path. The batched sampler serves draws from 64-lane
-    // MS-BFS ball-row caches: same trial pairs, same per-node
-    // distributions, O(MS-BFS / 64) per *distinct* visited node.
+    // scalar hot path. The batched sampler serves draws from ball rows
+    // built in shared 64-lane MS-BFS passes: same trial pairs, same
+    // per-node distributions, one pass per round segment of walks.
     let ball = BallScheme::new(&g);
     let tc_ball = TrialConfig {
         trials_per_pair,
@@ -312,13 +312,12 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
     }
 
     // --- ball-scheme lane-width sweep ------------------------------------
-    // Wider blocks run more trials as bit-lanes of the same lockstep
-    // walk and fill ball rows in fewer MS-BFS passes. A wide row holds
-    // the same rank buckets in a different member order, so answers are
-    // compared across widths as estimators (the at-a-fixed-width
-    // reproducibility gate lives in the engine tests), and each width's
-    // sampler must pass the same chi-squared conformance harness as the
-    // scheme's own draws.
+    // Wider blocks carry more ball rows per MS-BFS pass. Rows are
+    // identical at every width, so answers are too (gated bit for bit in
+    // the trial and engine tests); here each width is checked as an
+    // estimator against the scalar sweep, and each width's sampler must
+    // pass the same chi-squared conformance harness as the scheme's own
+    // draws.
     let mut ball_width: Vec<(LaneWidth, f64, f64)> = Vec::new();
     for w in LaneWidth::ALL {
         let tcw = TrialConfig {

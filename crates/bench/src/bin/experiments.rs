@@ -14,8 +14,8 @@
 //!
 //! `--sampler batched` routes every trial sweep (e.g. the E1/E7 ball
 //! sweeps) through the batched per-step sampler — the ball scheme then
-//! draws from 64-lane MS-BFS ball-row caches instead of one truncated
-//! BFS per visited node; schemes without a batched backend fall back to
+//! draws from ball rows built in shared MS-BFS passes instead of one
+//! truncated BFS per visited node; schemes without a batched backend fall back to
 //! the scalar path unchanged.
 //!
 //! `--drop-p P` inserts `P` into E10's link-failure sweep and

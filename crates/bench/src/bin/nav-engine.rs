@@ -450,12 +450,11 @@ fn serve(mut args: impl Iterator<Item = String>) {
     }
     if m.sampler.misses + m.sampler.hits > 0 {
         println!(
-            "sampler           {} ball rows over {} MS-BFS passes, {} hits / {} misses, {} fallbacks, {} KiB",
+            "sampler           {} ball rows over {} MS-BFS passes, {} hits / {} misses, {} KiB",
             m.sampler.rows,
             m.sampler.passes,
             m.sampler.hits,
             m.sampler.misses,
-            m.sampler.fallbacks,
             m.sampler.row_bytes / 1024
         );
     }

@@ -208,7 +208,7 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     // --- ball workload: the per-step sampler backends head to head ------
     // A prefix of the same zipfian stream served under the Theorem-4 ball
     // scheme, whose per-step draw is the engine's last scalar hot path:
-    // (a) scalar truncated-BFS draws, (b) the batched ball-row cache,
+    // (a) scalar truncated-BFS draws, (b) the batched shared ball rows,
     // (c) a pre-realized contact table from `realize_batched`. Each
     // backend is gated bit-identical against `run_trials` in its own
     // mode before a number is rendered.

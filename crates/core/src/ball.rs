@@ -45,6 +45,18 @@ impl BallScheme {
         self.k_max
     }
 
+    /// A node's effective rank at distance `d` from the centre: the
+    /// smallest scale in `1..=K` whose ball holds it, or 0 when it is
+    /// outside even the largest ball. The saturated top radius (K ≥ 31)
+    /// absorbs every reachable node.
+    fn rank_in(&self, d: u32) -> usize {
+        if d == INFINITY || d > Self::radius(self.k_max) {
+            0
+        } else {
+            (rank_of_distance(d).max(1) as usize).min(self.k_max as usize)
+        }
+    }
+
     /// The ball radius of scale `k` (`2^k`, saturating).
     fn radius(k: u32) -> u32 {
         if k >= 31 {
@@ -246,62 +258,103 @@ impl ExplicitScheme for BallScheme {
     }
 }
 
-/// One node's cached ball index: every node of the largest ball
-/// `B(u, 2^K)`, sorted by (dyadic rank, node id), plus the dyadic prefix
-/// sizes `|B(u, 2^k)|` — so "a uniform member of `B(u, 2^k)`" is one
+/// One node's ball index: every node of the largest ball `B(u, 2^K)`,
+/// sorted by (dyadic rank, node id), plus the dyadic prefix sizes
+/// `|B(u, 2^k)|` — so "a uniform member of `B(u, 2^k)`" is one
 /// `gen_range` over a prefix of `members`, `O(1)` per draw.
 ///
 /// `B(u, 2^k) = { v : rank(v) ≤ k }` and ranks are bucketed in ascending
-/// order, so each ball is exactly a prefix of the rank-major layout.
+/// order, so each ball is exactly a prefix of the rank-major layout. The
+/// layout is canonical: a row is a pure function of `(graph, centre)`,
+/// whichever pass, lane width or neighbouring centres computed it, so
+/// building, dropping and rebuilding rows can never change a draw.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BallRow {
     /// Reachable nodes with `d ≤ 2^K`, rank-major, ascending id within a
     /// rank.
-    members: Vec<NodeId>,
+    members: Members,
     /// `ball_sizes[k] = |B(u, 2^k)|` for `k = 1..=K` (`[0]` unused).
     ball_sizes: Vec<u32>,
+}
+
+/// A row's member ids, stored in 16 bits whenever every id of the graph
+/// fits — half the bytes of a row on graphs up to 65,536 nodes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Members {
+    Narrow(Vec<u16>),
+    Wide(Vec<NodeId>),
+}
+
+/// Whether a graph of `n` nodes stores ball-row members in 16 bits.
+fn narrow_ids(n: usize) -> bool {
+    n <= 1 << 16
+}
+
+/// Scatters the ids of `n` nodes into their rank buckets (ascending
+/// within each), then drops the trailing outsiders' bucket.
+fn place<T: Copy + Default>(
+    ranks: impl Iterator<Item = usize>,
+    mut cursors: Vec<usize>,
+    n: usize,
+    total: usize,
+    id: impl Fn(usize) -> T,
+) -> Vec<T> {
+    let mut out = vec![T::default(); n];
+    for (v, r) in ranks.enumerate() {
+        out[cursors[r]] = id(v);
+        cursors[r] += 1;
+    }
+    out.truncate(total);
+    out
 }
 
 impl BallRow {
     /// Builds the index from a full distance row of the centre
     /// (`row[v] = dist(u, v)`, [`INFINITY`] when unreachable).
     pub fn from_distances(scheme: BallScheme, row: &[u32]) -> Self {
+        Self::from_ranks(scheme, row.len(), row.iter().map(|&d| scheme.rank_in(d)))
+    }
+
+    /// Builds the index from every node's [`BallScheme::rank_in`], in
+    /// node order.
+    fn from_ranks(
+        scheme: BallScheme,
+        n: usize,
+        ranks: impl Iterator<Item = usize> + Clone,
+    ) -> Self {
         let kk = scheme.k_max as usize;
-        let max_radius = BallScheme::radius(scheme.k_max);
-        // Effective rank: the smallest scale in 1..=K whose ball holds the
-        // node, or None when it is outside even the largest ball. The
-        // saturated top radius (K ≥ 31) absorbs every reachable node.
-        let rank_in = |d: u32| -> Option<usize> {
-            if d == INFINITY || d > max_radius {
-                return None;
-            }
-            Some((rank_of_distance(d).max(1) as usize).min(kk))
-        };
-        let mut counts = vec![0u32; kk + 1];
-        for &d in row {
-            if let Some(r) = rank_in(d) {
-                counts[r] += 1;
-            }
+        let mut counts = vec![0usize; kk + 1];
+        for r in ranks.clone() {
+            counts[r] += 1;
         }
-        // Prefix the counts into ball sizes and bucket cursors.
+        // Prefix the counts into ball sizes and bucket cursors. The
+        // outsiders' bucket (rank 0) goes last, so placement needs no
+        // branch; it is cut off afterwards.
         let mut ball_sizes = vec![0u32; kk + 1];
         let mut cursors = vec![0usize; kk + 1];
-        let mut total = 0u32;
+        let mut total = 0usize;
         for k in 1..=kk {
-            cursors[k] = total as usize;
+            cursors[k] = total;
             total += counts[k];
-            ball_sizes[k] = total;
+            ball_sizes[k] = total as u32;
         }
-        let mut members = vec![0 as NodeId; total as usize];
-        for (v, &d) in row.iter().enumerate() {
-            if let Some(r) = rank_in(d) {
-                members[cursors[r]] = v as NodeId;
-                cursors[r] += 1;
-            }
-        }
+        cursors[0] = total;
+        let members = if narrow_ids(n) {
+            Members::Narrow(place(ranks, cursors, n, total, |v| v as u16))
+        } else {
+            Members::Wide(place(ranks, cursors, n, total, |v| v as NodeId))
+        };
         BallRow {
             members,
             ball_sizes,
+        }
+    }
+
+    /// The `i`-th member in (rank, id) order.
+    fn member(&self, i: usize) -> NodeId {
+        match &self.members {
+            Members::Narrow(m) => m[i] as NodeId,
+            Members::Wide(m) => m[i],
         }
     }
 
@@ -310,64 +363,74 @@ impl BallRow {
         self.ball_sizes[k as usize] as usize
     }
 
-    /// The members of `B(u, 2^k)` (rank-major prefix of the layout).
-    pub fn ball_members(&self, k: u32) -> &[NodeId] {
-        &self.members[..self.ball_sizes[k as usize] as usize]
+    /// The members of `B(u, 2^k)`: the rank-major prefix of the layout.
+    pub fn ball_members(&self, k: u32) -> Vec<NodeId> {
+        (0..self.ball_size(k)).map(|i| self.member(i)).collect()
     }
 
-    /// One scheme draw from the cached index: uniform scale, then a
-    /// uniform member of that ball — the same distribution as
+    /// One scheme draw from the index: uniform scale, then a uniform
+    /// member of that ball — the same distribution as
     /// [`BallScheme::sample_contact`], in two `gen_range` calls.
     fn sample(&self, scheme: &BallScheme, rng: &mut dyn RngCore) -> Option<NodeId> {
         let k = rng.gen_range(1..=scheme.k_max) as usize;
         let count = self.ball_sizes[k] as u64;
         debug_assert!(count >= 1, "a ball always contains its centre");
         let pick = rng.gen_range(0..count);
-        Some(self.members[pick as usize])
+        Some(self.member(pick as usize))
     }
 
     /// Payload bytes of the index (members + prefix table).
     pub fn bytes(&self) -> usize {
-        (self.members.len() + self.ball_sizes.len()) * std::mem::size_of::<NodeId>()
+        let members = match &self.members {
+            Members::Narrow(m) => m.len() * 2,
+            Members::Wide(m) => m.len() * 4,
+        };
+        members + self.ball_sizes.len() * 4
     }
 }
 
-/// Backend (b) of the sampler abstraction: a per-worker **ball-row
-/// cache** with deferred, batched row computation. The trial engine runs
-/// a pair's trials in lockstep rounds ([`ContactSampler::wants_lockstep`])
-/// and announces every concurrent walk's current node through
-/// [`ContactSampler::prepare`]; the sampler packs the *uncached* ones —
-/// real misses, no speculative lanes — up to `width.lanes()` per bit-parallel
-/// MS-BFS pass and builds their [`BallRow`]s straight from the pass's
-/// level-ordered discoveries. Every draw at a cached node is then two
-/// `gen_range` calls. Same per-node distribution as the scalar
+/// Backend (b) of the sampler abstraction: ball rows computed in shared
+/// bit-parallel MS-BFS passes. The trial engine runs its pairs' trials in
+/// lockstep rounds ([`ContactSampler::wants_lockstep`]) and hands every
+/// round's walk positions to [`ContactSampler::prepare`], which cuts them
+/// into consecutive *segments*: each segment's distinct centres fit one
+/// pass — at most `width.lanes()` rows and at most `byte_cap` bytes of
+/// worst-case (`n`-member) rows, but always at least one. The sampler
+/// builds the segment's missing [`BallRow`]s in one pass and keeps
+/// exactly the segment's rows resident; every draw in the segment is then
+/// two `gen_range` calls. Same per-node distribution as the scalar
 /// [`BallScheme::sample_contact`], radically different cost model:
-/// `O(ball-BFS)` per *visit* becomes one shared pass per round plus
-/// `O(1)` per revisit.
+/// `O(ball-BFS)` per *visit* becomes one shared pass per segment.
 ///
-/// `byte_cap` bounds the cached payload: once full, draws at uncached
-/// nodes fall back to the scalar scheme (counted in
-/// [`SamplerStats::fallbacks`]) — still correct, just uncached.
+/// Rows are canonical ([`BallRow`]), so segment boundaries, the byte
+/// budget and the lane width decide only how many passes are paid — never
+/// a draw. A tight budget makes segments smaller; it never skips a row.
 pub struct BallRowSampler {
     scheme: BallScheme,
+    /// The rows of the last prepared segment, plus any built by draws
+    /// made outside one.
     rows: HashMap<NodeId, BallRow>,
     byte_cap: usize,
-    bytes: usize,
     width: LaneWidth,
+    /// Byte distance staging of one pass (`centres × n` cells), reused
+    /// across passes.
+    staging: Vec<u8>,
+    /// [`BallScheme::rank_in`] of every staged byte (`u8::MAX` =
+    /// unreached).
+    depth_rank: [u8; 256],
     stats: SamplerStats,
 }
 
 impl BallRowSampler {
-    /// A sampler for `scheme` bounded at `byte_cap` cached bytes
-    /// (`usize::MAX` = unbounded), filling 64 rows per pass.
+    /// A sampler for `scheme` whose resident rows stay within `byte_cap`
+    /// bytes (`usize::MAX` = unbounded; at least one row is always
+    /// built), filling up to 64 rows per pass.
     pub fn new(scheme: BallScheme, byte_cap: usize) -> Self {
         Self::with_width(scheme, byte_cap, LaneWidth::W64)
     }
 
-    /// [`new`], filling `width.lanes()` rows per MS-BFS pass. Rows built
-    /// at any width hold the same rank buckets (discovery order within a
-    /// bucket may differ — every draw is uniform over a bucket prefix, so
-    /// the per-draw distribution is width-invariant).
+    /// [`new`], filling up to `width.lanes()` rows per MS-BFS pass. Rows
+    /// are identical at every width.
     ///
     /// [`new`]: BallRowSampler::new
     pub fn with_width(scheme: BallScheme, byte_cap: usize, width: LaneWidth) -> Self {
@@ -375,89 +438,70 @@ impl BallRowSampler {
             scheme,
             rows: HashMap::new(),
             byte_cap,
-            bytes: 0,
             width,
+            staging: Vec::new(),
+            depth_rank: std::array::from_fn(|d| match d {
+                255 => 0,
+                d => scheme.rank_in(d as u32) as u8,
+            }),
             stats: SamplerStats::default(),
         }
     }
 
-    /// The cached row of `u`, if resident.
+    /// The resident row of `u`, if any.
     pub fn row(&self, u: NodeId) -> Option<&BallRow> {
         self.rows.get(&u)
     }
 
-    /// Computes and caches ball rows for up to `width.lanes()` centres in
-    /// one MS-BFS pass, building each [`BallRow`] directly from the pass's
-    /// level-ordered discoveries (distances arrive ascending per lane, so
-    /// rank buckets are contiguous runs — no distance buffer, no sort).
-    fn fill_batch(&mut self, g: &Graph, centres: &[NodeId]) {
+    /// How many rows one segment may hold: one pass's lanes, fewer when
+    /// worst-case rows (`n` members plus the `K + 1` prefix entries)
+    /// would overrun the byte budget, never fewer than one.
+    fn segment_rows(&self, g: &Graph) -> usize {
+        let n = g.num_nodes();
+        let id_bytes = if narrow_ids(n) { 2 } else { 4 };
+        let per_row = n * id_bytes + (self.scheme.k_max as usize + 1) * 4;
+        (self.byte_cap / per_row).clamp(1, self.width.lanes())
+    }
+
+    /// Builds and keeps the rows of up to `width.lanes()` centres in one
+    /// MS-BFS pass.
+    fn fill(&mut self, g: &Graph, centres: &[NodeId]) {
         match self.width {
-            LaneWidth::W64 => self.fill_batch_w::<1>(g, centres),
-            LaneWidth::W128 => self.fill_batch_w::<2>(g, centres),
-            LaneWidth::W256 => self.fill_batch_w::<4>(g, centres),
+            LaneWidth::W64 => self.fill_w::<1>(g, centres),
+            LaneWidth::W128 => self.fill_w::<2>(g, centres),
+            LaneWidth::W256 => self.fill_w::<4>(g, centres),
         }
     }
 
-    fn fill_batch_w<const W: usize>(&mut self, g: &Graph, centres: &[NodeId])
+    fn fill_w<const W: usize>(&mut self, g: &Graph, centres: &[NodeId])
     where
         MsBfsW<W>: MsBfsWorkspace,
     {
-        debug_assert!(centres.len() <= MsBfsW::<W>::LANES);
-        let kk = self.scheme.k_max;
-        let max_radius = BallScheme::radius(kk);
-        let mut building: Vec<BallRow> = centres
-            .iter()
-            .map(|_| BallRow {
-                members: Vec::new(),
-                ball_sizes: vec![0u32; kk as usize + 1],
-            })
-            .collect();
-        MsBfsW::<W>::with_ws(g.num_nodes(), |ms| {
-            ms.run(g, centres, |lane, v, d| {
-                if d <= max_radius {
-                    let row = &mut building[lane as usize];
-                    let r = (rank_of_distance(d).max(1)).min(kk) as usize;
-                    row.members.push(v);
-                    row.ball_sizes[r] += 1;
-                }
-            });
-        });
-        for (c, mut row) in centres.iter().zip(building) {
-            // Per-rank counts → cumulative ball sizes.
-            for k in 2..=kk as usize {
-                row.ball_sizes[k] += row.ball_sizes[k - 1];
-            }
-            debug_assert_eq!(
-                row.ball_sizes[kk as usize] as usize,
-                row.members.len(),
-                "level-ordered discoveries must bucket every member"
-            );
-            self.bytes += row.bytes();
+        let n = g.num_nodes();
+        self.staging.resize(centres.len() * n, 0);
+        let staging = &mut self.staging;
+        let fits = MsBfsW::<W>::with_ws(n, |ms| ms.distances_into_bytes(g, centres, staging));
+        let rows: Vec<BallRow> = if fits {
+            self.staging
+                .chunks(n)
+                .map(|row| {
+                    let ranks = row.iter().map(|&d| self.depth_rank[d as usize] as usize);
+                    BallRow::from_ranks(self.scheme, n, ranks)
+                })
+                .collect()
+        } else {
+            // A finite distance reached u8::MAX: stage at full width.
+            let wide = MsBfsW::<W>::with_ws(n, |ms| ms.distances(g, centres));
+            wide.chunks(n)
+                .map(|row| BallRow::from_distances(self.scheme, row))
+                .collect()
+        };
+        for (&c, row) in centres.iter().zip(rows) {
             self.stats.rows += 1;
-            self.rows.insert(*c, row);
+            self.stats.row_bytes += row.bytes() as u64;
+            self.rows.insert(c, row);
         }
         self.stats.passes += 1;
-        self.stats.row_bytes = self.bytes as u64;
-    }
-
-    /// The announced nodes that are not yet cached and still fit the byte
-    /// budget, deduplicated.
-    fn plan_misses(&self, g: &Graph, nodes: &[NodeId]) -> Vec<NodeId> {
-        let n = g.num_nodes();
-        // A row's worst case: n member ids plus the K+1 prefix entries.
-        let per_row = (n + self.scheme.k_max as usize + 1) * std::mem::size_of::<NodeId>();
-        let room = (self.byte_cap.saturating_sub(self.bytes)) / per_row.max(1);
-        let mut misses: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        for &u in nodes {
-            if misses.len() >= room {
-                break;
-            }
-            if !self.rows.contains_key(&u) && seen.insert(u) {
-                misses.push(u);
-            }
-        }
-        misses
     }
 }
 
@@ -467,25 +511,41 @@ impl ContactSampler for BallRowSampler {
     }
 
     fn sample(&mut self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId> {
-        if let Some(row) = self.rows.get(&u) {
+        if !self.rows.contains_key(&u) {
+            // A draw outside any prepared segment: a one-row pass, after
+            // making room within the segment bound.
+            self.stats.misses += 1;
+            if self.rows.len() >= self.segment_rows(g) {
+                self.rows.clear();
+            }
+            self.fill(g, &[u]);
+        } else {
             self.stats.hits += 1;
-            return row.sample(&self.scheme, rng);
         }
-        self.stats.misses += 1;
-        let misses = self.plan_misses(g, &[u]);
-        if misses.is_empty() {
-            self.stats.fallbacks += 1;
-            return self.scheme.sample_contact(g, u, rng);
-        }
-        self.fill_batch(g, &misses);
         self.rows[&u].sample(&self.scheme, rng)
     }
 
-    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
-        let misses = self.plan_misses(g, nodes);
-        for chunk in misses.chunks(self.width.lanes()) {
-            self.fill_batch(g, chunk);
+    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) -> usize {
+        let limit = self.segment_rows(g);
+        let mut segment: Vec<NodeId> = Vec::new();
+        let mut in_segment: HashSet<NodeId> = HashSet::new();
+        let mut len = 0;
+        for &u in nodes {
+            if !in_segment.contains(&u) {
+                if segment.len() == limit {
+                    break;
+                }
+                in_segment.insert(u);
+                segment.push(u);
+            }
+            len += 1;
         }
+        self.rows.retain(|u, _| in_segment.contains(u));
+        segment.retain(|u| !self.rows.contains_key(u));
+        if !segment.is_empty() {
+            self.fill(g, &segment);
+        }
+        len
     }
 
     fn wants_lockstep(&self) -> bool {
@@ -678,13 +738,14 @@ mod tests {
             let mut expect: Vec<NodeId> = (0..23u32)
                 .filter(|&v| dist[v as usize] != INFINITY && dist[v as usize] <= radius)
                 .collect();
-            let mut got = row.ball_members(k).to_vec();
+            let mut got = row.ball_members(k);
             expect.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expect, "k={k}");
             assert_eq!(row.ball_size(k), expect.len());
         }
-        assert!(row.bytes() >= 23 * 4);
+        // 16-bit member ids plus the u32 prefix table.
+        assert_eq!(row.bytes(), 23 * 2 + (scheme.scales() as usize + 1) * 4);
     }
 
     #[test]
@@ -693,7 +754,7 @@ mod tests {
         let g = GraphBuilder::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let scheme = BallScheme::new(&g); // K = 2
         let row = BallRow::from_distances(scheme, &dist);
-        assert_eq!(row.ball_members(scheme.scales()), &[0, 1, 3]);
+        assert_eq!(row.ball_members(scheme.scales()), [0, 1, 3]);
     }
 
     #[test]
@@ -738,9 +799,10 @@ mod tests {
         let scheme = BallScheme::new(&g);
         let mut sampler = BallRowSampler::new(scheme, usize::MAX);
         // 20 distinct walks announce their nodes (with repeats): one
-        // MS-BFS pass computes exactly the distinct rows.
+        // MS-BFS pass computes exactly the distinct rows and readies the
+        // whole list.
         let nodes: Vec<NodeId> = (0..40).map(|i| (i % 20) * 7).collect();
-        sampler.prepare(&g, &nodes);
+        assert_eq!(sampler.prepare(&g, &nodes), 40);
         assert_eq!(sampler.stats().rows, 20);
         assert_eq!(sampler.stats().passes, 1);
         // Every announced node now samples as a hit.
@@ -749,35 +811,67 @@ mod tests {
             assert!(sampler.sample(&g, u, &mut rng).unwrap() < 150);
         }
         assert_eq!(sampler.stats().misses, 0);
-        // More than 64 distinct misses split into multiple passes.
+        // More than 64 distinct nodes: each prepare readies the prefix
+        // whose distinct nodes fit one pass, keeps only that segment's
+        // rows, and builds just the ones not resident yet.
         let many: Vec<NodeId> = (0..150).collect();
-        sampler.prepare(&g, &many);
-        assert_eq!(sampler.stats().rows, 150);
-        assert_eq!(sampler.stats().passes, 1 + 3); // 130 new rows / 64 per pass
+        assert_eq!(sampler.prepare(&g, &many), 64);
+        // 0, 7, …, 63 were resident: 54 new rows in one pass.
+        assert_eq!(sampler.stats().rows, 20 + 54);
+        assert_eq!(sampler.stats().passes, 2);
+        assert!(sampler.row(70).is_none(), "rows outside the segment go");
+        assert_eq!(sampler.prepare(&g, &many[64..]), 64);
+        assert_eq!(sampler.prepare(&g, &many[128..]), 22);
+        assert_eq!(sampler.stats().passes, 4);
         assert!(sampler.wants_lockstep());
+    }
+
+    /// A small graph whose BFS levels interleave node ids, so discovery
+    /// order within a rank differs from id order.
+    fn tangled(n: usize) -> Graph {
+        let edges = (0..n as NodeId).flat_map(|u| {
+            let n = n as NodeId;
+            [(u, (u + 1) % n), (u, (u * 7 + 3) % n)]
+        });
+        GraphBuilder::from_edges(n, edges.filter(|&(u, v)| u != v)).unwrap()
+    }
+
+    /// Prepares `order` segment by segment at every lane width and checks
+    /// each resident row equals [`BallRow::from_distances`] exactly.
+    fn assert_rows_canonical(g: &Graph, order: &[NodeId]) {
+        let scheme = BallScheme::new(g);
+        let n = g.num_nodes();
+        for width in LaneWidth::ALL {
+            let mut sampler = BallRowSampler::with_width(scheme, usize::MAX, width);
+            let mut at = 0;
+            while at < order.len() {
+                let len = sampler.prepare(g, &order[at..]);
+                for &u in &order[at..at + len] {
+                    let dist = with_bfs(n, |bfs| bfs.distances(g, u));
+                    let reference = BallRow::from_distances(scheme, &dist);
+                    assert_eq!(sampler.row(u), Some(&reference), "{width} u={u}");
+                }
+                at += len;
+            }
+        }
     }
 
     #[test]
     fn batched_rows_agree_with_scalar_row_construction() {
-        // fill_batch builds rows from level-ordered discoveries;
-        // from_distances builds them from a raw distance row. Same balls.
-        let g = path(37);
-        let scheme = BallScheme::new(&g);
-        let mut sampler = BallRowSampler::new(scheme, usize::MAX);
-        sampler.prepare(&g, &(0..37).collect::<Vec<_>>());
-        for u in 0..37u32 {
-            let dist = with_bfs(37, |bfs| bfs.distances(&g, u));
-            let reference = BallRow::from_distances(scheme, &dist);
-            let got = sampler.row(u).unwrap();
-            for k in 1..=scheme.scales() {
-                assert_eq!(got.ball_size(k), reference.ball_size(k), "u={u} k={k}");
-                let mut a = got.ball_members(k).to_vec();
-                let mut b = reference.ball_members(k).to_vec();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "u={u} k={k}");
-            }
+        // Rows are canonical — (rank, id) order — whatever width builds
+        // them and whichever centres share the pass: each centre alone,
+        // then packed beside unrelated centres, then in reverse packing.
+        let g = tangled(97);
+        for u in [0, 13, 50, 96] {
+            assert_rows_canonical(&g, &[u]);
         }
+        let all: Vec<NodeId> = (0..97).collect();
+        assert_rows_canonical(&g, &all);
+        let reversed: Vec<NodeId> = all.iter().rev().copied().collect();
+        assert_rows_canonical(&g, &reversed);
+        assert_rows_canonical(&path(37), &(0..37).collect::<Vec<_>>());
+        // Distances past the byte staging's range take the wide fill.
+        assert_rows_canonical(&path(300), &[0, 299, 150, 7]);
     }
 
     #[test]
@@ -798,36 +892,30 @@ mod tests {
 
     #[test]
     fn wide_sampler_rows_hold_the_same_rank_buckets() {
-        // Rows filled at 128/256 lanes bucket exactly the dyadic balls the
-        // scalar construction does (member order within a bucket is free).
+        // Rows filled at 128/256 lanes are exactly the rows the scalar
+        // construction builds, and one pass carries `width.lanes()` rows.
         let g = path(150);
         let scheme = BallScheme::new(&g);
+        let all: Vec<NodeId> = (0..150).collect();
         for width in [LaneWidth::W128, LaneWidth::W256] {
             let mut sampler = BallRowSampler::with_width(scheme, usize::MAX, width);
-            sampler.prepare(&g, &(0..150).collect::<Vec<_>>());
+            let mut at = 0;
+            while at < all.len() {
+                let len = sampler.prepare(&g, &all[at..]);
+                assert_eq!(len, width.lanes().min(all.len() - at), "{width}");
+                for &u in &all[at..at + len] {
+                    let dist = with_bfs(150, |bfs| bfs.distances(&g, u));
+                    let reference = BallRow::from_distances(scheme, &dist);
+                    assert_eq!(sampler.row(u), Some(&reference), "{width} u={u}");
+                }
+                at += len;
+            }
             assert_eq!(sampler.stats().rows, 150, "{width}");
             assert_eq!(
                 sampler.stats().passes as usize,
                 150usize.div_ceil(width.lanes()),
                 "{width}"
             );
-            for u in 0..150u32 {
-                let dist = with_bfs(150, |bfs| bfs.distances(&g, u));
-                let reference = BallRow::from_distances(scheme, &dist);
-                let got = sampler.row(u).unwrap();
-                for k in 1..=scheme.scales() {
-                    assert_eq!(
-                        got.ball_size(k),
-                        reference.ball_size(k),
-                        "{width} u={u} k={k}"
-                    );
-                    let mut a = got.ball_members(k).to_vec();
-                    let mut b = reference.ball_members(k).to_vec();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "{width} u={u} k={k}");
-                }
-            }
         }
     }
 
@@ -845,20 +933,28 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_byte_budget_falls_back_to_scalar() {
+    fn zero_byte_budget_draws_like_an_unbounded_one() {
+        // A 0-byte budget shrinks segments to one row each — it never
+        // skips a row, so every draw matches the unbounded sampler's.
         let g = path(30);
         let scheme = BallScheme::new(&g);
-        let mut sampler = BallRowSampler::new(scheme, 0);
-        let mut rng = seeded_rng(6);
-        for _ in 0..10 {
-            let v = sampler.sample(&g, 3, &mut rng).unwrap();
-            assert!(v < 30);
+        let mut tight = BallRowSampler::new(scheme, 0);
+        let mut free = BallRowSampler::new(scheme, usize::MAX);
+        let (mut a, mut b) = (seeded_rng(6), seeded_rng(6));
+        for i in 0..200u32 {
+            let u = (i * 7) % 30;
+            assert_eq!(tight.sample(&g, u, &mut a), free.sample(&g, u, &mut b));
         }
-        let stats = sampler.stats();
-        assert_eq!(stats.fallbacks, 10);
-        assert_eq!(stats.rows, 0);
-        assert_eq!(stats.row_bytes, 0);
-        assert!(sampler.row(3).is_none());
+        let nodes: Vec<NodeId> = (0..30).collect();
+        assert_eq!(tight.prepare(&g, &nodes), 1);
+        assert_eq!(free.prepare(&g, &nodes), 30);
+        for &u in &nodes[..1] {
+            assert_eq!(tight.sample(&g, u, &mut a), free.sample(&g, u, &mut b));
+        }
+        let stats = tight.stats();
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.rows, stats.passes, "one row per pass");
+        assert!(stats.row_bytes > 0);
     }
 
     #[test]

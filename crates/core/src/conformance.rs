@@ -301,7 +301,7 @@ pub fn check_scheme<S: ExplicitScheme + ?Sized>(
 }
 
 /// [`check_scheme`] for a stateful [`ContactSampler`] claiming `scheme`'s
-/// distributions (e.g. the ball-row cache) — the sampler's draws at each
+/// distributions (e.g. the ball-row sampler) — the sampler's draws at each
 /// node must pass the same chi-squared gate as the scheme's own.
 pub fn check_sampler<S: ExplicitScheme + ?Sized>(
     g: &Graph,

@@ -131,12 +131,6 @@ impl<T: ContactSampler> FaultySampler<T> {
             dropped: 0,
         }
     }
-
-    /// Contacts suppressed by the drop coin so far (coin flips that fired
-    /// on a draw that actually produced a contact).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl<T: ContactSampler> ContactSampler for FaultySampler<T> {
@@ -155,12 +149,17 @@ impl<T: ContactSampler> ContactSampler for FaultySampler<T> {
         contact
     }
 
-    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
-        self.inner.prepare(g, nodes);
+    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) -> usize {
+        self.inner.prepare(g, nodes)
     }
 
     fn wants_lockstep(&self) -> bool {
         self.inner.wants_lockstep()
+    }
+
+    /// Coin flips that fired on a draw that actually produced a contact.
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     fn stats(&self) -> SamplerStats {

@@ -27,9 +27,10 @@
 //!
 //! Per-step contact draws flow through the sampler layer ([`sampler`]):
 //! the scalar reference backend (bit-identical to calling
-//! [`scheme::AugmentationScheme::sample_contact`] directly), the ball-row
-//! cache ([`ball::BallRowSampler`] — lockstep trial rounds batching cache
-//! misses 64 per MS-BFS pass), and pre-realized contact tables
+//! [`scheme::AugmentationScheme::sample_contact`] directly), shared ball
+//! rows ([`ball::BallRowSampler`] — lockstep trial rounds across many
+//! pairs, one MS-BFS pass serving up to 64 · W walk positions), and
+//! pre-realized contact tables
 //! ([`realization`]). The conformance harness ([`conformance`])
 //! chi-squared-tests every backend against the scheme's declared
 //! distribution.

@@ -364,10 +364,10 @@ impl<'g> GreedyRouter<'g> {
     }
 
     /// [`GreedyRouter::route`] with the per-step draws coming from a
-    /// caller-owned [`ContactSampler`] — the entry point of the batched
-    /// sampling backends (ball-row cache, pre-realized tables). The
-    /// sampler outlives the call, so its cached state amortises across
-    /// all trials a worker routes through it.
+    /// caller-owned [`ContactSampler`] (the trial engine's sequential
+    /// path; lockstep samplers are driven round by round by
+    /// [`crate::trial::aggregate_pairs_with`]). The sampler outlives the
+    /// call, so its state persists across the trials routed through it.
     pub fn route_with<C: ContactSampler + ?Sized>(
         &self,
         sampler: &mut C,

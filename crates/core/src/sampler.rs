@@ -13,9 +13,9 @@
 //!   draw to [`AugmentationScheme::sample_contact`], consuming the
 //!   identical RNG stream, so trial results are **bit-identical** to the
 //!   pre-sampler engine.
-//! * [`crate::ball::BallRowSampler`] — backend (b), the ball-row cache:
-//!   computes truncated-BFS ball rows 64 at a time by bit-parallel MS-BFS
-//!   on first visit and serves every later draw for a cached node in
+//! * [`crate::ball::BallRowSampler`] — backend (b), shared ball rows:
+//!   computes the ball rows of many walks' current nodes in one
+//!   bit-parallel MS-BFS pass and serves each draw at such a node in
 //!   `O(1)`, distribution-identical to the scalar draw.
 //! * pre-realized — backend (c): a [`crate::realization::Realization`]
 //!   (e.g. from [`crate::ball::BallScheme::realize_batched`]) *is* an
@@ -40,8 +40,8 @@ pub enum SamplerMode {
     /// the reference path, bit-identical to the pre-sampler engine.
     #[default]
     Scalar,
-    /// The scheme's batched sampler when it has one (the ball-row cache
-    /// for [`crate::ball::BallScheme`]); scalar fallback otherwise.
+    /// The scheme's batched sampler when it has one (shared ball rows for
+    /// [`crate::ball::BallScheme`]); the scalar sampler otherwise.
     Batched,
 }
 
@@ -72,20 +72,19 @@ pub struct SamplerStats {
     pub hits: u64,
     /// Draws for a node with no cached state yet.
     pub misses: u64,
-    /// Ball rows computed and cached.
+    /// Ball rows built.
     pub rows: u64,
-    /// MS-BFS passes issued to fill rows (≤ 64 rows each).
+    /// MS-BFS passes issued to build rows (≤ `width.lanes()` rows each).
     pub passes: u64,
-    /// Payload bytes of cached rows at the end of the worker's run.
+    /// Total payload bytes of the rows built.
     pub row_bytes: u64,
-    /// Draws answered by the scalar scheme because the byte budget was
-    /// exhausted (correct, just uncached).
+    /// Always 0: every draw is served by the sampler's own path. Kept so
+    /// readers of the counter (the serving benchmark) still compile.
     pub fallbacks: u64,
 }
 
 impl SamplerStats {
-    /// Accumulates another worker's counters into this one (`row_bytes`
-    /// adds up too: it then means total bytes across workers).
+    /// Accumulates another worker's counters into this one.
     pub fn merge(&mut self, other: &SamplerStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -113,21 +112,31 @@ pub trait ContactSampler {
     /// [`AugmentationScheme::sample_contact`]).
     fn sample(&mut self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId>;
 
-    /// Announces nodes about to be sampled, letting a batching backend
-    /// compute their state in bulk (64 ball rows per MS-BFS pass) before
-    /// the per-node draws land. Stateless samplers ignore it.
-    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
-        let _ = (g, nodes);
+    /// Announces the nodes about to be sampled, in draw order, letting a
+    /// batching backend compute their state in bulk (one MS-BFS pass of
+    /// ball rows). Readies the longest prefix of `nodes` one batch can
+    /// serve — at least one node when `nodes` is non-empty — and returns
+    /// its length; the caller draws at that prefix, then announces the
+    /// rest. Stateless samplers ready everything.
+    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) -> usize {
+        let _ = g;
+        nodes.len()
     }
 
-    /// `true` when the sampler profits from the trial engine running a
-    /// pair's trials in lockstep rounds (all concurrent walks announce
-    /// their current nodes through [`ContactSampler::prepare`], so misses
-    /// batch with no wasted lanes). The scalar backend keeps the
-    /// sequential per-trial order — and with it bit-identity to the
-    /// pre-sampler engine.
+    /// `true` when the sampler profits from the trial engine running
+    /// trials in lockstep rounds (all concurrent walks of all the pairs
+    /// sharing the sampler announce their current nodes through
+    /// [`ContactSampler::prepare`], so one pass serves many walks). The
+    /// scalar backend keeps the sequential per-trial order — and with it
+    /// bit-identity to the pre-sampler engine.
     fn wants_lockstep(&self) -> bool {
         false
+    }
+
+    /// Contacts a drop coin has suppressed so far (0 for samplers without
+    /// one, see [`crate::faulty::FaultySampler`]).
+    fn dropped(&self) -> u64 {
+        0
     }
 
     /// The sampler's counters (zeros for stateless samplers).
@@ -145,12 +154,16 @@ impl<T: ContactSampler + ?Sized> ContactSampler for Box<T> {
         (**self).sample(g, u, rng)
     }
 
-    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
-        (**self).prepare(g, nodes);
+    fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) -> usize {
+        (**self).prepare(g, nodes)
     }
 
     fn wants_lockstep(&self) -> bool {
         (**self).wants_lockstep()
+    }
+
+    fn dropped(&self) -> u64 {
+        (**self).dropped()
     }
 
     fn stats(&self) -> SamplerStats {
@@ -184,9 +197,9 @@ impl<S: AugmentationScheme + ?Sized> ContactSampler for ScalarSampler<'_, S> {
 }
 
 /// Builds the sampler `mode` selects for `scheme`, for one routing
-/// worker. `byte_cap` bounds the bytes of cached sampler state
-/// (`usize::MAX` = unbounded); a sampler past its cap keeps answering
-/// correctly through the scalar path.
+/// worker. `byte_cap` bounds the bytes of resident sampler state
+/// (`usize::MAX` = unbounded); a tighter cap means more, smaller batches
+/// of state, never different draws.
 pub fn sampler_for<'s, S: AugmentationScheme + ?Sized>(
     scheme: &'s S,
     g: &Graph,
@@ -197,9 +210,8 @@ pub fn sampler_for<'s, S: AugmentationScheme + ?Sized>(
 }
 
 /// [`sampler_for`] at an explicit MS-BFS word-block width: a batching
-/// backend fills `width.lanes()` rows per pass instead of 64. The width
-/// never changes the per-draw distribution — only how many misses one
-/// pass amortises.
+/// backend fills up to `width.lanes()` rows per pass instead of 64. The
+/// width never changes a draw — only how many rows one pass amortises.
 pub fn sampler_for_w<'s, S: AugmentationScheme + ?Sized>(
     scheme: &'s S,
     g: &Graph,

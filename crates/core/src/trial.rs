@@ -16,6 +16,7 @@ use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, GraphError, NodeId, INFINITY};
 use nav_par::rng::task_rng;
 use rand::{Rng, RngCore};
+use std::ops::Range;
 
 /// Configuration for a trial run.
 #[derive(Clone, Debug)]
@@ -29,14 +30,14 @@ pub struct TrialConfig {
     /// The per-step contact-sampling backend each worker builds.
     /// [`SamplerMode::Scalar`] (the default) is bit-identical to the
     /// pre-sampler engine; [`SamplerMode::Batched`] serves ball draws
-    /// from MS-BFS row caches — same distributions, different RNG
-    /// consumption.
+    /// from shared MS-BFS ball rows — same distributions, different RNG
+    /// consumption, and bit-identical to a per-pair
+    /// [`aggregate_pair_with`] on a fresh batched sampler.
     pub sampler: SamplerMode,
     /// MS-BFS word-block width for the target-distance oracle fills and
     /// the batched sampler backends: 64, 128 or 256 bit-lanes per pass.
-    /// Distance rows are exact at every width, so scalar-mode results are
-    /// bit-identical across widths; batched ball results are
-    /// distribution-identical (cache fill order differs).
+    /// Distance and ball rows are exact at every width, so results in
+    /// either sampler mode are bit-identical across widths.
     pub width: LaneWidth,
 }
 
@@ -136,19 +137,9 @@ pub fn aggregate_pair<S: AugmentationScheme + ?Sized>(
     aggregate_pair_with(router, &mut sampler, s, rng, trials, cap)
 }
 
-/// [`aggregate_pair`] over a caller-owned [`ContactSampler`] — the
-/// sampler's cached state (ball rows) persists across the pair's trials,
-/// which is where the batched backends earn their amortisation.
-///
-/// Samplers that ask for it ([`ContactSampler::wants_lockstep`]) get the
-/// pair's trials run as **lockstep rounds**: every trial's walk advances
-/// one hop per round, and all the walks' current nodes are announced to
-/// [`ContactSampler::prepare`] first — so the round's cache misses batch
-/// into bit-parallel MS-BFS passes with no speculative lanes. Each walk
-/// still makes exactly the draws it would make sequentially (round order
-/// only reassigns which RNG values land in which trial, which no
-/// per-trial statistic can see); the scalar backend keeps the sequential
-/// order and with it bit-identity to the pre-sampler engine.
+/// [`aggregate_pair`] over a caller-owned [`ContactSampler`]: the
+/// one-pair case of [`aggregate_pairs_with`], and the per-query reference
+/// every shared-sampler answer must reproduce bit for bit.
 pub fn aggregate_pair_with<C: ContactSampler + ?Sized>(
     router: &GreedyRouter<'_>,
     sampler: &mut C,
@@ -157,89 +148,224 @@ pub fn aggregate_pair_with<C: ContactSampler + ?Sized>(
     trials: usize,
     cap: u32,
 ) -> PairStats {
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut max_steps = 0u32;
-    let mut long_links = 0.0f64;
-    let mut failures = 0usize;
-    let mut record = |steps: u32, reached: bool, long: u32| {
+    let mut job = [PairJob {
+        router,
+        s,
+        trials,
+        rng,
+    }];
+    let (stats, _) = aggregate_pairs_with(&mut job, sampler, cap)
+        .pop()
+        .expect("one pair in, one out");
+    stats
+}
+
+/// One pair's share of an [`aggregate_pairs_with`] run: its router (bound
+/// to the target), source, trial count and its own RNG.
+pub struct PairJob<'a, 'g> {
+    /// Router bound to the pair's target.
+    pub router: &'a GreedyRouter<'g>,
+    /// The source.
+    pub s: NodeId,
+    /// Independent routing trials.
+    pub trials: usize,
+    /// The pair's trial RNG; no other pair draws from it.
+    pub rng: &'a mut dyn RngCore,
+}
+
+/// Per-pair running sums of one trial run.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    sum: f64,
+    sum_sq: f64,
+    max_steps: u32,
+    long_links: f64,
+    failures: usize,
+    /// Contacts the sampler's drop coin suppressed on this pair's walks
+    /// (kept by the lockstep rounds, which interleave the pairs).
+    dropped: u64,
+}
+
+impl Tally {
+    fn record(&mut self, steps: u32, reached: bool, long: u32) {
         if !reached {
-            failures += 1;
+            self.failures += 1;
             return;
         }
         let st = steps as f64;
-        sum += st;
-        sum_sq += st * st;
-        max_steps = max_steps.max(steps);
-        long_links += long as f64;
-    };
-    if sampler.wants_lockstep() {
-        let g = router.graph();
-        let target = router.target();
-        #[derive(Clone)]
-        struct Walk {
-            u: NodeId,
-            steps: u32,
-            long: u32,
-            running: bool,
+        self.sum += st;
+        self.sum_sq += st * st;
+        self.max_steps = self.max_steps.max(steps);
+        self.long_links += long as f64;
+    }
+
+    fn finish(&self, job: &PairJob<'_, '_>) -> PairStats {
+        let ok = (job.trials - self.failures).max(1) as f64;
+        let mean = self.sum / ok;
+        let var = (self.sum_sq / ok - mean * mean).max(0.0);
+        PairStats {
+            s: job.s,
+            t: job.router.target(),
+            dist: job.router.dist_to_target(job.s),
+            mean_steps: mean,
+            std_steps: var.sqrt(),
+            max_steps: self.max_steps,
+            mean_long_links: self.long_links / ok,
+            failures: self.failures,
         }
-        let mut walks = vec![
-            Walk {
-                u: s,
+    }
+}
+
+/// Runs every pair's trials through one shared sampler and returns, per
+/// pair, its [`PairStats`] and the contacts the sampler's drop coin
+/// suppressed on its walks ([`ContactSampler::dropped`]).
+///
+/// Samplers that ask for it ([`ContactSampler::wants_lockstep`]) get
+/// **lockstep rounds**: every walk of every pair advances one hop per
+/// round. A round's walks, in (pair, trial) order, are cut into
+/// consecutive segments by [`ContactSampler::prepare`] — each segment's
+/// state (ball rows) is built in one MS-BFS pass — and then draw in that
+/// order. Each pair draws only from its own RNG, round by round in trial
+/// order, so its answer is the same whichever pairs share the sampler or
+/// where the segments fall: exactly [`aggregate_pair_with`] on a fresh
+/// sampler. Other samplers run each pair's trials sequentially, which
+/// keeps the scalar backend bit-identical to the pre-sampler engine.
+pub fn aggregate_pairs_with<C: ContactSampler + ?Sized>(
+    jobs: &mut [PairJob<'_, '_>],
+    sampler: &mut C,
+    cap: u32,
+) -> Vec<(PairStats, u64)> {
+    if sampler.wants_lockstep() {
+        return lockstep(jobs, sampler, cap);
+    }
+    jobs.iter_mut()
+        .map(|job| {
+            let before = sampler.dropped();
+            let mut tally = Tally::default();
+            for _ in 0..job.trials {
+                let out = job.router.route_with(sampler, job.s, job.rng, cap, false);
+                tally.record(out.steps, out.reached, out.long_links_used);
+            }
+            (tally.finish(job), sampler.dropped() - before)
+        })
+        .collect()
+}
+
+/// The lockstep rounds of [`aggregate_pairs_with`].
+fn lockstep<C: ContactSampler + ?Sized>(
+    jobs: &mut [PairJob<'_, '_>],
+    sampler: &mut C,
+    cap: u32,
+) -> Vec<(PairStats, u64)> {
+    let Some(first) = jobs.first() else {
+        return Vec::new();
+    };
+    let g = first.router.graph();
+    let mut tallies = vec![Tally::default(); jobs.len()];
+    #[derive(Clone)]
+    struct Walk {
+        pair: usize,
+        u: NodeId,
+        steps: u32,
+        long: u32,
+        stuck: bool,
+    }
+    let mut walks: Vec<Walk> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(pair, job)| {
+            let walk = Walk {
+                pair,
+                u: job.s,
                 steps: 0,
                 long: 0,
-                running: true,
+                stuck: false,
             };
-            trials
-        ];
-        let mut announce: Vec<NodeId> = Vec::new();
-        loop {
-            announce.clear();
-            for w in walks.iter_mut().filter(|w| w.running) {
-                // The same stop conditions as `GreedyRouter::route_with`.
-                if w.u == target || w.steps >= cap || router.dist_to_target(w.u) == INFINITY {
-                    w.running = false;
-                } else {
-                    announce.push(w.u);
+            std::iter::repeat_n(walk, job.trials)
+        })
+        .collect();
+    // Running walks, in (pair, trial) order, and their current nodes.
+    let mut running: Vec<usize> = (0..walks.len()).collect();
+    let mut nodes: Vec<NodeId> = Vec::new();
+    loop {
+        running.retain(|&w| {
+            let walk = &walks[w];
+            let router = jobs[walk.pair].router;
+            // The same stop conditions as `GreedyRouter::route_with`.
+            !(walk.stuck
+                || walk.u == router.target()
+                || walk.steps >= cap
+                || router.dist_to_target(walk.u) == INFINITY)
+        });
+        if running.is_empty() {
+            break;
+        }
+        nodes.clear();
+        nodes.extend(running.iter().map(|&w| walks[w].u));
+        let mut at = 0;
+        while at < running.len() {
+            let len = sampler
+                .prepare(g, &nodes[at..])
+                .clamp(1, running.len() - at);
+            for &w in &running[at..at + len] {
+                let walk = &mut walks[w];
+                let job = &mut jobs[walk.pair];
+                let before = sampler.dropped();
+                let contact = sampler.sample(g, walk.u, job.rng);
+                tallies[walk.pair].dropped += sampler.dropped() - before;
+                match job.router.step(walk.u, contact) {
+                    Some((next, long)) => {
+                        walk.long += long as u32;
+                        walk.u = next;
+                        walk.steps += 1;
+                    }
+                    None => walk.stuck = true,
                 }
             }
-            if announce.is_empty() {
-                break;
-            }
-            sampler.prepare(g, &announce);
-            for w in walks.iter_mut().filter(|w| w.running) {
-                let contact = sampler.sample(g, w.u, rng);
-                let Some((next, long)) = router.step(w.u, contact) else {
-                    w.running = false;
-                    continue;
-                };
-                w.long += long as u32;
-                w.u = next;
-                w.steps += 1;
-            }
+            at += len;
         }
-        for w in walks {
-            record(w.steps, w.u == target, w.long);
-        }
+    }
+    for walk in &walks {
+        let reached = walk.u == jobs[walk.pair].router.target();
+        tallies[walk.pair].record(walk.steps, reached, walk.long);
+    }
+    jobs.iter()
+        .zip(tallies)
+        .map(|(job, tally)| (tally.finish(job), tally.dropped))
+        .collect()
+}
+
+/// Pairs per work unit when the sampler does not run lockstep: small
+/// enough to balance heavy-tailed pairs, large enough to amortise the
+/// unit's set-up.
+const PAIRS_PER_UNIT: usize = 8;
+
+/// Runs `len` pairs' trials on `threads` workers, `unit(range)` per work
+/// unit, and returns the units' outputs in order. When the sampler runs
+/// lockstep, each worker gets one contiguous chunk of the pairs (and so
+/// one sampler sharing MS-BFS passes across the chunk); otherwise the
+/// pairs go out in small units, load-balanced across the workers.
+pub fn map_pair_units<T, F>(len: usize, threads: usize, lockstep: bool, unit: F) -> Vec<T>
+where
+    T: Send + Default,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    let per = if lockstep {
+        len.div_ceil(threads.max(1)).max(1)
     } else {
-        for _ in 0..trials {
-            let out = router.route_with(sampler, s, rng, cap, false);
-            record(out.steps, out.reached, out.long_links_used);
-        }
-    }
-    let ok = (trials - failures).max(1) as f64;
-    let mean = sum / ok;
-    let var = (sum_sq / ok - mean * mean).max(0.0);
-    PairStats {
-        s,
-        t: router.target(),
-        dist: router.dist_to_target(s),
-        mean_steps: mean,
-        std_steps: var.sqrt(),
-        max_steps,
-        mean_long_links: long_links / ok,
-        failures,
-    }
+        PAIRS_PER_UNIT
+    };
+    let units: Vec<Range<usize>> = (0..len)
+        .step_by(per)
+        .map(|lo| lo..(lo + per).min(len))
+        .collect();
+    let mut out: Vec<T> = units.iter().map(|_| T::default()).collect();
+    // One unit per cell, so a handful of lockstep chunks still spreads
+    // across the workers.
+    nav_par::parallel_chunks_mut(&mut out, 1, threads, |u, cell| {
+        cell[0] = unit(units[u].clone());
+    });
+    out
 }
 
 /// Runs trials for explicit (s, t) pairs.
@@ -260,7 +386,8 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
     // pool, so both phases scale with cores while resident rows stay
     // bounded at `O(lanes·threads·n)` however many targets the workload
     // has. Outputs are a pure function of `(seed, pair index)`, so
-    // neither grouping nor wave partitioning changes them.
+    // neither grouping, wave partitioning nor the workers' chunks change
+    // them.
     let lanes = cfg.width.lanes();
     let mut slot_of = vec![u32::MAX; g.num_nodes()];
     let mut num_targets = 0usize;
@@ -277,6 +404,8 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
         groups[*slot as usize / lanes].push(idx);
     }
     let cap = default_step_cap(g);
+    let new_sampler = || sampler_for_w(scheme, g, cfg.sampler, usize::MAX, cfg.width);
+    let lockstep = new_sampler().wants_lockstep();
     let mut stats: Vec<PairStats> = vec![PairStats::default(); pairs.len()];
     for wave in groups.chunks(cfg.threads.max(1)) {
         let oracles: Vec<Option<TargetDistanceCache<'_>>> =
@@ -292,24 +421,38 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
             .enumerate()
             .flat_map(|(w, group)| group.iter().map(move |&idx| (w, idx)))
             .collect();
-        let wave_stats = nav_par::parallel_map(items.len(), cfg.threads, |j| {
-            let (w, idx) = items[j];
-            let (s, t) = pairs[idx];
-            let oracle = oracles[w].as_ref().expect("built above");
-            let router = oracle.router(t).expect("target cached above");
-            let mut rng = task_rng(cfg.seed, idx as u64);
-            let mut sampler = sampler_for_w(scheme, g, cfg.sampler, usize::MAX, cfg.width);
-            aggregate_pair_with(
-                &router,
-                sampler.as_mut(),
-                s,
-                &mut rng,
-                cfg.trials_per_pair,
-                cap,
-            )
+        let wave_stats = map_pair_units(items.len(), cfg.threads, lockstep, |range| {
+            let items = &items[range];
+            let routers: Vec<GreedyRouter<'_>> = items
+                .iter()
+                .map(|&(w, idx)| {
+                    let oracle = oracles[w].as_ref().expect("built above");
+                    oracle.router(pairs[idx].1).expect("target cached above")
+                })
+                .collect();
+            let mut rngs: Vec<_> = items
+                .iter()
+                .map(|&(_, idx)| task_rng(cfg.seed, idx as u64))
+                .collect();
+            let mut jobs: Vec<PairJob<'_, '_>> = items
+                .iter()
+                .zip(&routers)
+                .zip(&mut rngs)
+                .map(|((&(_, idx), router), rng)| PairJob {
+                    router,
+                    s: pairs[idx].0,
+                    trials: cfg.trials_per_pair,
+                    rng,
+                })
+                .collect();
+            let mut sampler = new_sampler();
+            aggregate_pairs_with(&mut jobs, sampler.as_mut(), cap)
+                .into_iter()
+                .map(|(ps, _)| ps)
+                .collect::<Vec<_>>()
         });
-        for (j, ps) in wave_stats.into_iter().enumerate() {
-            stats[items[j].1] = ps;
+        for (&(_, idx), ps) in items.iter().zip(wave_stats.into_iter().flatten()) {
+            stats[idx] = ps;
         }
     }
     Ok(TrialResult { pairs: stats })
@@ -494,6 +637,62 @@ mod tests {
                 let r = run_trials(&g, &UniformScheme, &pairs, &cfg).unwrap();
                 for (a, b) in reference.pairs.iter().zip(&r.pairs) {
                     assert!(a.bits_eq(b), "width {width} threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_lockstep_sampler_answers_like_fresh_per_pair_samplers() {
+        // One ball-row sampler shared by many pairs — at any byte budget
+        // and lane width — answers each pair exactly as a fresh sampler
+        // of its own would, while sharing MS-BFS passes across pairs.
+        use crate::ball::{BallRowSampler, BallScheme};
+        let g = path(90);
+        let scheme = BallScheme::new(&g);
+        let cap = default_step_cap(&g);
+        let pairs: Vec<(NodeId, NodeId, usize)> = (0..12)
+            .map(|i| (i * 7 % 90, 89 - i * 3, 3 + i as usize % 3))
+            .collect();
+        let routers: Vec<GreedyRouter<'_>> = pairs
+            .iter()
+            .map(|&(_, t, _)| GreedyRouter::new(&g, t).unwrap())
+            .collect();
+        let reference: Vec<PairStats> = pairs
+            .iter()
+            .zip(&routers)
+            .enumerate()
+            .map(|(i, (&(s, _, trials), router))| {
+                let mut sampler = BallRowSampler::new(scheme, usize::MAX);
+                let mut rng = task_rng(5, i as u64);
+                aggregate_pair_with(router, &mut sampler, s, &mut rng, trials, cap)
+            })
+            .collect();
+        for width in LaneWidth::ALL {
+            for byte_cap in [0usize, 4096, usize::MAX] {
+                let mut rngs: Vec<_> = (0..pairs.len()).map(|i| task_rng(5, i as u64)).collect();
+                let mut jobs: Vec<PairJob<'_, '_>> = pairs
+                    .iter()
+                    .zip(&routers)
+                    .zip(&mut rngs)
+                    .map(|((&(s, _, trials), router), rng)| PairJob {
+                        router,
+                        s,
+                        trials,
+                        rng,
+                    })
+                    .collect();
+                let mut sampler = BallRowSampler::with_width(scheme, byte_cap, width);
+                let got = aggregate_pairs_with(&mut jobs, &mut sampler, cap);
+                for (i, ((ps, dropped), want)) in got.iter().zip(&reference).enumerate() {
+                    assert!(ps.bits_eq(want), "{width} cap={byte_cap} pair {i}");
+                    assert_eq!(*dropped, 0);
+                }
+                let stats = sampler.stats();
+                if byte_cap == usize::MAX {
+                    assert!(stats.rows > 2 * stats.passes, "{width}: {stats:?}");
+                } else if byte_cap == 0 {
+                    assert_eq!(stats.rows, stats.passes, "{width}: {stats:?}");
                 }
             }
         }

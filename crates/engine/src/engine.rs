@@ -7,7 +7,7 @@ use nav_core::faulty::{FaultConfig, FaultySampler};
 use nav_core::routing::{default_step_cap, GreedyRouter};
 use nav_core::sampler::{sampler_for_w, ContactSampler, SamplerMode, SamplerStats};
 use nav_core::scheme::AugmentationScheme;
-use nav_core::trial::{aggregate_pair_with, PairStats};
+use nav_core::trial::{aggregate_pairs_with, map_pair_units, PairJob, PairStats};
 use nav_graph::distance::DistRowBuf;
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, GraphError, NodeId};
@@ -27,21 +27,20 @@ pub struct EngineConfig {
     /// (`1` = inline). Never changes answers.
     pub threads: usize,
     /// Row-cache capacity in bytes (`0` = recompute every batch). The
-    /// same byte knob caps each in-flight query's transient ball-row
-    /// cache under [`SamplerMode::Batched`].
+    /// same byte knob caps each trial worker's resident ball rows under
+    /// [`SamplerMode::Batched`]: a smaller budget means fewer rows per
+    /// MS-BFS pass, never a different answer.
     pub cache_bytes: usize,
     /// Per-step contact-sampling backend the trial workers build.
     /// [`SamplerMode::Scalar`] keeps the engine bit-identical to
     /// [`nav_core::trial::run_trials`] under its default config;
-    /// [`SamplerMode::Batched`] serves ball draws from 64-lane MS-BFS
-    /// row caches — same distributions, and bit-identical to
-    /// `run_trials` run in the same mode **as long as `cache_bytes`
-    /// leaves room for the ball rows** (it comfortably does under the
-    /// default). A binding budget only moves draws onto the scalar
-    /// fallback — different RNG consumption, identical distributions —
-    /// so `cache_bytes` joins the set of answer-determining inputs in
-    /// batched mode, while answers stay a pure function of the full
-    /// config either way.
+    /// [`SamplerMode::Batched`] has each worker answer its chunk of the
+    /// batch through one ball-row sampler whose MS-BFS passes serve the
+    /// current nodes of all the chunk's walks — same distributions as
+    /// scalar, different RNG consumption, and bit-identical to
+    /// `run_trials` in the same mode and to a fresh per-query
+    /// [`nav_core::trial::aggregate_pair_with`], whatever `cache_bytes`,
+    /// `threads`, `width` or the batch split.
     pub sampler: SamplerMode,
     /// Replacement policy of the cross-batch row cache. Distances are
     /// exact, so the policy can never change an answer — only hit rates
@@ -64,11 +63,9 @@ pub struct EngineConfig {
     /// counts, batch splits, and shard layouts.
     pub obs: ObsConfig,
     /// MS-BFS word-block width for the cold-fill passes and the batched
-    /// sampler backends: 64, 128 or 256 bit-lanes per pass. Distance rows
-    /// are exact at every width, so scalar-mode answers are bit-identical
-    /// across widths; batched ball answers at width `w` reproduce
-    /// [`nav_core::trial::run_trials`] at the same `w` bit for bit, and
-    /// are distribution-identical across widths.
+    /// sampler backends: 64, 128 or 256 bit-lanes per pass. Distance and
+    /// ball rows are exact at every width, so answers in either sampler
+    /// mode are bit-identical across widths.
     pub width: LaneWidth,
 }
 
@@ -249,17 +246,14 @@ impl Engine {
     ///    each fresh row and admit it to the cache;
     /// 4. **execute (trials)** — answer queries in parallel, query `i` of
     ///    the batch using the RNG derived from
-    ///    `(seed, lifetime_index + i)`.
+    ///    `(seed, lifetime_index + i)`: each query on its own under the
+    ///    scalar sampler, one contiguous chunk per worker under a lockstep
+    ///    sampler (see [`EngineConfig::sampler`]).
     ///
-    /// Answers are a pure function of `(graph, scheme, seed, query
-    /// sequence)`: thread count, cache capacity and batch splits never
-    /// change a bit. (One carve-out: under [`SamplerMode::Batched`] a
-    /// `cache_bytes` budget small enough to evict ball rows changes
-    /// *when RNG values are consumed* — answers are then a pure function
-    /// of the config *including* `cache_bytes`, with unchanged
-    /// distributions; see [`EngineConfig::sampler`].) Errors on an
-    /// out-of-range endpoint; the engine state is unchanged in that
-    /// case.
+    /// Answers are a pure function of `(graph, scheme, seed, sampler
+    /// mode, query sequence)`: thread count, cache capacity, lane width
+    /// and batch splits never change a bit. Errors on an out-of-range
+    /// endpoint; the engine state is unchanged in that case.
     pub fn serve(&mut self, batch: &QueryBatch) -> Result<BatchResult, GraphError> {
         let result = self.serve_at(batch, self.served, self.cfg.sampler)?;
         self.served += batch.len() as u64;
@@ -370,74 +364,106 @@ impl Engine {
         // Trace sampling is pure in the query's RNG index, so the traced
         // set is identical whatever thread or sub-batch runs the query.
         let tracer = self.obs.sampler();
-        let outcomes: Vec<(PairStats, SamplerStats, u64, u64, Option<f64>)> =
-            nav_par::parallel_map(batch.len(), self.cfg.threads, |i| {
-                let q = &batch.queries[i];
-                let trace_clock = tracer.hits(bases[i]).then(Instant::now);
-                let row = rows.get(&q.t).expect("row staged above");
-                let mut router = GreedyRouter::from_row_view(&self.g, q.t, row.view())
-                    .expect("endpoints validated at admission");
-                // The query's churn epoch is a pure function of its RNG
-                // index, so a retried or re-sharded query always routes
-                // under the same down-node set.
-                if let Some(plan) = fault.plan {
-                    router = router.with_fault(plan, plan.epoch_of(bases[i]));
+        // Transient sampler state, byte-capped by the engine's one memory
+        // knob; one sampler per work unit, freed when the unit answers.
+        let new_sampler = || {
+            sampler_for_w(
+                self.scheme.as_ref(),
+                &self.g,
+                sampler,
+                self.cfg.cache_bytes,
+                self.cfg.width,
+            )
+        };
+        let lockstep = new_sampler().wants_lockstep();
+        let units = map_pair_units(batch.len(), self.cfg.threads, lockstep, |range| {
+            let queries = &batch.queries[range.clone()];
+            let routers: Vec<GreedyRouter<'_>> = queries
+                .iter()
+                .zip(&bases[range.clone()])
+                .map(|(q, &base)| {
+                    let row = rows.get(&q.t).expect("row staged above");
+                    let router = GreedyRouter::from_row_view(&self.g, q.t, row.view())
+                        .expect("endpoints validated at admission");
+                    // The query's churn epoch is a pure function of its
+                    // RNG index, so a retried or re-sharded query always
+                    // routes under the same down-node set.
+                    match fault.plan {
+                        Some(plan) => router.with_fault(plan, plan.epoch_of(base)),
+                        None => router,
+                    }
+                })
+                .collect();
+            let mut rngs: Vec<_> = bases[range.clone()]
+                .iter()
+                .map(|&base| task_rng(self.cfg.seed, base))
+                .collect();
+            let mut jobs: Vec<PairJob<'_, '_>> = queries
+                .iter()
+                .zip(&routers)
+                .zip(&mut rngs)
+                .map(|((q, router), rng)| PairJob {
+                    router,
+                    s: q.s,
+                    trials: q.trials,
+                    rng,
+                })
+                .collect();
+            // A lockstep sampler serves the whole unit at once; otherwise
+            // each query runs, and is timed, on its own.
+            let group = if lockstep { jobs.len() } else { 1 };
+            let mut answers: Vec<(PairStats, u64, u64, Option<f64>)> =
+                Vec::with_capacity(jobs.len());
+            let mut sampler_stats = SamplerStats::default();
+            let groups = jobs
+                .chunks_mut(group)
+                .zip(routers.chunks(group))
+                .zip(bases[range].chunks(group));
+            for ((group_jobs, group_routers), group_bases) in groups {
+                let clock = group_bases
+                    .iter()
+                    .any(|&b| tracer.hits(b))
+                    .then(Instant::now);
+                // At `drop_prob == 0` the coin is never drawn, so the
+                // wrapper leaves the RNG stream untouched.
+                let mut s = FaultySampler::new(new_sampler(), fault.drop_prob);
+                let outcomes = aggregate_pairs_with(group_jobs, &mut s, self.cap);
+                sampler_stats.merge(&s.stats());
+                let trials_ms = clock.map(|c| c.elapsed().as_secs_f64() * 1e3);
+                for ((stats, coin_drops), router) in outcomes.into_iter().zip(group_routers) {
+                    let (churn_drops, rerouted) = router.fault_counts();
+                    answers.push((stats, coin_drops + churn_drops, rerouted, trials_ms));
                 }
-                let mut rng = task_rng(self.cfg.seed, bases[i]);
-                // Per-query transient sampler state, byte-capped by the
-                // engine's one memory knob; freed when the query answers.
-                let inner = sampler_for_w(
-                    self.scheme.as_ref(),
-                    &self.g,
-                    sampler,
-                    self.cfg.cache_bytes,
-                    self.cfg.width,
-                );
-                let (stats, sampler_stats, coin_drops) = if fault.drop_prob > 0.0 {
-                    let mut s = FaultySampler::new(inner, fault.drop_prob);
-                    let stats =
-                        aggregate_pair_with(&router, &mut s, q.s, &mut rng, q.trials, self.cap);
-                    (stats, s.stats(), s.dropped())
-                } else {
-                    let mut s = inner;
-                    let stats =
-                        aggregate_pair_with(&router, s.as_mut(), q.s, &mut rng, q.trials, self.cap);
-                    (stats, s.stats(), 0)
-                };
-                let (churn_drops, rerouted) = router.fault_counts();
-                let trace_ms = trace_clock.map(|c| c.elapsed().as_secs_f64() * 1e3);
-                (
-                    stats,
-                    sampler_stats,
-                    coin_drops + churn_drops,
-                    rerouted,
-                    trace_ms,
-                )
-            });
-        let mut answers = Vec::with_capacity(outcomes.len());
+            }
+            (answers, sampler_stats)
+        });
+        let mut answers = Vec::with_capacity(batch.len());
         let mut sampler_stats = SamplerStats::default();
         let mut dropped_links = 0u64;
         let mut rerouted_hops = 0u64;
-        for (i, (ps, ss, dropped, rerouted, trace_ms)) in outcomes.into_iter().enumerate() {
-            if let Some(trials_ms) = trace_ms {
-                let q = &batch.queries[i];
-                self.obs.record_trace(QueryTrace {
-                    index: bases[i],
-                    s: q.s,
-                    t: q.t,
-                    shard: self.shard_label,
-                    // `cold` is sorted (built from the sorted target list).
-                    cache_hit: cold.binary_search(&q.t).is_err(),
-                    trials: q.trials as u64,
-                    trials_ms,
-                    dropped_links: dropped,
-                    rerouted_hops: rerouted,
-                });
+        for (unit_answers, unit_stats) in units {
+            sampler_stats.merge(&unit_stats);
+            for (ps, dropped, rerouted, trace_ms) in unit_answers {
+                let i = answers.len();
+                if let Some(trials_ms) = trace_ms.filter(|_| tracer.hits(bases[i])) {
+                    let q = &batch.queries[i];
+                    self.obs.record_trace(QueryTrace {
+                        index: bases[i],
+                        s: q.s,
+                        t: q.t,
+                        shard: self.shard_label,
+                        // `cold` is sorted (built from the sorted target list).
+                        cache_hit: cold.binary_search(&q.t).is_err(),
+                        trials: q.trials as u64,
+                        trials_ms,
+                        dropped_links: dropped,
+                        rerouted_hops: rerouted,
+                    });
+                }
+                answers.push(ps);
+                dropped_links += dropped;
+                rerouted_hops += rerouted;
             }
-            answers.push(ps);
-            sampler_stats.merge(&ss);
-            dropped_links += dropped;
-            rerouted_hops += rerouted;
         }
         span.finish(self.obs.stages_mut());
         let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -673,15 +699,15 @@ mod tests {
 
     #[test]
     fn wide_batched_engine_matches_run_trials_at_same_width() {
-        // At a fixed width the engine and run_trials build the same
-        // BallRowSampler, so batched answers reproduce run_trials bit for
-        // bit at *every* width (across widths they are only
-        // distribution-identical: row fill order differs).
+        // Ball rows are canonical at every width, so batched answers
+        // reproduce run_trials bit for bit at every width — and the
+        // widths agree with each other too.
         use nav_core::ball::BallScheme;
         let g = path(72);
         let scheme = BallScheme::new(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..10).map(|i| (i * 7 % 72, 71 - i)).collect();
-        for width in [LaneWidth::W128, LaneWidth::W256] {
+        let mut per_width = Vec::new();
+        for width in LaneWidth::ALL {
             let cfg = EngineConfig {
                 seed: 77,
                 threads: 2,
@@ -706,27 +732,29 @@ mod tests {
             )
             .unwrap();
             assert!(identical(&got.answers, &want.pairs), "width {width}");
+            per_width.push(got.answers);
         }
+        assert!(identical(&per_width[0], &per_width[1]));
+        assert!(identical(&per_width[0], &per_width[2]));
     }
 
     #[test]
     fn binding_ball_row_budget_stays_correct_and_deterministic() {
-        // cache_bytes = 0 starves the ball-row cache: every draw takes
-        // the scalar fallback. Answers are then *not* the unbounded
-        // batched stream — but they stay failure-free and a pure
-        // function of the config (thread count still invisible).
+        // cache_bytes = 0 shrinks every ball-row segment to one row: more
+        // passes, the same answers as an unbounded budget, at any thread
+        // count.
         use nav_core::ball::BallScheme;
         let g = path(60);
         let scheme = BallScheme::new(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 9, 59 - i)).collect();
-        let serve = |threads: usize| {
+        let serve = |threads: usize, cache_bytes: usize| {
             let mut e = Engine::new(
                 g.clone(),
                 Box::new(scheme),
                 EngineConfig {
                     seed: 3,
                     threads,
-                    cache_bytes: 0,
+                    cache_bytes,
                     sampler: SamplerMode::Batched,
                     ..EngineConfig::default()
                 },
@@ -734,12 +762,14 @@ mod tests {
             let r = e.serve(&QueryBatch::from_pairs(&pairs, 5)).unwrap();
             (r, e.metrics().sampler)
         };
-        let (r1, s1) = serve(1);
-        let (r4, s4) = serve(4);
+        let (r1, s1) = serve(1, 0);
+        let (r4, s4) = serve(4, 0);
+        let (free, s_free) = serve(1, usize::MAX);
         assert!(identical(&r1.answers, &r4.answers));
-        assert_eq!(s1, s4);
-        assert!(s1.fallbacks > 0, "{s1:?}");
-        assert_eq!(s1.rows, 0);
+        assert!(identical(&r1.answers, &free.answers));
+        assert_eq!(s1.fallbacks + s4.fallbacks, 0, "{s1:?}");
+        assert_eq!(s1.rows, s1.passes, "one row per pass: {s1:?}");
+        assert!(s_free.rows > s_free.passes, "{s_free:?}");
         assert_eq!(r1.answers.iter().map(|a| a.failures).sum::<usize>(), 0);
     }
 

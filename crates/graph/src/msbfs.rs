@@ -591,6 +591,31 @@ impl<const W: usize> MsBfsW<W> {
         }
     }
 
+    /// [`MsBfsW::distances_into_narrow`] at 8-bit width, with `u8::MAX`
+    /// for unreached nodes: a quarter of the `u32` staging for callers
+    /// that only bucket distances (the ball-row builder). Returns `false`
+    /// — `rows` contents unspecified — when a finite distance reaches
+    /// `u8::MAX`; the caller then falls back to a wider fill.
+    ///
+    /// # Panics
+    /// Panics if `rows.len() != sources.len() * g.num_nodes()` (in
+    /// addition to [`MsBfsW::run`]'s conditions).
+    pub fn distances_into_bytes(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [u8]) -> bool {
+        let n = g.num_nodes();
+        assert_eq!(
+            rows.len(),
+            sources.len() * n,
+            "rows buffer must be sources.len() * n"
+        );
+        match self.fill_planes(g, sources) {
+            Some(maxd) if maxd < u8::MAX as u32 => {
+                self.decode_rows(n, sources.len(), u8::MAX, maxd, rows);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Writes one batch's distances as *columns* `col0 .. col0 + k` of a
     /// row-major `g.num_nodes() × n_total` narrow matrix: cell
     /// `(v, col0 + lane)` gets lane's distance to `v` (`u16::MAX` when
@@ -1191,6 +1216,38 @@ mod tests {
         assert!(ms.distances_into_narrow(&g, &sources, &mut narrow));
         assert_eq!(narrow[n - 1], 299);
         assert_columns_match_rows_w::<1>(&g, &sources, 1);
+    }
+
+    #[test]
+    fn byte_fill_matches_wide_fill_and_refuses_deep_graphs() {
+        fn check<const W: usize>(g: &Graph, sources: &[NodeId])
+        where
+            MsBfsW<W>: MsBfsWorkspace,
+        {
+            let n = g.num_nodes();
+            let mut ms = MsBfsW::<W>::new(n);
+            let wide = ms.distances(g, sources);
+            let mut bytes = vec![7u8; sources.len() * n];
+            assert!(ms.distances_into_bytes(g, sources, &mut bytes));
+            for (&b, &d) in bytes.iter().zip(&wide) {
+                let want = if d == INFINITY { u8::MAX } else { d as u8 };
+                assert_eq!(b, want, "W={W}");
+            }
+        }
+        let g = circulant(130, &[5, 17]);
+        let sources: Vec<NodeId> = (0..130u32).collect();
+        check::<1>(&g, &sources[..64]);
+        check::<2>(&g, &sources[..128]);
+        check::<4>(&g, &sources);
+        let split = GraphBuilder::from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap();
+        check::<1>(&split, &[0, 3, 8]);
+        // Distances up to 254 fit; 255 and beyond refuse.
+        let mut ms = MsBfs::new(300);
+        let mut bytes = vec![0u8; 300];
+        assert!(ms.distances_into_bytes(&path(255), &[0], &mut bytes[..255]));
+        assert_eq!(bytes[254], 254);
+        assert!(!ms.distances_into_bytes(&path(256), &[0], &mut bytes[..256]));
+        assert!(!ms.distances_into_bytes(&path(300), &[0], &mut bytes));
     }
 
     #[test]

@@ -67,6 +67,9 @@ pub struct QueryTrace {
     /// query it actually served, not a clamped image of it.
     pub trials: u64,
     /// Wall-clock spent in the trials stage for this query, milliseconds.
+    /// Under a lockstep sampler (the batched ball rows) a worker answers
+    /// its whole chunk of the batch together, so this is the chunk's wall
+    /// time, shared by every query in it.
     pub trials_ms: f64,
     /// Long-range contacts suppressed by fault injection for this query.
     /// `u64`: long churn runs overflow 32 bits, and the wire carries the

@@ -318,6 +318,120 @@ proptest! {
     }
 
     #[test]
+    fn batched_ball_answers_equal_the_per_query_reference(
+        g in connected_graph(40),
+        seed in 0u64..500,
+        num_pairs in 1usize..20,
+        trials in 1usize..5,
+        batch_size in 1usize..9,
+    ) {
+        // The shared-pass contract: each engine worker answers its chunk
+        // of a batch through one ball-row sampler, yet every answer equals
+        // a fresh per-query `sampler_for_w` + `aggregate_pair_with` (the
+        // reference the serving benchmark checks against) and, without
+        // churn, `run_trials` — at every thread count, batch split, byte
+        // budget, lane width and drop probability, and under a churn
+        // plan. Traces keep their per-query fault counts.
+        use navigability::core::faulty::FaultySampler;
+        use navigability::core::oracle::TargetDistanceCache;
+        use navigability::core::routing::default_step_cap;
+        use navigability::core::sampler::{sampler_for_w, ContactSampler, SamplerMode};
+        use navigability::core::trial::aggregate_pair_with;
+        use navigability::graph::msbfs::LaneWidth;
+        use navigability::obs::ObsConfig;
+        use navigability::par::rng::task_rng;
+        let n = g.num_nodes() as NodeId;
+        let mut rng = seeded_rng(seed ^ 0xba11);
+        let pairs: Vec<(NodeId, NodeId)> = (0..num_pairs)
+            .map(|_| {
+                use rand::Rng;
+                (rng.gen_range(0..n), rng.gen_range(0..n))
+            })
+            .collect();
+        let ball = BallScheme::new(&g);
+        let oracle = TargetDistanceCache::build(&g, pairs.iter().map(|&(_, t)| t), 1)
+            .expect("valid pairs");
+        let cap = default_step_cap(&g);
+        let churn = FailurePlan::new(seed ^ 0xc4, 3, 4, 0.15);
+        for width in LaneWidth::ALL {
+            for fault in [
+                FaultConfig { drop_prob: 0.0, plan: None },
+                FaultConfig { drop_prob: 0.35, plan: None },
+                FaultConfig { drop_prob: 0.35, plan: Some(churn) },
+            ] {
+                // (answer, dropped links, rerouted hops) per query.
+                let reference: Vec<(PairStats, u64, u64)> = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(s, t))| {
+                        let mut router = oracle.router(t).expect("built");
+                        if let Some(plan) = fault.plan {
+                            router = router.with_fault(plan, plan.epoch_of(i as u64));
+                        }
+                        let mut rng = task_rng(seed, i as u64);
+                        let inner =
+                            sampler_for_w(&ball, &g, SamplerMode::Batched, 128 << 20, width);
+                        let mut sampler = FaultySampler::new(inner, fault.drop_prob);
+                        let stats =
+                            aggregate_pair_with(&router, &mut sampler, s, &mut rng, trials, cap);
+                        let (churn_drops, rerouted) = router.fault_counts();
+                        (stats, sampler.dropped() + churn_drops, rerouted)
+                    })
+                    .collect();
+                let want: Vec<PairStats> = reference.iter().map(|r| r.0.clone()).collect();
+                if fault.plan.is_none() {
+                    let cfg = TrialConfig {
+                        trials_per_pair: trials,
+                        seed,
+                        threads: test_threads(),
+                        sampler: SamplerMode::Batched,
+                        width,
+                    };
+                    let faulty = FaultyScheme::new(ball, fault.drop_prob);
+                    let got = run_trials(&g, &faulty, &pairs, &cfg).expect("valid pairs");
+                    prop_assert!(identical(&got.pairs, &want), "run_trials at {width} {fault:?}");
+                }
+                for cache_bytes in [0usize, 1 << 20, 128 << 20] {
+                    for threads in [1usize, test_threads()] {
+                        let mut engine = Engine::new(
+                            g.clone(),
+                            Box::new(ball),
+                            EngineConfig {
+                                seed,
+                                threads,
+                                cache_bytes,
+                                sampler: SamplerMode::Batched,
+                                fault,
+                                obs: ObsConfig { stages: false, trace_every: 1, trace_capacity: 64 },
+                                width,
+                                ..EngineConfig::default()
+                            },
+                        );
+                        let mut answers = Vec::new();
+                        for chunk in pairs.chunks(batch_size) {
+                            answers.extend(
+                                engine
+                                    .serve(&QueryBatch::from_pairs(chunk, trials))
+                                    .expect("valid pairs")
+                                    .answers,
+                            );
+                        }
+                        let shape = format!("{width} {fault:?} cache={cache_bytes} threads={threads} batch={batch_size}");
+                        prop_assert!(identical(&answers, &want), "answers diverged at {}", shape);
+                        let traces = engine.obs_snapshot().traces;
+                        prop_assert_eq!(traces.len(), pairs.len());
+                        for tr in traces {
+                            let (_, dropped, rerouted) = &reference[tr.index as usize];
+                            prop_assert_eq!((tr.dropped_links, tr.rerouted_hops), (*dropped, *rerouted), "{}", shape);
+                        }
+                        prop_assert_eq!(engine.metrics().sampler.fallbacks, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_drop_wrapper_preserves_the_inner_rng_stream(
         g in connected_graph(36),
         seed in 0u64..500,

@@ -180,33 +180,36 @@ proptest! {
     #[test]
     fn ball_row_cache_equals_scalar_ball_structure(g in arbitrary_graph(60), seed in 0u64..1000) {
         // The batched sampler draws "uniform scale k, uniform member of
-        // B(u, 2^k)" from its cached row — the same distribution as the
-        // scalar reservoir draw iff the cached dyadic balls are *exactly*
-        // the BFS balls. Check that structural equality on random
-        // (possibly disconnected) graphs, for every node at once.
+        // B(u, 2^k)" by index into its row, so sharing passes is invisible
+        // only if every row is canonical: exactly the row
+        // `BallRow::from_distances` builds from a scalar BFS, at every
+        // lane width, whether its centre is alone in a pass or packed
+        // beside unrelated centres — on random (possibly disconnected)
+        // graphs.
+        use navigability::core::ball::BallRow;
         use navigability::core::sampler::ContactSampler;
         use navigability::core::BallRowSampler;
         use navigability::graph::bfs::Bfs;
-        use navigability::graph::INFINITY;
+        use navigability::graph::msbfs::LaneWidth;
         let scheme = BallScheme::new(&g);
         let n = g.num_nodes();
-        let mut sampler = BallRowSampler::new(scheme, usize::MAX);
-        let nodes: Vec<u32> = (0..n as u32).collect();
-        sampler.prepare(&g, &nodes);
         let mut bfs = Bfs::new(n);
-        let probe = seed as usize % n;
-        for u in [0, probe, n - 1] {
-            let dist = bfs.distances(&g, u as u32);
-            let row = sampler.row(u as u32).expect("prepared");
-            for k in 1..=scheme.scales() {
-                let radius = if k >= 31 { u32::MAX } else { 1u32 << k };
-                let mut expect: Vec<u32> = (0..n as u32)
-                    .filter(|&v| dist[v as usize] != INFINITY && dist[v as usize] <= radius)
-                    .collect();
-                let mut got = row.ball_members(k).to_vec();
-                expect.sort_unstable();
-                got.sort_unstable();
-                prop_assert_eq!(&got, &expect, "u={} k={}", u, k);
+        let probe = (seed as usize % n) as u32;
+        // The probe alone, then packed among every node in seeded order.
+        let mut crowd: Vec<u32> = (0..n as u32).collect();
+        crowd.rotate_left(seed as usize % n);
+        for width in LaneWidth::ALL {
+            for order in [vec![probe], crowd.clone()] {
+                let mut sampler = BallRowSampler::with_width(scheme, usize::MAX, width);
+                let mut at = 0;
+                while at < order.len() {
+                    let len = sampler.prepare(&g, &order[at..]);
+                    for &u in &order[at..at + len] {
+                        let reference = BallRow::from_distances(scheme, &bfs.distances(&g, u));
+                        prop_assert_eq!(sampler.row(u), Some(&reference), "{} u={}", width, u);
+                    }
+                    at += len;
+                }
             }
         }
     }
