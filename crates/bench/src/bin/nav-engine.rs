@@ -26,7 +26,7 @@
 //! # emit the BENCH_net.json loopback wire baseline (self-hosted)
 //! cargo run -p nav-bench --release --bin nav-engine -- bench-tcp --bench-json [PATH] [--quick] [--threads N] [--seed S]
 //!
-//! # emit the BENCH_scale.json exact-vs-landmark / single-vs-sharded
+//! # emit the BENCH_scale.json exact-row memory and cold/warm serving
 //! # baseline (n = 10^6; --quick is the CI-sized n = 10^5 smoke)
 //! cargo run -p nav-bench --release --bin nav-engine -- scale-bench [PATH] [--quick] [--threads N] [--seed S]
 //!
@@ -43,9 +43,9 @@
 //! ```
 //!
 //! `serve`, `serve-tcp`, and `gen` all take `--shards K` (1..=255): `gen`
-//! stamps the workload file, the serving commands partition the target
-//! space across `K` engine shards behind one front (answers stay
-//! bit-identical to a single engine).
+//! stamps the workload file, the serving commands give the one engine `K`
+//! shard labels (target `t` belongs to shard `t % K`). Labels stamp traces
+//! and let a wire handle pin one shard's targets; answers never change.
 //!
 //! The serving commands also take `--drop-p P` (each long-range lookup
 //! fails i.i.d. with probability `P`) and `--fault-epochs E` (`E` epochs
@@ -68,7 +68,7 @@ use nav_core::uniform::{NoAugmentation, UniformScheme};
 use nav_engine::workload::{
     parse_workload, render_workload_with_shards, FaultSpec, GraphSpec, WorkloadSpec, ZipfSpec,
 };
-use nav_engine::{AdmissionPolicy, EngineConfig, ShardedEngine};
+use nav_engine::{AdmissionPolicy, Engine, EngineConfig, MAX_SHARDS};
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::Graph;
 use nav_net::{Frame, MetricsSnapshot, NetClient, NetConfig, NetError, NetServer};
@@ -110,26 +110,13 @@ fn scheme_for(
     }
 }
 
-/// A `ShardedEngine` over `shards` clones of the named scheme — the
-/// shared construction of `serve` and `serve-tcp` (`shards == 1` is the
-/// plain single-engine shape behind a 1-shard front).
-fn sharded_engine(g: Graph, scheme_name: &str, cfg: EngineConfig, shards: usize) -> ShardedEngine {
-    // Identical schemes per shard keep the front bit-identical to a
-    // single engine (sampling is driven by per-query RNG streams).
-    let schemes: Vec<_> = (0..shards.max(1))
-        .map(|_| scheme_for(scheme_name, &g, cfg.seed, cfg.threads))
-        .collect();
-    let mut schemes = schemes.into_iter();
-    ShardedEngine::try_new(
-        g,
-        move || schemes.next().expect("one scheme per shard"),
-        cfg,
-        shards,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// An engine over the named scheme with `shards` shard labels — the
+/// shared construction of `serve` and `serve-tcp`.
+fn build_engine(g: Graph, scheme_name: &str, cfg: EngineConfig, shards: usize) -> Engine {
+    let scheme = scheme_for(scheme_name, &g, cfg.seed, cfg.threads);
+    let mut engine = Engine::new(g, scheme, cfg);
+    engine.set_shards(shards);
+    engine
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -157,8 +144,8 @@ fn expect_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, fla
 /// wire protocol's handle, like the workload-file directive).
 fn expect_shards(args: &mut impl Iterator<Item = String>) -> usize {
     let shards: usize = expect_num(args, "--shards");
-    if shards == 0 || shards > 255 {
-        eprintln!("--shards must be in 1..=255, got {shards}");
+    if shards == 0 || shards > MAX_SHARDS {
+        eprintln!("--shards must be in 1..={MAX_SHARDS}, got {shards}");
         std::process::exit(2);
     }
     shards
@@ -199,12 +186,12 @@ fn resolve_fault(
     spec.to_config(seed)
 }
 
-/// Reads and decodes a snapshot file, restoring a serving front from it
+/// Reads and decodes a snapshot file, restoring a serving engine from it
 /// (exiting with a message on any failure). The snapshot carries
-/// everything answer-determining — graph, scheme, seed, cache, faults,
-/// shard count, per-shard counters and rows — so only the
-/// answer-invisible knobs (threads, tracing) come from the caller.
-fn restore_front(path: &str, threads: usize, trace_every: u64) -> ShardedEngine {
+/// everything answer-determining — graph, scheme, seed, cache, faults —
+/// plus the shard count, counters and rows, so only the answer-invisible
+/// knobs (threads, tracing) come from the caller.
+fn restore_engine(path: &str, threads: usize, trace_every: u64) -> Engine {
     let bytes = std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("reading {path}: {e}");
         std::process::exit(2);
@@ -225,9 +212,9 @@ fn restore_front(path: &str, threads: usize, trace_every: u64) -> ShardedEngine 
         "[nav-engine] restored {path}: n={} seed={} shards={} served={} resident rows={}",
         snap.num_nodes,
         snap.seed,
-        snap.shards.len(),
-        snap.front_served,
-        snap.shards.iter().map(|s| s.rows.len()).sum::<usize>()
+        snap.shards,
+        snap.state.served,
+        snap.state.rows.len()
     );
     engine
 }
@@ -375,7 +362,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
         // The snapshot wins every answer-determining knob; the workload
         // file still drives the query stream, so its graph must match.
         Some(path) => {
-            let engine = restore_front(path, threads, trace_every);
+            let engine = restore_engine(path, threads, trace_every);
             if engine.graph().num_nodes() != g.num_nodes() {
                 eprintln!(
                     "{path}: snapshot graph has {} nodes but workload {file} declares {} — refusing to serve a mismatched stream",
@@ -386,7 +373,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
             }
             engine
         }
-        None => sharded_engine(
+        None => build_engine(
             g,
             &scheme_name,
             EngineConfig {
@@ -405,6 +392,8 @@ fn serve(mut args: impl Iterator<Item = String>) {
             shards,
         ),
     };
+    // A restored engine keeps the snapshot's shard count.
+    let shards = engine.num_shards();
     let t0 = std::time::Instant::now();
     let mut failures = 0usize;
     for batch in spec.batches() {
@@ -669,7 +658,7 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
             if let Some(f) = &file {
                 eprintln!("[nav-engine] note: workload file {f} ignored under --restore (the snapshot carries the graph and config)");
             }
-            restore_front(path, threads, trace_every)
+            restore_engine(path, threads, trace_every)
         }
         None => {
             let file = file.unwrap_or_else(|| {
@@ -695,7 +684,7 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
                     fault.plan.map(|p| p.epochs()).unwrap_or(0)
                 );
             }
-            sharded_engine(
+            build_engine(
                 g,
                 &scheme_name,
                 EngineConfig {
@@ -715,7 +704,7 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
             )
         }
     };
-    let server = NetServer::bind_sharded(engine, net, addr.as_str()).unwrap_or_else(|e| {
+    let server = NetServer::bind(engine, net, addr.as_str()).unwrap_or_else(|e| {
         eprintln!("binding {addr}: {e}");
         std::process::exit(1);
     });
@@ -987,9 +976,9 @@ fn snapshot_cmd(mut args: impl Iterator<Item = String>) {
         "[nav-engine] snapshot of {addr}: n={} seed={} shards={} served={} resident rows={} ({} bytes) -> {file}",
         snap.num_nodes,
         snap.seed,
-        snap.shards.len(),
-        snap.front_served,
-        snap.shards.iter().map(|s| s.rows.len()).sum::<usize>(),
+        snap.shards,
+        snap.state.served,
+        snap.state.rows.len(),
         bytes.len()
     );
 }

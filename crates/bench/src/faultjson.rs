@@ -13,9 +13,6 @@
 //! Like the other emitters, correctness gates come first, asserted
 //! before a single row is rendered:
 //!
-//! * every faulty replay must be **bit-identical** between a single
-//!   engine and a 3-shard [`ShardedEngine`] — the determinism contract
-//!   surviving failure injection;
 //! * pure link drops never fail a walk on a connected graph (the local
 //!   fallback always makes progress), so drop-only success is exactly
 //!   1.0 — not approximately;
@@ -25,14 +22,13 @@
 //! * warm churned throughput stays within the declared budget
 //!   [`MIN_WARM_RATIO`] of the fault-free warm pass.
 
-use crate::benchjson::stats_identical;
 use crate::workloads::Workload;
 use crate::ExpConfig;
 use nav_core::faulty::{FailurePlan, FaultConfig};
 use nav_core::trial::PairStats;
 use nav_core::uniform::UniformScheme;
 use nav_engine::workload::{zipf_queries, ZipfSpec};
-use nav_engine::{EngineConfig, Query, QueryBatch, ShardedEngine};
+use nav_engine::{Engine, EngineConfig, Query, QueryBatch};
 use nav_graph::Graph;
 use std::time::Instant;
 
@@ -73,14 +69,14 @@ struct FaultRow {
     elapsed_ms: f64,
 }
 
-/// A `ShardedEngine` over `shards` identical uniform-scheme engines.
-fn engine(g: &Graph, shards: usize, cfg: EngineConfig) -> ShardedEngine {
-    ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg, shards)
+/// A uniform-scheme engine over `g`.
+fn engine(g: &Graph, cfg: EngineConfig) -> Engine {
+    Engine::new(g.clone(), Box::new(UniformScheme), cfg)
 }
 
 /// Replays `queries` in batches of `batch`, returning the concatenated
 /// answers and the wall-clock in ms.
-fn replay(engine: &mut ShardedEngine, queries: &[Query], batch: usize) -> (Vec<PairStats>, f64) {
+fn replay(engine: &mut Engine, queries: &[Query], batch: usize) -> (Vec<PairStats>, f64) {
     let t0 = Instant::now();
     let mut answers = Vec::with_capacity(queries.len());
     for chunk in queries.chunks(batch.max(1)) {
@@ -110,18 +106,11 @@ fn mean_stretch(answers: &[PairStats], trials: usize) -> f64 {
     sum / count.max(1) as f64
 }
 
-/// Runs one grid point: a single-engine replay, cross-checked
-/// bit-for-bit against a 3-shard replay of the same stream. The fault
-/// under test rides in `cfg.fault`.
-fn measure(g: &Graph, queries: &[Query], batch: usize, cfg: EngineConfig, label: &str) -> FaultRow {
-    let mut single = engine(g, 1, cfg);
+/// Runs one grid point: one engine replays the stream with the fault
+/// under test in `cfg.fault`.
+fn measure(g: &Graph, queries: &[Query], batch: usize, cfg: EngineConfig) -> FaultRow {
+    let mut single = engine(g, cfg);
     let (answers, elapsed_ms) = replay(&mut single, queries, batch);
-    let mut sharded = engine(g, 3, cfg);
-    let (sharded_answers, _) = replay(&mut sharded, queries, batch);
-    assert!(
-        stats_identical(&answers, &sharded_answers),
-        "{label}: sharded faulty replay diverged from the single engine"
-    );
     let m = single.metrics();
     let total_trials: usize = queries.iter().map(|q| q.trials).sum();
     let per_query_trials = queries.first().map_or(1, |q| q.trials);
@@ -162,9 +151,8 @@ fn render_rows(rows: &[FaultRow], queries: usize) -> String {
 /// Runs the fault benchmark and renders `BENCH_fault.json`.
 ///
 /// # Panics
-/// Panics if any faulty replay diverges between shard counts, if a
-/// drop-only walk fails on a connected graph, if degradation is not
-/// monotone in `p` (within [`MONOTONE_EPS`]), or if warm churned
+/// Panics if a drop-only walk fails on a connected graph, if degradation
+/// is not monotone in `p` (within [`MONOTONE_EPS`]), or if warm churned
 /// throughput falls below [`MIN_WARM_RATIO`] of the fault-free warm
 /// pass — the JSON is only produced for curves worth reading.
 pub fn render_fault_bench(cfg: &ExpConfig) -> String {
@@ -216,13 +204,7 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
                     drop_prob: p,
                     plan: None,
                 };
-                measure(
-                    &g,
-                    &queries,
-                    batch,
-                    EngineConfig { fault, ..base_cfg },
-                    &format!("{name} drop p={p}"),
-                )
+                measure(&g, &queries, batch, EngineConfig { fault, ..base_cfg })
             })
             .collect();
         for r in &drop_rows {
@@ -261,13 +243,7 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
                     drop_prob: p,
                     plan: Some(plan),
                 };
-                measure(
-                    &g,
-                    &queries,
-                    batch,
-                    EngineConfig { fault, ..base_cfg },
-                    &format!("{name} churn p={p}"),
-                )
+                measure(&g, &queries, batch, EngineConfig { fault, ..base_cfg })
             })
             .collect();
         for r in &churn_rows {
@@ -297,7 +273,7 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
         }
 
         family_blocks.push_str(&format!(
-            "    {{\n      \"family\": \"{name}\", \"n\": {n}, \"m\": {}, \"queries\": {count}, \"trials_per_query\": {trials}, \"distinct_targets\": {distinct},\n      \"drop_only\": [\n{}      ],\n      \"with_churn\": [\n{}      ],\n      \"gates\": {{\"drop_success_exact\": 1.0, \"stretch_nondecreasing\": true, \"churn_success_nonincreasing\": true, \"sharded_bit_identical\": true}}\n    }}{}\n",
+            "    {{\n      \"family\": \"{name}\", \"n\": {n}, \"m\": {}, \"queries\": {count}, \"trials_per_query\": {trials}, \"distinct_targets\": {distinct},\n      \"drop_only\": [\n{}      ],\n      \"with_churn\": [\n{}      ],\n      \"gates\": {{\"drop_success_exact\": 1.0, \"stretch_nondecreasing\": true, \"churn_success_nonincreasing\": true}}\n    }}{}\n",
             g.num_edges(),
             render_rows(&drop_rows, count),
             render_rows(&churn_rows, count),
@@ -317,8 +293,8 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
                 },
                 ..base_cfg
             };
-            let mut base = engine(&g, 1, base_cfg);
-            let mut churned = engine(&g, 1, churn_cfg);
+            let mut base = engine(&g, base_cfg);
+            let mut churned = engine(&g, churn_cfg);
             replay(&mut base, &queries, batch);
             replay(&mut churned, &queries, batch);
             let (mut base_warm_ms, mut churn_warm_ms) = (f64::INFINITY, f64::INFINITY);
@@ -334,7 +310,7 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
             );
             let qps = |ms: f64| count as f64 / (ms / 1e3);
             churn_overhead = format!(
-                "  \"churn_overhead\": {{\"family\": \"{name}\", \"drop_p\": 0.25, \"faultfree_warm_qps\": {}, \"churned_warm_qps\": {}, \"ratio\": {}, \"declared_min_ratio\": {MIN_WARM_RATIO}, \"within_budget\": true}},\n",
+                "  \"churn_overhead\": {{\"family\": \"{name}\", \"drop_p\": 0.25, \"faultfree_warm_qps\": {}, \"churned_warm_qps\": {}, \"ratio\": {}, \"declared_min_ratio\": {MIN_WARM_RATIO}, \"within_budget\": true}}\n",
                 fms(qps(base_warm_ms)),
                 fms(qps(churn_warm_ms)),
                 fms(ratio),
@@ -368,7 +344,6 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
     out.push_str(&family_blocks);
     out.push_str("  ],\n");
     out.push_str(&churn_overhead);
-    out.push_str("  \"bit_identical_across_shards\": true\n");
     out.push_str("}\n");
     out
 }
@@ -400,7 +375,6 @@ mod tests {
             "\"epoch_flips\":",
             "\"churn_overhead\":",
             "\"within_budget\": true",
-            "\"bit_identical_across_shards\": true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

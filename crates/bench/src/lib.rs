@@ -16,7 +16,7 @@
 //! `bench-tcp` pair puts the same engine behind a `nav-net` TCP socket;
 //! [`netjson`] emits the `BENCH_net.json` wire baseline,
 //! [`scalejson`] (`nav-engine scale-bench`) emits the `BENCH_scale.json`
-//! exact-vs-landmark / single-vs-sharded baseline at `n = 10^6`, and
+//! exact-row memory and cold/warm serving baseline at `n = 10^6`, and
 //! [`faultjson`] (`nav-engine chaos-bench`) emits the `BENCH_fault.json`
 //! success/stretch-vs-drop-probability degradation curves under link
 //! drops and node churn.

@@ -1,21 +1,16 @@
 //! The `BENCH_scale.json` emitter (`nav-engine scale-bench`).
 //!
-//! The scale story of the oracle layer, measured at `n = 10^6` (full
-//! mode) on the three families whose geometry stresses the landmark
-//! embedding differently — `gnp` (expander: flat ALT potential), `grid2d`
-//! (potential exact with peripheral landmarks), `random-tree` (between
-//! the two):
+//! The scale story of exact distance rows, measured at `n = 10^6` (full
+//! mode) on three families of different geometry — `gnp` (expander),
+//! `grid2d` and `random-tree` (large diameters):
 //!
-//! * **memory** — exact rows cost `O(n)` bytes per resident target; the
-//!   [`LandmarkOracle`] costs `O(k·n)` total. Both are measured through
-//!   [`DistanceOracle::resident_bytes`] and the ratio is *gated* (the
-//!   landmark oracle must fit in ≤ 10% of the exact working set);
-//! * **quality** — for every sampled pair the admissible sandwich
-//!   `potential ≤ dist ≤ estimate` is asserted, then greedy success rate
-//!   and estimate stretch are measured exact-vs-landmark;
-//! * **serving** — a 4-shard [`ShardedEngine`] replays the same stream
-//!   as a single [`Engine`] and both are asserted **bit-identical** to
-//!   [`run_trials`]; a second (warm) replay gates the cross-batch cache.
+//! * **memory** — exact rows cost `O(n)` bytes per resident target,
+//!   measured as the compact (adaptive `u16`/`u32`) rows a serving cache
+//!   holds and as the wide `u32` rows of a [`TargetDistanceCache`];
+//! * **routing** — greedy success rate and mean steps over sampled pairs;
+//! * **serving** — one [`Engine`] replays a stream cold, asserted
+//!   **bit-identical** to [`run_trials`], then replays it again warm from
+//!   its row cache (the warm replay must be pure cache hits).
 //!
 //! Like every emitter in this crate, the JSON is rendered only after all
 //! correctness gates pass — the numbers describe a verified run.
@@ -23,13 +18,13 @@
 use crate::benchjson::stats_identical;
 use crate::workloads::Workload;
 use crate::ExpConfig;
-use nav_core::oracle::{DistanceOracle, LandmarkOracle, TargetDistanceCache};
+use nav_core::oracle::TargetDistanceCache;
 use nav_core::routing::default_step_cap;
 use nav_core::trial::{run_trials, TrialConfig};
 use nav_core::uniform::UniformScheme;
-use nav_engine::{Engine, EngineConfig, Query, QueryBatch, ShardedEngine};
+use nav_engine::{Engine, EngineConfig, Query, QueryBatch};
 use nav_graph::distance::DistRowBuf;
-use nav_graph::{Graph, NodeId, INFINITY};
+use nav_graph::{Graph, NodeId};
 use nav_par::rng::task_rng;
 use rand::RngCore as _;
 use std::time::Instant;
@@ -42,16 +37,12 @@ fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// Knobs of one scale run. The presets ([`ScaleParams::full`] /
-/// [`ScaleParams::quick`]) keep the target count high enough that the
-/// `k = 16` landmark embedding lands well inside the 10% memory gate;
-/// the unit test shrinks `n` and relaxes the gate accordingly.
+/// Knobs of one scale run: the presets [`ScaleParams::full`] and
+/// [`ScaleParams::quick`], shrunk further by the unit test.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleParams {
     /// Requested nodes per family (families round, e.g. grids).
     pub n: usize,
-    /// Landmarks `k` of the approximate oracle.
-    pub landmarks: usize,
     /// Sampled distinct targets charged to the exact working set.
     pub targets: usize,
     /// Routed sources per target (quality measurement).
@@ -66,11 +57,6 @@ pub struct ScaleParams {
     pub serve_trials: usize,
     /// Serving batch size.
     pub batch: usize,
-    /// Shard count of the sharded replay.
-    pub shards: usize,
-    /// Gate: landmark resident bytes must be ≤ this fraction of the
-    /// exact working set's compact bytes.
-    pub ratio_gate: f64,
 }
 
 impl ScaleParams {
@@ -78,7 +64,6 @@ impl ScaleParams {
     pub fn full() -> Self {
         ScaleParams {
             n: 1_000_000,
-            landmarks: 16,
             targets: 256,
             sources_per_target: 2,
             route_trials: 2,
@@ -86,13 +71,11 @@ impl ScaleParams {
             serve_queries: 256,
             serve_trials: 2,
             batch: 64,
-            shards: 4,
-            ratio_gate: 0.10,
         }
     }
 
     /// The CI-sized smoke of the same shape: `n = 10^5`, same target
-    /// count (so the memory gate still binds at 10%).
+    /// count.
     pub fn quick() -> Self {
         ScaleParams {
             n: 100_000,
@@ -122,25 +105,21 @@ fn mean(sum: f64, count: usize) -> f64 {
     }
 }
 
-/// Serves every batch in order, returning the concatenated answers.
-fn replay_single(engine: &mut Engine, batches: &[QueryBatch]) -> Vec<nav_core::trial::PairStats> {
+/// Serves every batch in order from RNG index 0 (without advancing the
+/// engine's lifetime counter), returning the concatenated answers and
+/// the wall-clock in ms.
+fn replay(engine: &mut Engine, batches: &[QueryBatch]) -> (Vec<nav_core::trial::PairStats>, f64) {
+    let t0 = Instant::now();
     let mut answers = Vec::new();
+    let mut base = 0u64;
     for b in batches {
-        answers.extend(engine.serve(b).expect("validated queries").answers);
+        let r = engine
+            .serve_at(b, base, nav_core::sampler::SamplerMode::Scalar)
+            .expect("validated queries");
+        answers.extend(r.answers);
+        base += b.len() as u64;
     }
-    answers
-}
-
-/// [`replay_single`] over the sharded front.
-fn replay_sharded(
-    engine: &mut ShardedEngine,
-    batches: &[QueryBatch],
-) -> Vec<nav_core::trial::PairStats> {
-    let mut answers = Vec::new();
-    for b in batches {
-        answers.extend(engine.serve(b).expect("validated queries").answers);
-    }
-    answers
+    (answers, ms_since(t0))
 }
 
 /// Everything measured for one family, pre-rendering.
@@ -153,16 +132,9 @@ struct FamilyReport {
     exact_build_ms: f64,
     exact_compact_bytes: usize,
     exact_wide_bytes: usize,
-    landmark_build_ms: f64,
-    landmark_bytes: usize,
-    memory_ratio: f64,
     pairs: usize,
     exact_success: f64,
     exact_mean_steps: f64,
-    landmark_success: f64,
-    landmark_mean_steps: f64,
-    stretch_mean: f64,
-    stretch_max: f64,
     serve: ServeReport,
 }
 
@@ -171,7 +143,6 @@ struct ServeReport {
     targets: usize,
     queries: usize,
     single_ms: f64,
-    sharded_ms: f64,
     warm_ms: f64,
     warm_hits: u64,
     warm_misses: u64,
@@ -188,12 +159,6 @@ fn measure_family(
     let graph_build_ms = ms_since(t0);
     let n = g.num_nodes();
     let step_cap = default_step_cap(&g);
-
-    // --- landmark oracle -------------------------------------------------
-    let t0 = Instant::now();
-    let lox = LandmarkOracle::build(&g, p.landmarks);
-    let landmark_build_ms = ms_since(t0);
-    let landmark_bytes = lox.resident_bytes();
 
     // --- targets, sources, and the exact working set ---------------------
     // The exact side is charged what a serving cache would hold resident:
@@ -217,17 +182,12 @@ fn measure_family(
         .collect();
 
     let exact_route_seed = cfg.seed_for("scale-route-exact", n);
-    let lmk_route_seed = cfg.seed_for("scale-route-landmark", n);
     let mut exact_build_ms = 0.0f64;
     let mut exact_compact_bytes = 0usize;
     let mut routed_pairs = 0usize;
     let mut trial_idx = 0u64;
     let mut exact_ok = 0usize;
     let mut exact_steps = 0u64;
-    let mut lmk_ok = 0usize;
-    let mut lmk_steps = 0u64;
-    let mut stretch_sum = 0.0f64;
-    let mut stretch_max = 0.0f64;
     for (chunk_idx, chunk) in targets.chunks(64).enumerate() {
         let t0 = Instant::now();
         let cache =
@@ -237,48 +197,22 @@ fn measure_family(
             let row = cache.row(t).expect("built target");
             exact_compact_bytes += DistRowBuf::from_wide(row).bytes();
             let router = cache.router(t).expect("built target");
-            let lrouter = lox.router(t).expect("in range");
             for &s in &sources[chunk_idx * 64 + off] {
-                let d = row[s as usize];
-                let (lo, hi) = lox.distance_bounds(s, t).expect("in range");
-                // The correctness gate of the whole bench: the landmark
-                // bounds must sandwich the exact distance on every pair.
-                assert!(
-                    lo <= d && d <= hi,
-                    "{}: inadmissible bounds for ({s}, {t}): {lo} ≤ {d} ≤ {hi} violated",
-                    family.name()
-                );
                 routed_pairs += 1;
-                if d > 0 && d < INFINITY {
-                    let stretch = hi as f64 / d as f64;
-                    stretch_sum += stretch;
-                    stretch_max = stretch_max.max(stretch);
-                }
                 for _ in 0..p.route_trials {
                     let mut rng = task_rng(exact_route_seed, trial_idx);
                     let out = router.route(scheme, s, &mut rng, step_cap, false);
                     exact_ok += out.reached as usize;
                     exact_steps += if out.reached { out.steps as u64 } else { 0 };
-                    let mut rng = task_rng(lmk_route_seed, trial_idx);
-                    let out = lrouter.route(scheme, s, &mut rng, step_cap, false);
-                    lmk_ok += out.reached as usize;
-                    lmk_steps += if out.reached { out.steps as u64 } else { 0 };
                     trial_idx += 1;
                 }
             }
         }
     }
     let exact_wide_bytes = targets.len() * n * std::mem::size_of::<u32>();
-    let memory_ratio = landmark_bytes as f64 / exact_compact_bytes as f64;
-    assert!(
-        memory_ratio <= p.ratio_gate,
-        "{}: landmark oracle ({landmark_bytes} B) exceeds {:.0}% of the exact working set ({exact_compact_bytes} B)",
-        family.name(),
-        p.ratio_gate * 100.0
-    );
     let trials_total = routed_pairs * p.route_trials;
 
-    // --- serving: sharded vs single vs run_trials ------------------------
+    // --- serving: one engine, cold then warm, vs run_trials --------------
     let serve = measure_serving(&g, cfg, p, &targets);
 
     FamilyReport {
@@ -290,25 +224,17 @@ fn measure_family(
         exact_build_ms,
         exact_compact_bytes,
         exact_wide_bytes,
-        landmark_build_ms,
-        landmark_bytes,
-        memory_ratio,
         pairs: routed_pairs,
         exact_success: mean(exact_ok as f64, trials_total),
         exact_mean_steps: mean(exact_steps as f64, exact_ok),
-        landmark_success: mean(lmk_ok as f64, trials_total),
-        landmark_mean_steps: mean(lmk_steps as f64, lmk_ok),
-        stretch_mean: mean(stretch_sum, routed_pairs),
-        stretch_max,
         serve,
     }
 }
 
 fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeId]) -> ServeReport {
     let n = g.num_nodes();
-    // Spread the serving targets across the sampled set (and thus across
-    // shards), cycling the stream through them so the second replay is
-    // pure cache hits.
+    // Spread the serving targets across the sampled set, cycling the
+    // stream through them so the second replay is pure cache hits.
     let serve_t = p.serve_targets.min(targets.len()).max(1);
     let stride = (targets.len() / serve_t).max(1);
     let serve_targets: Vec<NodeId> = (0..serve_t).map(|i| targets[i * stride]).collect();
@@ -350,49 +276,27 @@ fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeI
         ..EngineConfig::default()
     };
 
-    let mut single = Engine::new(g.clone(), Box::new(UniformScheme), ecfg);
-    let t0 = Instant::now();
-    let single_answers = replay_single(&mut single, &batches);
-    let single_ms = ms_since(t0);
+    let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), ecfg);
+    let (cold_answers, single_ms) = replay(&mut engine, &batches);
     assert!(
-        stats_identical(&single_answers, &reference.pairs),
-        "single engine diverged from run_trials"
+        stats_identical(&cold_answers, &reference.pairs),
+        "engine diverged from run_trials"
     );
-
-    let mut sharded = ShardedEngine::new(g.clone(), || Box::new(UniformScheme), ecfg, p.shards);
-    let t0 = Instant::now();
-    let sharded_answers = replay_sharded(&mut sharded, &batches);
-    let sharded_ms = ms_since(t0);
-    assert!(
-        stats_identical(&sharded_answers, &reference.pairs),
-        "sharded engine diverged from run_trials"
-    );
-
-    // Steady state: the same stream again is served entirely from the
-    // per-shard resident rows. Replaying at explicit RNG base 0
-    // ([`ShardedEngine::serve_at`]) re-issues the *same* trial streams,
-    // so the warm answers must be bit-identical to the reference too.
-    let cold_misses = sharded.cache_stats().misses;
+    let cold_misses = engine.cache_stats().misses;
     assert_eq!(
         cold_misses as usize, serve_t,
         "one miss per distinct target"
     );
-    let t0 = Instant::now();
-    let mut warm_answers = Vec::new();
-    let mut base = 0u64;
-    for b in &batches {
-        let r = sharded
-            .serve_at(b, base, nav_core::sampler::SamplerMode::Scalar)
-            .expect("validated queries");
-        warm_answers.extend(r.answers);
-        base += b.queries.len() as u64;
-    }
-    let warm_ms = ms_since(t0);
+
+    // Steady state: the same stream again, from the same RNG base, is
+    // served entirely from resident rows and re-issues the *same* trial
+    // streams, so the warm answers must be bit-identical too.
+    let (warm_answers, warm_ms) = replay(&mut engine, &batches);
     assert!(
         stats_identical(&warm_answers, &reference.pairs),
-        "warm sharded replay diverged from run_trials"
+        "warm replay diverged from run_trials"
     );
-    let warm_stats = sharded.cache_stats();
+    let warm_stats = engine.cache_stats();
     assert_eq!(
         warm_stats.misses, cold_misses,
         "steady-state replay must be all hits"
@@ -401,7 +305,6 @@ fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeI
         targets: serve_t,
         queries: queries.len(),
         single_ms,
-        sharded_ms,
         warm_ms,
         warm_hits: warm_stats.hits,
         warm_misses: warm_stats.misses,
@@ -412,9 +315,8 @@ fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeI
 /// `BENCH_scale.json`.
 ///
 /// # Panics
-/// Panics if any gate fails: an inadmissible landmark bound, a landmark
-/// oracle over the memory budget, a sharded or single replay diverging
-/// from [`run_trials`], or a second replay that is not pure cache hits.
+/// Panics if any gate fails: a cold or warm replay diverging from
+/// [`run_trials`], or a warm replay that is not pure cache hits.
 pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
     let families = [Workload::Gnp, Workload::Grid2d, Workload::RandomTree];
     let scheme = UniformScheme;
@@ -425,12 +327,10 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
             measure_family(f, cfg, p, &scheme)
         })
         .collect();
-    let max_ratio = reports.iter().map(|r| r.memory_ratio).fold(0.0, f64::max);
-
     let qps = |queries: usize, trials: usize, ms: f64| queries as f64 * trials as f64 / (ms / 1e3);
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"nav-bench-scale/v1\",\n");
+    out.push_str("  \"schema\": \"nav-bench-scale/v2\",\n");
     out.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if cfg.quick { "quick" } else { "full" }
@@ -442,9 +342,8 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
         nav_par::HostMeta::current().to_json()
     ));
     out.push_str(&format!(
-        "  \"params\": {{\"n\": {}, \"landmarks\": {}, \"targets\": {}, \"sources_per_target\": {}, \"route_trials\": {}, \"serve_targets\": {}, \"serve_queries\": {}, \"serve_trials\": {}, \"batch\": {}, \"shards\": {}, \"memory_ratio_gate\": {}}},\n",
+        "  \"params\": {{\"n\": {}, \"targets\": {}, \"sources_per_target\": {}, \"route_trials\": {}, \"serve_targets\": {}, \"serve_queries\": {}, \"serve_trials\": {}, \"batch\": {}}},\n",
         p.n,
-        p.landmarks,
         p.targets,
         p.sources_per_target,
         p.route_trials,
@@ -452,8 +351,6 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
         p.serve_queries,
         p.serve_trials,
         p.batch,
-        p.shards,
-        fms(p.ratio_gate)
     ));
     out.push_str("  \"families\": [\n");
     for (i, r) in reports.iter().enumerate() {
@@ -474,33 +371,15 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
             fms(r.exact_success),
             fms(r.exact_mean_steps)
         ));
-        out.push_str(&format!(
-            "     \"landmark\": {{\"backend\": \"landmark\", \"k\": {}, \"build_ms\": {}, \"resident_bytes\": {}, \"success_rate\": {}, \"mean_steps\": {}, \"stretch_mean\": {}, \"stretch_max\": {}}},\n",
-            p.landmarks,
-            fms(r.landmark_build_ms),
-            r.landmark_bytes,
-            fms(r.landmark_success),
-            fms(r.landmark_mean_steps),
-            fms(r.stretch_mean),
-            fms(r.stretch_max)
-        ));
-        out.push_str(&format!(
-            "     \"memory_ratio\": {}, \"routed_pairs\": {}, \"success_delta\": {},\n",
-            fms(r.memory_ratio),
-            r.pairs,
-            fms(r.exact_success - r.landmark_success)
-        ));
+        out.push_str(&format!("     \"routed_pairs\": {},\n", r.pairs));
         let s = &r.serve;
         out.push_str(&format!(
-            "     \"serving\": {{\"targets\": {}, \"queries\": {}, \"trials_per_query\": {}, \"shards\": {}, \"single_ms\": {}, \"single_qps\": {}, \"sharded_ms\": {}, \"sharded_qps\": {}, \"warm_ms\": {}, \"warm_qps\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \"bit_identical_sharded\": true}}}}{}\n",
+            "     \"serving\": {{\"targets\": {}, \"queries\": {}, \"trials_per_query\": {}, \"single_ms\": {}, \"single_qps\": {}, \"warm_ms\": {}, \"warm_qps\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \"bit_identical\": true}}}}{}\n",
             s.targets,
             s.queries,
             p.serve_trials,
-            p.shards,
             fms(s.single_ms),
             fms(qps(s.queries, p.serve_trials, s.single_ms)),
-            fms(s.sharded_ms),
-            fms(qps(s.queries, p.serve_trials, s.sharded_ms)),
             fms(s.warm_ms),
             fms(qps(s.queries, p.serve_trials, s.warm_ms)),
             s.warm_hits,
@@ -509,10 +388,7 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!("  \"max_memory_ratio\": {},\n", fms(max_ratio)));
-    out.push_str("  \"landmark_within_memory_budget\": true,\n");
-    out.push_str("  \"bounds_admissible\": true,\n");
-    out.push_str("  \"bit_identical_sharded\": true\n");
+    out.push_str("  \"bit_identical\": true\n");
     out.push_str("}\n");
     out
 }
@@ -541,21 +417,17 @@ mod tests {
             threads: 2,
             ..ExpConfig::default()
         };
-        // Test-sized run: tiny n, and a relaxed memory gate — 16
-        // landmarks against a 64-target working set is 25%, which is
-        // exactly why the presets sample 256 targets.
         let p = ScaleParams {
             n: 1500,
             targets: 64,
             serve_targets: 8,
             serve_queries: 64,
             sources_per_target: 1,
-            ratio_gate: 0.6,
             ..ScaleParams::quick()
         };
         let json = render_scale_bench_with(&cfg, &p);
         for key in [
-            "\"schema\": \"nav-bench-scale/v1\"",
+            "\"schema\": \"nav-bench-scale/v2\"",
             "\"mode\": \"quick\"",
             "\"host\":",
             "\"params\":",
@@ -564,18 +436,15 @@ mod tests {
             "\"family\": \"grid2d\"",
             "\"family\": \"random-tree\"",
             "\"exact\":",
-            "\"landmark\":",
-            "\"memory_ratio\":",
-            "\"success_delta\":",
-            "\"stretch_mean\":",
+            "\"resident_bytes_compact\":",
             "\"serving\":",
             "\"warm_hits\":",
-            "\"max_memory_ratio\":",
-            "\"landmark_within_memory_budget\": true",
-            "\"bounds_admissible\": true",
-            "\"bit_identical_sharded\": true",
+            "\"bit_identical\": true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
+        }
+        for gone in ["landmark", "shard", "memory_ratio"] {
+            assert!(!json.contains(gone), "stale {gone} in {json}");
         }
         assert!(json.ends_with("}\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

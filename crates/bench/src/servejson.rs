@@ -314,8 +314,7 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     // rendered: the restored answers are bit-identical to the reference
     // (restore is answer-invisible), and in full mode the restored replay
     // beats the cold one (the imported rows actually serve warm).
-    let front = nav_engine::ShardedEngine::from_engine(warm_engine);
-    let snap = nav_store::Snapshot::capture(&front).expect("uniform scheme snapshots");
+    let snap = nav_store::Snapshot::capture(&warm_engine).expect("uniform scheme snapshots");
     let snap_bytes = snap.encode();
     let decoded = nav_store::Snapshot::decode(&snap_bytes).expect("own encoding decodes");
     let mut restored = decoded
@@ -414,7 +413,7 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     out.push_str(&format!(
         "  \"restore\": {{\"snapshot_bytes\": {}, \"restored_rows\": {}, \"restore_over_cold_speedup\": {}, \"bit_identical_after_restore\": true, \"gated\": {}}},\n",
         snap_bytes.len(),
-        snap.shards.iter().map(|s| s.rows.len()).sum::<usize>(),
+        snap.state.rows.len(),
         fms(cold_ms / restore_ms),
         !cfg.quick
     ));

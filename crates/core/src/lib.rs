@@ -20,10 +20,11 @@
 //! identical to sampling all links upfront (deferred decisions), and the
 //! basis of the whole engine's efficiency.
 //!
-//! Distance queries flow through the shared oracle layer ([`oracle`]): the
+//! Distance queries flow through exact target rows ([`oracle`]): the
 //! distinct targets of a workload are deduplicated and their distance rows
 //! computed 64 at a time by bit-parallel multi-source BFS, then borrowed by
-//! the routers — no per-pair BFS anywhere in the engine.
+//! the routers — no per-pair BFS anywhere in the engine, and no
+//! approximate distance tier.
 //!
 //! Per-step contact draws flow through the sampler layer ([`sampler`]):
 //! the scalar reference backend (bit-identical to calling
@@ -70,7 +71,7 @@ pub use ball::{BallRowSampler, BallScheme};
 pub use faulty::{FailurePlan, FaultConfig, FaultySampler, FaultyScheme};
 pub use kleinberg::KleinbergScheme;
 pub use matrix::{AugmentationMatrix, MatrixScheme};
-pub use oracle::{DistanceOracle, LandmarkOracle, LandmarkRouter, TargetDistanceCache};
+pub use oracle::TargetDistanceCache;
 pub use realization::Realization;
 pub use routing::{GreedyRouter, RouteOutcome};
 pub use sampler::{ContactSampler, SamplerMode, SamplerStats};

@@ -1,4 +1,4 @@
-//! The shared distance-oracle layer.
+//! Exact distance rows for a set of routing targets.
 //!
 //! Greedy routing consults `dist_G(·, t)` at every hop, so each trial
 //! target needs one full distance row. The Monte-Carlo engine used to run
@@ -12,66 +12,12 @@
 //!
 //! Distances are exact, so cached rows are bit-identical to per-pair BFS
 //! for every thread count — the engine's determinism guarantee is
-//! unaffected.
-//!
-//! At large `n` the exact rows themselves become the wall: `O(n)` bytes
-//! per resident target. The [`DistanceOracle`] trait names what routing
-//! actually needs — per-pair distance *bounds* plus a resident-bytes
-//! account — so backends can trade exactness for memory. Two backends
-//! live here:
-//!
-//! * [`TargetDistanceCache`] — exact; lower bound == upper bound == the
-//!   BFS distance, `O(n)` bytes per target;
-//! * [`LandmarkOracle`] — approximate; `k` BFS passes from
-//!   farthest-point-sampled landmarks give every node a `k`-coordinate
-//!   embedding. The triangle inequality yields an *admissible upper
-//!   bound* `min_i d(u, Lᵢ) + d(Lᵢ, t)` (the estimate) and a *lower
-//!   bound* `max_i |d(u, Lᵢ) − d(Lᵢ, t)|` (the ALT potential), in
-//!   `O(k)` bytes per node — independent of the target set.
-//!
-//! Greedy descent must use the **lower** bound: the upper bound's
-//! minimizing landmark sits behind the walker, so descending on it walks
-//! toward landmarks instead of targets. The potential is exact on paths
-//! and grids (peripheral landmarks recover the metric) and flat on
-//! expanders — a measured, not assumed, degradation; `tests/oracle.rs`
-//! pins the per-family budgets.
+//! unaffected. Each target costs `O(n)` bytes; the serving engine's row
+//! cache keeps the same rows in compact `u16`/`u32` form.
 
-use crate::routing::{GreedyRouter, RouteOutcome};
-use crate::scheme::AugmentationScheme;
-use nav_graph::bfs::Bfs;
-use nav_graph::distance::{double_sweep, DistRowBuf};
+use crate::routing::GreedyRouter;
 use nav_graph::msbfs::LaneWidth;
-use nav_graph::{Graph, GraphError, NodeId, INFINITY};
-use rand::RngCore;
-
-/// What greedy routing needs from a distance backend: per-pair bounds on
-/// `dist_G(u, t)` and an honest account of resident memory. Exact
-/// backends return collapsed bounds (`lower == upper`); approximate
-/// backends return an admissible sandwich `lower ≤ dist ≤ upper`.
-///
-/// Object-safe, so serving layers can hold `Box<dyn DistanceOracle>` and
-/// swap backends per deployment.
-pub trait DistanceOracle {
-    /// The graph the oracle answers for.
-    fn graph(&self) -> &Graph;
-
-    /// `(lower, upper)` bounds on `dist_G(u, t)`, or `None` when the
-    /// oracle cannot answer this pair (endpoint out of range, or a
-    /// row-backed oracle asked about an uncached target). Disconnected
-    /// pairs report `upper == INFINITY` (and `lower == INFINITY` when
-    /// the oracle can prove it).
-    fn distance_bounds(&self, u: NodeId, t: NodeId) -> Option<(u32, u32)>;
-
-    /// `true` when every answered pair has `lower == upper == dist_G`.
-    fn is_exact(&self) -> bool;
-
-    /// Resident payload bytes backing the answers (rows or coordinates —
-    /// what a capacity planner should charge this oracle for).
-    fn resident_bytes(&self) -> usize;
-
-    /// Short stable backend name for logs and bench JSON.
-    fn backend(&self) -> &'static str;
-}
+use nav_graph::{Graph, GraphError, NodeId};
 
 /// Distance rows for a set of routing targets, each computed exactly once.
 ///
@@ -185,314 +131,6 @@ impl<'g> TargetDistanceCache<'g> {
     }
 }
 
-impl DistanceOracle for TargetDistanceCache<'_> {
-    fn graph(&self) -> &Graph {
-        self.g
-    }
-
-    fn distance_bounds(&self, u: NodeId, t: NodeId) -> Option<(u32, u32)> {
-        let d = self.dist(u, t)?;
-        Some((d, d))
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<u32>()
-            + self.targets.len() * std::mem::size_of::<NodeId>()
-    }
-
-    fn backend(&self) -> &'static str {
-        "exact-rows"
-    }
-}
-
-/// A landmark (pivot) distance oracle: `k` BFS passes from
-/// farthest-point-sampled landmarks embed every node as its distance
-/// vector to the landmarks, and every `(u, t)` pair — *any* pair, no
-/// target set declared up front — is answered from `2k` coordinate reads:
-///
-/// * **estimate** (upper bound): `min_i d(u, Lᵢ) + d(Lᵢ, t)` — the
-///   triangle-inequality route through the best landmark, always
-///   admissible (`≥ dist_G`);
-/// * **potential** (lower bound): `max_i |d(u, Lᵢ) − d(Lᵢ, t)|` — the
-///   ALT bound, always `≤ dist_G`, and the function greedy descent must
-///   use (descending on the estimate walks toward landmarks, not
-///   targets).
-///
-/// Selection is deterministic farthest-point sampling (no RNG, identical
-/// for every thread count): the first landmark is the far endpoint of a
-/// double sweep from node 0, each next landmark maximizes the distance to
-/// the chosen set (unreached nodes count as infinitely far, so extra
-/// landmarks spill into uncovered components; ties break to the smallest
-/// id).
-///
-/// Storage is one adaptive-width buffer ([`DistRowBuf`]) of `k·n`
-/// coordinates, laid out node-major — the `k` coordinates of a node are
-/// contiguous, so evaluating one routing candidate touches one cache line
-/// instead of `k` rows. At the default `k = 16` that is `32n` bytes
-/// against the `2n` bytes *per resident target* of exact rows: the
-/// oracle wins as soon as a workload keeps more than ~16 targets warm.
-#[derive(Clone, Debug)]
-pub struct LandmarkOracle<'g> {
-    g: &'g Graph,
-    k: usize,
-    landmarks: Vec<NodeId>,
-    /// Node-major `n × k` coordinates: `coords[v·k + i] = dist_G(v, Lᵢ)`.
-    coords: DistRowBuf,
-}
-
-impl<'g> LandmarkOracle<'g> {
-    /// Builds the oracle with `k` landmarks (clamped to `1..=n`; an empty
-    /// graph gets an empty oracle). Runs `k + 2` scalar BFS traversals;
-    /// the result is a pure function of `(g, k)`.
-    pub fn build(g: &'g Graph, k: usize) -> Self {
-        let n = g.num_nodes();
-        let k = k.min(n);
-        let mut landmarks: Vec<NodeId> = Vec::with_capacity(k);
-        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(k);
-        if k > 0 {
-            let mut bfs = Bfs::new(n);
-            let mut chosen = vec![false; n];
-            // Farthest distance to the chosen set, per node.
-            let mut mind = vec![INFINITY; n];
-            let (first, _, _) = double_sweep(g, 0);
-            let mut next = first;
-            for _ in 0..k {
-                chosen[next as usize] = true;
-                landmarks.push(next);
-                let row = bfs.distances(g, next);
-                for (m, &d) in mind.iter_mut().zip(&row) {
-                    *m = (*m).min(d);
-                }
-                rows.push(row);
-                // argmax of mind over unchosen nodes, smallest id on ties
-                // (strict > keeps the first maximum).
-                let mut best: Option<(u32, NodeId)> = None;
-                for (v, &m) in mind.iter().enumerate() {
-                    if chosen[v] {
-                        continue;
-                    }
-                    if best.is_none_or(|(bm, _)| m > bm) {
-                        best = Some((m, v as NodeId));
-                    }
-                }
-                match best {
-                    Some((_, v)) => next = v,
-                    None => break, // k == n: every node is a landmark
-                }
-            }
-        }
-        // Transpose landmark-major BFS rows into the node-major embedding.
-        let k = landmarks.len();
-        let mut wide = vec![0u32; k * n];
-        for (i, row) in rows.iter().enumerate() {
-            for (v, &d) in row.iter().enumerate() {
-                wide[v * k + i] = d;
-            }
-        }
-        LandmarkOracle {
-            g,
-            k,
-            landmarks,
-            coords: DistRowBuf::from_wide(&wide),
-        }
-    }
-
-    /// The graph the oracle was built on.
-    pub fn graph(&self) -> &'g Graph {
-        self.g
-    }
-
-    /// Number of landmarks actually placed (`≤` the requested `k`).
-    pub fn num_landmarks(&self) -> usize {
-        self.k
-    }
-
-    /// The landmarks in selection order.
-    pub fn landmarks(&self) -> &[NodeId] {
-        &self.landmarks
-    }
-
-    /// `dist_G(v, Lᵢ)` — one coordinate of the embedding.
-    #[inline]
-    pub fn coord(&self, v: NodeId, i: usize) -> u32 {
-        self.coords.get(v as usize * self.k + i)
-    }
-
-    /// The admissible upper bound `min_i d(u, Lᵢ) + d(Lᵢ, t)`
-    /// ([`INFINITY`] when no landmark reaches both endpoints).
-    pub fn estimate(&self, u: NodeId, t: NodeId) -> u32 {
-        let mut best = INFINITY as u64;
-        for i in 0..self.k {
-            let a = self.coord(u, i);
-            let b = self.coord(t, i);
-            if a == INFINITY || b == INFINITY {
-                continue;
-            }
-            best = best.min(a as u64 + b as u64);
-        }
-        best.min(INFINITY as u64) as u32
-    }
-
-    /// The ALT lower bound `max_i |d(u, Lᵢ) − d(Lᵢ, t)|`. A landmark
-    /// reaching exactly one endpoint proves the pair disconnected
-    /// ([`INFINITY`]); landmarks reaching neither are skipped.
-    pub fn potential(&self, u: NodeId, t: NodeId) -> u32 {
-        let mut best = 0u32;
-        for i in 0..self.k {
-            let a = self.coord(u, i);
-            let b = self.coord(t, i);
-            match (a == INFINITY, b == INFINITY) {
-                (true, true) => continue,
-                (true, false) | (false, true) => return INFINITY,
-                _ => best = best.max(a.abs_diff(b)),
-            }
-        }
-        best
-    }
-
-    /// A potential-descent router for target `t` — the landmark
-    /// counterpart of [`TargetDistanceCache::router`].
-    pub fn router(&self, t: NodeId) -> Result<LandmarkRouter<'_, 'g>, GraphError> {
-        self.g.check_node(t)?;
-        Ok(LandmarkRouter {
-            oracle: self,
-            target: t,
-        })
-    }
-}
-
-impl DistanceOracle for LandmarkOracle<'_> {
-    fn graph(&self) -> &Graph {
-        self.g
-    }
-
-    fn distance_bounds(&self, u: NodeId, t: NodeId) -> Option<(u32, u32)> {
-        let n = self.g.num_nodes();
-        if (u as usize) < n && (t as usize) < n {
-            Some((self.potential(u, t), self.estimate(u, t)))
-        } else {
-            None
-        }
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.coords.bytes() + self.landmarks.len() * std::mem::size_of::<NodeId>()
-    }
-
-    fn backend(&self) -> &'static str {
-        "landmark"
-    }
-}
-
-/// Greedy routing against a [`LandmarkOracle`]: the walker descends the
-/// ALT potential instead of the exact distance. Semantics mirror
-/// [`GreedyRouter`] — candidates are the local neighbours plus the
-/// current node's long-range contact; the contact wins only when
-/// **strictly** better (ties → local, then smallest id) — with two
-/// differences forced by approximation:
-///
-/// * stepping *onto the target* needs no potential comparison: if `t` is
-///   a local neighbour or the drawn contact, the walker takes it;
-/// * a step is taken only when it **strictly decreases** the potential —
-///   a plateau means the oracle has no gradient there, and the trial
-///   fails rather than wander. Strict descent also bounds every walk (a
-///   potential in `0..=diam` cannot decrease forever), so failures are
-///   honest measurements, not timeouts.
-pub struct LandmarkRouter<'o, 'g> {
-    oracle: &'o LandmarkOracle<'g>,
-    target: NodeId,
-}
-
-impl LandmarkRouter<'_, '_> {
-    /// The routing target.
-    pub fn target(&self) -> NodeId {
-        self.target
-    }
-
-    /// The potential the walker descends (`0` at the target).
-    #[inline]
-    pub fn potential(&self, u: NodeId) -> u32 {
-        self.oracle.potential(u, self.target)
-    }
-
-    /// Routes one trial from `source`, sampling long-range contacts
-    /// lazily from `scheme` — the landmark analogue of
-    /// [`GreedyRouter::route`], with `reached == false` on gradient
-    /// plateaus as well as disconnection.
-    pub fn route<S: AugmentationScheme + ?Sized>(
-        &self,
-        scheme: &S,
-        source: NodeId,
-        rng: &mut dyn RngCore,
-        max_steps: u32,
-        record_path: bool,
-    ) -> RouteOutcome {
-        let g = self.oracle.g;
-        let t = self.target;
-        let mut u = source;
-        let mut steps = 0u32;
-        let mut long_links_used = 0u32;
-        let mut path = if record_path {
-            Some(vec![source])
-        } else {
-            None
-        };
-        while u != t && steps < max_steps {
-            let contact = scheme.sample_contact(g, u, rng);
-            let next = if g.neighbors(u).binary_search(&t).is_ok() || contact == Some(t) {
-                Some(t)
-            } else {
-                let pu = self.potential(u);
-                if pu == INFINITY {
-                    None // provably disconnected
-                } else {
-                    let mut best: Option<(u32, NodeId)> = None;
-                    for &v in g.neighbors(u) {
-                        let p = self.potential(v);
-                        // Sorted adjacency ⇒ first strict improvement
-                        // wins ties by id.
-                        match best {
-                            Some((bp, _)) if p >= bp => {}
-                            _ => best = Some((p, v)),
-                        }
-                    }
-                    if let Some(c) = contact {
-                        let pc = self.potential(c);
-                        if best.is_none_or(|(bp, _)| pc < bp) {
-                            best = Some((pc, c));
-                        }
-                    }
-                    best.and_then(|(p, v)| (p < pu).then_some(v))
-                }
-            };
-            let Some(next) = next else {
-                break; // plateau or disconnection: measured failure
-            };
-            let long = contact == Some(next) && g.neighbors(u).binary_search(&next).is_err();
-            long_links_used += long as u32;
-            if let Some(p) = path.as_mut() {
-                p.push(next);
-            }
-            u = next;
-            steps += 1;
-        }
-        RouteOutcome {
-            steps,
-            reached: u == t,
-            long_links_used,
-            path,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,152 +201,5 @@ mod tests {
         let cache = TargetDistanceCache::build(&g, std::iter::empty(), 4).unwrap();
         assert_eq!(cache.num_targets(), 0);
         assert!(cache.row(0).is_none());
-    }
-
-    #[test]
-    fn exact_cache_implements_collapsed_bounds() {
-        let g = path(12);
-        let cache = TargetDistanceCache::build(&g, [11u32], 1).unwrap();
-        let oracle: &dyn DistanceOracle = &cache;
-        assert!(oracle.is_exact());
-        assert_eq!(oracle.backend(), "exact-rows");
-        assert_eq!(oracle.distance_bounds(0, 11), Some((11, 11)));
-        assert_eq!(oracle.distance_bounds(0, 5), None); // uncached target
-        assert!(oracle.resident_bytes() >= 12 * 4);
-        assert_eq!(oracle.graph().num_nodes(), 12);
-    }
-
-    #[test]
-    fn landmark_selection_is_farthest_point_and_deterministic() {
-        let g = path(33);
-        let a = LandmarkOracle::build(&g, 4);
-        let b = LandmarkOracle::build(&g, 4);
-        // Pure function of (g, k): same landmarks, same coordinates.
-        assert_eq!(a.landmarks(), b.landmarks());
-        for v in 0..33u32 {
-            for i in 0..4 {
-                assert_eq!(a.coord(v, i), b.coord(v, i));
-            }
-        }
-        // Double sweep from 0 on a path lands on an endpoint; the second
-        // farthest-point pick is the opposite endpoint.
-        assert_eq!(a.landmarks()[0], 32);
-        assert_eq!(a.landmarks()[1], 0);
-        assert_eq!(a.num_landmarks(), 4);
-    }
-
-    #[test]
-    fn landmark_bounds_sandwich_exact_distance() {
-        // Circulant: potential is not exact, but the sandwich must hold
-        // for every pair.
-        let n = 60usize;
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n as NodeId {
-            b.add_edge(u, (u + 1) % n as NodeId);
-            b.add_edge(u, (u + 9) % n as NodeId);
-        }
-        let g = b.build().unwrap();
-        let oracle = LandmarkOracle::build(&g, 5);
-        let exact = TargetDistanceCache::build(&g, 0..n as NodeId, 1).unwrap();
-        for u in 0..n as NodeId {
-            for t in 0..n as NodeId {
-                let d = exact.dist(u, t).unwrap();
-                let (lo, hi) = oracle.distance_bounds(u, t).unwrap();
-                assert!(lo <= d, "potential {lo} > exact {d} for ({u},{t})");
-                assert!(hi >= d, "estimate {hi} < exact {d} for ({u},{t})");
-            }
-        }
-    }
-
-    #[test]
-    fn landmark_potential_is_exact_on_paths_and_routes_them() {
-        use crate::uniform::NoAugmentation;
-        use nav_par::rng::seeded_rng;
-        let g = path(50);
-        let oracle = LandmarkOracle::build(&g, 2);
-        // Endpoint landmarks make |d(u,L) − d(t,L)| the true distance.
-        for u in 0..50u32 {
-            for t in 0..50u32 {
-                assert_eq!(oracle.potential(u, t), u.abs_diff(t));
-            }
-        }
-        let router = oracle.router(49).unwrap();
-        let out = router.route(
-            &NoAugmentation,
-            0,
-            &mut seeded_rng(1),
-            crate::routing::default_step_cap(&g),
-            true,
-        );
-        assert!(out.reached);
-        assert_eq!(out.steps, 49);
-        assert_eq!(out.long_links_used, 0);
-        assert_eq!(out.path.as_ref().unwrap().len(), 50);
-        assert!(oracle.router(50).is_err());
-    }
-
-    #[test]
-    fn landmark_router_counts_long_links_and_direct_steps() {
-        use nav_par::rng::seeded_rng;
-        // A scheme that always points at the target from anywhere.
-        struct Teleport(NodeId);
-        impl AugmentationScheme for Teleport {
-            fn name(&self) -> String {
-                "teleport".into()
-            }
-            fn sample_contact(
-                &self,
-                _g: &Graph,
-                _u: NodeId,
-                _rng: &mut dyn RngCore,
-            ) -> Option<NodeId> {
-                Some(self.0)
-            }
-        }
-        let g = path(40);
-        let oracle = LandmarkOracle::build(&g, 2);
-        let router = oracle.router(39).unwrap();
-        let out = router.route(&Teleport(39), 0, &mut seeded_rng(2), 41, false);
-        assert!(out.reached);
-        assert_eq!(out.steps, 1);
-        assert_eq!(out.long_links_used, 1);
-        // From 38 the contact coincides with the local edge: not long.
-        let out = router.route(&Teleport(39), 38, &mut seeded_rng(3), 41, false);
-        assert_eq!((out.steps, out.long_links_used), (1, 0));
-    }
-
-    #[test]
-    fn landmark_oracle_proves_disconnection() {
-        let g = GraphBuilder::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
-        let oracle = LandmarkOracle::build(&g, 3);
-        // Farthest-point sampling spills into the second component, so
-        // some landmark reaches exactly one side of a cross pair.
-        assert_eq!(oracle.potential(0, 4), INFINITY);
-        assert_eq!(oracle.estimate(0, 4), INFINITY);
-        let (lo, hi) = oracle.distance_bounds(0, 4).unwrap();
-        assert_eq!((lo, hi), (INFINITY, INFINITY));
-        assert!(oracle.distance_bounds(0, 6).is_none());
-        // A cross-component trial fails instead of wandering.
-        use crate::uniform::NoAugmentation;
-        use nav_par::rng::seeded_rng;
-        let router = oracle.router(4).unwrap();
-        let out = router.route(&NoAugmentation, 0, &mut seeded_rng(4), 7, false);
-        assert!(!out.reached);
-        assert_eq!(out.steps, 0);
-    }
-
-    #[test]
-    fn landmark_memory_is_k_coords_per_node() {
-        let g = path(100);
-        let oracle = LandmarkOracle::build(&g, 4);
-        let dyn_oracle: &dyn DistanceOracle = &oracle;
-        assert!(!dyn_oracle.is_exact());
-        assert_eq!(dyn_oracle.backend(), "landmark");
-        // Path distances fit 16 bits → narrow coords: 100·4·2 bytes plus
-        // the landmark list.
-        assert_eq!(dyn_oracle.resident_bytes(), 100 * 4 * 2 + 4 * 4);
-        // k clamps to n; the empty graph gets an empty oracle.
-        let tiny = GraphBuilder::from_edges(2, [(0, 1)]).unwrap();
-        assert_eq!(LandmarkOracle::build(&tiny, 10).num_landmarks(), 2);
     }
 }

@@ -14,8 +14,13 @@ use nav_graph::{Graph, GraphError, NodeId};
 use nav_obs::{ObsConfig, ObsSnapshot, QueryTrace, Registry, Stage, StageSpan};
 use nav_par::rng::task_rng;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Largest shard label count [`Engine::set_shards`] accepts: a wire
+/// handle addresses shard `s` in one byte as `s + 1`.
+pub const MAX_SHARDS: usize = 255;
 
 /// Construction-time knobs of an [`Engine`].
 #[derive(Clone, Copy, Debug)]
@@ -51,8 +56,8 @@ pub struct EngineConfig {
     /// an optional node-churn [`nav_core::faulty::FailurePlan`]. Faults
     /// are keyed by each query's RNG index — query `i` always sees the
     /// same drop coins and the same churn epoch, whatever the batch
-    /// split, thread count, cache size or shard layout — so the engine's
-    /// bit-identity contract extends unchanged to the faulty setting.
+    /// split, thread count or cache size — so the engine's bit-identity
+    /// contract extends unchanged to the faulty setting.
     /// `FaultConfig::default()` disables both dimensions.
     pub fault: FaultConfig,
     /// Observability: per-stage latency histograms and sampled query
@@ -60,7 +65,7 @@ pub struct EngineConfig {
     /// fixed-size, traces live in a ring — and the trace sampler is
     /// deterministic in `(seed, lifetime query index)`, so it can never
     /// perturb answers and the traced set is identical across thread
-    /// counts, batch splits, and shard layouts.
+    /// counts, batch splits, and shard counts.
     pub obs: ObsConfig,
     /// MS-BFS word-block width for the cold-fill passes and the batched
     /// sampler backends: 64, 128 or 256 bit-lanes per pass. Distance and
@@ -87,18 +92,21 @@ impl Default for EngineConfig {
 }
 
 /// Resumable state of one [`Engine`], as exported for the durability
-/// layer: the lifetime query counter (the RNG index the next `serve`
-/// continues from) and the resident rows in re-insertion order with
-/// their SLRU tier. Together with the construction inputs (graph,
-/// scheme, [`EngineConfig`]) this is everything a restore needs to
-/// answer the continuation of the stream bit-identically to the
-/// uninterrupted engine. No churn epoch travels: each query's epoch is a
+/// layer: the lifetime query and batch counters (the former is the RNG
+/// index the next `serve` continues from) and the resident rows in
+/// re-insertion order with their SLRU tier. Together with the
+/// construction inputs (graph, scheme, [`EngineConfig`]) this is
+/// everything a restore needs to answer the continuation of the stream
+/// bit-identically to the uninterrupted engine. No churn epoch travels: each query's epoch is a
 /// pure function of its RNG index, and rows are valid in every epoch.
 #[derive(Clone, Debug)]
 pub struct EngineState {
     /// Queries answered over the engine's lifetime ([`Engine::serve`]'s
     /// next RNG base).
     pub served: u64,
+    /// Batches served over the engine's lifetime
+    /// ([`EngineMetrics::batches`]).
+    pub batches: u64,
     /// Resident rows in re-insertion order (coldest first per tier); the
     /// `bool` is "protected" (see [`RowCache::export_rows`]).
     pub rows: Vec<(NodeId, Arc<DistRowBuf>, bool)>,
@@ -130,9 +138,9 @@ pub struct Engine {
     cache: RowCache,
     metrics: EngineMetrics,
     obs: Registry,
-    /// Which shard this engine is inside a [`crate::ShardedEngine`]
-    /// front (0 standalone) — stamped into query traces.
-    shard_label: u16,
+    /// Shard label count `k` ([`Engine::set_shards`]): target `t`
+    /// belongs to shard `t % k`. A label only, never a partition.
+    shards: usize,
     /// Lifetime query counter — the RNG index of the next query, which
     /// makes a batched stream equivalent to one long `run_trials`.
     served: u64,
@@ -151,7 +159,7 @@ impl Engine {
             cache: RowCache::with_policy(cfg.cache_bytes, cfg.admission),
             metrics: EngineMetrics::default(),
             obs: Registry::new(cfg.obs, cfg.seed),
-            shard_label: 0,
+            shards: 1,
             served: 0,
             last_epoch: 0,
             cap,
@@ -193,9 +201,32 @@ impl Engine {
         self.obs.snapshot()
     }
 
-    /// Labels this engine's traces with its shard index inside a front.
-    pub(crate) fn set_shard_label(&mut self, shard: u16) {
-        self.shard_label = shard;
+    /// Sets the shard label count `k` (`1` by default): target `t`
+    /// belongs to shard `t % k` ([`Engine::shard_of`]). The engine still
+    /// serves every target from its one graph and one row cache, so `k`
+    /// never changes an answer. It labels traces, and lets the network
+    /// front pin a wire handle to one shard's targets.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= k <= MAX_SHARDS` (the wire handle addresses a
+    /// shard in one byte).
+    pub fn set_shards(&mut self, k: usize) {
+        assert!(
+            (1..=MAX_SHARDS).contains(&k),
+            "shard count {k} outside 1..={MAX_SHARDS}"
+        );
+        self.shards = k;
+    }
+
+    /// The shard label count `k`.
+    pub fn num_shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The shard owning target `t`: `t % k`.
+    #[inline]
+    pub fn shard_of(&self, t: NodeId) -> usize {
+        t as usize % self.shards
     }
 
     /// Queries answered over the engine's lifetime.
@@ -216,13 +247,14 @@ impl Engine {
     pub fn export_state(&self) -> EngineState {
         EngineState {
             served: self.served,
+            batches: self.metrics.batches,
             rows: self.cache.export_rows(),
         }
     }
 
     /// Restores state exported by [`Engine::export_state`] into this
     /// engine (built from the same graph, scheme, and config): the
-    /// lifetime counter resumes the stream where it stopped, and the
+    /// lifetime counters resume the stream where it stopped, and the
     /// rows are re-admitted directly — they are exact full-graph
     /// distances, valid in whatever churn epoch the stream resumes in.
     /// Rows larger than this engine's capacity are rejected by the
@@ -231,6 +263,7 @@ impl Engine {
     /// [`CacheStats::rejected`]).
     pub fn import_state(&mut self, state: EngineState) {
         self.served = state.served;
+        self.metrics.batches = state.batches;
         for (t, row, protected) in state.rows {
             self.cache.import_row(t, row, protected);
         }
@@ -276,27 +309,8 @@ impl Engine {
         base: u64,
         sampler: SamplerMode,
     ) -> Result<BatchResult, GraphError> {
-        let bases: Vec<u64> = (0..batch.len() as u64).map(|i| base + i).collect();
-        self.serve_indexed(batch, &bases, sampler)
-    }
-
-    /// [`Self::serve_at`] with *every* query's RNG index explicit: query
-    /// `i` runs on the RNG derived from `(seed, bases[i])`. This is what
-    /// lets a sharded front tear one batch into per-shard sub-batches and
-    /// still answer bit-identically to a single engine: each query keeps
-    /// the RNG index it had in the original stream, no matter which shard
-    /// executes it or in what grouping. The lifetime counter is not
-    /// advanced.
-    ///
-    /// # Panics
-    /// Panics if `bases.len() != batch.len()`.
-    pub fn serve_indexed(
-        &mut self,
-        batch: &QueryBatch,
-        bases: &[u64],
-        sampler: SamplerMode,
-    ) -> Result<BatchResult, GraphError> {
-        assert_eq!(bases.len(), batch.len(), "one RNG index per query required");
+        // Query `i` of the batch runs on RNG index `base + i`.
+        let indices = |range: Range<usize>| base + range.start as u64..base + range.end as u64;
         let obs_on = self.obs.stages_enabled();
         let t0 = Instant::now();
         // --- admission -----------------------------------------------
@@ -311,8 +325,7 @@ impl Engine {
         span.finish(self.obs.stages_mut());
         // --- churn tick -----------------------------------------------
         // A batch's churn epoch is the max epoch any of its queries lands
-        // in (stable under query permutation and sub-batch partitioning).
-        // A change from the last batch's epoch counts as one flip. It
+        // in. A change from the last batch's epoch counts as one flip. It
         // touches nothing else: every query routes under its own epoch
         // (from its RNG index) on an exact full-graph row, so resident
         // rows stay valid across the flip.
@@ -320,7 +333,7 @@ impl Engine {
             .cfg
             .fault
             .plan
-            .and_then(|plan| bases.iter().map(|&b| plan.epoch_of(b)).max());
+            .and_then(|plan| indices(0..batch.len()).map(|i| plan.epoch_of(i)).max());
         let mut epoch_flips = 0u64;
         if let Some(epoch) = batch_epoch.filter(|&e| e != self.last_epoch) {
             self.last_epoch = epoch;
@@ -362,7 +375,7 @@ impl Engine {
         let span = StageSpan::begin(Stage::Trials, obs_on);
         let fault = self.cfg.fault;
         // Trace sampling is pure in the query's RNG index, so the traced
-        // set is identical whatever thread or sub-batch runs the query.
+        // set is identical whatever thread or batch split runs the query.
         let tracer = self.obs.sampler();
         // Transient sampler state, byte-capped by the engine's one memory
         // knob; one sampler per work unit, freed when the unit answers.
@@ -380,23 +393,22 @@ impl Engine {
             let queries = &batch.queries[range.clone()];
             let routers: Vec<GreedyRouter<'_>> = queries
                 .iter()
-                .zip(&bases[range.clone()])
-                .map(|(q, &base)| {
+                .zip(indices(range.clone()))
+                .map(|(q, index)| {
                     let row = rows.get(&q.t).expect("row staged above");
                     let router = GreedyRouter::from_row_view(&self.g, q.t, row.view())
                         .expect("endpoints validated at admission");
                     // The query's churn epoch is a pure function of its
-                    // RNG index, so a retried or re-sharded query always
-                    // routes under the same down-node set.
+                    // RNG index, so a retried query always routes under
+                    // the same down-node set.
                     match fault.plan {
-                        Some(plan) => router.with_fault(plan, plan.epoch_of(base)),
+                        Some(plan) => router.with_fault(plan, plan.epoch_of(index)),
                         None => router,
                     }
                 })
                 .collect();
-            let mut rngs: Vec<_> = bases[range.clone()]
-                .iter()
-                .map(|&base| task_rng(self.cfg.seed, base))
+            let mut rngs: Vec<_> = indices(range.clone())
+                .map(|index| task_rng(self.cfg.seed, index))
                 .collect();
             let mut jobs: Vec<PairJob<'_, '_>> = queries
                 .iter()
@@ -415,14 +427,11 @@ impl Engine {
             let mut answers: Vec<(PairStats, u64, u64, Option<f64>)> =
                 Vec::with_capacity(jobs.len());
             let mut sampler_stats = SamplerStats::default();
-            let groups = jobs
-                .chunks_mut(group)
-                .zip(routers.chunks(group))
-                .zip(bases[range].chunks(group));
-            for ((group_jobs, group_routers), group_bases) in groups {
-                let clock = group_bases
-                    .iter()
-                    .any(|&b| tracer.hits(b))
+            let groups = jobs.chunks_mut(group).zip(routers.chunks(group));
+            for (gi, (group_jobs, group_routers)) in groups.enumerate() {
+                let first = range.start + gi * group;
+                let clock = indices(first..first + group_jobs.len())
+                    .any(|i| tracer.hits(i))
                     .then(Instant::now);
                 // At `drop_prob == 0` the coin is never drawn, so the
                 // wrapper leaves the RNG stream untouched.
@@ -445,13 +454,14 @@ impl Engine {
             sampler_stats.merge(&unit_stats);
             for (ps, dropped, rerouted, trace_ms) in unit_answers {
                 let i = answers.len();
-                if let Some(trials_ms) = trace_ms.filter(|_| tracer.hits(bases[i])) {
+                let index = base + i as u64;
+                if let Some(trials_ms) = trace_ms.filter(|_| tracer.hits(index)) {
                     let q = &batch.queries[i];
                     self.obs.record_trace(QueryTrace {
-                        index: bases[i],
+                        index,
                         s: q.s,
                         t: q.t,
-                        shard: self.shard_label,
+                        shard: self.shard_of(q.t) as u16,
                         // `cold` is sorted (built from the sorted target list).
                         cache_hit: cold.binary_search(&q.t).is_err(),
                         trials: q.trials as u64,
@@ -991,6 +1001,109 @@ mod tests {
         assert!(e.serve(&bad).is_err());
         assert_eq!(e.queries_served(), 0);
         assert_eq!(e.metrics().batches, 0);
+    }
+
+    #[test]
+    fn sharded_engine_rejects_before_any_row_fills() {
+        let g = path(10);
+        let mut e = Engine::new(g, Box::new(UniformScheme), EngineConfig::default());
+        e.set_shards(3);
+        // The valid query's target is not filled before the bad one is seen.
+        let bad = QueryBatch::from_pairs(&[(0, 4), (0, 10)], 2);
+        assert!(e.serve(&bad).is_err());
+        assert_eq!(e.queries_served(), 0);
+        assert_eq!(e.metrics().batches, 0);
+        assert_eq!(e.cache_stats().misses, 0);
+    }
+
+    #[test]
+    fn shard_labels_never_change_answers() {
+        let g = path(90);
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..24u32).map(|i| (i * 3 % 90, 89 - (i % 11))).collect();
+        let cfg = EngineConfig {
+            seed: 17,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            ..EngineConfig::default()
+        };
+        let mut single = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let want = single.serve(&QueryBatch::from_pairs(&pairs, 7)).unwrap();
+        for k in [1usize, 2, 3, 5, 8] {
+            let mut e = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+            e.set_shards(k);
+            assert_eq!(e.num_shards(), k);
+            let got = e.serve(&QueryBatch::from_pairs(&pairs, 7)).unwrap();
+            assert!(identical(&got.answers, &want.answers), "k={k}");
+            assert_eq!(
+                (got.warm_targets, got.cold_targets),
+                (want.warm_targets, want.cold_targets),
+                "k={k}"
+            );
+            assert_eq!(e.queries_served(), 24);
+        }
+    }
+
+    #[test]
+    fn batch_splits_and_shard_counts_commute() {
+        let g = path(90);
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..24u32).map(|i| (i * 3 % 90, 89 - (i % 11))).collect();
+        let cfg = EngineConfig {
+            seed: 23,
+            threads: 1,
+            cache_bytes: 1 << 18,
+            ..EngineConfig::default()
+        };
+        let mut whole = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        whole.set_shards(4);
+        let want = whole.serve(&QueryBatch::from_pairs(&pairs, 5)).unwrap();
+        let mut split = Engine::new(g, Box::new(UniformScheme), cfg);
+        split.set_shards(2);
+        let mut got = Vec::new();
+        for chunk in pairs.chunks(7) {
+            got.extend(
+                split
+                    .serve(&QueryBatch::from_pairs(chunk, 5))
+                    .unwrap()
+                    .answers,
+            );
+        }
+        assert!(identical(&want.answers, &got));
+    }
+
+    #[test]
+    fn shard_labels_stamp_traces() {
+        let g = path(90);
+        let cfg = EngineConfig {
+            seed: 31,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            obs: ObsConfig {
+                stages: true,
+                trace_every: 1, // trace everything
+                trace_capacity: 64,
+            },
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(g, Box::new(UniformScheme), cfg);
+        e.set_shards(3);
+        assert_eq!((e.shard_of(58), e.shard_of(59), e.shard_of(60)), (1, 2, 0));
+        let pairs: Vec<(NodeId, NodeId)> = (0..24u32).map(|i| (i, 89 - (i % 11))).collect();
+        e.serve(&QueryBatch::from_pairs(&pairs, 4)).unwrap();
+        let snap = e.obs_snapshot();
+        let idx: Vec<u64> = snap.traces.iter().map(|t| t.index).collect();
+        assert_eq!(idx, (0..24u64).collect::<Vec<_>>());
+        for t in &snap.traces {
+            assert_eq!(t.shard as usize, t.t as usize % 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=255")]
+    fn set_shards_refuses_counts_the_handle_byte_cannot_address() {
+        let mut e = Engine::new(path(4), Box::new(NoAugmentation), EngineConfig::default());
+        e.set_shards(MAX_SHARDS + 1);
     }
 
     #[test]

@@ -7,8 +7,7 @@ use nav_obs::LogHistogram;
 /// Counters and a bounded latency histogram accumulated across every
 /// batch an engine has served. Memory is O(1) in queries served: the
 /// per-batch samples land in a fixed-size [`LogHistogram`] instead of a
-/// growing vector, and two metrics merge ([`EngineMetrics::merge`]) so a
-/// sharded front can present one lifetime view.
+/// growing vector.
 #[derive(Clone, Debug, Default)]
 pub struct EngineMetrics {
     /// Queries answered.
@@ -79,24 +78,6 @@ impl EngineMetrics {
         self.dropped_links += dropped_links;
         self.rerouted_hops += rerouted_hops;
         self.epoch_flips += epoch_flips;
-    }
-
-    /// Adds `other`'s counters and latency histogram into `self` — how a
-    /// sharded front folds per-shard metrics into one view.
-    pub fn merge(&mut self, other: &EngineMetrics) {
-        self.queries += other.queries;
-        self.batches += other.batches;
-        self.trials += other.trials;
-        self.warm_targets += other.warm_targets;
-        self.cold_targets += other.cold_targets;
-        self.total_ms += other.total_ms;
-        self.sampler.merge(&other.sampler);
-        self.dropped_links += other.dropped_links;
-        self.rerouted_hops += other.rerouted_hops;
-        self.epoch_flips += other.epoch_flips;
-        self.batch_ms.merge(&other.batch_ms);
-        #[cfg(test)]
-        self.batch_ms_exact.extend_from_slice(&other.batch_ms_exact);
     }
 
     /// The per-batch latency histogram (milliseconds).
@@ -177,26 +158,5 @@ mod tests {
         ] {
             assert!(a >= e / gamma && a <= e * gamma, "approx {a} vs exact {e}");
         }
-    }
-
-    #[test]
-    fn merge_combines_counters_and_histograms() {
-        let mut a = EngineMetrics::default();
-        let mut b = EngineMetrics::default();
-        a.record_batch(10, 20, 1, 2, 5.0);
-        b.record_batch(30, 40, 3, 4, 15.0);
-        b.record_fault(1, 2, 3);
-        a.merge(&b);
-        assert_eq!(a.queries, 40);
-        assert_eq!(a.batches, 2);
-        assert_eq!(a.trials, 60);
-        assert_eq!(a.warm_targets, 4);
-        assert_eq!(a.cold_targets, 6);
-        assert_eq!(a.dropped_links, 1);
-        assert_eq!(a.epoch_flips, 3);
-        assert_eq!(a.batch_hist().count(), 2);
-        let lat = a.latency().unwrap();
-        assert_eq!(lat.min, 5.0);
-        assert_eq!(lat.max, 15.0);
     }
 }

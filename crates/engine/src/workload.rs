@@ -10,7 +10,7 @@
 //! graph gnp 4096 42        # family, approx node count, build seed
 //! trials 8                 # default trials per query
 //! batch 512                # queries per service batch
-//! shards 4                 # target shards for the serving front (default 1)
+//! shards 4                 # shard label count of the serving engine (default 1)
 //! fault 0.25 3             # drop probability, churn epochs (default off)
 //! query 17 999             # explicit query (optional trailing trials)
 //! query 3 999 32
@@ -95,10 +95,10 @@ pub struct WorkloadSpec {
     pub default_trials: usize,
     /// Queries per service batch when replaying.
     pub batch_size: usize,
-    /// Target shards the serving front should run (`1` = a single
-    /// engine; see [`crate::ShardedEngine`]). Answers are bit-identical
-    /// either way — this is a deployment knob the file carries so scale
-    /// benches replay the same topology.
+    /// Shard label count the serving engine should run with (`1` by
+    /// default; see [`crate::Engine::set_shards`]). Answers are
+    /// bit-identical at every count; the file carries it so a replay
+    /// labels traces and pins wire handles the same way.
     pub shards: usize,
     /// The query stream, in order.
     pub queries: Vec<Query>,
@@ -211,7 +211,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, WorkloadError> {
             }
             "shards" => {
                 shards = parse_num(tok.next(), ln, "shard count")?;
-                if shards == 0 || shards > 255 {
+                if shards == 0 || shards > crate::MAX_SHARDS {
                     return Err(bad(ln, "shard count must be in 1..=255"));
                 }
             }

@@ -223,18 +223,18 @@ pub struct ErrorFrame {
 pub struct StatsRequest {
     /// Which graph/scheme registry to snapshot (same addressing as
     /// [`Request::handle`]; the shard byte is ignored — stats always
-    /// describe the whole front).
+    /// describe the whole engine).
     pub handle: u32,
 }
 
 /// The server's observability snapshot: lifetime engine/cache counters,
-/// per-stage latency histograms (engine stages merged across shards plus
-/// the server's own wire stages), and the retained sampled traces.
+/// per-stage latency histograms (engine stages plus the server's own wire
+/// stages), and the retained sampled traces.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsReply {
-    /// Engine and cache counters, merged across shards.
+    /// Engine and cache counters.
     pub metrics: MetricsSnapshot,
-    /// Number of shards behind the front.
+    /// The engine's shard label count (`Engine::num_shards`).
     pub shards: u32,
     /// Stage histograms and sampled traces.
     pub obs: ObsSnapshot,
@@ -246,7 +246,7 @@ pub struct StatsReply {
 pub struct SnapshotRequest {
     /// Which graph/scheme to snapshot (same addressing as
     /// [`Request::handle`]; the shard byte is ignored — a snapshot always
-    /// covers the whole front).
+    /// covers the whole engine).
     pub handle: u32,
 }
 

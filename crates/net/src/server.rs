@@ -21,7 +21,7 @@ use crate::frame::{
     FrameError, MetricsSnapshot, ReadError, Request, Response, SnapshotReply, SnapshotRequest,
     StatsReply, StatsRequest, DEFAULT_MAX_PAYLOAD,
 };
-use nav_engine::{Engine, QueryBatch, ShardedEngine};
+use nav_engine::{Engine, QueryBatch};
 use nav_obs::{Stage, StageSet};
 use nav_store::{RecordWriter, Snapshot};
 use std::collections::VecDeque;
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// How many low bits of a request handle name the tenant; the remaining
-/// top byte selects a shard (see [`compose_handle`]).
+/// top byte may pin a shard (see [`compose_handle`]).
 pub const TENANT_BITS: u32 = 24;
 
 /// Mask extracting the tenant from a request handle.
@@ -47,8 +47,7 @@ pub const TENANT_MASK: u32 = (1 << TENANT_BITS) - 1;
 
 /// Composes a wire handle from a tenant id and an optional shard: the
 /// low 24 bits carry the tenant, the top byte carries `shard + 1`
-/// (`0` = let the front route by target). The inverse is
-/// [`split_handle`].
+/// (`0` = any target). The inverse is [`split_handle`].
 ///
 /// ```
 /// use nav_net::{compose_handle, split_handle};
@@ -63,7 +62,7 @@ pub fn compose_handle(tenant: u32, shard: Option<usize>) -> u32 {
 }
 
 /// Splits a wire handle into `(tenant, shard)` — `shard == None` means
-/// front routing by target.
+/// the request may name any target.
 pub fn split_handle(handle: u32) -> (u32, Option<usize>) {
     let sel = handle >> TENANT_BITS;
     (handle & TENANT_MASK, (sel > 0).then(|| sel as usize - 1))
@@ -74,10 +73,9 @@ pub fn split_handle(handle: u32) -> (u32, Option<usize>) {
 pub struct NetConfig {
     /// The tenant id requests must name in the low [`TENANT_BITS`] bits
     /// of their handle (must itself fit 24 bits). The top handle byte is
-    /// *routing*, not identity: `0` lets the front route each query to
-    /// the shard owning its target, `s > 0` addresses shard `s − 1`
-    /// directly and refuses queries whose targets that shard does not
-    /// own.
+    /// a *pin*, not identity: `0` accepts any target, `s > 0` pins the
+    /// request to shard `s − 1` and refuses queries whose targets that
+    /// shard does not own ([`Engine::shard_of`]).
     pub handle: u32,
     /// Connection-handling worker threads (each engine batch additionally
     /// fans out to `EngineConfig::threads` compute workers).
@@ -185,7 +183,7 @@ impl ConnQueue {
 }
 
 struct Shared {
-    engine: Mutex<ShardedEngine>,
+    engine: Mutex<Engine>,
     cfg: NetConfig,
     conns: ConnQueue,
     stop: AtomicBool,
@@ -223,19 +221,9 @@ pub struct ServerHandle {
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) around
-    /// `engine`, served as a single shard.
+    /// `engine`. A handle's top byte may pin a request to one of the
+    /// engine's [`Engine::num_shards`] shards (see [`compose_handle`]).
     pub fn bind(engine: Engine, cfg: NetConfig, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::bind_sharded(ShardedEngine::from_engine(engine), cfg, addr)
-    }
-
-    /// [`NetServer::bind`] around an already-sharded front: the handle's
-    /// top byte then selects a shard (`0` = route by target; see
-    /// [`compose_handle`]).
-    pub fn bind_sharded(
-        engine: ShardedEngine,
-        cfg: NetConfig,
-        addr: impl ToSocketAddrs,
-    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(NetServer {
             listener,
@@ -477,11 +465,10 @@ fn refusal_for(e: &FrameError) -> Frame {
 }
 
 /// Executes one admitted request against the engine. The handle's low 24
-/// bits must name this server's tenant; the top byte routes — `0` lets
-/// the front place each query on the shard owning its target, `s > 0`
-/// addresses shard `s − 1` directly (refusing targets it does not own,
-/// so a misrouted client learns immediately instead of silently shifting
-/// another shard's stream).
+/// bits must name this server's tenant; the top byte pins — `0` accepts
+/// any target, `s > 0` pins the request to shard `s − 1` (refusing
+/// targets it does not own, so a misrouted client learns immediately).
+/// Either way the one engine answers at the request's `rng_base`.
 fn answer(shared: &Shared, req: Request) -> Frame {
     let (tenant, shard) = split_handle(req.handle);
     if tenant != shared.cfg.handle & TENANT_MASK {
@@ -534,11 +521,7 @@ fn answer(shared: &Shared, req: Request) -> Frame {
             });
         }
     }
-    let result = match shard {
-        Some(s) => engine.serve_on(s, &batch, req.rng_base, req.sampler),
-        None => engine.serve_at(&batch, req.rng_base, req.sampler),
-    };
-    match result {
+    match engine.serve_at(&batch, req.rng_base, req.sampler) {
         Ok(result) => Frame::Response(Response {
             answers: result.answers,
             metrics: metrics_snapshot(shared, &engine),
@@ -550,10 +533,10 @@ fn answer(shared: &Shared, req: Request) -> Frame {
     }
 }
 
-/// The wire view of the engine's merged counters (plus the serving
-/// front's own `timeout_setup_failures`), shared by every
-/// [`Response`] and [`StatsReply`].
-fn metrics_snapshot(shared: &Shared, engine: &ShardedEngine) -> MetricsSnapshot {
+/// The wire view of the engine's counters (plus the serving front's own
+/// `timeout_setup_failures`), shared by every [`Response`] and
+/// [`StatsReply`].
+fn metrics_snapshot(shared: &Shared, engine: &Engine) -> MetricsSnapshot {
     let m = engine.metrics();
     let c = engine.cache_stats();
     MetricsSnapshot {
@@ -576,11 +559,10 @@ fn metrics_snapshot(shared: &Shared, engine: &ShardedEngine) -> MetricsSnapshot 
     }
 }
 
-/// Answers a [`StatsRequest`]: the merged engine counters, every shard's
-/// stage histograms and sampled traces, plus the serving front's own
-/// wire-stage timings (socket/decode/encode) merged in. Tenant-checked
-/// like a query; the handle's shard byte is ignored — stats are always
-/// the whole front's view.
+/// Answers a [`StatsRequest`]: the engine counters, stage histograms and
+/// sampled traces, plus the serving front's own wire-stage timings
+/// (socket/decode/encode) merged in. Tenant-checked like a query; the
+/// handle's shard byte is ignored — stats always cover the whole engine.
 fn stats_reply(shared: &Shared, req: StatsRequest) -> Frame {
     let (tenant, _) = split_handle(req.handle);
     if tenant != shared.cfg.handle & TENANT_MASK {
@@ -610,7 +592,7 @@ fn stats_reply(shared: &Shared, req: StatsRequest) -> Frame {
 /// state under the engine lock (so the snapshot sits at a batch
 /// boundary) and ships the encoded `nav-store` bytes. Tenant-checked
 /// like a query; the handle's shard byte is ignored — a snapshot always
-/// covers the whole front.
+/// covers the whole engine.
 fn snapshot_reply(shared: &Shared, req: SnapshotRequest) -> Frame {
     let (tenant, _) = split_handle(req.handle);
     if tenant != shared.cfg.handle & TENANT_MASK {

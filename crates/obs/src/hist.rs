@@ -3,7 +3,7 @@
 //! [`LogHistogram`] replaces the unbounded per-batch `Vec<f64>` the engine
 //! used to keep: 64 fixed buckets whose boundaries grow geometrically, so
 //! memory is O(1) in samples recorded and two histograms merge by adding
-//! bucket counts elementwise (the property shard aggregation needs).
+//! bucket counts elementwise (the property digest aggregation needs).
 //!
 //! Buckets 1..=62 span [`LogHistogram::MIN_MS`] to
 //! `MIN_MS * 10^`[`LogHistogram::DECADES`] (1 µs to 10 s when samples are

@@ -5,14 +5,14 @@
 //! - [`LogHistogram`] — a 64-bucket log-spaced latency histogram with a
 //!   declared multiplicative quantile-error bound
 //!   ([`LogHistogram::error_factor`], ≈ 1.14) and elementwise
-//!   [`LogHistogram::merge`] so shards aggregate without sample vectors.
+//!   [`LogHistogram::merge`] so digests aggregate without sample vectors.
 //! - [`Stage`] spans — a zero-alloc [`StageSpan`] guard times named
 //!   pipeline stages (engine: admission/cache/cold-fill/trials; server:
 //!   decode/encode/socket) into a per-stage [`StageSet`]; disabled spans
 //!   cost one branch.
 //! - Sampled traces — a [`TraceSampler`] picks 1-in-N queries
 //!   deterministically from the lifetime query index (identical picks
-//!   across threads, batch splits, and shards), recording a
+//!   across threads, batch splits, and shard counts), recording a
 //!   [`QueryTrace`] into a bounded [`TraceRing`].
 //!
 //! An engine owns a [`Registry`]; [`Registry::snapshot`] freezes it into

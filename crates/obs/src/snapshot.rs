@@ -2,10 +2,10 @@
 //!
 //! A [`Registry`] is the mutable state one engine owns: configuration,
 //! the deterministic trace sampler, per-stage histograms, and the trace
-//! ring. An [`ObsSnapshot`] is its frozen, mergeable view — shards merge
-//! their snapshots into one front-level picture, the network server adds
-//! its own wire-stage samples, and the result renders as a plain-text
-//! `/metrics`-style exposition, a JSON object, or an aligned table.
+//! ring. An [`ObsSnapshot`] is its frozen, mergeable view — the network
+//! server adds its own wire-stage samples, and the result renders as a
+//! plain-text `/metrics`-style exposition, a JSON object, or an aligned
+//! table.
 
 use crate::hist::LogHistogram;
 use crate::stage::{Stage, StageSet};

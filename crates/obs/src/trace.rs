@@ -3,7 +3,7 @@
 //! The sampler picks 1-in-N queries deterministically from the query's
 //! lifetime RNG index — the same address every other piece of this stack
 //! keys on — so the set of traced queries is identical across thread
-//! counts, batch splits, and shard layouts, and a captured trace can be
+//! counts, batch splits, and shard counts, and a captured trace can be
 //! replayed exactly. Traces land in a bounded ring buffer: memory stays
 //! O(capacity) no matter how long the server runs.
 
@@ -59,7 +59,8 @@ pub struct QueryTrace {
     pub s: u32,
     /// Target node.
     pub t: u32,
-    /// Shard that served the query (0 on an unsharded engine).
+    /// Shard label of the query's target: `t % k` for an engine with
+    /// `k` shards (0 when `k == 1`).
     pub shard: u16,
     /// Whether the target's distance row was already resident.
     pub cache_hit: bool,

@@ -13,20 +13,28 @@
 //! for realized schemes — the joint draw itself, never the distribution
 //! it came from), `CONFIG` (every answer-determining engine knob; thread
 //! count and observability are restore-time parameters because they are
-//! answer-invisible by contract), `SHARDS` (front counters plus per
-//! shard the lifetime counter, one reserved u64, and resident rows with
-//! their SLRU tier), and `WIDTH` (the engine's MS-BFS lane width — one
+//! answer-invisible by contract), `SHARDS` (the engine's lifetime query
+//! and batch counters and its shard count `k`, then `k` records of
+//! resident rows with their SLRU tier), and `WIDTH` (the engine's MS-BFS
+//! lane width — one
 //! byte, defaulting to 64 lanes when absent so pre-width snapshots
 //! restore unchanged). Readers skip unknown section ids, so the format
 //! can grow sections without a version bump; a version bump means the
 //! header itself changed.
 //!
-//! The reserved u64 after each shard's lifetime counter once held the
-//! row cache's churn epoch. Rows are exact full-graph distances, valid
-//! in every epoch, so nothing reads it any more: writers put 0 there and
-//! readers skip it. Keeping the slot means no version bump — older
-//! snapshots (with a nonzero slot) restore, and older readers accept new
-//! snapshots.
+//! The `SHARDS` layout dates from when each shard was its own engine
+//! with its own cache. One engine now serves every shard from one cache,
+//! and the layout is kept so neither side needs a version bump:
+//!
+//! * writers put the engine's counters in the front slots, then write
+//!   record `s` with the rows whose key is `s` mod `k`, and 0 in the
+//!   record's own served counter and in its reserved u64 (which once
+//!   held a churn epoch). An older reader rebuilds an equivalent
+//!   `k`-shard front from it;
+//! * readers merge every record's rows, in record order, into the one
+//!   cache, and skip each record's served counter and reserved u64.
+//!   Rows that no longer fit are rejected by the cache's normal
+//!   admission control. A shard count outside `1..=255` is malformed.
 
 use crate::cursor::Cur;
 use crate::StoreError;
@@ -36,7 +44,7 @@ use nav_core::realization::Realization;
 use nav_core::sampler::SamplerMode;
 use nav_core::scheme::AugmentationScheme;
 use nav_core::uniform::{NoAugmentation, UniformScheme};
-use nav_engine::{AdmissionPolicy, Engine, EngineConfig, EngineState, ShardedEngine};
+use nav_engine::{AdmissionPolicy, Engine, EngineConfig, EngineState, MAX_SHARDS};
 use nav_graph::distance::DistRowBuf;
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::{GraphBuilder, NodeId};
@@ -98,8 +106,8 @@ impl SchemeSpec {
     }
 
     /// Builds a boxed scheme for serving `g`. Each call produces an
-    /// identical scheme, which is exactly what a sharded front's
-    /// scheme factory requires for bit-identity.
+    /// identical scheme, so a restored engine samples exactly as the
+    /// captured one did.
     pub fn build(&self, g: &nav_graph::Graph) -> Box<dyn AugmentationScheme + Send> {
         match self {
             SchemeSpec::None => Box::new(NoAugmentation),
@@ -119,7 +127,7 @@ impl SchemeSpec {
     }
 }
 
-/// A decoded (or about-to-be-encoded) snapshot of a serving front: the
+/// A decoded (or about-to-be-encoded) snapshot of a serving engine: the
 /// construction inputs plus the warm state. See the module docs for the
 /// byte layout and [`Snapshot::capture`] / [`Snapshot::restore`] /
 /// [`Snapshot::encode`] / [`Snapshot::decode`] for the four endpoints.
@@ -141,7 +149,7 @@ pub struct Snapshot {
     /// Per-step sampling backend ([`EngineConfig::sampler`]).
     pub sampler: SamplerMode,
     /// Fault injection config ([`EngineConfig::fault`]) — the churn plan
-    /// travels with the snapshot so a restored front keeps flipping
+    /// travels with the snapshot so a restored engine keeps flipping
     /// epochs on the same schedule.
     pub fault: FaultConfig,
     /// MS-BFS lane width ([`EngineConfig::width`]). Travels with the
@@ -149,46 +157,43 @@ pub struct Snapshot {
     /// the width that produced them; snapshots written before the
     /// `WIDTH` section existed restore at the 64-lane default.
     pub width: LaneWidth,
-    /// Queries answered at the front (the next `serve` RNG base).
-    pub front_served: u64,
-    /// Batches accepted at the front.
-    pub front_batches: u64,
-    /// Per-shard resumable state, in shard order.
-    pub shards: Vec<EngineState>,
+    /// The engine's shard label count ([`Engine::num_shards`]).
+    pub shards: usize,
+    /// The engine's lifetime counters and resident rows
+    /// ([`Engine::export_state`]).
+    pub state: EngineState,
 }
 
 impl Snapshot {
-    /// Freezes a serving front into a snapshot: graph, scheme, the
-    /// answer-determining config, front counters, and every shard's
-    /// lifetime counter and resident rows. The front is not disturbed.
-    /// Errors only when the scheme cannot be represented
-    /// ([`StoreError::UnsupportedScheme`]).
-    pub fn capture(front: &ShardedEngine) -> Result<Self, StoreError> {
-        let g = front.graph();
-        let cfg = front.config();
+    /// Freezes a serving engine into a snapshot: graph, scheme, the
+    /// answer-determining config, shard count, lifetime counters, and
+    /// resident rows. The engine is not disturbed. Errors only when the
+    /// scheme cannot be represented ([`StoreError::UnsupportedScheme`]).
+    pub fn capture(engine: &Engine) -> Result<Self, StoreError> {
+        let g = engine.graph();
+        let cfg = engine.config();
         Ok(Snapshot {
             num_nodes: g.num_nodes(),
             edges: g.edge_list(),
-            scheme: SchemeSpec::capture(front.shards()[0].scheme())?,
+            scheme: SchemeSpec::capture(engine.scheme())?,
             seed: cfg.seed,
             cache_bytes: cfg.cache_bytes,
             admission: cfg.admission,
             sampler: cfg.sampler,
             fault: cfg.fault,
             width: cfg.width,
-            front_served: front.queries_served(),
-            front_batches: front.front_batches(),
-            shards: front.shards().iter().map(Engine::export_state).collect(),
+            shards: engine.num_shards(),
+            state: engine.export_state(),
         })
     }
 
-    /// Rehydrates a serving front. `threads` and `obs` are restore-time
+    /// Rehydrates a serving engine. `threads` and `obs` are restore-time
     /// parameters — both are answer-invisible by the engine's
     /// determinism contract, so a snapshot taken at one thread count
-    /// restores at any other without changing a bit. Per-shard rows are
-    /// re-admitted as they were exported, so a restored cache is warm in
-    /// whatever churn epoch the stream resumes in.
-    pub fn restore(&self, threads: usize, obs: ObsConfig) -> Result<ShardedEngine, StoreError> {
+    /// restores at any other without changing a bit. Rows are re-admitted
+    /// as they were exported, so a restored cache is warm in whatever
+    /// churn epoch the stream resumes in.
+    pub fn restore(&self, threads: usize, obs: ObsConfig) -> Result<Engine, StoreError> {
         if let SchemeSpec::Realized(table) = &self.scheme {
             if table.len() != self.num_nodes {
                 return Err(StoreError::Malformed("contact table length != node count"));
@@ -212,16 +217,14 @@ impl Snapshot {
             width: self.width,
             obs,
         };
-        if self.shards.is_empty() {
-            return Err(StoreError::Malformed("snapshot carries no shards"));
+        if !(1..=MAX_SHARDS).contains(&self.shards) {
+            return Err(StoreError::Malformed("shard count outside 1..=255"));
         }
-        let mut front =
-            ShardedEngine::new(g.clone(), || self.scheme.build(&g), cfg, self.shards.len());
-        front.restore_front(self.front_served, self.front_batches);
-        for (engine, state) in front.shards_mut().iter_mut().zip(&self.shards) {
-            engine.import_state(state.clone());
-        }
-        Ok(front)
+        let scheme = self.scheme.build(&g);
+        let mut engine = Engine::new(g, scheme, cfg);
+        engine.set_shards(self.shards);
+        engine.import_state(self.state.clone());
+        Ok(engine)
     }
 
     /// Serializes to the versioned section-table format.
@@ -310,14 +313,21 @@ impl Snapshot {
 
     fn encode_shards(&self) -> Vec<u8> {
         let mut b = Vec::new();
-        put_u64(&mut b, self.front_served);
-        put_u64(&mut b, self.front_batches);
-        put_u16(&mut b, self.shards.len().min(u16::MAX as usize) as u16);
-        for shard in &self.shards {
-            put_u64(&mut b, shard.served);
-            put_u64(&mut b, 0); // reserved (see the module docs)
-            put_u32(&mut b, shard.rows.len().min(u32::MAX as usize) as u32);
-            for (key, row, protected) in &shard.rows {
+        put_u64(&mut b, self.state.served);
+        put_u64(&mut b, self.state.batches);
+        let k = self.shards.min(u16::MAX as usize);
+        put_u16(&mut b, k as u16);
+        for s in 0..k {
+            let rows: Vec<_> = self
+                .state
+                .rows
+                .iter()
+                .filter(|(key, ..)| *key as usize % k == s)
+                .collect();
+            put_u64(&mut b, 0); // record served (see the module docs)
+            put_u64(&mut b, 0); // reserved
+            put_u32(&mut b, rows.len().min(u32::MAX as usize) as u32);
+            for (key, row, protected) in rows {
                 put_u32(&mut b, *key);
                 let mut flags = 0u8;
                 if *protected {
@@ -397,7 +407,7 @@ impl Snapshot {
         let scheme = decode_scheme(scheme.ok_or(StoreError::Malformed("missing scheme section"))?)?;
         let (seed, cache_bytes, admission, sampler, fault) =
             decode_config(config.ok_or(StoreError::Malformed("missing config section"))?)?;
-        let (front_served, front_batches, shards) =
+        let (shards, state) =
             decode_shards(shards.ok_or(StoreError::Malformed("missing shards section"))?)?;
         // Absent on snapshots written before the section existed: those
         // engines always ran 64-lane MS-BFS, so the default is exact.
@@ -412,9 +422,8 @@ impl Snapshot {
             sampler,
             fault,
             width,
-            front_served,
-            front_batches,
             shards,
+            state,
         })
     }
 }
@@ -522,25 +531,26 @@ fn decode_config(body: &[u8]) -> Result<ConfigFields, StoreError> {
     ))
 }
 
-fn decode_shards(body: &[u8]) -> Result<(u64, u64, Vec<EngineState>), StoreError> {
+fn decode_shards(body: &[u8]) -> Result<(usize, EngineState), StoreError> {
     let mut cur = Cur::new(body);
-    let front_served = cur.u64("front served")?;
-    let front_batches = cur.u64("front batches")?;
+    let served = cur.u64("front served")?;
+    let batches = cur.u64("front batches")?;
     let shard_count = cur.u16("shard count")? as usize;
-    if shard_count == 0 {
-        return Err(StoreError::Malformed("snapshot carries no shards"));
+    if !(1..=MAX_SHARDS).contains(&shard_count) {
+        return Err(StoreError::Malformed("shard count outside 1..=255"));
     }
-    let mut shards = Vec::with_capacity(shard_count.min(cur.remaining() / 20 + 1));
+    let mut rows = Vec::new();
     for _ in 0..shard_count {
-        let served = cur.u64("shard served")?;
-        cur.u64("shard reserved")?; // ignored (see the module docs)
+        // Both ignored (see the module docs).
+        cur.u64("shard served")?;
+        cur.u64("shard reserved")?;
         let row_count = cur.u32("row count")? as usize;
         // A row entry is at least 9 header bytes, so a forged count must
         // exceed what the bytes can hold before any allocation happens.
         if cur.remaining() / 9 < row_count {
             return Err(StoreError::Truncated("cache rows"));
         }
-        let mut rows = Vec::with_capacity(row_count);
+        rows.reserve(row_count);
         for _ in 0..row_count {
             let key = cur.u32("row key")?;
             let flags = cur.u8("row flags")?;
@@ -569,10 +579,16 @@ fn decode_shards(body: &[u8]) -> Result<(u64, u64, Vec<EngineState>), StoreError
             };
             rows.push((key, Arc::new(row), flags & FLAG_PROTECTED != 0));
         }
-        shards.push(EngineState { served, rows });
     }
     cur.done("trailing bytes in shards section")?;
-    Ok((front_served, front_batches, shards))
+    Ok((
+        shard_count,
+        EngineState {
+            served,
+            batches,
+            rows,
+        },
+    ))
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -597,7 +613,7 @@ mod tests {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
     }
 
-    fn warm_front(shards: usize) -> ShardedEngine {
+    fn warm_engine(shards: usize) -> Engine {
         let cfg = EngineConfig {
             seed: 42,
             threads: 1,
@@ -609,10 +625,36 @@ mod tests {
             },
             ..EngineConfig::default()
         };
-        let mut front = ShardedEngine::new(path(48), || Box::new(UniformScheme), cfg, shards);
+        let mut engine = Engine::new(path(48), Box::new(UniformScheme), cfg);
+        engine.set_shards(shards);
         let pairs: Vec<(NodeId, NodeId)> = (0..10).map(|i| (i, 47 - (i % 4))).collect();
-        front.serve(&QueryBatch::from_pairs(&pairs, 3)).unwrap();
-        front
+        engine.serve(&QueryBatch::from_pairs(&pairs, 3)).unwrap();
+        engine
+    }
+
+    /// The byte offset of section `id`'s body and the index of its table
+    /// entry.
+    fn section(bytes: &[u8], id: u16) -> (usize, usize) {
+        let count = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
+        (0..count)
+            .map(|i| (i, &bytes[8 + 20 * i..8 + 20 * (i + 1)]))
+            .find(|(_, e)| u16::from_le_bytes([e[0], e[1]]) == id)
+            .map(|(i, e)| (u64::from_le_bytes(e[4..12].try_into().unwrap()) as usize, i))
+            .unwrap()
+    }
+
+    /// The answers of `engine` to the batch every replay test resumes
+    /// with.
+    fn resume(engine: &mut Engine) -> Vec<nav_core::trial::PairStats> {
+        let next: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 5, 40 + i)).collect();
+        engine
+            .serve(&QueryBatch::from_pairs(&next, 4))
+            .unwrap()
+            .answers
+    }
+
+    fn identical(a: &[nav_core::trial::PairStats], b: &[nav_core::trial::PairStats]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
     }
 
     fn snapshots_eq(a: &Snapshot, b: &Snapshot) -> bool {
@@ -623,29 +665,35 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_is_identity() {
-        let snap = Snapshot::capture(&warm_front(3)).unwrap();
+        let snap = Snapshot::capture(&warm_engine(3)).unwrap();
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
         assert!(snapshots_eq(&snap, &back));
         assert_eq!(back.num_nodes, 48);
-        assert_eq!(back.shards.len(), 3);
-        assert_eq!(back.front_served, 10);
-        assert_eq!(back.front_batches, 1);
+        assert_eq!(back.shards, 3);
+        assert_eq!(back.state.served, 10);
+        assert_eq!(back.state.batches, 1);
         assert_eq!(back.admission, AdmissionPolicy::Segmented);
-        assert!(back.shards.iter().any(|s| !s.rows.is_empty()));
+        assert_eq!(back.state.rows.len(), 4);
+        // Records come back in key-mod-k order.
+        let keys: Vec<NodeId> = back.state.rows.iter().map(|r| r.0).collect();
+        let mut by_shard = keys.clone();
+        by_shard.sort_by_key(|&t| t % 3);
+        assert_eq!(keys, by_shard);
     }
 
     #[test]
     fn restore_continues_the_stream_bit_identically() {
-        let mut uninterrupted = warm_front(2);
-        let snap = Snapshot::capture(&warm_front(2)).unwrap();
+        let mut uninterrupted = warm_engine(2);
+        let snap = Snapshot::capture(&warm_engine(2)).unwrap();
         let mut restored = snap.restore(2, ObsConfig::default()).unwrap();
         assert_eq!(restored.queries_served(), 10);
-        let next: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 5, 40 + i)).collect();
-        let batch = QueryBatch::from_pairs(&next, 4);
-        let a = uninterrupted.serve(&batch).unwrap();
-        let b = restored.serve(&batch).unwrap();
-        assert!(a.answers.iter().zip(&b.answers).all(|(x, y)| x.bits_eq(y)));
+        assert_eq!(restored.metrics().batches, 1);
+        assert_eq!(restored.num_shards(), 2);
+        assert!(identical(
+            &resume(&mut uninterrupted),
+            &resume(&mut restored)
+        ));
         // The restored cache is warm: the repeated hot targets hit.
         assert!(restored.cache_stats().hits > 0);
     }
@@ -658,10 +706,10 @@ mod tests {
             width: LaneWidth::W256,
             ..EngineConfig::default()
         };
-        let mut front = ShardedEngine::new(path(48), || Box::new(UniformScheme), cfg, 2);
+        let mut engine = Engine::new(path(48), Box::new(UniformScheme), cfg);
         let pairs: Vec<(NodeId, NodeId)> = (0..8).map(|i| (i, 40 + (i % 4))).collect();
-        front.serve(&QueryBatch::from_pairs(&pairs, 2)).unwrap();
-        let snap = Snapshot::capture(&front).unwrap();
+        engine.serve(&QueryBatch::from_pairs(&pairs, 2)).unwrap();
+        let snap = Snapshot::capture(&engine).unwrap();
         assert_eq!(snap.width, LaneWidth::W256);
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
@@ -704,26 +752,86 @@ mod tests {
     fn nonzero_reserved_shard_slot_restores_and_replays_bit_identically() {
         // Older writers stored the shard's churn epoch in the u64 after
         // its lifetime counter (past the 18-byte front header): forge it.
-        let bytes = Snapshot::capture(&warm_front(1)).unwrap().encode();
-        let count = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
-        let entry = (0..count)
-            .map(|i| &bytes[8 + 20 * i..8 + 20 * (i + 1)])
-            .find(|e| u16::from_le_bytes([e[0], e[1]]) == SEC_SHARDS)
-            .unwrap();
-        let slot = u64::from_le_bytes(entry[4..12].try_into().unwrap()) as usize + 18 + 8;
+        let bytes = Snapshot::capture(&warm_engine(1)).unwrap().encode();
+        let slot = section(&bytes, SEC_SHARDS).0 + 18 + 8;
         let mut old = bytes.clone();
         old[slot..slot + 8].copy_from_slice(&2u64.to_le_bytes());
 
         let snap = Snapshot::decode(&old).unwrap();
         assert_eq!(snap.encode(), bytes, "writers put 0 in the slot");
         let mut restored = snap.restore(1, ObsConfig::default()).unwrap();
-        let mut uninterrupted = warm_front(1);
-        let next: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 5, 40 + i)).collect();
-        let batch = QueryBatch::from_pairs(&next, 4);
-        let a = uninterrupted.serve(&batch).unwrap();
-        let b = restored.serve(&batch).unwrap();
-        assert!(a.answers.iter().zip(&b.answers).all(|(x, y)| x.bits_eq(y)));
+        assert!(identical(
+            &resume(&mut warm_engine(1)),
+            &resume(&mut restored)
+        ));
         assert!(restored.cache_stats().hits > 0, "restored rows serve");
+    }
+
+    #[test]
+    fn multi_record_shards_section_restores_into_one_engine() {
+        // An older k-shard front wrote one record per shard, each with
+        // its own served counter and reserved slot. Forge such a 3-record
+        // section by hand from a 1-shard engine's rows, point the table
+        // at it, and restore: one engine, one cache, three shard labels.
+        let engine = warm_engine(1);
+        let state = engine.export_state();
+        let mut body = Vec::new();
+        put_u64(&mut body, state.served);
+        put_u64(&mut body, state.batches);
+        put_u16(&mut body, 3);
+        for s in 0..3u32 {
+            let rows: Vec<_> = state.rows.iter().filter(|r| r.0 % 3 == s).collect();
+            put_u64(&mut body, 7); // a shard-local counter, ignored
+            put_u64(&mut body, 2); // an old churn epoch, ignored
+            put_u32(&mut body, rows.len() as u32);
+            for (key, row, protected) in rows {
+                put_u32(&mut body, *key);
+                body.push(if *protected { FLAG_PROTECTED } else { 0 });
+                put_u32(&mut body, row.len() as u32);
+                for v in 0..row.len() {
+                    body.extend_from_slice(&(row.get(v) as u16).to_le_bytes());
+                }
+            }
+        }
+        let forge = |body: &[u8]| {
+            let mut bytes = Snapshot::capture(&engine).unwrap().encode();
+            let entry = 8 + 20 * section(&bytes, SEC_SHARDS).1;
+            let end = bytes.len() as u64;
+            bytes[entry + 4..entry + 12].copy_from_slice(&end.to_le_bytes());
+            bytes[entry + 12..entry + 20].copy_from_slice(&(body.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(body);
+            bytes
+        };
+        let snap = Snapshot::decode(&forge(&body)).unwrap();
+        assert_eq!((snap.shards, snap.state.served), (3, 10));
+        assert_eq!(snap.state.rows.len(), state.rows.len());
+        let mut restored = snap.restore(1, ObsConfig::default()).unwrap();
+        assert_eq!(restored.num_shards(), 3);
+        assert_eq!(restored.cache_stats().resident_rows, state.rows.len());
+        assert!(identical(
+            &resume(&mut warm_engine(1)),
+            &resume(&mut restored)
+        ));
+        assert!(restored.cache_stats().hits > 0, "merged rows serve");
+    }
+
+    #[test]
+    fn oversized_shard_counts_are_refused_with_a_typed_error() {
+        // A forged count is refused before any record is read or any
+        // engine built; the handle byte's whole range still decodes.
+        let bytes = Snapshot::capture(&warm_engine(1)).unwrap().encode();
+        let count = section(&bytes, SEC_SHARDS).0 + 16;
+        for k in [0u16, 256, u16::MAX] {
+            let mut bad = bytes.clone();
+            bad[count..count + 2].copy_from_slice(&k.to_le_bytes());
+            assert!(matches!(
+                Snapshot::decode(&bad).unwrap_err(),
+                StoreError::Malformed("shard count outside 1..=255")
+            ));
+        }
+        let engine = warm_engine(MAX_SHARDS);
+        let snap = Snapshot::decode(&Snapshot::capture(&engine).unwrap().encode()).unwrap();
+        assert_eq!(snap.shards, MAX_SHARDS);
     }
 
     #[test]
@@ -736,9 +844,8 @@ mod tests {
             threads: 1,
             ..EngineConfig::default()
         };
-        let real2 = real.clone();
-        let front = ShardedEngine::new(g, move || Box::new(real2.clone()), cfg, 2);
-        let snap = Snapshot::capture(&front).unwrap();
+        let engine = Engine::new(g, Box::new(real), cfg);
+        let snap = Snapshot::capture(&engine).unwrap();
         assert_eq!(snap.scheme, SchemeSpec::Realized(table.clone()));
         let back = Snapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back.scheme, SchemeSpec::Realized(table));
@@ -748,7 +855,7 @@ mod tests {
 
     #[test]
     fn unknown_sections_are_skipped() {
-        let snap = Snapshot::capture(&warm_front(1)).unwrap();
+        let snap = Snapshot::capture(&warm_engine(1)).unwrap();
         let mut bytes = snap.encode();
         // Append a section body and splice a table entry for an unknown
         // id by re-encoding with one extra table slot: simplest is to
@@ -780,7 +887,7 @@ mod tests {
 
     #[test]
     fn header_damage_is_rejected() {
-        let bytes = Snapshot::capture(&warm_front(1)).unwrap().encode();
+        let bytes = Snapshot::capture(&warm_engine(1)).unwrap().encode();
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
         assert!(matches!(
@@ -798,7 +905,7 @@ mod tests {
 
     #[test]
     fn every_truncation_errors_cleanly() {
-        let bytes = Snapshot::capture(&warm_front(2)).unwrap().encode();
+        let bytes = Snapshot::capture(&warm_engine(2)).unwrap().encode();
         for cut in 0..bytes.len() {
             assert!(
                 Snapshot::decode(&bytes[..cut]).is_err(),

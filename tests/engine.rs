@@ -1,7 +1,7 @@
 //! The serving engine's determinism contract, property-tested: batch
 //! answers are bit-identical to a direct [`run_trials`] over the same
 //! query sequence — across cache capacities (including 0), thread counts,
-//! batch orderings, and cache admission policies.
+//! batch orderings, cache admission policies, and shard label counts.
 //!
 //! Thread counts come from the centralized `NAV_TEST_THREADS` knob
 //! ([`nav_par::test_threads`]) and case counts from `PROPTEST_CASES`, so
@@ -199,69 +199,6 @@ proptest! {
             identical(&outcomes[0], &outcomes[1]),
             "admission policy changed routing outcomes"
         );
-    }
-
-    #[test]
-    fn sharded_engine_matches_single_engine_bit_for_bit(
-        g in connected_graph(48),
-        seed in 0u64..1000,
-        num_pairs in 1usize..24,
-        trials in 1usize..5,
-        batch_size in 1usize..10,
-    ) {
-        // The scale-out contract: a k-sharded front (shard s owns targets
-        // t % k == s) answers every stream bit-identically to a single
-        // engine — across shard counts, batch splits, and thread counts.
-        // Targets land on different shards mid-batch, so this exercises
-        // the partition/scatter path and the explicit per-query RNG
-        // indexing (`serve_indexed`) that makes placement invisible.
-        use navigability::engine::ShardedEngine;
-        let n = g.num_nodes() as NodeId;
-        let mut rng = seeded_rng(seed ^ 0x54a8d);
-        let pairs: Vec<(NodeId, NodeId)> = (0..num_pairs)
-            .map(|_| {
-                use rand::Rng;
-                (rng.gen_range(0..n), rng.gen_range(0..n))
-            })
-            .collect();
-        let reference = run_trials(
-            &g,
-            &UniformScheme,
-            &pairs,
-            &TrialConfig { trials_per_pair: trials, seed, threads: 1, ..TrialConfig::default() },
-        )
-        .expect("valid pairs");
-        for shards in [1usize, 2, 5] {
-            for threads in [1usize, test_threads()] {
-                let mut engine = ShardedEngine::new(
-                    g.clone(),
-                    || Box::new(UniformScheme),
-                    EngineConfig {
-                        seed,
-                        threads,
-                        cache_bytes: 1 << 20,
-                        ..EngineConfig::default()
-                    },
-                    shards,
-                );
-                let mut answers = Vec::new();
-                for chunk in pairs.chunks(batch_size.max(1)) {
-                    answers.extend(
-                        engine
-                            .serve(&QueryBatch::from_pairs(chunk, trials))
-                            .expect("valid pairs")
-                            .answers,
-                    );
-                }
-                prop_assert!(
-                    identical(&answers, &reference.pairs),
-                    "sharded front diverged at shards={shards} threads={threads} batch={batch_size}"
-                );
-                // Every query was routed somewhere, and each target's rows
-                // live in exactly one shard — totals match a single cache.
-                prop_assert_eq!(engine.queries_served(), pairs.len() as u64);
-            }
-        }
     }
 
     #[test]
@@ -515,7 +452,6 @@ proptest! {
         // shard counts — every query's fate is a pure function of its RNG
         // index. The 3-epoch / period-4 plan guarantees streams cross
         // epoch boundaries mid-run.
-        use navigability::engine::ShardedEngine;
         let n = g.num_nodes() as NodeId;
         let mut rng = seeded_rng(seed ^ 0xfa017);
         let pairs: Vec<(NodeId, NodeId)> = (0..num_pairs)
@@ -554,9 +490,9 @@ proptest! {
             }
         }
         for shards in [2usize, 5] {
-            let mut engine = ShardedEngine::new(
+            let mut engine = Engine::new(
                 g.clone(),
-                || Box::new(UniformScheme),
+                Box::new(UniformScheme),
                 EngineConfig {
                     seed,
                     threads: test_threads(),
@@ -564,8 +500,8 @@ proptest! {
                     fault,
                     ..EngineConfig::default()
                 },
-                shards,
             );
+            engine.set_shards(shards);
             let mut answers = Vec::new();
             for chunk in pairs.chunks(batch_size.max(1)) {
                 answers.extend(
@@ -594,7 +530,6 @@ proptest! {
         // was never interrupted — whatever the cut point, batch split,
         // or shard count. Cache contents and the RNG cursor travel
         // through the encoding.
-        use navigability::engine::ShardedEngine;
         use navigability::obs::ObsConfig;
         use navigability::store::Snapshot;
         let n = g.num_nodes() as NodeId;
@@ -617,9 +552,13 @@ proptest! {
             ..EngineConfig::default()
         };
         let cut = cut_seed.min(pairs.len() - 1).max(1);
+        let sharded = |shards: usize| {
+            let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+            engine.set_shards(shards);
+            engine
+        };
         for shards in [1usize, 3] {
-            let mut uninterrupted =
-                ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg, shards);
+            let mut uninterrupted = sharded(shards);
             let mut reference = Vec::new();
             for chunk in pairs.chunks(batch_size) {
                 reference.extend(
@@ -630,8 +569,7 @@ proptest! {
                 );
             }
             // Serve a prefix, snapshot, drop everything but the bytes.
-            let mut victim =
-                ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg, shards);
+            let mut victim = sharded(shards);
             let mut resumed = Vec::new();
             for chunk in pairs[..cut].chunks(batch_size) {
                 resumed.extend(
@@ -650,6 +588,7 @@ proptest! {
                 .restore(test_threads(), ObsConfig::default())
                 .expect("own snapshot restores");
             prop_assert_eq!(restored.queries_served(), cut as u64);
+            prop_assert_eq!(restored.num_shards(), shards);
             for chunk in pairs[cut..].chunks(batch_size) {
                 resumed.extend(
                     restored
@@ -736,10 +675,9 @@ fn wide_row_fallback_on_real_geometry() {
 /// each query routes under its own epoch, so a cache big enough for the
 /// working set computes every distinct target exactly once, however many
 /// epoch flips the stream crosses — and the answers stay bit-identical to
-/// an engine that caches nothing and to a 2-shard front.
+/// an engine that caches nothing and to a 2-shard engine.
 #[test]
 fn churn_epoch_flips_never_refill_a_resident_row() {
-    use navigability::engine::ShardedEngine;
     let g = navigability::gen::grid::grid2d(8, 8).expect("grid");
     let n = g.num_nodes() as NodeId;
     // 3 epochs of 4 queries: 60 queries cross every epoch five times.
@@ -780,13 +718,53 @@ fn churn_epoch_flips_never_refill_a_resident_row() {
         "diverged from cache_bytes = 0"
     );
 
-    let mut front = ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg(1 << 20), 2);
+    let mut front = Engine::new(g.clone(), Box::new(UniformScheme), cfg(1 << 20));
+    front.set_shards(2);
     let sharded = serve(&mut |b| front.serve(b).expect("valid").answers);
     assert!(
         identical(&answers, &sharded),
-        "diverged from the 2-shard front"
+        "diverged from the 2-shard engine"
     );
     assert_eq!(front.cache_stats().insertions, targets.len() as u64);
+}
+
+/// Shard labels never split a cold fill: one batch whose cold targets
+/// fall in every one of 4 shards fills them all in one `ColdFill` stage
+/// (one set of shared MS-BFS passes) and records one batch, and every
+/// distinct target is filled exactly once.
+#[test]
+fn one_batch_fills_every_shards_cold_targets_in_one_pass() {
+    use navigability::obs::{ObsConfig, Stage};
+    let g = navigability::gen::grid::grid2d(8, 8).expect("grid");
+    let mut engine = Engine::new(
+        g.clone(),
+        Box::new(UniformScheme),
+        EngineConfig {
+            seed: 5,
+            threads: test_threads(),
+            cache_bytes: 1 << 20,
+            obs: ObsConfig {
+                stages: true,
+                ..ObsConfig::default()
+            },
+            ..EngineConfig::default()
+        },
+    );
+    engine.set_shards(4);
+    // Targets 40..48 cover shards 0..4 twice; every target is asked twice.
+    let pairs: Vec<(NodeId, NodeId)> = (0..16u32).map(|i| (i, 40 + i % 8)).collect();
+    let shards: std::collections::BTreeSet<usize> =
+        pairs.iter().map(|&(_, t)| engine.shard_of(t)).collect();
+    assert_eq!(shards.len(), 4);
+    let result = engine
+        .serve(&QueryBatch::from_pairs(&pairs, 2))
+        .expect("valid");
+    assert_eq!((result.cold_targets, result.warm_targets), (8, 0));
+    assert_eq!(engine.metrics().cold_targets, 8);
+    assert_eq!(engine.metrics().batch_hist().count(), 1);
+    assert_eq!(engine.cache_stats().insertions, 8);
+    let obs = engine.obs_snapshot();
+    assert_eq!(obs.stage(Stage::ColdFill).expect("cold fill").count(), 1);
 }
 
 /// Direct soak of the cache's eviction accounting: a long random

@@ -622,7 +622,7 @@ fn snapshot_over_the_wire_restores_a_bit_identical_front() {
     let bytes = client.snapshot(0).expect("snapshot frame");
     let snap = Snapshot::decode(&bytes).expect("wire snapshot decodes");
     assert!(
-        snap.shards.iter().any(|s| !s.rows.is_empty()),
+        !snap.state.rows.is_empty(),
         "the snapshot must carry the warm cache"
     );
     let mut local = snap
@@ -834,11 +834,10 @@ fn oversized_trials_are_refused_client_side_without_retries() {
     server.shutdown();
 }
 
-// --- 4. shard routing via the handle byte --------------------------------
+// --- 4. shard pinning via the handle byte --------------------------------
 
 #[test]
 fn sharded_server_routes_by_handle_byte_and_stays_bit_identical() {
-    use navigability::engine::ShardedEngine;
     use navigability::net::{compose_handle, split_handle};
     let g = world(72, 4);
     let seed = 29u64;
@@ -848,14 +847,15 @@ fn sharded_server_routes_by_handle_byte_and_stays_bit_identical() {
         cache_bytes: 1 << 20,
         ..EngineConfig::default()
     };
-    let sharded = ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg, 3);
-    let server = NetServer::bind_sharded(sharded, NetConfig::default(), "127.0.0.1:0")
+    let mut sharded = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+    sharded.set_shards(3);
+    let server = NetServer::bind(sharded, NetConfig::default(), "127.0.0.1:0")
         .expect("bind")
         .spawn()
         .expect("spawn");
     let mut client = NetClient::connect(server.addr()).expect("connect");
 
-    // Front routing (shard byte 0): bit-identical to run_trials.
+    // No pin (shard byte 0): any target, bit-identical to run_trials.
     let pairs = client_pairs(&g, 1, 18);
     let reference = run_trials(
         &g,
@@ -878,8 +878,8 @@ fn sharded_server_routes_by_handle_byte_and_stays_bit_identical() {
         .expect("front routing");
     assert!(identical(&answers, &reference.pairs));
 
-    // Direct shard handle: a batch of targets shard 1 owns (t % 3 == 1)
-    // equals the owning engine's own stream at the same rng_base.
+    // A pinned handle: a batch of targets shard 1 owns (t % 3 == 1)
+    // equals a local engine's stream at the same rng_base.
     let owned: Vec<(NodeId, NodeId)> = vec![(0, 1), (5, 4), (9, 7)];
     let mut local = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
     let want = local

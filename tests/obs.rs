@@ -8,11 +8,11 @@
 //! 2. **Trace-sampler placement invariance**: which queries get traced is
 //!    a pure function of `(seed, lifetime query index)` — the traced set
 //!    must not move when the same stream is served with different thread
-//!    counts, different batch splits, or across a sharded front.
+//!    counts, different batch splits, or different shard label counts.
 
 use navigability::analysis::quantile::quantile_sorted;
 use navigability::core::uniform::UniformScheme;
-use navigability::engine::{Engine, EngineConfig, Query, QueryBatch, ShardedEngine};
+use navigability::engine::{Engine, EngineConfig, Query, QueryBatch};
 use navigability::obs::{LogHistogram, ObsConfig, QueryTrace, TraceSampler};
 use navigability::prelude::*;
 use proptest::prelude::*;
@@ -233,9 +233,9 @@ fn traced_query_set_is_invariant_across_shard_counts() {
     let queries = query_stream(&g, 120);
     let single = keys(&traced(&g, &queries, 11, 2, 4));
     for shards in [2, 3] {
-        let mut front = ShardedEngine::new(
+        let mut front = Engine::new(
             g.clone(),
-            || Box::new(UniformScheme),
+            Box::new(UniformScheme),
             EngineConfig {
                 seed: 0xb0b,
                 threads: 2,
@@ -247,8 +247,8 @@ fn traced_query_set_is_invariant_across_shard_counts() {
                 },
                 ..EngineConfig::default()
             },
-            shards,
         );
+        front.set_shards(shards);
         for c in queries.chunks(11) {
             front
                 .serve(&QueryBatch {
@@ -260,9 +260,9 @@ fn traced_query_set_is_invariant_across_shard_counts() {
         assert_eq!(
             single,
             keys(&snap.traces),
-            "traced set moved behind a {shards}-shard front"
+            "traced set moved at {shards} shards"
         );
-        // Shard labels must be the routing function, not noise.
+        // Shard labels must be the ownership rule t % k, not noise.
         for t in &snap.traces {
             assert_eq!(u64::from(t.shard), u64::from(t.t) % shards as u64);
         }

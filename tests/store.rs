@@ -1,9 +1,9 @@
 //! The durability layer's contract, tested at workspace level:
 //!
-//! 1. **kill -9 → restore → resume** — a warm, fault-injected sharded
-//!    front is frozen mid-stream into an actual file, the process state
+//! 1. **kill -9 → restore → resume** — a warm, fault-injected 3-shard
+//!    engine is frozen mid-stream into an actual file, the process state
 //!    is dropped (nothing survives but the bytes), and the restored
-//!    front — at a *different* thread count and observability config —
+//!    engine — at a *different* thread count and observability config —
 //!    must finish the stream **bit-identically** to an engine that was
 //!    never interrupted. Cache warmth and the RNG cursor have to survive
 //!    the disk; the churn epoch needs no storage, because each query's
@@ -21,7 +21,7 @@
 use navigability::core::trial::PairStats;
 use navigability::core::uniform::UniformScheme;
 use navigability::core::{FailurePlan, FaultConfig};
-use navigability::engine::{AdmissionPolicy, EngineConfig, QueryBatch, ShardedEngine};
+use navigability::engine::{AdmissionPolicy, Engine, EngineConfig, QueryBatch};
 use navigability::obs::ObsConfig;
 use navigability::par::test_threads;
 use navigability::prelude::*;
@@ -70,12 +70,19 @@ fn identical(a: &[PairStats], b: &[PairStats]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
 }
 
+/// A uniform-scheme engine over `g` with `shards` shard labels.
+fn sharded(g: &Graph, seed: u64, shards: usize) -> Engine {
+    let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), serving_cfg(seed));
+    engine.set_shards(shards);
+    engine
+}
+
 /// A valid snapshot's bytes — the corpus every totality property
-/// mutates: a warm 2-shard front with faults on and resident rows in
+/// mutates: a warm 2-shard engine with faults on and resident rows in
 /// both row widths of the cache.
 fn warm_snapshot_bytes(seed: u64) -> Vec<u8> {
     let g = world(40, seed ^ 0x5eed);
-    let mut front = ShardedEngine::new(g.clone(), || Box::new(UniformScheme), serving_cfg(seed), 2);
+    let mut front = sharded(&g, seed, 2);
     let pairs = pair_stream(&g, 8);
     front
         .serve(&QueryBatch::from_pairs(&pairs, 2))
@@ -93,9 +100,8 @@ fn kill_dash_nine_then_restore_resumes_the_stream_bit_identically() {
     let seed = 29u64;
     let pairs = pair_stream(&g, 24);
 
-    // The reference: one front serves the whole stream, uninterrupted.
-    let mut uninterrupted =
-        ShardedEngine::new(g.clone(), || Box::new(UniformScheme), serving_cfg(seed), 3);
+    // The reference: one engine serves the whole stream, uninterrupted.
+    let mut uninterrupted = sharded(&g, seed, 3);
     let mut reference = Vec::new();
     for chunk in pairs.chunks(5) {
         reference.extend(
@@ -109,8 +115,7 @@ fn kill_dash_nine_then_restore_resumes_the_stream_bit_identically() {
     // The victim serves the first 10 queries, snapshots to a real file,
     // and then "dies": every in-memory structure is dropped. Only the
     // file survives the kill.
-    let mut victim =
-        ShardedEngine::new(g.clone(), || Box::new(UniformScheme), serving_cfg(seed), 3);
+    let mut victim = sharded(&g, seed, 3);
     let mut resumed = Vec::new();
     for chunk in pairs[..10].chunks(5) {
         resumed.extend(
@@ -144,6 +149,7 @@ fn kill_dash_nine_then_restore_resumes_the_stream_bit_identically() {
         )
         .expect("snapshot restores");
     assert_eq!(restored.queries_served(), 10, "RNG cursor survived");
+    assert_eq!(restored.num_shards(), 3, "shard labels survived");
     assert!(
         restored.cache_stats().resident_rows > 0,
         "the restored cache must come back warm"
