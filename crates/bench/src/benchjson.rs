@@ -15,6 +15,7 @@
 //! counts, and only then renders the JSON. CI runs it in `--quick` mode so
 //! the harness and the schema cannot rot silently.
 
+use crate::measure::{assert_same_answers, bench_header, fms, graph_json};
 use crate::workloads::Workload;
 use crate::ExpConfig;
 use nav_core::ball::BallScheme;
@@ -33,15 +34,18 @@ use nav_graph::{Graph, NodeId, INFINITY};
 use nav_par::rng::{seeded_rng, task_rng};
 use std::time::Instant;
 
-/// Milliseconds of the fastest of `reps` runs of `f` (≥ 1 rep).
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+/// The last result of `reps` runs of `f` (≥ 1 rep) and the milliseconds
+/// of the fastest run.
+fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
+    let mut last = None;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        f();
+        let out = f();
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
     }
-    best
+    (last.expect("at least one rep"), best)
 }
 
 /// The pre-refactor all-pairs computation: `n` sequential scalar BFS
@@ -80,16 +84,6 @@ fn legacy_run_trials<S: AugmentationScheme + ?Sized>(
     })
 }
 
-/// Exact (bit-level for floats) equality of two per-pair stat sets — the
-/// correctness gate shared by the core and serve emitters.
-pub(crate) fn stats_identical(a: &[PairStats], b: &[PairStats]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
-}
-
-fn fms(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 /// Runs the core benchmark suite and renders `BENCH_core.json`.
 ///
 /// # Panics
@@ -111,34 +105,28 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
     // --- single-source BFS (traversal only, both engines) ---------------
     let probe_sources: Vec<NodeId> = (0..64.min(n) as NodeId).collect();
     let mut bfs = Bfs::new(n);
-    let scalar_ms = time_ms(5, || {
+    let ((), scalar_ms) = timed(5, || {
         for &s in &probe_sources {
             bfs.run(&g, s, u32::MAX, |_, _| true);
         }
     });
     let mut ms = MsBfs::new(n);
-    let msbfs_ms = time_ms(5, || {
-        ms.run(&g, &probe_sources, |_, _, _| {});
-    });
+    let ((), msbfs_ms) = timed(5, || ms.run(&g, &probe_sources, |_, _, _| {}));
     let per_source_scalar_us = scalar_ms * 1e3 / probe_sources.len() as f64;
     let per_source_msbfs_us = msbfs_ms * 1e3 / probe_sources.len() as f64;
 
     // --- all-pairs distances --------------------------------------------
-    let mut legacy_data = Vec::new();
-    let before_ap_ms = time_ms(reps_ap, || legacy_data = legacy_all_pairs(&g));
-    let mut matrix = None;
-    let after_ap_ms = time_ms(reps_ap, || {
-        matrix = Some(DistanceMatrix::with_threads(&g, cfg.threads))
-    });
-    let matrix = matrix.expect("timed at least once");
-    for u in 0..n {
-        assert!(
-            matrix
-                .row(u as NodeId)
-                .eq_wide(&legacy_data[u * n..(u + 1) * n]),
-            "all-pairs row {u} diverged from the legacy engine"
-        );
-    }
+    let (legacy_data, before_ap_ms) = timed(reps_ap, || legacy_all_pairs(&g));
+    let (matrix, after_ap_ms) = timed(reps_ap, || DistanceMatrix::with_threads(&g, cfg.threads));
+    let assert_legacy_rows = |m: &DistanceMatrix, lanes: &str| {
+        for u in 0..n {
+            assert!(
+                m.row(u as NodeId).eq_wide(&legacy_data[u * n..(u + 1) * n]),
+                "core: all-pairs row {u} at {lanes} lanes diverged from the legacy engine"
+            );
+        }
+    };
+    assert_legacy_rows(&matrix, "64");
 
     // --- all-pairs lane-width sweep --------------------------------------
     // The same matrix at 64, 128 and 256 lanes: wider word blocks cut the
@@ -152,18 +140,8 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
     // one-sided before/after sections to keep the speedup floor stable.
     let mut ap_width: Vec<(LaneWidth, f64)> = Vec::new();
     for w in LaneWidth::ALL {
-        let mut m = None;
-        let ms = time_ms(5, || {
-            m = Some(DistanceMatrix::with_threads_width(&g, cfg.threads, w))
-        });
-        let m = m.expect("timed at least once");
-        for u in 0..n {
-            assert!(
-                m.row(u as NodeId).eq_wide(&legacy_data[u * n..(u + 1) * n]),
-                "all-pairs row {u} at {} lanes diverged from the legacy engine",
-                w.label()
-            );
-        }
+        let (m, ms) = timed(5, || DistanceMatrix::with_threads_width(&g, cfg.threads, w));
+        assert_legacy_rows(&m, w.label());
         ap_width.push((w, ms));
     }
     let ap_w64_ms = ap_width[0].1;
@@ -199,18 +177,13 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         sampler: SamplerMode::Scalar,
         width: LaneWidth::W64,
     };
-    let mut legacy_stats = Vec::new();
-    let before_sweep_ms = time_ms(3, || {
-        legacy_stats = legacy_run_trials(&g, &scheme, &pairs, &tc);
-    });
-    let mut oracle_result = None;
-    let after_sweep_ms = time_ms(3, || {
-        oracle_result = Some(run_trials(&g, &scheme, &pairs, &tc).expect("valid pairs"));
-    });
-    let oracle_stats = oracle_result.expect("timed at least once");
-    assert!(
-        stats_identical(&legacy_stats, &oracle_stats.pairs),
-        "oracle trial sweep diverged from the pre-refactor engine"
+    let sweep = |tc: &TrialConfig| run_trials(&g, &scheme, &pairs, tc).expect("valid pairs");
+    let (legacy_stats, before_sweep_ms) = timed(3, || legacy_run_trials(&g, &scheme, &pairs, &tc));
+    let (oracle_stats, after_sweep_ms) = timed(3, || sweep(&tc));
+    assert_same_answers(
+        "core: oracle trial sweep vs the pre-refactor engine",
+        &oracle_stats.pairs,
+        &legacy_stats,
     );
     // Thread invariance needs a genuinely multi-worker run: workers spawn
     // regardless of physical cores, so force ≥ 2 even on 1-core boxes
@@ -223,16 +196,17 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         threads: tc.threads.max(2),
         ..tc
     };
-    let sequential = run_trials(&g, &scheme, &pairs, &single).expect("valid pairs");
-    let parallel = run_trials(&g, &scheme, &pairs, &multi).expect("valid pairs");
-    assert!(
-        stats_identical(&sequential.pairs, &parallel.pairs),
-        "trial sweep diverged between 1 and {} worker threads",
-        multi.threads
+    let sequential = sweep(&single);
+    let parallel = sweep(&multi);
+    assert_same_answers(
+        &format!("core: trial sweep at {} worker threads vs 1", multi.threads),
+        &parallel.pairs,
+        &sequential.pairs,
     );
-    assert!(
-        stats_identical(&sequential.pairs, &oracle_stats.pairs),
-        "trial sweep diverged across thread counts"
+    assert_same_answers(
+        "core: trial sweep at 1 worker thread vs the timed run",
+        &sequential.pairs,
+        &oracle_stats.pairs,
     );
 
     // --- E1-style ball-scheme sweep: scalar vs batched sampler -----------
@@ -253,16 +227,9 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         sampler: SamplerMode::Batched,
         ..tc_ball.clone()
     };
-    let mut ball_scalar = None;
-    let ball_scalar_ms = time_ms(3, || {
-        ball_scalar = Some(run_trials(&g, &ball, &pairs, &tc_ball).expect("valid pairs"));
-    });
-    let mut ball_batched = None;
-    let ball_batched_ms = time_ms(3, || {
-        ball_batched = Some(run_trials(&g, &ball, &pairs, &tc_ball_batched).expect("valid pairs"));
-    });
-    let ball_scalar = ball_scalar.expect("timed at least once");
-    let ball_batched = ball_batched.expect("timed at least once");
+    let ball_sweep = |tc: &TrialConfig| run_trials(&g, &ball, &pairs, tc).expect("valid pairs");
+    let (ball_scalar, ball_scalar_ms) = timed(3, || ball_sweep(&tc_ball));
+    let (ball_batched, ball_batched_ms) = timed(3, || ball_sweep(&tc_ball_batched));
     assert_eq!(ball_scalar.failures() + ball_batched.failures(), 0);
     // The two backends consume RNG differently, so they are compared as
     // estimators: both sweeps estimate the same E[steps], and at
@@ -273,29 +240,18 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         "ball sweep estimators diverged: scalar {gm_s:.3} vs batched {gm_b:.3}"
     );
     // And the batched backend must itself be thread-invariant.
-    let ball_batched_1 = run_trials(
-        &g,
-        &ball,
-        &pairs,
-        &TrialConfig {
-            threads: 1,
-            ..tc_ball_batched.clone()
-        },
-    )
-    .expect("valid pairs");
-    let ball_batched_4 = run_trials(
-        &g,
-        &ball,
-        &pairs,
-        &TrialConfig {
-            threads: tc_ball_batched.threads.max(2),
-            ..tc_ball_batched
-        },
-    )
-    .expect("valid pairs");
-    assert!(
-        stats_identical(&ball_batched_1.pairs, &ball_batched_4.pairs),
-        "batched ball sweep diverged across thread counts"
+    let ball_batched_1 = ball_sweep(&TrialConfig {
+        threads: 1,
+        ..tc_ball_batched.clone()
+    });
+    let ball_batched_4 = ball_sweep(&TrialConfig {
+        threads: tc_ball_batched.threads.max(2),
+        ..tc_ball_batched
+    });
+    assert_same_answers(
+        "core: batched ball sweep across thread counts",
+        &ball_batched_4.pairs,
+        &ball_batched_1.pairs,
     );
     if cfg.quick {
         // Quick sweeps finish in single-digit milliseconds — too noisy
@@ -325,11 +281,7 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
             width: w,
             ..tc_ball.clone()
         };
-        let mut res = None;
-        let ms = time_ms(3, || {
-            res = Some(run_trials(&g, &ball, &pairs, &tcw).expect("valid pairs"))
-        });
-        let res = res.expect("timed at least once");
+        let (res, ms) = timed(3, || ball_sweep(&tcw));
         assert_eq!(res.failures(), 0);
         let gm = res.grand_mean();
         assert!(
@@ -352,27 +304,8 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
     }
 
     // --- render ----------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"nav-bench-core/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cfg.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    // Host metadata keeps baselines from different machines (the 1-core
-    // CI container vs a many-core box) distinguishable at a glance.
-    out.push_str(&format!(
-        "  \"host\": {},\n",
-        nav_par::HostMeta::current().to_json()
-    ));
-    out.push_str(&format!(
-        "  \"graph\": {{\"family\": \"gnp\", \"n\": {}, \"m\": {}, \"avg_degree\": {}}},\n",
-        n,
-        g.num_edges(),
-        fms(g.avg_degree())
-    ));
+    let mut out = bench_header("nav-bench-core/v1", cfg);
+    out.push_str(&graph_json("gnp", &g));
     out.push_str(&format!(
         "  \"bfs_single_source\": {{\"sources\": {}, \"scalar_us_per_source\": {}, \"msbfs64_us_per_source\": {}, \"speedup\": {}}},\n",
         probe_sources.len(),
@@ -381,24 +314,21 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         fms(per_source_scalar_us / per_source_msbfs_us)
     ));
     out.push_str(&format!(
-        "  \"all_pairs\": {{\"n\": {}, \"before_ms\": {}, \"after_ms\": {}, \"speedup\": {}, \"identical\": true}},\n",
-        n,
+        "  \"all_pairs\": {{\"n\": {n}, \"before_ms\": {}, \"after_ms\": {}, \"speedup\": {}, \"identical\": true}},\n",
         fms(before_ap_ms),
         fms(after_ap_ms),
         fms(before_ap_ms / after_ap_ms)
     ));
     out.push_str(&format!(
-        "  \"trial_sweep\": {{\"pairs\": {}, \"trials_per_pair\": {}, \"scheme\": \"uniform\", \"before_ms\": {}, \"after_ms\": {}, \"speedup\": {}, \"bit_identical\": true, \"thread_invariant\": true}},\n",
+        "  \"trial_sweep\": {{\"pairs\": {}, \"trials_per_pair\": {trials_per_pair}, \"scheme\": \"uniform\", \"before_ms\": {}, \"after_ms\": {}, \"speedup\": {}, \"bit_identical\": true, \"thread_invariant\": true}},\n",
         pairs.len(),
-        trials_per_pair,
         fms(before_sweep_ms),
         fms(after_sweep_ms),
         fms(before_sweep_ms / after_sweep_ms)
     ));
     out.push_str(&format!(
-        "  \"ball_sweep\": {{\"pairs\": {}, \"trials_per_pair\": {}, \"scheme\": \"ball(thm4)\", \"scalar_ms\": {}, \"batched_ms\": {}, \"speedup\": {}, \"grand_mean_scalar\": {}, \"grand_mean_batched\": {}, \"distribution_identical\": true, \"thread_invariant\": true}},\n",
+        "  \"ball_sweep\": {{\"pairs\": {}, \"trials_per_pair\": {trials_per_pair}, \"scheme\": \"ball(thm4)\", \"scalar_ms\": {}, \"batched_ms\": {}, \"speedup\": {}, \"grand_mean_scalar\": {}, \"grand_mean_batched\": {}, \"distribution_identical\": true, \"thread_invariant\": true}},\n",
         pairs.len(),
-        trials_per_pair,
         fms(ball_scalar_ms),
         fms(ball_batched_ms),
         fms(ball_scalar_ms / ball_batched_ms),
@@ -406,8 +336,7 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         fms(gm_b)
     ));
     out.push_str(&format!(
-        "  \"all_pairs_width_sweep\": {{\"n\": {}, \"w64_ms\": {}, \"w128_ms\": {}, \"w256_ms\": {}, \"best_lanes\": {}, \"best_speedup_vs_64\": {}, \"bit_identical\": true}},\n",
-        n,
+        "  \"all_pairs_width_sweep\": {{\"n\": {n}, \"w64_ms\": {}, \"w128_ms\": {}, \"w256_ms\": {}, \"best_lanes\": {}, \"best_speedup_vs_64\": {}, \"bit_identical\": true}},\n",
         fms(ap_width[0].1),
         fms(ap_width[1].1),
         fms(ap_width[2].1),
@@ -415,9 +344,8 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         fms(ap_best_speedup)
     ));
     out.push_str(&format!(
-        "  \"ball_width_sweep\": {{\"pairs\": {}, \"trials_per_pair\": {}, \"w64_ms\": {}, \"w128_ms\": {}, \"w256_ms\": {}, \"grand_means\": [{}, {}, {}], \"conformance\": true, \"estimator_agreement\": true}}\n",
+        "  \"ball_width_sweep\": {{\"pairs\": {}, \"trials_per_pair\": {trials_per_pair}, \"w64_ms\": {}, \"w128_ms\": {}, \"w256_ms\": {}, \"grand_means\": [{}, {}, {}], \"conformance\": true, \"estimator_agreement\": true}}\n",
         pairs.len(),
-        trials_per_pair,
         fms(ball_width[0].1),
         fms(ball_width[1].1),
         fms(ball_width[2].1),

@@ -24,77 +24,74 @@
 
 use nav_bench::benchjson::render_core_bench;
 use nav_bench::experiments::run_experiments;
+use nav_bench::measure::{emit_bench, parse_bench_args, BENCH_USAGE};
 use nav_bench::ExpConfig;
 use nav_core::sampler::SamplerMode;
+use nav_graph::msbfs::LaneWidth;
+
+/// The next argument parsed by `parse`, or exit 2 with `need`.
+fn value<T>(
+    args: &mut impl Iterator<Item = String>,
+    need: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    args.next().as_deref().and_then(parse).unwrap_or_else(|| {
+        eprintln!("{need}");
+        std::process::exit(2)
+    })
+}
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--bench-json") {
+        let rest = args.into_iter().filter(|a| a != "--bench-json");
+        let (cfg, path) = parse_bench_args(rest, "BENCH_core.json").unwrap_or_else(|e| {
+            eprintln!("experiments --bench-json: {e} (usage: --bench-json {BENCH_USAGE})");
+            std::process::exit(2)
+        });
+        return emit_bench("experiments bench-json", &path, &cfg, render_core_bench);
+    }
     let mut cfg = ExpConfig::default();
     let mut which: Vec<String> = Vec::new();
     let mut csv = false;
-    let mut bench_json: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
             "--csv" => csv = true,
-            "--bench-json" => {
-                // Optional output path; defaults to BENCH_core.json.
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with("--") => args.next().expect("peeked"),
-                    _ => "BENCH_core.json".to_string(),
-                };
-                bench_json = Some(path);
-            }
             "--exp" => {
-                let v = args.next().expect("--exp needs a value, e.g. e1,e7");
+                let v = value(&mut args, "--exp needs a value, e.g. e1,e7", |v| {
+                    Some(v.to_string())
+                });
                 which.extend(v.split(',').map(|s| s.trim().to_string()));
             }
             "--threads" => {
-                cfg.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
+                cfg.threads = value(&mut args, "--threads needs a number", |v| v.parse().ok())
             }
-            "--seed" => {
-                cfg.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
+            "--seed" => cfg.seed = value(&mut args, "--seed needs a number", |v| v.parse().ok()),
             "--sampler" => {
-                cfg.sampler = args
-                    .next()
-                    .as_deref()
-                    .and_then(SamplerMode::parse)
-                    .expect("--sampler needs scalar|batched");
+                cfg.sampler = value(
+                    &mut args,
+                    "--sampler needs scalar|batched",
+                    SamplerMode::parse,
+                )
             }
-            "--width" => {
-                cfg.width = args
-                    .next()
-                    .as_deref()
-                    .and_then(nav_graph::msbfs::LaneWidth::parse)
-                    .expect("--width needs 64|128|256");
-            }
+            "--width" => cfg.width = value(&mut args, "--width needs 64|128|256", LaneWidth::parse),
             "--drop-p" => {
-                let p: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--drop-p needs a probability");
-                assert!(
-                    (0.0..=1.0).contains(&p),
-                    "--drop-p must be in [0, 1], got {p}"
-                );
-                cfg.drop_p = Some(p);
+                cfg.drop_p = Some(value(
+                    &mut args,
+                    "--drop-p needs a probability in [0, 1]",
+                    |v| v.parse().ok().filter(|p: &f64| (0.0..=1.0).contains(p)),
+                ))
             }
             "--fault-epochs" => {
-                cfg.fault_epochs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--fault-epochs needs an epoch count");
+                cfg.fault_epochs = value(&mut args, "--fault-epochs needs an epoch count", |v| {
+                    v.parse().ok()
+                })
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--quick] [--exp e1,..,e10] [--threads N] [--seed S] [--sampler scalar|batched] [--drop-p P] [--fault-epochs E] [--csv]\n       experiments --bench-json [PATH] [--quick] [--threads N] [--seed S]"
+                    "usage: experiments [--quick] [--exp e1,..,e10] [--threads N] [--seed S] [--sampler scalar|batched] [--width 64|128|256] [--drop-p P] [--fault-epochs E] [--csv]\n       experiments --bench-json {BENCH_USAGE}"
                 );
                 return;
             }
@@ -113,20 +110,10 @@ fn main() {
         cfg.width.label()
     );
     let start = std::time::Instant::now();
-    if let Some(path) = bench_json {
-        if !which.is_empty() || csv {
-            eprintln!("[experiments] note: --exp/--csv are ignored in --bench-json mode");
-        }
-        let json = render_core_bench(&cfg);
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        print!("{json}");
-        eprintln!(
-            "[experiments] bench-json -> {path} in {:.1?}",
-            start.elapsed()
-        );
-        return;
-    }
-    let tables = run_experiments(&cfg, &which);
+    let tables = run_experiments(&cfg, &which).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     for t in &tables {
         if csv {
             println!("{}", t.to_csv());

@@ -11,9 +11,6 @@
 //!     [--family gnp] [--n 4096] [--graph-seed 42] [--queries 100000] \
 //!     [--theta 1.1] [--hot 1024] [--zipf-seed 7] [--trials 8] [--batch 512]
 //!
-//! # emit the BENCH_serve.json cold-vs-warm baseline
-//! cargo run -p nav-bench --release --bin nav-engine -- --bench-json [PATH] [--quick] [--threads N] [--seed S]
-//!
 //! # serve a workload's graph over TCP, then replay the workload against it
 //! cargo run -p nav-bench --release --bin nav-engine -- serve-tcp FILE --addr 127.0.0.1:4777 \
 //!     [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--admission lru|segmented] [--workers W]
@@ -23,15 +20,14 @@
 //! # latency histograms, sampled query traces) as /metrics text or JSON
 //! cargo run -p nav-bench --release --bin nav-engine -- stats 127.0.0.1:4777 [--handle H] [--json]
 //!
-//! # emit the BENCH_net.json loopback wire baseline (self-hosted)
+//! # emit a BENCH_*.json baseline: BENCH_serve.json (cold vs warm cache),
+//! # BENCH_net.json (loopback wire, self-hosted), BENCH_scale.json (exact
+//! # rows at n = 10^6) or BENCH_fault.json (link drops + node churn).
+//! # All four share one parser: PATH defaults to the checked-in file,
+//! # --quick is the CI-sized smoke (n = 10^5 for scale-bench)
+//! cargo run -p nav-bench --release --bin nav-engine -- --bench-json [PATH] [--quick] [--threads N] [--seed S]
 //! cargo run -p nav-bench --release --bin nav-engine -- bench-tcp --bench-json [PATH] [--quick] [--threads N] [--seed S]
-//!
-//! # emit the BENCH_scale.json exact-row memory and cold/warm serving
-//! # baseline (n = 10^6; --quick is the CI-sized n = 10^5 smoke)
 //! cargo run -p nav-bench --release --bin nav-engine -- scale-bench [PATH] [--quick] [--threads N] [--seed S]
-//!
-//! # emit the BENCH_fault.json success/stretch-vs-drop-probability
-//! # degradation baseline (link drops + node churn)
 //! cargo run -p nav-bench --release --bin nav-engine -- chaos-bench [PATH] [--quick] [--threads N] [--seed S]
 //!
 //! # durability: capture a running server's state, restore a server from
@@ -55,6 +51,7 @@
 //! shard counts — failure injection is part of the determinism contract.
 
 use nav_bench::faultjson::render_fault_bench;
+use nav_bench::measure::{emit_bench, parse_bench_args, BENCH_USAGE};
 use nav_bench::netjson::render_net_bench;
 use nav_bench::scalejson::render_scale_bench;
 use nav_bench::servejson::render_serve_bench;
@@ -74,6 +71,15 @@ use nav_graph::Graph;
 use nav_net::{Frame, MetricsSnapshot, NetClient, NetConfig, NetError, NetServer};
 use nav_store::Snapshot;
 
+/// Prints a formatted message and exits with the code: 2 for bad input,
+/// 1 for a failure at run time.
+macro_rules! die {
+    ($code:expr, $($msg:tt)+) => {{
+        eprintln!($($msg)+);
+        std::process::exit($code)
+    }};
+}
+
 fn family_graph(spec: &GraphSpec) -> Graph {
     let family = match spec.family.as_str() {
         "path" => Workload::Path,
@@ -82,10 +88,10 @@ fn family_graph(spec: &GraphSpec) -> Graph {
         "gnp" => Workload::Gnp,
         "lollipop" => Workload::Lollipop,
         "comb" => Workload::Comb,
-        other => {
-            eprintln!("unknown graph family `{other}` (path|grid2d|random-tree|gnp|lollipop|comb)");
-            std::process::exit(2);
-        }
+        other => die!(
+            2,
+            "unknown graph family `{other}` (path|grid2d|random-tree|gnp|lollipop|comb)"
+        ),
     };
     family.build(spec.n, spec.seed)
 }
@@ -103,10 +109,10 @@ fn scheme_for(
         // realized 64 centres per MS-BFS pass — the deployed-overlay view.
         "ball-realized" => Box::new(BallScheme::new(g).realize_batched(g, seed, threads)),
         "none" => Box::new(NoAugmentation),
-        other => {
-            eprintln!("unknown scheme `{other}` (uniform|ball|ball-realized|none)");
-            std::process::exit(2);
-        }
+        other => die!(
+            2,
+            "unknown scheme `{other}` (uniform|ball|ball-realized|none)"
+        ),
     }
 }
 
@@ -133,11 +139,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The next argument, or exit 2 with `need` (e.g. "--json needs a path").
+fn expect_arg(args: &mut impl Iterator<Item = String>, need: &str) -> String {
+    args.next().unwrap_or_else(|| die!(2, "{need}"))
+}
+
 fn expect_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} needs a number");
-        std::process::exit(2);
-    })
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die!(2, "{flag} needs a number"))
 }
 
 /// Parses `--shards K` (bounded by the one-byte shard selector of the
@@ -145,8 +155,7 @@ fn expect_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, fla
 fn expect_shards(args: &mut impl Iterator<Item = String>) -> usize {
     let shards: usize = expect_num(args, "--shards");
     if shards == 0 || shards > MAX_SHARDS {
-        eprintln!("--shards must be in 1..={MAX_SHARDS}, got {shards}");
-        std::process::exit(2);
+        die!(2, "--shards must be in 1..={MAX_SHARDS}, got {shards}");
     }
     shards
 }
@@ -180,8 +189,7 @@ fn resolve_fault(
         return FaultConfig::default();
     };
     if !(0.0..=1.0).contains(&spec.drop_prob) {
-        eprintln!("--drop-p must be in [0, 1], got {}", spec.drop_prob);
-        std::process::exit(2);
+        die!(2, "--drop-p must be in [0, 1], got {}", spec.drop_prob);
     }
     spec.to_config(seed)
 }
@@ -190,24 +198,13 @@ fn resolve_fault(
 /// (exiting with a message on any failure). The snapshot carries
 /// everything answer-determining — graph, scheme, seed, cache, faults —
 /// plus the shard count, counters and rows, so only the answer-invisible
-/// knobs (threads, tracing) come from the caller.
-fn restore_engine(path: &str, threads: usize, trace_every: u64) -> Engine {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(2);
-    });
-    let snap = Snapshot::decode(&bytes).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    });
-    let obs = nav_obs::ObsConfig {
-        trace_every,
-        ..nav_obs::ObsConfig::default()
-    };
-    let engine = snap.restore(threads, obs).unwrap_or_else(|e| {
-        eprintln!("{path}: restore failed: {e}");
-        std::process::exit(2);
-    });
+/// knobs (threads, tracing) come from `cfg`.
+fn restore_engine(path: &str, cfg: &EngineConfig) -> Engine {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| die!(2, "reading {path}: {e}"));
+    let snap = Snapshot::decode(&bytes).unwrap_or_else(|e| die!(2, "{path}: {e}"));
+    let engine = snap
+        .restore(cfg.threads, cfg.obs)
+        .unwrap_or_else(|e| die!(2, "{path}: restore failed: {e}"));
     eprintln!(
         "[nav-engine] restored {path}: n={} seed={} shards={} served={} resident rows={}",
         snap.num_nodes,
@@ -221,89 +218,85 @@ fn restore_engine(path: &str, threads: usize, trace_every: u64) -> Engine {
 
 /// Parses `--width 64|128|256` (MS-BFS lanes per word block).
 fn expect_width(args: &mut impl Iterator<Item = String>) -> LaneWidth {
-    let value = args.next().unwrap_or_else(|| {
-        eprintln!("--width needs 64|128|256");
-        std::process::exit(2);
-    });
-    LaneWidth::parse(&value).unwrap_or_else(|| {
-        eprintln!("unknown lane width `{value}` (64|128|256)");
-        std::process::exit(2);
-    })
+    let value = expect_arg(args, "--width needs 64|128|256");
+    LaneWidth::parse(&value).unwrap_or_else(|| die!(2, "unknown lane width `{value}` (64|128|256)"))
 }
 
 /// Parses `--admission lru|segmented`.
 fn expect_admission(args: &mut impl Iterator<Item = String>) -> AdmissionPolicy {
-    let value = args.next().unwrap_or_else(|| {
-        eprintln!("--admission needs lru|segmented");
-        std::process::exit(2);
-    });
-    AdmissionPolicy::parse(&value).unwrap_or_else(|| {
-        eprintln!("unknown admission policy `{value}` (lru|segmented)");
-        std::process::exit(2);
-    })
+    let value = expect_arg(args, "--admission needs lru|segmented");
+    AdmissionPolicy::parse(&value)
+        .unwrap_or_else(|| die!(2, "unknown admission policy `{value}` (lru|segmented)"))
+}
+
+/// The engine flags `serve` and `serve-tcp` share. `cfg` starts at
+/// [`EngineConfig::default`], whose values are the documented defaults.
+struct EngineFlags {
+    cfg: EngineConfig,
+    scheme: String,
+    shards: Option<usize>,
+    drop_p: Option<f64>,
+    fault_epochs: Option<u32>,
+    restore: Option<String>,
+}
+
+impl EngineFlags {
+    fn new() -> Self {
+        EngineFlags {
+            cfg: EngineConfig::default(),
+            scheme: "uniform".to_string(),
+            shards: None,
+            drop_p: None,
+            fault_epochs: None,
+            restore: None,
+        }
+    }
+
+    /// Consumes `arg` (and its value) if it is a shared flag.
+    fn take(&mut self, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
+        let cfg = &mut self.cfg;
+        match arg {
+            "--threads" => cfg.threads = expect_num(args, "--threads"),
+            "--seed" => cfg.seed = expect_num(args, "--seed"),
+            "--cache-mb" => cfg.cache_bytes = expect_num::<usize>(args, "--cache-mb") << 20,
+            "--admission" => cfg.admission = expect_admission(args),
+            "--width" => cfg.width = expect_width(args),
+            "--trace-every" => cfg.obs.trace_every = expect_num(args, "--trace-every"),
+            "--shards" => self.shards = Some(expect_shards(args)),
+            "--drop-p" => self.drop_p = Some(expect_num(args, "--drop-p")),
+            "--fault-epochs" => self.fault_epochs = Some(expect_num(args, "--fault-epochs")),
+            "--restore" => self.restore = Some(expect_arg(args, "--restore needs a snapshot path")),
+            "--scheme" => self.scheme = expect_arg(args, "--scheme needs a value"),
+            _ => return false,
+        }
+        true
+    }
 }
 
 fn serve(mut args: impl Iterator<Item = String>) {
     let mut file: Option<String> = None;
-    let mut threads = nav_par::default_threads();
-    let mut seed = 0x5eedu64;
-    let mut cache_mb = 128usize;
-    let mut scheme_name = "uniform".to_string();
+    let mut flags = EngineFlags::new();
     let mut sampler_flag: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut admission = AdmissionPolicy::Lru;
-    let mut shards_flag: Option<usize> = None;
-    let mut drop_p: Option<f64> = None;
-    let mut fault_epochs: Option<u32> = None;
-    let mut trace_every = nav_obs::ObsConfig::default().trace_every;
-    let mut restore_path: Option<String> = None;
-    let mut width = LaneWidth::default();
     while let Some(arg) = args.next() {
+        if flags.take(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--threads" => threads = expect_num(&mut args, "--threads"),
-            "--seed" => seed = expect_num(&mut args, "--seed"),
-            "--cache-mb" => cache_mb = expect_num(&mut args, "--cache-mb"),
-            "--admission" => admission = expect_admission(&mut args),
-            "--width" => width = expect_width(&mut args),
-            "--shards" => shards_flag = Some(expect_shards(&mut args)),
-            "--drop-p" => drop_p = Some(expect_num(&mut args, "--drop-p")),
-            "--fault-epochs" => fault_epochs = Some(expect_num(&mut args, "--fault-epochs")),
-            "--trace-every" => trace_every = expect_num(&mut args, "--trace-every"),
-            "--restore" => {
-                restore_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--restore needs a snapshot path");
-                    std::process::exit(2);
-                }))
-            }
-            "--scheme" => {
-                scheme_name = args.next().unwrap_or_else(|| {
-                    eprintln!("--scheme needs a value");
-                    std::process::exit(2);
-                })
-            }
             "--sampler" => {
-                sampler_flag = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--sampler needs scalar|batched|ball-realized");
-                    std::process::exit(2);
-                }));
+                sampler_flag = Some(expect_arg(
+                    &mut args,
+                    "--sampler needs scalar|batched|ball-realized",
+                ))
             }
-            "--json" => {
-                json_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(2);
-                }))
-            }
+            "--json" => json_path = Some(expect_arg(&mut args, "--json needs a path")),
             other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown serve argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown serve argument: {other}"),
         }
     }
-    let file = file.unwrap_or_else(|| {
-        eprintln!("serve needs a workload file (try `gen` first)");
-        std::process::exit(2);
-    });
+    let file = file.unwrap_or_else(|| die!(2, "serve needs a workload file (try `gen` first)"));
+    let EngineConfig { seed, threads, .. } = flags.cfg;
+    let mut scheme_name = flags.scheme;
     // Resolve the sampler backend: `ball-realized` is the pre-realized
     // backend — one fixed joint draw served as a contact table — spelled
     // as a scheme swap so the engine itself stays scheme-agnostic.
@@ -311,15 +304,16 @@ fn serve(mut args: impl Iterator<Item = String>) {
         None => SamplerMode::Scalar,
         Some("ball-realized") => {
             if scheme_name != "ball" && scheme_name != "ball-realized" {
-                eprintln!("--sampler ball-realized only applies to --scheme ball");
-                std::process::exit(2);
+                die!(2, "--sampler ball-realized only applies to --scheme ball");
             }
             scheme_name = "ball-realized".to_string();
             SamplerMode::Scalar
         }
         Some(value) => SamplerMode::parse(value).unwrap_or_else(|| {
-            eprintln!("unknown sampler `{value}` (scalar|batched|ball-realized)");
-            std::process::exit(2);
+            die!(
+                2,
+                "unknown sampler `{value}` (scalar|batched|ball-realized)"
+            )
         }),
     };
     // Workload endpoints were validated against the file's node count at
@@ -327,8 +321,8 @@ fn serve(mut args: impl Iterator<Item = String>) {
     // insists the two agree exactly or out-of-range endpoints would abort
     // mid-replay. (`gen` pins the file to the built size.)
     let (spec, g) = load_workload(&file);
-    let shards = shards_flag.unwrap_or(spec.shards);
-    let fault = resolve_fault(drop_p, fault_epochs, spec.fault, seed);
+    let shards = flags.shards.unwrap_or(spec.shards);
+    let fault = resolve_fault(flags.drop_p, flags.fault_epochs, spec.fault, seed);
     if fault.is_active() {
         eprintln!(
             "[nav-engine] faults: drop_p={}, churn={}",
@@ -354,22 +348,22 @@ fn serve(mut args: impl Iterator<Item = String>) {
         spec.batch_size,
         scheme_name,
         sampler.label(),
-        cache_mb,
+        flags.cfg.cache_bytes >> 20,
         threads,
         shards
     );
-    let mut engine = match &restore_path {
+    let mut engine = match &flags.restore {
         // The snapshot wins every answer-determining knob; the workload
         // file still drives the query stream, so its graph must match.
         Some(path) => {
-            let engine = restore_engine(path, threads, trace_every);
+            let engine = restore_engine(path, &flags.cfg);
             if engine.graph().num_nodes() != g.num_nodes() {
-                eprintln!(
+                die!(
+                    2,
                     "{path}: snapshot graph has {} nodes but workload {file} declares {} — refusing to serve a mismatched stream",
                     engine.graph().num_nodes(),
                     g.num_nodes()
                 );
-                std::process::exit(2);
             }
             engine
         }
@@ -377,17 +371,9 @@ fn serve(mut args: impl Iterator<Item = String>) {
             g,
             &scheme_name,
             EngineConfig {
-                seed,
-                threads,
-                cache_bytes: cache_mb << 20,
                 sampler,
-                admission,
                 fault,
-                width,
-                obs: nav_obs::ObsConfig {
-                    trace_every,
-                    ..nav_obs::ObsConfig::default()
-                },
+                ..flags.cfg
             },
             shards,
         ),
@@ -397,10 +383,9 @@ fn serve(mut args: impl Iterator<Item = String>) {
     let t0 = std::time::Instant::now();
     let mut failures = 0usize;
     for batch in spec.batches() {
-        let result = engine.serve(&batch).unwrap_or_else(|e| {
-            eprintln!("serve failed: {e}");
-            std::process::exit(1);
-        });
+        let result = engine
+            .serve(&batch)
+            .unwrap_or_else(|e| die!(1, "serve failed: {e}"));
         failures += result.answers.iter().map(|a| a.failures).sum::<usize>();
     }
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -419,7 +404,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
     println!("batch latency     {latency}");
     println!(
         "cache [{}]        {} rows resident ({} KiB), {} hits / {} misses (rate {:.3}), {} evictions",
-        admission.label(),
+        flags.cfg.admission.label(),
         cache.resident_rows,
         cache.resident_bytes / 1024,
         cache.hits,
@@ -463,7 +448,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
             m.batches,
             m.trials,
             m.throughput_qps(),
-            admission.label(),
+            flags.cfg.admission.label(),
             cache.capacity_bytes,
             cache.resident_rows,
             cache.resident_bytes,
@@ -498,12 +483,7 @@ fn gen(mut args: impl Iterator<Item = String>) {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--shards" => shards = expect_shards(&mut args),
-            "--family" => {
-                family = args.next().unwrap_or_else(|| {
-                    eprintln!("--family needs a value");
-                    std::process::exit(2);
-                })
-            }
+            "--family" => family = expect_arg(&mut args, "--family needs a value"),
             "--n" => n = expect_num(&mut args, "--n"),
             "--graph-seed" => graph_seed = expect_num(&mut args, "--graph-seed"),
             "--queries" => queries = expect_num(&mut args, "--queries"),
@@ -513,16 +493,10 @@ fn gen(mut args: impl Iterator<Item = String>) {
             "--trials" => trials = expect_num(&mut args, "--trials"),
             "--batch" => batch = expect_num(&mut args, "--batch"),
             other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown gen argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown gen argument: {other}"),
         }
     }
-    let file = file.unwrap_or_else(|| {
-        eprintln!("gen needs an output path");
-        std::process::exit(2);
-    });
+    let file = file.unwrap_or_else(|| die!(2, "gen needs an output path"));
     // Families build *approximate* sizes (a grid rounds to a square, a
     // comb to whole teeth). Build once to learn the real node count, pin
     // the file to it, and verify the pinned size is a fixed point of the
@@ -538,11 +512,11 @@ fn gen(mut args: impl Iterator<Item = String>) {
         ..requested
     };
     if family_graph(&spec).num_nodes() != built_n {
-        eprintln!(
+        die!(
+            2,
             "family {} cannot be pinned at its built size ({built_n} nodes from --n {n}); try a different --n",
             spec.family
         );
-        std::process::exit(2);
     }
     if built_n != n {
         eprintln!("[nav-engine] note: {} builds {built_n} nodes for --n {n}; workload pinned to {built_n}", spec.family);
@@ -567,17 +541,12 @@ fn gen(mut args: impl Iterator<Item = String>) {
 /// Reads and parses a workload file, building its graph (exiting with a
 /// message on any failure) — the shared front of `serve`-family commands.
 fn load_workload(file: &str) -> (WorkloadSpec, Graph) {
-    let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("reading {file}: {e}");
-        std::process::exit(2);
-    });
-    let spec = parse_workload(&text).unwrap_or_else(|e| {
-        eprintln!("{file}: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(file).unwrap_or_else(|e| die!(2, "reading {file}: {e}"));
+    let spec = parse_workload(&text).unwrap_or_else(|e| die!(2, "{file}: {e}"));
     let g = family_graph(&spec.graph);
     if g.num_nodes() != spec.graph.n {
-        eprintln!(
+        die!(
+            2,
             "{file}: graph {} builds {} nodes, but the workload declares n={} — regenerate with `gen --family {} --n {}`",
             spec.graph.family,
             g.num_nodes(),
@@ -585,7 +554,6 @@ fn load_workload(file: &str) -> (WorkloadSpec, Graph) {
             spec.graph.family,
             g.num_nodes()
         );
-        std::process::exit(2);
     }
     (spec, g)
 }
@@ -593,64 +561,26 @@ fn load_workload(file: &str) -> (WorkloadSpec, Graph) {
 fn serve_tcp(mut args: impl Iterator<Item = String>) {
     let mut file: Option<String> = None;
     let mut addr = "127.0.0.1:4777".to_string();
-    let mut threads = nav_par::default_threads();
-    let mut seed = 0x5eedu64;
-    let mut cache_mb = 128usize;
-    let mut scheme_name = "uniform".to_string();
-    let mut admission = AdmissionPolicy::Lru;
+    let mut flags = EngineFlags::new();
     let mut net = NetConfig::default();
-    let mut shards_flag: Option<usize> = None;
-    let mut drop_p: Option<f64> = None;
-    let mut fault_epochs: Option<u32> = None;
-    let mut trace_every = nav_obs::ObsConfig::default().trace_every;
-    let mut restore_path: Option<String> = None;
     let mut record_path: Option<String> = None;
-    let mut width = LaneWidth::default();
     while let Some(arg) = args.next() {
+        if flags.take(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--width" => width = expect_width(&mut args),
-            "--shards" => shards_flag = Some(expect_shards(&mut args)),
-            "--drop-p" => drop_p = Some(expect_num(&mut args, "--drop-p")),
-            "--fault-epochs" => fault_epochs = Some(expect_num(&mut args, "--fault-epochs")),
-            "--trace-every" => trace_every = expect_num(&mut args, "--trace-every"),
-            "--restore" => {
-                restore_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--restore needs a snapshot path");
-                    std::process::exit(2);
-                }))
-            }
             "--record" => {
-                record_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--record needs an output path");
-                    std::process::exit(2);
-                }))
+                record_path = Some(expect_arg(&mut args, "--record needs an output path"))
             }
-            "--addr" => {
-                addr = args.next().unwrap_or_else(|| {
-                    eprintln!("--addr needs HOST:PORT");
-                    std::process::exit(2);
-                })
-            }
-            "--threads" => threads = expect_num(&mut args, "--threads"),
-            "--seed" => seed = expect_num(&mut args, "--seed"),
-            "--cache-mb" => cache_mb = expect_num(&mut args, "--cache-mb"),
-            "--admission" => admission = expect_admission(&mut args),
+            "--addr" => addr = expect_arg(&mut args, "--addr needs HOST:PORT"),
             "--workers" => net.workers = expect_num(&mut args, "--workers"),
             "--max-queries" => net.max_batch_queries = expect_num(&mut args, "--max-queries"),
-            "--scheme" => {
-                scheme_name = args.next().unwrap_or_else(|| {
-                    eprintln!("--scheme needs a value");
-                    std::process::exit(2);
-                })
-            }
             other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown serve-tcp argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown serve-tcp argument: {other}"),
         }
     }
-    let engine = match &restore_path {
+    let EngineConfig { seed, threads, .. } = flags.cfg;
+    let engine = match &flags.restore {
         // The snapshot carries graph, scheme, and every answer-determining
         // knob, so no workload file is needed (one given anyway is only a
         // graph spec here — ignored with a note).
@@ -658,22 +588,20 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
             if let Some(f) = &file {
                 eprintln!("[nav-engine] note: workload file {f} ignored under --restore (the snapshot carries the graph and config)");
             }
-            restore_engine(path, threads, trace_every)
+            restore_engine(path, &flags.cfg)
         }
         None => {
-            let file = file.unwrap_or_else(|| {
-                eprintln!("serve-tcp needs a workload file for its graph spec (try `gen` first) or --restore SNAPSHOT");
-                std::process::exit(2);
-            });
+            let file = file.unwrap_or_else(|| die!(2, "serve-tcp needs a workload file for its graph spec (try `gen` first) or --restore SNAPSHOT"));
             let (spec, g) = load_workload(&file);
-            let shards = shards_flag.unwrap_or(spec.shards);
-            let fault = resolve_fault(drop_p, fault_epochs, spec.fault, seed);
+            let shards = flags.shards.unwrap_or(spec.shards);
+            let fault = resolve_fault(flags.drop_p, flags.fault_epochs, spec.fault, seed);
             eprintln!(
-                "[nav-engine] serving graph {} n={} (scheme {}, seed {seed}, cache {cache_mb} MiB [{}], {} shards, {} workers × {threads} threads)",
+                "[nav-engine] serving graph {} n={} (scheme {}, seed {seed}, cache {} MiB [{}], {} shards, {} workers × {threads} threads)",
                 spec.graph.family,
                 spec.graph.n,
-                scheme_name,
-                admission.label(),
+                flags.scheme,
+                flags.cfg.cache_bytes >> 20,
+                flags.cfg.admission.label(),
                 shards,
                 net.workers
             );
@@ -686,33 +614,18 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
             }
             build_engine(
                 g,
-                &scheme_name,
-                EngineConfig {
-                    seed,
-                    threads,
-                    cache_bytes: cache_mb << 20,
-                    sampler: SamplerMode::Scalar,
-                    admission,
-                    fault,
-                    width,
-                    obs: nav_obs::ObsConfig {
-                        trace_every,
-                        ..nav_obs::ObsConfig::default()
-                    },
-                },
+                &flags.scheme,
+                EngineConfig { fault, ..flags.cfg },
                 shards,
             )
         }
     };
-    let server = NetServer::bind(engine, net, addr.as_str()).unwrap_or_else(|e| {
-        eprintln!("binding {addr}: {e}");
-        std::process::exit(1);
-    });
+    let server = NetServer::bind(engine, net, addr.as_str())
+        .unwrap_or_else(|e| die!(1, "binding {addr}: {e}"));
     if let Some(path) = &record_path {
-        server.record_to(path).unwrap_or_else(|e| {
-            eprintln!("recording to {path}: {e}");
-            std::process::exit(1);
-        });
+        server
+            .record_to(path)
+            .unwrap_or_else(|e| die!(1, "recording to {path}: {e}"));
         eprintln!("[nav-engine] recording traffic -> {path}");
     }
     let bound = server.local_addr().expect("bound address");
@@ -720,10 +633,9 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
     println!("listening on {bound}");
     use std::io::Write as _;
     std::io::stdout().flush().ok();
-    server.run().unwrap_or_else(|e| {
-        eprintln!("server failed: {e}");
-        std::process::exit(1);
-    });
+    server
+        .run()
+        .unwrap_or_else(|e| die!(1, "server failed: {e}"));
 }
 
 /// Replays the workload's query stream over one client connection,
@@ -735,56 +647,34 @@ fn replay_over_tcp(client: &mut NetClient, spec: &WorkloadSpec) -> (f64, Metrics
     for batch in spec.batches() {
         let (answers, m) = client
             .serve(0, SamplerMode::Scalar, &batch)
-            .unwrap_or_else(|e| {
-                eprintln!("bench-tcp replay failed: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| die!(1, "bench-tcp replay failed: {e}"));
         failures += answers.iter().map(|a| a.failures).sum::<usize>();
         metrics = m;
     }
     (t0.elapsed().as_secs_f64() * 1e3, metrics, failures)
 }
 
+/// `bench-tcp FILE --addr HOST:PORT` replays against a running
+/// serve-tcp (the self-hosted `bench-tcp --bench-json` form is routed to
+/// [`bench`] by `main`).
 fn bench_tcp(mut args: impl Iterator<Item = String>) {
-    // Two forms share the parser: `bench-tcp FILE --addr HOST:PORT`
-    // replays against a running serve-tcp; `bench-tcp --bench-json
-    // [PATH]` self-hosts a loopback server and emits BENCH_net.json (the
-    // positional doubles as the output path there).
     let mut file: Option<String> = None;
     let mut addr: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut bench_mode = false;
-    let mut cfg = ExpConfig::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = args.next(),
             "--json" => json_path = args.next(),
-            "--bench-json" => bench_mode = true,
-            "--quick" => cfg.quick = true,
-            "--threads" => cfg.threads = expect_num(&mut args, "--threads"),
-            "--seed" => cfg.seed = expect_num(&mut args, "--seed"),
             other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown bench-tcp argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown bench-tcp argument: {other}"),
         }
     }
-    if bench_mode {
-        let path = file.unwrap_or_else(|| "BENCH_net.json".to_string());
-        return emit_net_bench(&cfg, &path);
-    }
     let (Some(file), Some(addr)) = (file, addr) else {
-        eprintln!(
-            "bench-tcp needs either `FILE --addr HOST:PORT` (replay against a running serve-tcp) or `--bench-json [PATH]` (self-hosted BENCH_net.json)"
-        );
-        std::process::exit(2);
+        die!(2, "bench-tcp needs either `FILE --addr HOST:PORT` (replay against a running serve-tcp) or `--bench-json [PATH]` (self-hosted BENCH_net.json)");
     };
     let (spec, _g) = load_workload(&file);
-    let mut client = NetClient::connect(addr.as_str()).unwrap_or_else(|e| {
-        eprintln!("connecting {addr}: {e}");
-        std::process::exit(1);
-    });
+    let mut client =
+        NetClient::connect(addr.as_str()).unwrap_or_else(|e| die!(1, "connecting {addr}: {e}"));
     eprintln!(
         "[nav-engine] bench-tcp: {} queries × 2 passes against {addr}",
         spec.queries.len()
@@ -911,24 +801,15 @@ fn stats(mut args: impl Iterator<Item = String>) {
             "--handle" => handle = expect_num(&mut args, "--handle"),
             "--json" => json = true,
             other if addr.is_none() && !other.starts_with("--") => addr = Some(other.to_string()),
-            other => {
-                eprintln!("unknown stats argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown stats argument: {other}"),
         }
     }
-    let addr = addr.unwrap_or_else(|| {
-        eprintln!("stats needs the HOST:PORT of a running serve-tcp");
-        std::process::exit(2);
-    });
-    let mut client = NetClient::connect(addr.as_str()).unwrap_or_else(|e| {
-        eprintln!("connecting {addr}: {e}");
-        std::process::exit(1);
-    });
-    let reply = client.stats(handle).unwrap_or_else(|e| {
-        eprintln!("stats request failed: {e}");
-        std::process::exit(1);
-    });
+    let addr = addr.unwrap_or_else(|| die!(2, "stats needs the HOST:PORT of a running serve-tcp"));
+    let mut client =
+        NetClient::connect(addr.as_str()).unwrap_or_else(|e| die!(1, "connecting {addr}: {e}"));
+    let reply = client
+        .stats(handle)
+        .unwrap_or_else(|e| die!(1, "stats request failed: {e}"));
     if json {
         print!("{}", stats_json(&addr, &reply));
     } else {
@@ -949,28 +830,19 @@ fn snapshot_cmd(mut args: impl Iterator<Item = String>) {
             "--handle" => handle = expect_num(&mut args, "--handle"),
             other if addr.is_none() && !other.starts_with("--") => addr = Some(other.to_string()),
             other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown snapshot argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown snapshot argument: {other}"),
         }
     }
     let (Some(addr), Some(file)) = (addr, file) else {
-        eprintln!("snapshot needs HOST:PORT and an output path");
-        std::process::exit(2);
+        die!(2, "snapshot needs HOST:PORT and an output path");
     };
-    let mut client = NetClient::connect(addr.as_str()).unwrap_or_else(|e| {
-        eprintln!("connecting {addr}: {e}");
-        std::process::exit(1);
-    });
-    let bytes = client.snapshot(handle).unwrap_or_else(|e| {
-        eprintln!("snapshot request failed: {e}");
-        std::process::exit(1);
-    });
-    let snap = Snapshot::decode(&bytes).unwrap_or_else(|e| {
-        eprintln!("server sent an undecodable snapshot: {e}");
-        std::process::exit(1);
-    });
+    let mut client =
+        NetClient::connect(addr.as_str()).unwrap_or_else(|e| die!(1, "connecting {addr}: {e}"));
+    let bytes = client
+        .snapshot(handle)
+        .unwrap_or_else(|e| die!(1, "snapshot request failed: {e}"));
+    let snap = Snapshot::decode(&bytes)
+        .unwrap_or_else(|e| die!(1, "server sent an undecodable snapshot: {e}"));
     std::fs::write(&file, &bytes).unwrap_or_else(|e| panic!("writing {file}: {e}"));
     eprintln!(
         "[nav-engine] snapshot of {addr}: n={} seed={} shards={} served={} resident rows={} ({} bytes) -> {file}",
@@ -1018,28 +890,16 @@ fn replay_cmd(mut args: impl Iterator<Item = String>) {
         match arg.as_str() {
             other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
             other if addr.is_none() && !other.starts_with("--") => addr = Some(other.to_string()),
-            other => {
-                eprintln!("unknown replay argument: {other}");
-                std::process::exit(2);
-            }
+            other => die!(2, "unknown replay argument: {other}"),
         }
     }
     let (Some(file), Some(addr)) = (file, addr) else {
-        eprintln!("replay needs a traffic log and HOST:PORT");
-        std::process::exit(2);
+        die!(2, "replay needs a traffic log and HOST:PORT");
     };
-    let bytes = std::fs::read(&file).unwrap_or_else(|e| {
-        eprintln!("reading {file}: {e}");
-        std::process::exit(2);
-    });
-    let entries = nav_store::read_record_log(&bytes).unwrap_or_else(|e| {
-        eprintln!("{file}: {e}");
-        std::process::exit(2);
-    });
-    let mut client = NetClient::connect(addr.as_str()).unwrap_or_else(|e| {
-        eprintln!("connecting {addr}: {e}");
-        std::process::exit(1);
-    });
+    let bytes = std::fs::read(&file).unwrap_or_else(|e| die!(2, "reading {file}: {e}"));
+    let entries = nav_store::read_record_log(&bytes).unwrap_or_else(|e| die!(2, "{file}: {e}"));
+    let mut client =
+        NetClient::connect(addr.as_str()).unwrap_or_else(|e| die!(1, "connecting {addr}: {e}"));
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     let (mut recorded_digest, mut replayed_digest) = (FNV_OFFSET, FNV_OFFSET);
     let max = nav_net::frame::DEFAULT_MAX_PAYLOAD;
@@ -1053,15 +913,13 @@ fn replay_cmd(mut args: impl Iterator<Item = String>) {
         };
         match Frame::decode(&entry.response, max) {
             Ok((Frame::Response(resp), _)) => {
-                let (answers, _) = client.request(req).unwrap_or_else(|e| {
-                    eprintln!("replay entry {i} failed: {e}");
-                    std::process::exit(1);
-                });
+                let (answers, _) = client
+                    .request(req)
+                    .unwrap_or_else(|e| die!(1, "replay entry {i} failed: {e}"));
                 let identical = answers.len() == resp.answers.len()
                     && answers.iter().zip(&resp.answers).all(|(a, b)| a.bits_eq(b));
                 if !identical {
-                    eprintln!("replay DIVERGED from recording at entry {i}");
-                    std::process::exit(1);
+                    die!(1, "replay DIVERGED from recording at entry {i}");
                 }
                 for a in &resp.answers {
                     hash_answer(&mut recorded_digest, a);
@@ -1075,16 +933,14 @@ fn replay_cmd(mut args: impl Iterator<Item = String>) {
             // admission checks); its bytes carry no answers to digest.
             Ok((Frame::Error(_), _)) => match client.request(req) {
                 Err(NetError::Remote(_)) => refusals += 1,
-                other => {
-                    eprintln!(
-                        "replay entry {i}: recording holds a refusal but replay got {}",
-                        match other {
-                            Ok(_) => "an answer".to_string(),
-                            Err(e) => e.to_string(),
-                        }
-                    );
-                    std::process::exit(1);
-                }
+                other => die!(
+                    1,
+                    "replay entry {i}: recording holds a refusal but replay got {}",
+                    match other {
+                        Ok(_) => "an answer".to_string(),
+                        Err(e) => e.to_string(),
+                    }
+                ),
             },
             _ => skipped += 1,
         }
@@ -1098,135 +954,23 @@ fn replay_cmd(mut args: impl Iterator<Item = String>) {
     println!("replay bit-identical with recording");
 }
 
-fn emit_net_bench(cfg: &ExpConfig, path: &str) {
-    eprintln!(
-        "[nav-engine] bench-tcp --bench-json mode={} seed={} threads={}",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.seed,
-        cfg.threads
-    );
-    let start = std::time::Instant::now();
-    let json = render_net_bench(cfg);
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    print!("{json}");
-    eprintln!(
-        "[nav-engine] bench-tcp json -> {path} in {:.1?}",
-        start.elapsed()
-    );
-}
-
-fn bench_json(mut args: impl Iterator<Item = String>) {
-    let mut cfg = ExpConfig::default();
-    let mut path = "BENCH_serve.json".to_string();
-    let mut path_set = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cfg.quick = true,
-            "--threads" => cfg.threads = expect_num(&mut args, "--threads"),
-            "--seed" => cfg.seed = expect_num(&mut args, "--seed"),
-            other if !path_set && !other.starts_with("--") => {
-                path = other.to_string();
-                path_set = true;
-            }
-            other => {
-                eprintln!("unknown bench-json argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    eprintln!(
-        "[nav-engine] bench-json mode={} seed={} threads={}",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.seed,
-        cfg.threads
-    );
-    let start = std::time::Instant::now();
-    let json = render_serve_bench(&cfg);
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    print!("{json}");
-    eprintln!(
-        "[nav-engine] bench-json -> {path} in {:.1?}",
-        start.elapsed()
-    );
-}
-
-fn scale_bench(mut args: impl Iterator<Item = String>) {
-    let mut cfg = ExpConfig::default();
-    let mut path = "BENCH_scale.json".to_string();
-    let mut path_set = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cfg.quick = true,
-            "--threads" => cfg.threads = expect_num(&mut args, "--threads"),
-            "--seed" => cfg.seed = expect_num(&mut args, "--seed"),
-            "--width" => cfg.width = expect_width(&mut args),
-            other if !path_set && !other.starts_with("--") => {
-                path = other.to_string();
-                path_set = true;
-            }
-            other => {
-                eprintln!("unknown scale-bench argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    eprintln!(
-        "[nav-engine] scale-bench mode={} seed={} threads={} width={}",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.seed,
-        cfg.threads,
-        cfg.width.label()
-    );
-    let start = std::time::Instant::now();
-    let json = render_scale_bench(&cfg);
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    print!("{json}");
-    eprintln!(
-        "[nav-engine] scale-bench -> {path} in {:.1?}",
-        start.elapsed()
-    );
-}
-
-fn chaos_bench(mut args: impl Iterator<Item = String>) {
-    let mut cfg = ExpConfig::default();
-    let mut path = "BENCH_fault.json".to_string();
-    let mut path_set = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cfg.quick = true,
-            "--threads" => cfg.threads = expect_num(&mut args, "--threads"),
-            "--seed" => cfg.seed = expect_num(&mut args, "--seed"),
-            other if !path_set && !other.starts_with("--") => {
-                path = other.to_string();
-                path_set = true;
-            }
-            other => {
-                eprintln!("unknown chaos-bench argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    eprintln!(
-        "[nav-engine] chaos-bench mode={} seed={} threads={}",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.seed,
-        cfg.threads
-    );
-    let start = std::time::Instant::now();
-    let json = render_fault_bench(&cfg);
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    print!("{json}");
-    eprintln!(
-        "[nav-engine] chaos-bench -> {path} in {:.1?}",
-        start.elapsed()
-    );
+/// The four `BENCH_*.json` commands: parse [`BENCH_USAGE`] (a usage
+/// error exits 2), then render and write the baseline.
+fn bench(
+    label: &str,
+    default_path: &str,
+    render: fn(&ExpConfig) -> String,
+    args: impl Iterator<Item = String>,
+) {
+    let (cfg, path) = parse_bench_args(args, default_path).unwrap_or_else(|e| {
+        eprintln!("{label}: {e}");
+        usage()
+    });
+    emit_bench(&format!("nav-engine {label}"), &path, &cfg, render);
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: nav-engine serve FILE [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--sampler scalar|batched|ball-realized] [--admission lru|segmented] [--shards K] [--drop-p P] [--fault-epochs E] [--trace-every T] [--restore SNAPSHOT] [--json PATH]\n       nav-engine serve-tcp FILE|--restore SNAPSHOT [--addr HOST:PORT] [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--admission lru|segmented] [--shards K] [--drop-p P] [--fault-epochs E] [--trace-every T] [--workers W] [--max-queries Q] [--record LOG]\n       nav-engine bench-tcp FILE --addr HOST:PORT [--json PATH]\n       nav-engine bench-tcp --bench-json [PATH] [--quick] [--threads N] [--seed S]\n       nav-engine stats HOST:PORT [--handle H] [--json]\n       nav-engine snapshot HOST:PORT FILE [--handle H]\n       nav-engine replay LOG HOST:PORT\n       nav-engine gen FILE [--family F] [--n N] [--graph-seed S] [--queries C] [--theta T] [--hot H] [--zipf-seed Z] [--trials T] [--batch B] [--shards K]\n       nav-engine scale-bench [PATH] [--quick] [--threads N] [--seed S]\n       nav-engine chaos-bench [PATH] [--quick] [--threads N] [--seed S]\n       nav-engine --bench-json [PATH] [--quick] [--threads N] [--seed S]"
-    );
-    std::process::exit(2);
+    die!(2, "usage: nav-engine serve FILE [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--sampler scalar|batched|ball-realized] [--admission lru|segmented] [--shards K] [--drop-p P] [--fault-epochs E] [--trace-every T] [--restore SNAPSHOT] [--json PATH]\n       nav-engine serve-tcp FILE|--restore SNAPSHOT [--addr HOST:PORT] [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--admission lru|segmented] [--shards K] [--drop-p P] [--fault-epochs E] [--trace-every T] [--workers W] [--max-queries Q] [--record LOG]\n       nav-engine bench-tcp FILE --addr HOST:PORT [--json PATH]\n       nav-engine bench-tcp --bench-json {BENCH_USAGE}\n       nav-engine stats HOST:PORT [--handle H] [--json]\n       nav-engine snapshot HOST:PORT FILE [--handle H]\n       nav-engine replay LOG HOST:PORT\n       nav-engine gen FILE [--family F] [--n N] [--graph-seed S] [--queries C] [--theta T] [--hot H] [--zipf-seed Z] [--trials T] [--batch B] [--shards K]\n       nav-engine scale-bench {BENCH_USAGE}\n       nav-engine chaos-bench {BENCH_USAGE}\n       nav-engine --bench-json {BENCH_USAGE}");
 }
 
 fn main() {
@@ -1234,14 +978,22 @@ fn main() {
     match args.next().as_deref() {
         Some("serve") => serve(args),
         Some("serve-tcp") => serve_tcp(args),
-        Some("bench-tcp") => bench_tcp(args),
+        Some("bench-tcp") => {
+            let args: Vec<String> = args.collect();
+            if args.iter().any(|a| a == "--bench-json") {
+                let rest = args.into_iter().filter(|a| a != "--bench-json");
+                bench("bench-tcp", "BENCH_net.json", render_net_bench, rest);
+            } else {
+                bench_tcp(args.into_iter());
+            }
+        }
         Some("stats") => stats(args),
         Some("snapshot") => snapshot_cmd(args),
         Some("replay") => replay_cmd(args),
         Some("gen") => gen(args),
-        Some("scale-bench") => scale_bench(args),
-        Some("chaos-bench") => chaos_bench(args),
-        Some("--bench-json") => bench_json(args),
+        Some("scale-bench") => bench("scale-bench", "BENCH_scale.json", render_scale_bench, args),
+        Some("chaos-bench") => bench("chaos-bench", "BENCH_fault.json", render_fault_bench, args),
+        Some("--bench-json") => bench("bench-json", "BENCH_serve.json", render_serve_bench, args),
         Some("--help") | Some("-h") | None => usage(),
         Some(other) => {
             eprintln!("unknown command: {other} (try --help)");

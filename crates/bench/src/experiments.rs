@@ -512,9 +512,13 @@ fn e10b_node_churn(cfg: &ExpConfig) -> Table {
 
 /// Runs the selected experiments (all when `which` is empty), returning
 /// rendered tables in order.
-pub fn run_experiments(cfg: &ExpConfig, which: &[String]) -> Vec<Table> {
+///
+/// # Errors
+/// Refuses, before running anything, a selection naming an id outside
+/// `e1`..`e10`; the message lists the valid ids.
+pub fn run_experiments(cfg: &ExpConfig, which: &[String]) -> Result<Vec<Table>, String> {
     type ExpFn = fn(&ExpConfig) -> Vec<Table>;
-    let all: Vec<(&str, ExpFn)> = vec![
+    let all: [(&str, ExpFn); 10] = [
         ("e1", e1_uniform_universal),
         ("e2", e2_theorem1_adversarial),
         ("e3", e3_theorem2_trees),
@@ -526,6 +530,16 @@ pub fn run_experiments(cfg: &ExpConfig, which: &[String]) -> Vec<Table> {
         ("e9", e9_ablation),
         ("e10", e10_fault_tolerance),
     ];
+    if let Some(bad) = which
+        .iter()
+        .find(|w| !all.iter().any(|(name, _)| w.eq_ignore_ascii_case(name)))
+    {
+        let ids: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown experiment `{bad}` (valid: {})",
+            ids.join(", ")
+        ));
+    }
     let mut out = Vec::new();
     for (name, f) in all {
         if which.is_empty() || which.iter().any(|w| w.eq_ignore_ascii_case(name)) {
@@ -535,7 +549,7 @@ pub fn run_experiments(cfg: &ExpConfig, which: &[String]) -> Vec<Table> {
             eprintln!("[experiments] {name} done in {:.1?}", start.elapsed());
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -596,7 +610,21 @@ mod tests {
     #[test]
     fn selector_filters() {
         let cfg = tiny_cfg();
-        let tables = run_experiments(&cfg, &["e8".to_string()]);
+        let tables = run_experiments(&cfg, &["e8".to_string()]).unwrap();
         assert_eq!(tables.len(), 2);
+    }
+
+    #[test]
+    fn selector_refuses_unknown_ids_before_running_any() {
+        let cfg = tiny_cfg();
+        for which in [vec!["e99"], vec!["e1", "e99"]] {
+            let which: Vec<String> = which.into_iter().map(String::from).collect();
+            let err = run_experiments(&cfg, &which).unwrap_err();
+            assert!(err.contains("`e99`"), "{err}");
+            assert!(
+                err.contains("e1, e2, e3, e4, e5, e6, e7, e8, e9, e10"),
+                "{err}"
+            );
+        }
     }
 }

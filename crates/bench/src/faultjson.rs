@@ -22,19 +22,16 @@
 //! * warm churned throughput stays within the declared budget
 //!   [`MIN_WARM_RATIO`] of the fault-free warm pass.
 
+use crate::measure::{bench_header, fms, replay, working_set_bytes, zipf_stream};
 use crate::workloads::Workload;
 use crate::ExpConfig;
 use nav_core::faulty::{FailurePlan, FaultConfig};
+use nav_core::sampler::SamplerMode;
 use nav_core::trial::PairStats;
 use nav_core::uniform::UniformScheme;
-use nav_engine::workload::{zipf_queries, ZipfSpec};
-use nav_engine::{Engine, EngineConfig, Query, QueryBatch};
+use nav_engine::workload::ZipfSpec;
+use nav_engine::{Engine, EngineConfig, QueryBatch};
 use nav_graph::Graph;
-use std::time::Instant;
-
-fn fms(v: f64) -> String {
-    format!("{v:.3}")
-}
 
 /// The drop-probability sweep.
 pub const DROP_GRID: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
@@ -74,22 +71,6 @@ fn engine(g: &Graph, cfg: EngineConfig) -> Engine {
     Engine::new(g.clone(), Box::new(UniformScheme), cfg)
 }
 
-/// Replays `queries` in batches of `batch`, returning the concatenated
-/// answers and the wall-clock in ms.
-fn replay(engine: &mut Engine, queries: &[Query], batch: usize) -> (Vec<PairStats>, f64) {
-    let t0 = Instant::now();
-    let mut answers = Vec::with_capacity(queries.len());
-    for chunk in queries.chunks(batch.max(1)) {
-        let result = engine
-            .serve(&QueryBatch {
-                queries: chunk.to_vec(),
-            })
-            .expect("faulty replay");
-        answers.extend(result.answers);
-    }
-    (answers, t0.elapsed().as_secs_f64() * 1e3)
-}
-
 /// Mean stretch (`mean_steps / dist`) over pairs with at least one
 /// successful trial out of `trials`; failed trials never contribute
 /// steps (`mean_steps` averages successes only), and a pair with no
@@ -106,19 +87,17 @@ fn mean_stretch(answers: &[PairStats], trials: usize) -> f64 {
     sum / count.max(1) as f64
 }
 
-/// Runs one grid point: one engine replays the stream with the fault
-/// under test in `cfg.fault`.
-fn measure(g: &Graph, queries: &[Query], batch: usize, cfg: EngineConfig) -> FaultRow {
+/// Runs one grid point: one engine replays the stream (`trials` per
+/// query) from RNG base 0 with the fault under test in `cfg.fault`.
+fn measure(g: &Graph, batches: &[QueryBatch], trials: usize, cfg: EngineConfig) -> FaultRow {
     let mut single = engine(g, cfg);
-    let (answers, elapsed_ms) = replay(&mut single, queries, batch);
+    let (answers, _, elapsed_ms) = replay(&mut single, batches, 0, SamplerMode::Scalar);
     let m = single.metrics();
-    let total_trials: usize = queries.iter().map(|q| q.trials).sum();
-    let per_query_trials = queries.first().map_or(1, |q| q.trials);
     let failures: usize = answers.iter().map(|a| a.failures).sum();
     FaultRow {
         drop_p: cfg.fault.drop_prob,
-        success: 1.0 - failures as f64 / total_trials.max(1) as f64,
-        stretch: mean_stretch(&answers, per_query_trials),
+        success: 1.0 - failures as f64 / (answers.len() * trials).max(1) as f64,
+        stretch: mean_stretch(&answers, trials),
         failures,
         dropped_links: m.dropped_links,
         rerouted_hops: m.rerouted_hops,
@@ -128,11 +107,10 @@ fn measure(g: &Graph, queries: &[Query], batch: usize, cfg: EngineConfig) -> Fau
 }
 
 fn render_rows(rows: &[FaultRow], queries: usize) -> String {
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let qps = queries as f64 / (r.elapsed_ms / 1e3);
-        out.push_str(&format!(
-            "        {{\"drop_p\": {}, \"success_rate\": {}, \"mean_stretch\": {}, \"failures\": {}, \"dropped_links\": {}, \"rerouted_hops\": {}, \"epoch_flips\": {}, \"elapsed_ms\": {}, \"qps\": {}}}{}\n",
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| format!(
+            "        {{\"drop_p\": {}, \"success_rate\": {}, \"mean_stretch\": {}, \"failures\": {}, \"dropped_links\": {}, \"rerouted_hops\": {}, \"epoch_flips\": {}, \"elapsed_ms\": {}, \"qps\": {}}}",
             r.drop_p,
             fms(r.success),
             fms(r.stretch),
@@ -141,11 +119,10 @@ fn render_rows(rows: &[FaultRow], queries: usize) -> String {
             r.rerouted_hops,
             r.epoch_flips,
             fms(r.elapsed_ms),
-            fms(qps),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out
+            fms(queries as f64 / (r.elapsed_ms / 1e3)),
+        ))
+        .collect();
+    rows.join(",\n") + "\n"
 }
 
 /// Runs the fault benchmark and renders `BENCH_fault.json`.
@@ -180,14 +157,8 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
             seed: cfg.seed_for("fault-zipf", n),
             hot: hot.min(n),
         };
-        let queries = zipf_queries(n, &zipf, trials);
-        let distinct = {
-            let mut t: Vec<_> = queries.iter().map(|q| q.t).collect();
-            t.sort_unstable();
-            t.dedup();
-            t.len()
-        };
-        let cache_bytes = (distinct * n * 4).max(1 << 20);
+        let (_, batches, distinct) = zipf_stream(n, &zipf, trials, batch);
+        let cache_bytes = working_set_bytes(distinct, n);
         let plan = FailurePlan::standard(cfg.seed_for("fault-plan", n), CHURN_EPOCHS);
         let base_cfg = EngineConfig {
             seed: cfg.seed_for("fault-trials", n),
@@ -196,26 +167,28 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
             ..EngineConfig::default()
         };
 
+        // One degradation curve: a fresh engine per drop probability.
+        let curve = |plan: Option<FailurePlan>| -> Vec<FaultRow> {
+            DROP_GRID
+                .iter()
+                .map(|&drop_prob| {
+                    let fault = FaultConfig { drop_prob, plan };
+                    measure(&g, &batches, trials, EngineConfig { fault, ..base_cfg })
+                })
+                .collect()
+        };
+
         // --- drops alone: success is structurally perfect, stretch grows --
-        let drop_rows: Vec<FaultRow> = DROP_GRID
-            .iter()
-            .map(|&p| {
-                let fault = FaultConfig {
-                    drop_prob: p,
-                    plan: None,
-                };
-                measure(&g, &queries, batch, EngineConfig { fault, ..base_cfg })
-            })
-            .collect();
+        let drop_rows = curve(None);
         for r in &drop_rows {
             assert_eq!(
                 r.failures, 0,
-                "{name}: drop-only routing failed {} walks — the local fallback must always make progress on a connected graph",
+                "fault {name}: drop-only routing failed {} walks — the local fallback must always make progress on a connected graph",
                 r.failures
             );
             assert!(
                 (r.drop_p > 0.0) == (r.dropped_links > 0),
-                "{name} p={}: dropped_links={} — the drop coin fired iff p > 0",
+                "fault {name} p={}: dropped_links={} — the drop coin fired iff p > 0",
                 r.drop_p,
                 r.dropped_links
             );
@@ -223,7 +196,7 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
         for w in drop_rows.windows(2) {
             assert!(
                 w[1].stretch >= w[0].stretch - MONOTONE_EPS,
-                "{name}: drop stretch not monotone ({} at p={} vs {} at p={})",
+                "fault {name}: drop stretch not monotone ({} at p={} vs {} at p={})",
                 w[1].stretch,
                 w[1].drop_p,
                 w[0].stretch,
@@ -231,40 +204,31 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
             );
             assert!(
                 w[1].dropped_links >= w[0].dropped_links,
-                "{name}: dropped_links not monotone in p"
+                "fault {name}: dropped_links not monotone in p"
             );
         }
 
         // --- churn layered on top: success degrades, epochs flip ----------
-        let churn_rows: Vec<FaultRow> = DROP_GRID
-            .iter()
-            .map(|&p| {
-                let fault = FaultConfig {
-                    drop_prob: p,
-                    plan: Some(plan),
-                };
-                measure(&g, &queries, batch, EngineConfig { fault, ..base_cfg })
-            })
-            .collect();
+        let churn_rows = curve(Some(plan));
         for r in &churn_rows {
             assert!(
                 r.epoch_flips >= 1,
-                "{name} p={}: the query stream crossed no churn epoch",
+                "fault {name} p={}: the query stream crossed no churn epoch",
                 r.drop_p
             );
         }
         assert!(
             churn_rows[0].failures > 0,
-            "{name}: churn stranded no walk — the down fraction should bite at these sizes"
+            "fault {name}: churn stranded no walk — the down fraction should bite at these sizes"
         );
         assert!(
             churn_rows[0].rerouted_hops > 0,
-            "{name}: churn rerouted no hop"
+            "fault {name}: churn rerouted no hop"
         );
         for w in churn_rows.windows(2) {
             assert!(
                 w[1].success <= w[0].success + MONOTONE_EPS,
-                "{name}: churned success not monotone ({} at p={} vs {} at p={})",
+                "fault {name}: churned success not monotone ({} at p={} vs {} at p={})",
                 w[1].success,
                 w[1].drop_p,
                 w[0].success,
@@ -284,7 +248,9 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
         // One cold pass each, then three rounds that alternate the two
         // warm passes, keeping each one's best (alternating exposes both
         // to the same background load; min ms damps scheduler noise):
-        // fault-free baseline vs churn + drops at p = 0.25.
+        // fault-free baseline vs churn + drops at p = 0.25. Pass `k`
+        // continues the stream at RNG base `k · count`, so successive
+        // passes walk through the churn plan's epochs.
         if fi == 0 {
             let churn_cfg = EngineConfig {
                 fault: FaultConfig {
@@ -295,17 +261,20 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
             };
             let mut base = engine(&g, base_cfg);
             let mut churned = engine(&g, churn_cfg);
-            replay(&mut base, &queries, batch);
-            replay(&mut churned, &queries, batch);
+            let pass_ms = |e: &mut Engine, k: u64| {
+                replay(e, &batches, k * count as u64, SamplerMode::Scalar).2
+            };
+            pass_ms(&mut base, 0);
+            pass_ms(&mut churned, 0);
             let (mut base_warm_ms, mut churn_warm_ms) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..3 {
-                base_warm_ms = base_warm_ms.min(replay(&mut base, &queries, batch).1);
-                churn_warm_ms = churn_warm_ms.min(replay(&mut churned, &queries, batch).1);
+            for k in 1..=3 {
+                base_warm_ms = base_warm_ms.min(pass_ms(&mut base, k));
+                churn_warm_ms = churn_warm_ms.min(pass_ms(&mut churned, k));
             }
             let ratio = base_warm_ms / churn_warm_ms;
             assert!(
                 ratio >= MIN_WARM_RATIO,
-                "warm churned replay fell below the declared budget: {:.3}× the fault-free warm pass (budget {MIN_WARM_RATIO})",
+                "fault {name}: warm churned replay fell below the declared budget: {:.3}× the fault-free warm pass (budget {MIN_WARM_RATIO})",
                 ratio
             );
             let qps = |ms: f64| count as f64 / (ms / 1e3);
@@ -319,19 +288,7 @@ pub fn render_fault_bench(cfg: &ExpConfig) -> String {
     }
 
     // --- render ----------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"nav-bench-fault/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cfg.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!(
-        "  \"host\": {},\n",
-        nav_par::HostMeta::current().to_json()
-    ));
+    let mut out = bench_header("nav-bench-fault/v1", cfg);
     out.push_str(&format!(
         "  \"drop_grid\": [{}],\n",
         DROP_GRID.map(|p| p.to_string()).join(", ")

@@ -4,22 +4,20 @@
 //! theory paper with no empirical section, so the experiment suite defined
 //! in DESIGN.md §4 plays that role). Each `eN_*` function returns rendered
 //! tables; the `experiments` binary prints them, and the Criterion benches
-//! time representative instances of the same code paths. The binary's
-//! `--bench-json` mode ([`benchjson`]) emits the `BENCH_core.json` perf
-//! baseline for the distance-oracle layer.
+//! time representative instances of the same code paths. The `nav-engine`
+//! binary fronts the serving subsystem: it replays workload files through
+//! a persistent [`nav_engine::Engine`] (mapping workload graph specs onto
+//! [`workloads::Workload`] builders), in-process or over `nav-net` TCP.
 //!
-//! The harness also fronts the serving subsystem: the `nav-engine` binary
-//! replays workload files through a persistent [`nav_engine::Engine`]
-//! (mapping workload graph specs onto [`workloads::Workload`] builders)
-//! and its `--bench-json` mode ([`servejson`]) emits the
-//! `BENCH_serve.json` cold-vs-warm-cache baseline. The `serve-tcp` /
-//! `bench-tcp` pair puts the same engine behind a `nav-net` TCP socket;
-//! [`netjson`] emits the `BENCH_net.json` wire baseline,
-//! [`scalejson`] (`nav-engine scale-bench`) emits the `BENCH_scale.json`
-//! exact-row memory and cold/warm serving baseline at `n = 10^6`, and
-//! [`faultjson`] (`nav-engine chaos-bench`) emits the `BENCH_fault.json`
-//! success/stretch-vs-drop-probability degradation curves under link
-//! drops and node churn.
+//! Five emitters write the checked-in `BENCH_*.json` baselines —
+//! [`benchjson`] (core), [`servejson`] (serve), [`netjson`] (net),
+//! [`faultjson`] (fault) and [`scalejson`] (scale) — and share one core in
+//! [`measure`]: one header writer, one zipf-stream builder, one
+//! in-process replay, and one bit-identity gate that checks every
+//! answer against [`run_trials`](nav_core::trial::run_trials) before a
+//! number is rendered. [`measure::parse_bench_args`] and
+//! [`measure::emit_bench`] are the one command line of all five:
+//! `[PATH] [--quick] [--threads N] [--seed S]`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,42 +14,27 @@
 //! same query sequence — the engine's determinism contract surviving the
 //! socket — and the two admission policies must agree bit-for-bit before
 //! their hit rates are rendered.
+//!
+//! [`run_trials`]: nav_core::trial::run_trials
 
-use crate::benchjson::stats_identical;
+use crate::measure::{
+    assert_same_answers, batches, bench_header, fms, graph_json, reference, working_set_bytes,
+    zipf_stream,
+};
 use crate::workloads::Workload;
 use crate::ExpConfig;
 use nav_core::sampler::SamplerMode;
-use nav_core::trial::{run_trials, PairStats, TrialConfig};
+use nav_core::trial::PairStats;
 use nav_core::uniform::UniformScheme;
-use nav_engine::workload::{zipf_queries, ZipfSpec};
-use nav_engine::{AdmissionPolicy, Engine, EngineConfig, Query, QueryBatch};
+use nav_engine::workload::ZipfSpec;
+use nav_engine::{AdmissionPolicy, Engine, EngineConfig, Query};
 use nav_graph::Graph;
 use nav_net::{MetricsSnapshot, NetClient, NetConfig, NetServer, ServerHandle};
 use std::time::Instant;
 
-fn fms(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Boots a loopback server around a fresh engine.
-fn spawn_server(
-    g: &Graph,
-    seed: u64,
-    threads: usize,
-    cache_bytes: usize,
-    admission: AdmissionPolicy,
-) -> ServerHandle {
-    let engine = Engine::new(
-        g.clone(),
-        Box::new(UniformScheme),
-        EngineConfig {
-            seed,
-            threads,
-            cache_bytes,
-            admission,
-            ..EngineConfig::default()
-        },
-    );
+/// Boots a loopback server around a fresh uniform-scheme engine.
+fn spawn_server(g: &Graph, cfg: EngineConfig) -> ServerHandle {
+    let engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
     NetServer::bind(engine, NetConfig::default(), "127.0.0.1:0")
         .expect("bind loopback")
         .spawn()
@@ -58,7 +43,7 @@ fn spawn_server(
 
 /// Replays `queries` over `client` in batches of `batch`, returning the
 /// concatenated answers, the last metrics snapshot, and the wall-clock.
-fn replay(
+fn replay_tcp(
     client: &mut NetClient,
     queries: &[Query],
     batch: usize,
@@ -66,15 +51,9 @@ fn replay(
     let t0 = Instant::now();
     let mut answers = Vec::with_capacity(queries.len());
     let mut metrics = MetricsSnapshot::default();
-    for chunk in queries.chunks(batch.max(1)) {
+    for b in batches(queries, batch) {
         let (a, m) = client
-            .serve(
-                0,
-                SamplerMode::Scalar,
-                &QueryBatch {
-                    queries: chunk.to_vec(),
-                },
-            )
+            .serve(0, SamplerMode::Scalar, &b)
             .expect("loopback replay");
         answers.extend(a);
         metrics = m;
@@ -85,9 +64,10 @@ fn replay(
 /// Runs the network benchmark and renders `BENCH_net.json`.
 ///
 /// # Panics
-/// Panics if any TCP-served replay diverges from [`run_trials`], or if
-/// the two admission policies disagree — the JSON is only produced for a
-/// wire front that is invisible in the answers.
+/// Panics if any TCP-served replay diverges from
+/// [`run_trials`](nav_core::trial::run_trials), or if the two admission
+/// policies disagree — the JSON is only produced for a wire front that
+/// is invisible in the answers.
 pub fn render_net_bench(cfg: &ExpConfig) -> String {
     let (n, count, hot) = if cfg.quick {
         (512, 4_000, 128)
@@ -103,38 +83,33 @@ pub fn render_net_bench(cfg: &ExpConfig) -> String {
         seed: cfg.seed_for("net-zipf", n),
         hot,
     };
-    let queries: Vec<Query> = zipf_queries(n, &zipf, trials);
-    let distinct = {
-        let mut t: Vec<_> = queries.iter().map(|q| q.t).collect();
-        t.sort_unstable();
-        t.dedup();
-        t.len()
-    };
+    // The TCP replays cut the stream per sweep point; keep it whole here.
+    let (queries, _, distinct) = zipf_stream(n, &zipf, trials, count);
     let seed = cfg.seed_for("net-trials", n);
+    let engine_cfg = |cache_bytes, admission| EngineConfig {
+        seed,
+        threads: cfg.threads,
+        cache_bytes,
+        admission,
+        ..EngineConfig::default()
+    };
 
     // --- the reference: the stream replayed twice, as one long
     // run_trials (the warm pass continues the client's RNG offset) ------
-    let pairs2: Vec<_> = queries
-        .iter()
-        .chain(queries.iter())
-        .map(|q| (q.s, q.t))
-        .collect();
-    let reference = run_trials(
+    let twice: Vec<Query> = queries.iter().chain(&queries).copied().collect();
+    let expected = reference(
         &g,
         &UniformScheme,
-        &pairs2,
-        &TrialConfig {
-            trials_per_pair: trials,
-            seed,
-            threads: cfg.threads,
-            ..TrialConfig::default()
-        },
-    )
-    .expect("valid pairs");
-    let (ref_cold, ref_warm) = reference.pairs.split_at(queries.len());
+        &twice,
+        seed,
+        cfg.threads,
+        SamplerMode::Scalar,
+        cfg.width,
+    );
+    let (ref_cold, ref_warm) = expected.split_at(queries.len());
 
     // --- batch-size sweep: cold and warm replays per size ---------------
-    let cache_bytes = (distinct * n * 4).max(1 << 20);
+    let cache_bytes = working_set_bytes(distinct, n);
     let sweep: &[usize] = if cfg.quick {
         &[32, 128, 512]
     } else {
@@ -142,21 +117,23 @@ pub fn render_net_bench(cfg: &ExpConfig) -> String {
     };
     let mut rows = String::new();
     for (i, &batch) in sweep.iter().enumerate() {
-        let server = spawn_server(&g, seed, cfg.threads, cache_bytes, AdmissionPolicy::Lru);
+        let server = spawn_server(&g, engine_cfg(cache_bytes, AdmissionPolicy::Lru));
         let mut client = NetClient::connect(server.addr()).expect("connect");
-        let (cold_answers, _, cold_ms) = replay(&mut client, &queries, batch);
-        assert!(
-            stats_identical(&cold_answers, ref_cold),
-            "TCP cold replay (batch {batch}) diverged from run_trials"
+        let (cold_answers, _, cold_ms) = replay_tcp(&mut client, &queries, batch);
+        assert_same_answers(
+            &format!("net: TCP cold replay (batch {batch}) vs run_trials"),
+            &cold_answers,
+            ref_cold,
         );
-        let (warm_answers, metrics, warm_ms) = replay(&mut client, &queries, batch);
-        assert!(
-            stats_identical(&warm_answers, ref_warm),
-            "TCP warm replay (batch {batch}) diverged from run_trials"
+        let (warm_answers, metrics, warm_ms) = replay_tcp(&mut client, &queries, batch);
+        assert_same_answers(
+            &format!("net: TCP warm replay (batch {batch}) vs run_trials"),
+            &warm_answers,
+            ref_warm,
         );
         assert_eq!(
             metrics.cache_misses as usize, distinct,
-            "warm replay must be all hits"
+            "net: warm replay (batch {batch}) must be all hits"
         );
         drop(client);
         server.shutdown();
@@ -182,53 +159,37 @@ pub fn render_net_bench(cfg: &ExpConfig) -> String {
     let mut policy_answers: Vec<Vec<PairStats>> = Vec::new();
     let mut policy_rates = Vec::new();
     for admission in [AdmissionPolicy::Lru, AdmissionPolicy::Segmented] {
-        let server = spawn_server(&g, seed, cfg.threads, tight_bytes, admission);
+        let server = spawn_server(&g, engine_cfg(tight_bytes, admission));
         let mut client = NetClient::connect(server.addr()).expect("connect");
-        let (a1, _, _) = replay(&mut client, &queries, batch);
-        let (mut a2, metrics, _) = replay(&mut client, &queries, batch);
+        let (a1, _, _) = replay_tcp(&mut client, &queries, batch);
+        let (mut a2, metrics, _) = replay_tcp(&mut client, &queries, batch);
         drop(client);
         server.shutdown();
         let mut answers = a1;
         answers.append(&mut a2);
-        assert!(
-            stats_identical(&answers, &reference.pairs),
-            "{} replay diverged from run_trials",
-            admission.label()
+        assert_same_answers(
+            &format!("net: {} replay vs run_trials", admission.label()),
+            &answers,
+            &expected,
         );
         policy_rates
             .push(metrics.cache_hits as f64 / (metrics.cache_hits + metrics.cache_misses) as f64);
         policy_answers.push(answers);
     }
-    assert!(
-        stats_identical(&policy_answers[0], &policy_answers[1]),
-        "admission policy leaked into answers"
+    assert_same_answers(
+        "net: segmented vs lru admission answers",
+        &policy_answers[1],
+        &policy_answers[0],
     );
 
     // --- render ----------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"nav-bench-net/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cfg.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!(
-        "  \"host\": {},\n",
-        nav_par::HostMeta::current().to_json()
-    ));
+    let mut out = bench_header("nav-bench-net/v1", cfg);
     out.push_str(&format!(
         "  \"protocol\": {{\"version\": {}, \"header_bytes\": {}, \"transport\": \"tcp-loopback\"}},\n",
         nav_net::frame::VERSION,
         nav_net::frame::HEADER_LEN
     ));
-    out.push_str(&format!(
-        "  \"graph\": {{\"family\": \"gnp\", \"n\": {}, \"m\": {}, \"avg_degree\": {}}},\n",
-        n,
-        g.num_edges(),
-        fms(g.avg_degree())
-    ));
+    out.push_str(&graph_json("gnp", &g));
     out.push_str(&format!(
         "  \"workload\": {{\"queries\": {count}, \"trials_per_query\": {trials}, \"zipf_theta\": {}, \"hot_targets\": {hot}, \"distinct_targets\": {distinct}, \"scheme\": \"uniform\", \"cache_bytes\": {cache_bytes}}},\n",
         zipf.theta

@@ -14,24 +14,24 @@
 //!
 //! Like every emitter in this crate, the JSON is rendered only after all
 //! correctness gates pass — the numbers describe a verified run.
+//!
+//! [`run_trials`]: nav_core::trial::run_trials
 
-use crate::benchjson::stats_identical;
+use crate::measure::{
+    assert_same_answers, batches, bench_header, fms, reference, replay, working_set_bytes,
+};
 use crate::workloads::Workload;
 use crate::ExpConfig;
 use nav_core::oracle::TargetDistanceCache;
 use nav_core::routing::default_step_cap;
-use nav_core::trial::{run_trials, TrialConfig};
+use nav_core::sampler::SamplerMode;
 use nav_core::uniform::UniformScheme;
-use nav_engine::{Engine, EngineConfig, Query, QueryBatch};
+use nav_engine::{Engine, EngineConfig, Query};
 use nav_graph::distance::DistRowBuf;
 use nav_graph::{Graph, NodeId};
 use nav_par::rng::task_rng;
 use rand::RngCore as _;
 use std::time::Instant;
-
-fn fms(v: f64) -> String {
-    format!("{v:.3}")
-}
 
 fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
@@ -96,64 +96,14 @@ fn sample_targets(n: usize, count: usize, seed: u64) -> Vec<NodeId> {
     set.into_iter().collect()
 }
 
-/// Mean of a sum over `count` observations (`0` when empty).
-fn mean(sum: f64, count: usize) -> f64 {
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
-/// Serves every batch in order from RNG index 0 (without advancing the
-/// engine's lifetime counter), returning the concatenated answers and
-/// the wall-clock in ms.
-fn replay(engine: &mut Engine, batches: &[QueryBatch]) -> (Vec<nav_core::trial::PairStats>, f64) {
-    let t0 = Instant::now();
-    let mut answers = Vec::new();
-    let mut base = 0u64;
-    for b in batches {
-        let r = engine
-            .serve_at(b, base, nav_core::sampler::SamplerMode::Scalar)
-            .expect("validated queries");
-        answers.extend(r.answers);
-        base += b.len() as u64;
-    }
-    (answers, ms_since(t0))
-}
-
-/// Everything measured for one family, pre-rendering.
-struct FamilyReport {
-    family: &'static str,
-    n: usize,
-    m: usize,
-    avg_degree: f64,
-    graph_build_ms: f64,
-    exact_build_ms: f64,
-    exact_compact_bytes: usize,
-    exact_wide_bytes: usize,
-    pairs: usize,
-    exact_success: f64,
-    exact_mean_steps: f64,
-    serve: ServeReport,
-}
-
-/// The serving/equivalence leg of one family.
-struct ServeReport {
-    targets: usize,
-    queries: usize,
-    single_ms: f64,
-    warm_ms: f64,
-    warm_hits: u64,
-    warm_misses: u64,
-}
-
+/// Measures one family and renders its `families` entry (no trailing
+/// comma).
 fn measure_family(
     family: Workload,
     cfg: &ExpConfig,
     p: &ScaleParams,
     scheme: &UniformScheme,
-) -> FamilyReport {
+) -> String {
     let t0 = Instant::now();
     let g = family.build(p.n, cfg.seed_for("scale-graph", p.n));
     let graph_build_ms = ms_since(t0);
@@ -213,25 +163,24 @@ fn measure_family(
     let trials_total = routed_pairs * p.route_trials;
 
     // --- serving: one engine, cold then warm, vs run_trials --------------
-    let serve = measure_serving(&g, cfg, p, &targets);
-
-    FamilyReport {
-        family: family.name(),
-        n,
-        m: g.num_edges(),
-        avg_degree: g.avg_degree(),
-        graph_build_ms,
-        exact_build_ms,
-        exact_compact_bytes,
-        exact_wide_bytes,
-        pairs: routed_pairs,
-        exact_success: mean(exact_ok as f64, trials_total),
-        exact_mean_steps: mean(exact_steps as f64, exact_ok),
-        serve,
-    }
+    let serving = measure_serving(&g, cfg, p, &targets);
+    format!(
+        "    {{\"family\": \"{}\", \"n\": {n}, \"m\": {}, \"avg_degree\": {}, \"graph_build_ms\": {},\n     \"exact\": {{\"backend\": \"exact-rows\", \"targets\": {}, \"build_ms\": {}, \"resident_bytes_compact\": {exact_compact_bytes}, \"resident_bytes_wide\": {exact_wide_bytes}, \"success_rate\": {}, \"mean_steps\": {}}},\n     \"routed_pairs\": {routed_pairs},\n{serving}",
+        family.name(),
+        g.num_edges(),
+        fms(g.avg_degree()),
+        fms(graph_build_ms),
+        p.targets,
+        fms(exact_build_ms),
+        // Both sums are 0 when their count is, so the means are 0 then.
+        fms(exact_ok as f64 / trials_total.max(1) as f64),
+        fms(exact_steps as f64 / exact_ok.max(1) as f64),
+    )
 }
 
-fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeId]) -> ServeReport {
+/// The serving leg of one family, rendered as its `serving` entry (which
+/// closes the family's object).
+fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeId]) -> String {
     let n = g.num_nodes();
     // Spread the serving targets across the sampled set, cycling the
     // stream through them so the second replay is pure cache hits.
@@ -247,68 +196,56 @@ fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeI
             trials: p.serve_trials,
         })
         .collect();
-    let batches: Vec<QueryBatch> = queries
-        .chunks(p.batch)
-        .map(|c| QueryBatch {
-            queries: c.to_vec(),
-        })
-        .collect();
-    let pairs: Vec<_> = queries.iter().map(|q| (q.s, q.t)).collect();
-    let reference = run_trials(
+    let batches = batches(&queries, p.batch);
+    let scalar = SamplerMode::Scalar;
+    let expected = reference(
         g,
         &UniformScheme,
-        &pairs,
-        &TrialConfig {
-            trials_per_pair: p.serve_trials,
-            seed,
-            threads: cfg.threads,
-            width: cfg.width,
-            ..TrialConfig::default()
-        },
-    )
-    .expect("valid pairs");
-    // Compact rows are ~2 bytes/node; ×2 headroom over the working set.
+        &queries,
+        seed,
+        cfg.threads,
+        scalar,
+        cfg.width,
+    );
     let ecfg = EngineConfig {
         seed,
         threads: cfg.threads,
-        cache_bytes: (serve_t * n * 4).max(1 << 20),
+        cache_bytes: working_set_bytes(serve_t, n),
         width: cfg.width,
         ..EngineConfig::default()
     };
 
     let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), ecfg);
-    let (cold_answers, single_ms) = replay(&mut engine, &batches);
-    assert!(
-        stats_identical(&cold_answers, &reference.pairs),
-        "engine diverged from run_trials"
-    );
+    let (cold_answers, _, single_ms) = replay(&mut engine, &batches, 0, scalar);
+    assert_same_answers("scale: cold engine vs run_trials", &cold_answers, &expected);
     let cold_misses = engine.cache_stats().misses;
     assert_eq!(
         cold_misses as usize, serve_t,
-        "one miss per distinct target"
+        "scale: one miss per distinct target"
     );
 
     // Steady state: the same stream again, from the same RNG base, is
     // served entirely from resident rows and re-issues the *same* trial
     // streams, so the warm answers must be bit-identical too.
-    let (warm_answers, warm_ms) = replay(&mut engine, &batches);
-    assert!(
-        stats_identical(&warm_answers, &reference.pairs),
-        "warm replay diverged from run_trials"
-    );
+    let (warm_answers, _, warm_ms) = replay(&mut engine, &batches, 0, scalar);
+    assert_same_answers("scale: warm replay vs run_trials", &warm_answers, &expected);
     let warm_stats = engine.cache_stats();
     assert_eq!(
         warm_stats.misses, cold_misses,
-        "steady-state replay must be all hits"
+        "scale: steady-state replay must be all hits"
     );
-    ServeReport {
-        targets: serve_t,
-        queries: queries.len(),
-        single_ms,
-        warm_ms,
-        warm_hits: warm_stats.hits,
-        warm_misses: warm_stats.misses,
-    }
+    let qps = |ms: f64| (queries.len() * p.serve_trials) as f64 / (ms / 1e3);
+    format!(
+        "     \"serving\": {{\"targets\": {serve_t}, \"queries\": {}, \"trials_per_query\": {}, \"single_ms\": {}, \"single_qps\": {}, \"warm_ms\": {}, \"warm_qps\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \"bit_identical\": true}}}}",
+        queries.len(),
+        p.serve_trials,
+        fms(single_ms),
+        fms(qps(single_ms)),
+        fms(warm_ms),
+        fms(qps(warm_ms)),
+        warm_stats.hits,
+        warm_stats.misses,
+    )
 }
 
 /// Runs the scale benchmark with explicit knobs and renders
@@ -316,31 +253,19 @@ fn measure_serving(g: &Graph, cfg: &ExpConfig, p: &ScaleParams, targets: &[NodeI
 ///
 /// # Panics
 /// Panics if any gate fails: a cold or warm replay diverging from
-/// [`run_trials`], or a warm replay that is not pure cache hits.
+/// [`run_trials`](nav_core::trial::run_trials), or a warm replay that is
+/// not pure cache hits.
 pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
     let families = [Workload::Gnp, Workload::Grid2d, Workload::RandomTree];
     let scheme = UniformScheme;
-    let reports: Vec<FamilyReport> = families
+    let reports: Vec<String> = families
         .iter()
         .map(|&f| {
             eprintln!("[bench] scale family {} (n = {})", f.name(), p.n);
             measure_family(f, cfg, p, &scheme)
         })
         .collect();
-    let qps = |queries: usize, trials: usize, ms: f64| queries as f64 * trials as f64 / (ms / 1e3);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"nav-bench-scale/v2\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cfg.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!(
-        "  \"host\": {},\n",
-        nav_par::HostMeta::current().to_json()
-    ));
+    let mut out = bench_header("nav-bench-scale/v2", cfg);
     out.push_str(&format!(
         "  \"params\": {{\"n\": {}, \"targets\": {}, \"sources_per_target\": {}, \"route_trials\": {}, \"serve_targets\": {}, \"serve_queries\": {}, \"serve_trials\": {}, \"batch\": {}}},\n",
         p.n,
@@ -353,40 +278,8 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
         p.batch,
     ));
     out.push_str("  \"families\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"m\": {}, \"avg_degree\": {}, \"graph_build_ms\": {},\n",
-            r.family,
-            r.n,
-            r.m,
-            fms(r.avg_degree),
-            fms(r.graph_build_ms)
-        ));
-        out.push_str(&format!(
-            "     \"exact\": {{\"backend\": \"exact-rows\", \"targets\": {}, \"build_ms\": {}, \"resident_bytes_compact\": {}, \"resident_bytes_wide\": {}, \"success_rate\": {}, \"mean_steps\": {}}},\n",
-            p.targets,
-            fms(r.exact_build_ms),
-            r.exact_compact_bytes,
-            r.exact_wide_bytes,
-            fms(r.exact_success),
-            fms(r.exact_mean_steps)
-        ));
-        out.push_str(&format!("     \"routed_pairs\": {},\n", r.pairs));
-        let s = &r.serve;
-        out.push_str(&format!(
-            "     \"serving\": {{\"targets\": {}, \"queries\": {}, \"trials_per_query\": {}, \"single_ms\": {}, \"single_qps\": {}, \"warm_ms\": {}, \"warm_qps\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \"bit_identical\": true}}}}{}\n",
-            s.targets,
-            s.queries,
-            p.serve_trials,
-            fms(s.single_ms),
-            fms(qps(s.queries, p.serve_trials, s.single_ms)),
-            fms(s.warm_ms),
-            fms(qps(s.queries, p.serve_trials, s.warm_ms)),
-            s.warm_hits,
-            s.warm_misses,
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
+    out.push_str(&reports.join(",\n"));
+    out.push('\n');
     out.push_str("  ],\n");
     out.push_str("  \"bit_identical\": true\n");
     out.push_str("}\n");

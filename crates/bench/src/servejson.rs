@@ -12,51 +12,22 @@
 //! at capacity 0 and with the populated cache — are **bit-identical** to
 //! a fresh [`run_trials`] over the same query sequence, and that the warm
 //! replay actually outran the cold one.
+//!
+//! [`run_trials`]: nav_core::trial::run_trials
 
-use crate::benchjson::stats_identical;
+use crate::measure::{
+    self, assert_same_answers, bench_header, fms, graph_json, reference, replay, working_set_bytes,
+    zipf_stream,
+};
 use crate::workloads::Workload;
 use crate::ExpConfig;
 use nav_analysis::latency::LatencySummary;
 use nav_core::ball::BallScheme;
 use nav_core::sampler::SamplerMode;
-use nav_core::trial::{run_trials, PairStats, TrialConfig};
+use nav_core::scheme::AugmentationScheme;
 use nav_core::uniform::UniformScheme;
-use nav_engine::workload::{zipf_queries, ZipfSpec};
-use nav_engine::{Engine, EngineConfig, Query, QueryBatch};
-use nav_graph::Graph;
-use std::time::Instant;
-
-fn fms(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// A fresh engine over `g` with the given cache capacity.
-fn engine(g: &Graph, seed: u64, threads: usize, cache_bytes: usize) -> Engine {
-    Engine::new(
-        g.clone(),
-        Box::new(UniformScheme),
-        EngineConfig {
-            seed,
-            threads,
-            cache_bytes,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// Serves every batch in order, returning the concatenated answers and
-/// the per-batch service times (the engine itself only keeps a bounded
-/// histogram of these — exact samples are the emitter's to collect).
-fn replay(engine: &mut Engine, batches: &[QueryBatch]) -> (Vec<PairStats>, Vec<f64>) {
-    let mut answers = Vec::new();
-    let mut batch_ms = Vec::with_capacity(batches.len());
-    for b in batches {
-        let r = engine.serve(b).expect("workload validated");
-        batch_ms.push(r.elapsed_ms);
-        answers.extend(r.answers);
-    }
-    (answers, batch_ms)
-}
+use nav_engine::workload::ZipfSpec;
+use nav_engine::{Engine, EngineConfig};
 
 /// One JSON fragment for a measured replay.
 fn replay_json(label: &str, elapsed_ms: f64, queries: usize, latency: &[f64]) -> String {
@@ -73,9 +44,10 @@ fn replay_json(label: &str, elapsed_ms: f64, queries: usize, latency: &[f64]) ->
 /// Runs the serve benchmark and renders `BENCH_serve.json`.
 ///
 /// # Panics
-/// Panics if engine answers diverge from [`run_trials`] at any cache
-/// capacity, or if the warm replay fails to beat the cold one — the JSON
-/// is only produced for a correct, cache-effective engine.
+/// Panics if engine answers diverge from
+/// [`run_trials`](nav_core::trial::run_trials) at any cache capacity, or
+/// if the warm replay fails to beat the cold one — the JSON is only
+/// produced for a correct, cache-effective engine.
 pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     // Full mode replays a ≥100k-query stream (the acceptance-scale run);
     // quick mode is the CI-sized smoke of the same shape.
@@ -93,73 +65,60 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
         seed: cfg.seed_for("serve-zipf", n),
         hot,
     };
-    let queries: Vec<Query> = zipf_queries(n, &zipf, trials);
-    let batches: Vec<QueryBatch> = queries
-        .chunks(batch_size)
-        .map(|c| QueryBatch {
-            queries: c.to_vec(),
-        })
-        .collect();
-    let distinct = {
-        let mut t: Vec<_> = queries.iter().map(|q| q.t).collect();
-        t.sort_unstable();
-        t.dedup();
-        t.len()
-    };
+    let (queries, batches, distinct) = zipf_stream(n, &zipf, trials, batch_size);
     let seed = cfg.seed_for("serve-trials", n);
+    let scalar = SamplerMode::Scalar;
+    // Every engine here serves the uniform scheme at this seed; only the
+    // cache, the observability and the scheme of the ball legs vary.
+    let engine_cfg = |cache_bytes| EngineConfig {
+        seed,
+        threads: cfg.threads,
+        cache_bytes,
+        ..EngineConfig::default()
+    };
+    let uniform = |ecfg| Engine::new(g.clone(), Box::new(UniformScheme), ecfg);
 
     // --- the reference: one long run_trials over the whole stream -------
-    let pairs: Vec<_> = queries.iter().map(|q| (q.s, q.t)).collect();
-    let reference = run_trials(
+    let expected = reference(
         &g,
         &UniformScheme,
-        &pairs,
-        &TrialConfig {
-            trials_per_pair: trials,
-            seed,
-            threads: cfg.threads,
-            ..TrialConfig::default()
-        },
-    )
-    .expect("valid pairs");
+        &queries,
+        seed,
+        cfg.threads,
+        scalar,
+        cfg.width,
+    );
 
     // --- cold: capacity 0, every batch recomputes its rows --------------
-    let mut cold_engine = engine(&g, seed, cfg.threads, 0);
-    let t0 = Instant::now();
-    let (cold_answers, cold_latency) = replay(&mut cold_engine, &batches);
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        stats_identical(&cold_answers, &reference.pairs),
-        "cold engine answers diverged from run_trials"
-    );
+    let mut cold_engine = uniform(engine_cfg(0));
+    let (cold_answers, cold_latency, cold_ms) = replay(&mut cold_engine, &batches, 0, scalar);
+    assert_same_answers("serve: cold engine vs run_trials", &cold_answers, &expected);
 
     // --- warm: cache sized for the working set ---------------------------
-    // Compact rows are 2 bytes per node; ×2 headroom over the distinct-
-    // target working set.
-    let cache_bytes = (distinct * n * 4).max(1 << 20);
-    let mut warm_engine = engine(&g, seed, cfg.threads, cache_bytes);
-    let (first_answers, _) = replay(&mut warm_engine, &batches);
+    let cache_bytes = working_set_bytes(distinct, n);
+    let mut warm_engine = uniform(engine_cfg(cache_bytes));
+    let (first_answers, _, _) = replay(&mut warm_engine, &batches, 0, scalar);
     // Cache state must be invisible in the answers: the populating replay
     // (mixed cold/warm as the zipf head fills in) is bit-identical too.
-    assert!(
-        stats_identical(&first_answers, &reference.pairs),
-        "warm-cache engine answers diverged from run_trials"
+    assert_same_answers(
+        "serve: warm-cache engine vs run_trials",
+        &first_answers,
+        &expected,
     );
-    // The second replay of the same stream is served entirely from the
-    // resident rows — the steady state of a skewed production stream.
-    let t1 = Instant::now();
-    let (_steady, warm_latency) = replay(&mut warm_engine, &batches);
-    let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
+    // The second replay continues the stream (RNG base `count`) and is
+    // served entirely from the resident rows — the steady state of a
+    // skewed production stream.
+    let (_, warm_latency, warm_ms) = replay(&mut warm_engine, &batches, count as u64, scalar);
     let warm_stats = warm_engine.cache_stats();
     assert_eq!(
         warm_stats.misses as usize, distinct,
-        "steady-state replay must be all hits"
+        "serve: steady-state replay must be all hits"
     );
     let cold_qps = count as f64 / (cold_ms / 1e3);
     let warm_qps = count as f64 / (warm_ms / 1e3);
     assert!(
         warm_qps > cold_qps,
-        "warm-cache replay ({warm_qps:.0} qps) must beat cold ({cold_qps:.0} qps)"
+        "serve: warm-cache replay ({warm_qps:.0} qps) must beat cold ({cold_qps:.0} qps)"
     );
 
     // --- observability overhead: instrumented vs. stripped ---------------
@@ -170,25 +129,17 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     // (gated in full mode — quick replays are too short to time fairly).
     // Answers must be bit-identical either way: observability may cost
     // nanoseconds, never correctness.
-    let mut plain_engine = Engine::new(
-        g.clone(),
-        Box::new(UniformScheme),
-        EngineConfig {
-            seed,
-            threads: cfg.threads,
-            cache_bytes,
-            obs: nav_obs::ObsConfig::disabled(),
-            ..EngineConfig::default()
-        },
+    let mut plain_engine = uniform(EngineConfig {
+        obs: nav_obs::ObsConfig::disabled(),
+        ..engine_cfg(cache_bytes)
+    });
+    let (plain_first, _, _) = replay(&mut plain_engine, &batches, 0, scalar);
+    assert_same_answers(
+        "serve: obs-disabled engine vs run_trials",
+        &plain_first,
+        &expected,
     );
-    let (plain_first, _) = replay(&mut plain_engine, &batches);
-    assert!(
-        stats_identical(&plain_first, &reference.pairs),
-        "obs-disabled engine answers diverged from run_trials"
-    );
-    let t2 = Instant::now();
-    let _ = replay(&mut plain_engine, &batches);
-    let plain_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let (_, _, plain_ms) = replay(&mut plain_engine, &batches, count as u64, scalar);
     let plain_qps = count as f64 / (plain_ms / 1e3);
     let overhead_frac = 1.0 - warm_qps / plain_qps;
     const OBS_BUDGET_FRAC: f64 = 0.03;
@@ -200,7 +151,7 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     } else {
         assert!(
             warm_qps >= (1.0 - OBS_BUDGET_FRAC) * plain_qps,
-            "instrumented warm replay ({warm_qps:.0} qps) fell more than {:.0}% behind uninstrumented ({plain_qps:.0} qps)",
+            "serve: instrumented warm replay ({warm_qps:.0} qps) fell more than {:.0}% behind uninstrumented ({plain_qps:.0} qps)",
             OBS_BUDGET_FRAC * 100.0
         );
     }
@@ -214,84 +165,47 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     // mode before a number is rendered.
     let ball_count = if cfg.quick { 600 } else { 6_000 };
     let ball_queries = &queries[..ball_count.min(queries.len())];
-    let ball_batches: Vec<QueryBatch> = ball_queries
-        .chunks(batch_size)
-        .map(|c| QueryBatch {
-            queries: c.to_vec(),
-        })
-        .collect();
-    let ball_pairs: Vec<_> = ball_queries.iter().map(|q| (q.s, q.t)).collect();
+    let ball_batches = measure::batches(ball_queries, batch_size);
     let ball = BallScheme::new(&g);
     let ball_seed = cfg.seed_for("serve-ball", n);
+    let realization = ball.realize_batched(&g, ball_seed, cfg.threads);
+    let legs: [(&str, Box<dyn AugmentationScheme + Send>, SamplerMode); 3] = [
+        ("scalar sampler", Box::new(ball), SamplerMode::Scalar),
+        ("batched sampler", Box::new(ball), SamplerMode::Batched),
+        (
+            "pre-realized scheme",
+            Box::new(realization),
+            SamplerMode::Scalar,
+        ),
+    ];
     let mut ball_ms = [0.0f64; 3];
-    for (slot, mode) in [SamplerMode::Scalar, SamplerMode::Batched]
-        .into_iter()
-        .enumerate()
-    {
-        let reference = run_trials(
+    for (slot, (leg, scheme, mode)) in legs.into_iter().enumerate() {
+        let expected = reference(
             &g,
-            &ball,
-            &ball_pairs,
-            &TrialConfig {
-                trials_per_pair: trials,
-                seed: ball_seed,
-                threads: cfg.threads,
-                sampler: mode,
-                ..TrialConfig::default()
-            },
-        )
-        .expect("valid pairs");
+            scheme.as_ref(),
+            ball_queries,
+            ball_seed,
+            cfg.threads,
+            mode,
+            cfg.width,
+        );
         let mut e = Engine::new(
             g.clone(),
-            Box::new(ball),
+            scheme,
             EngineConfig {
                 seed: ball_seed,
-                threads: cfg.threads,
-                cache_bytes,
                 sampler: mode,
-                ..EngineConfig::default()
+                ..engine_cfg(cache_bytes)
             },
         );
-        let t = Instant::now();
-        let (answers, _) = replay(&mut e, &ball_batches);
-        ball_ms[slot] = t.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            stats_identical(&answers, &reference.pairs),
-            "ball engine ({mode:?} sampler) diverged from run_trials"
+        let (answers, _, ms) = replay(&mut e, &ball_batches, 0, mode);
+        ball_ms[slot] = ms;
+        assert_same_answers(
+            &format!("serve: ball engine ({leg}) vs run_trials"),
+            &answers,
+            &expected,
         );
     }
-    let realization = ball.realize_batched(&g, ball_seed, cfg.threads);
-    let realized_reference = run_trials(
-        &g,
-        &realization,
-        &ball_pairs,
-        &TrialConfig {
-            trials_per_pair: trials,
-            seed: ball_seed,
-            threads: cfg.threads,
-            sampler: SamplerMode::Scalar,
-            ..TrialConfig::default()
-        },
-    )
-    .expect("valid pairs");
-    let mut realized_engine = Engine::new(
-        g.clone(),
-        Box::new(realization),
-        EngineConfig {
-            seed: ball_seed,
-            threads: cfg.threads,
-            cache_bytes,
-            sampler: SamplerMode::Scalar,
-            ..EngineConfig::default()
-        },
-    );
-    let t = Instant::now();
-    let (realized_answers, _) = replay(&mut realized_engine, &ball_batches);
-    ball_ms[2] = t.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        stats_identical(&realized_answers, &realized_reference.pairs),
-        "ball engine (pre-realized scheme) diverged from run_trials"
-    );
     let [ball_scalar_ms, ball_batched_ms, ball_realized_ms] = ball_ms;
     if cfg.quick {
         // See the core emitter: wall-clock gates only bind in full mode,
@@ -302,7 +216,7 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     } else {
         assert!(
             ball_batched_ms < ball_scalar_ms,
-            "batched ball serving ({ball_batched_ms:.1} ms) must beat scalar ({ball_scalar_ms:.1} ms)"
+            "serve: batched ball serving ({ball_batched_ms:.1} ms) must beat scalar ({ball_scalar_ms:.1} ms)"
         );
     }
     let ball_qps = |ms: f64| ball_queries.len() as f64 / (ms / 1e3);
@@ -320,22 +234,12 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     let mut restored = decoded
         .restore(cfg.threads, nav_obs::ObsConfig::default())
         .expect("own snapshot restores");
-    let mut restored_answers = Vec::new();
-    let mut restore_latency = Vec::with_capacity(batches.len());
-    let mut base = 0u64;
-    let t3 = Instant::now();
-    for b in &batches {
-        let r = restored
-            .serve_at(b, base, SamplerMode::Scalar)
-            .expect("workload validated");
-        base += b.len() as u64;
-        restore_latency.push(r.elapsed_ms);
-        restored_answers.extend(r.answers);
-    }
-    let restore_ms = t3.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        stats_identical(&restored_answers, &reference.pairs),
-        "restored engine answers diverged from run_trials"
+    let (restored_answers, restore_latency, restore_ms) =
+        replay(&mut restored, &batches, 0, scalar);
+    assert_same_answers(
+        "serve: restored engine vs run_trials",
+        &restored_answers,
+        &expected,
     );
     let restore_qps = count as f64 / (restore_ms / 1e3);
     if cfg.quick {
@@ -346,30 +250,13 @@ pub fn render_serve_bench(cfg: &ExpConfig) -> String {
     } else {
         assert!(
             restore_qps > cold_qps,
-            "restored-warm replay ({restore_qps:.0} qps) must beat cold ({cold_qps:.0} qps)"
+            "serve: restored-warm replay ({restore_qps:.0} qps) must beat cold ({cold_qps:.0} qps)"
         );
     }
 
     // --- render ----------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"nav-bench-serve/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cfg.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!(
-        "  \"host\": {},\n",
-        nav_par::HostMeta::current().to_json()
-    ));
-    out.push_str(&format!(
-        "  \"graph\": {{\"family\": \"gnp\", \"n\": {}, \"m\": {}, \"avg_degree\": {}}},\n",
-        n,
-        g.num_edges(),
-        fms(g.avg_degree())
-    ));
+    let mut out = bench_header("nav-bench-serve/v1", cfg);
+    out.push_str(&graph_json("gnp", &g));
     out.push_str(&format!(
         "  \"workload\": {{\"queries\": {count}, \"trials_per_query\": {trials}, \"batch\": {batch_size}, \"zipf_theta\": {}, \"hot_targets\": {hot}, \"distinct_targets\": {distinct}, \"scheme\": \"uniform\"}},\n",
         zipf.theta
