@@ -1,8 +1,11 @@
 //! The `BENCH_scale.json` emitter (`nav-engine scale-bench`).
 //!
 //! The scale story of exact distance rows, measured at `n = 10^6` (full
-//! mode) on three families of different geometry — `gnp` (expander),
-//! `grid2d` and `random-tree` (large diameters):
+//! mode) on three families of different geometry — `gnp` (an expander,
+//! except that `gnp_connected` chains the ≈ n·e⁻⁶ isolated nodes, about
+//! 2,480 of them, into a path tail hanging off the giant component, so
+//! its maximum depth is about 2,500), `grid2d` and `random-tree` (large
+//! diameters):
 //!
 //! * **memory** — exact rows cost `O(n)` bytes per resident target,
 //!   measured as the compact (adaptive `u16`/`u32`) rows a serving cache

@@ -304,6 +304,22 @@ impl RowCache {
         Some(Arc::clone(&self.slots[slot].row))
     }
 
+    /// Evicts, ahead of time, the rows that inserting `count` fresh rows
+    /// of `row_bytes` each would evict, so a caller can free them before
+    /// it allocates the fresh rows. Fresh rows land in probation, and
+    /// eviction drains probation first, so those victims are the
+    /// probation tail: this stops once the rows would fit or probation is
+    /// empty, and the inserts that follow evict exactly what they would
+    /// have without it — provided every fresh row is admitted and at
+    /// least `row_bytes` long.
+    pub fn make_room(&mut self, count: usize, row_bytes: usize) {
+        while self.resident_bytes + count * row_bytes > self.capacity_bytes
+            && self.probation.tail != NIL
+        {
+            self.evict_one();
+        }
+    }
+
     /// Inserts the row of target `t`, evicting rows until it fits. A row
     /// bigger than the whole capacity is rejected (counted, not stored) —
     /// admission control, so one oversized row cannot flush the entire
@@ -569,6 +585,43 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert!(c.get(2).is_none());
         assert_eq!(c.get(1).unwrap().len(), 45);
+    }
+
+    #[test]
+    fn make_room_evicts_exactly_what_the_inserts_would() {
+        // Each policy, a cache with promoted (SLRU-protected) rows and
+        // room for fewer fresh rows than the probation tier holds, then
+        // for more: making room first and inserting after must leave the
+        // same rows, tiers and counters as inserting alone, also when
+        // some fresh rows are longer than the room was made for.
+        for policy in [AdmissionPolicy::Lru, AdmissionPolicy::Segmented] {
+            for fresh in [2u32, 6, 9] {
+                let build = || {
+                    let mut c = RowCache::with_policy(200, policy);
+                    for t in 0..9u32 {
+                        c.insert(t, row(10, true));
+                    }
+                    for t in [2, 5, 7] {
+                        assert!(c.get(t).is_some());
+                    }
+                    c
+                };
+                let fill = |c: &mut RowCache| {
+                    for t in 100..100 + fresh {
+                        c.insert(t, row(if t % 3 == 0 { 20 } else { 10 }, true));
+                    }
+                };
+                let (mut plain, mut early) = (build(), build());
+                fill(&mut plain);
+                early.make_room(fresh as usize, 20);
+                fill(&mut early);
+                let keys = |c: &RowCache| -> Vec<(NodeId, bool)> {
+                    c.export_rows().iter().map(|(t, _, p)| (*t, *p)).collect()
+                };
+                assert_eq!(keys(&early), keys(&plain), "{policy:?} {fresh}");
+                assert_eq!(early.stats(), plain.stats(), "{policy:?} {fresh}");
+            }
+        }
     }
 
     #[test]

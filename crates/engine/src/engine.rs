@@ -29,7 +29,9 @@ pub struct EngineConfig {
     /// `(seed, lifetime query index)`.
     pub seed: u64,
     /// Worker threads for row computation and trial execution
-    /// (`1` = inline). Never changes answers.
+    /// (`1` = inline). Cold-fill passes fan out across them, and when a
+    /// batch has fewer passes than threads, each pass also splits its big
+    /// levels and decodes across the idle ones. Never changes answers.
     pub threads: usize,
     /// Row-cache capacity in bytes (`0` = recompute every batch). The
     /// same byte knob caps each trial worker's resident ball rows under
@@ -274,9 +276,14 @@ impl Engine {
     /// 1. **admission** — validate every endpoint, deduplicate the batch's
     ///    targets;
     /// 2. **cache** — serve resident rows from the cross-batch LRU;
-    /// 3. **execute (rows)** — pack the cold targets 64 per bit-parallel
-    ///    MS-BFS pass, passes fanned out to `threads` workers, compact
-    ///    each fresh row and admit it to the cache;
+    /// 3. **execute (rows)** — evict the rows the fresh ones will
+    ///    displace, then pack the cold targets `width.lanes()` per
+    ///    bit-parallel MS-BFS pass, each pass one traversal at any graph
+    ///    depth, passes fanned out to `threads` workers (a lone pass
+    ///    splits its big levels across them instead). Each pass writes
+    ///    its rows straight into compact `u16` row buffers — `u32` only
+    ///    when a distance outgrows `u16` — with no batch-sized staging
+    ///    buffer, and each fresh row is admitted to the cache;
     /// 4. **execute (trials)** — answer queries in parallel, query `i` of
     ///    the batch using the RNG derived from
     ///    `(seed, lifetime_index + i)`: each query on its own under the
@@ -353,19 +360,26 @@ impl Engine {
         }
         span.finish(self.obs.stages_mut());
         // --- execute: cold rows ----------------------------------------
-        let n = self.g.num_nodes();
         if !cold.is_empty() {
             let span = StageSpan::begin(Stage::ColdFill, obs_on);
-            let mut wide = vec![0u32; cold.len() * n];
-            nav_graph::msbfs::batched_rows_into_w(
+            // Free the rows the inserts below will evict before the fill
+            // allocates the fresh ones, so the batch stays inside
+            // `cache_bytes`. Room is made for `u16` rows; a `u32` row
+            // (depth ≥ 65535) evicts the rest when it is inserted, and the
+            // guard keeps it admissible, so the victims never change.
+            let n = self.g.num_nodes();
+            if n * std::mem::size_of::<u32>() <= self.cache.capacity_bytes() {
+                self.cache
+                    .make_room(cold.len(), n * std::mem::size_of::<u16>());
+            }
+            let fresh = nav_graph::msbfs::batched_compact_rows_w(
                 &self.g,
                 &cold,
                 self.cfg.threads,
                 self.cfg.width,
-                &mut wide,
             );
-            for (i, &t) in cold.iter().enumerate() {
-                let row = Arc::new(DistRowBuf::from_wide(&wide[i * n..(i + 1) * n]));
+            for (&t, row) in cold.iter().zip(fresh) {
+                let row = Arc::new(row);
                 self.cache.insert(t, Arc::clone(&row));
                 rows.insert(t, row);
             }

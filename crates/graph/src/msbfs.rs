@@ -34,8 +34,17 @@
 //! active list covers `n / 8` nodes — measured flat across widths (the
 //! bottom-up early exit gets *more* effective at larger `W` because more
 //! lanes are missing per node, compensating the wider word ops).
+//!
+//! The distance fills (`distances_into*`) record depths bit-sliced into
+//! 8 depth planes and decode them into cells in bulk. The planes hold
+//! 255 levels at a time: each 255-level window is decoded as the next one
+//! opens, so a graph of any depth is traversed exactly once, and the
+//! transient state stays `O(n · W)`. A graph with at least 2¹⁵ nodes can
+//! spread one pass over several threads ([`MsBfsW::set_threads`]): each
+//! bottom-up level and each window decode splits into contiguous node
+//! ranges, and the output is bit-identical at every thread count.
 
-use crate::{csr::Graph, NodeId, INFINITY};
+use crate::{csr::Graph, distance::DistRowBuf, NodeId};
 
 /// Number of bit lanes (sources) a single [`MsBfs`] (width-1) pass can
 /// carry. A width-`W` [`MsBfsW`] pass carries `LANES · W`.
@@ -120,22 +129,42 @@ pub struct MsBfsW<const W: usize> {
     cur_list: Vec<NodeId>,
     /// Nodes with non-empty `next` (deduplicated via `next[v] == 0`).
     next_list: Vec<NodeId>,
-    /// Bit-sliced depth accumulator for the distance fills: plane `p` of
-    /// `planes[v]` holds, per lane, bit `p` of the lane's distance to `v`
-    /// (depths `< 256`, so 8 planes). Levels OR `newly` into the planes of
-    /// the depth's set bits — per-*event* word ops that scale with `W`
-    /// exactly like the traversal — and one streaming decode pass at the
-    /// end reassembles bytes, instead of per-discovery scalar stores.
-    /// Grown lazily: only the distance fills pay for it.
-    planes: Vec<[[u64; W]; 8]>,
-    /// How many leading planes the previous pass may have dirtied
-    /// (`⌈log₂(maxd+1)⌉`): the next pass clears only those, which on
-    /// low-diameter graphs halves the per-pass clear traffic.
-    dirty_planes: usize,
+    /// Bit-sliced depth accumulator for the distance fills, plane-major:
+    /// `planes[p][v]` holds, per lane, bit `p` of the lane's depth at `v`
+    /// relative to the current 255-level window (see [`WINDOW`]). Levels
+    /// OR `newly` into the planes of the relative depth's set bits —
+    /// per-*event* word ops that scale with `W` exactly like the
+    /// traversal and touch only those planes' words — and a decode at
+    /// each window's end reassembles bytes, instead of per-discovery
+    /// scalar stores. Every decode clears the planes it read, so they
+    /// are all zero between fills. Grown lazily: only the distance fills
+    /// pay for it.
+    planes: [Vec<[u64; W]>; 8],
+    /// Nodes discovered in the current window past the first, up to
+    /// `n / 16` entries (with repeats); a fuller window decodes every
+    /// node instead.
+    touched: Vec<NodeId>,
+    /// Per-range `nxt` fragments of a split bottom-up level.
+    frags: Vec<Vec<NodeId>>,
+    /// Threads a distance fill splits its big levels and decodes across.
+    threads: usize,
+    /// Levels run split across threads since the workspace was created.
+    split_levels: u64,
 }
 
 /// The historical 64-lane workspace: width-1 [`MsBfsW`].
 pub type MsBfs = MsBfsW<1>;
+
+/// Depth levels one window of the 8 depth planes holds. Window `w`
+/// records relative depth `d − 255 w ∈ 1..=255`, so a zero plane value
+/// means "not discovered in this window" and a pass of any depth runs
+/// one traversal, decoding each window as it closes.
+const WINDOW: u32 = 255;
+
+/// Bottom-up levels and plane decodes over at least this many nodes
+/// split across [`MsBfsW::set_threads`] threads. Smaller graphs — every
+/// pass at `n = 4096` — never spawn a thread.
+const SPLIT_MIN: usize = 1 << 15;
 
 #[inline]
 fn block_is_zero<const W: usize>(a: &[u64; W]) -> bool {
@@ -165,19 +194,40 @@ const SPREAD: [u64; 256] = {
     t
 };
 
-/// Decodes word `i` of a node's depth planes into 64 depth bytes (lanes
-/// `64 i .. 64 i + 64`). Only the first `pbits` planes can be non-zero
-/// (depths `≤ maxd`), so higher planes are never read. Unreached lanes
-/// decode to 0 — callers patch them from the `seen` masks.
+/// The 8 depth planes of a node range, plane-major, indexed from the
+/// range's first node.
+type Planes<'a, const W: usize> = [&'a mut [[u64; W]]; 8];
+
+/// Decodes word `i` of node `v`'s depth planes into the relative-depth
+/// bytes of lanes `64 i .. 64 i + 8 groups`. Only the first `pbits`
+/// planes can be non-zero, so higher planes are never read, and planes
+/// above the node's highest non-zero one cost no lookups.
 #[inline]
-fn decode_word<const W: usize>(blk: &[[u64; W]; 8], i: usize, pbits: usize) -> [u8; 64] {
+fn decode_word<const W: usize>(
+    planes: &Planes<'_, W>,
+    v: usize,
+    i: usize,
+    pbits: usize,
+    groups: usize,
+) -> [u8; 64] {
+    let mut words = [0u64; 8];
+    let mut top = 0;
+    for (p, plane) in planes[..pbits].iter().enumerate() {
+        words[p] = plane[v][i];
+        if words[p] != 0 {
+            top = p + 1;
+        }
+    }
     let mut out = [0u8; 64];
-    for g in 0..8 {
+    if top == 0 {
+        return out;
+    }
+    for g in 0..groups {
         // Byte j of `acc` collects bit g·8+j of every plane at bit p —
         // i.e. the full depth of lane g·8+j.
         let mut acc = 0u64;
-        for (p, plane) in blk.iter().enumerate().take(pbits) {
-            acc |= SPREAD[(plane[i] >> (8 * g)) as usize & 0xFF] << p;
+        for (p, &w) in words[..top].iter().enumerate() {
+            acc |= SPREAD[(w >> (8 * g)) as usize & 0xFF] << p;
         }
         out[g * 8..g * 8 + 8].copy_from_slice(&acc.to_le_bytes());
     }
@@ -200,6 +250,338 @@ fn full_mask<const W: usize>(k: usize) -> [u64; W] {
     full
 }
 
+/// Planes a window whose largest relative depth is `r` may have set.
+#[inline]
+fn plane_bits(r: u32) -> usize {
+    (32 - r.leading_zeros()) as usize
+}
+
+/// A distance cell a fill writes. The type's all-ones value is both the
+/// unreached sentinel and the exclusive depth cap: a pass that reaches
+/// it is refused.
+trait Cell: Copy + Send + Sync {
+    const INF: Self;
+    /// `INF` as a depth: the first depth a fill refuses.
+    const CAP: u32;
+    fn depth(d: u32) -> Self;
+}
+
+macro_rules! cell {
+    ($t:ty) => {
+        impl Cell for $t {
+            const INF: $t = <$t>::MAX;
+            const CAP: u32 = <$t>::MAX as u32;
+            #[inline]
+            fn depth(d: u32) -> $t {
+                d as $t
+            }
+        }
+    };
+}
+cell!(u8);
+cell!(u16);
+cell!(u32);
+
+/// Where a fill's decoded depths land, indexed from the first node of
+/// the range it covers.
+enum Out<'a, C> {
+    /// One slice per lane, indexed by node.
+    Rows(Vec<&'a mut [C]>),
+    /// Node-major cells: node `v`'s lanes start at `v · stride + col0`.
+    Cols {
+        cells: &'a mut [C],
+        col0: usize,
+        stride: usize,
+    },
+}
+
+impl<C: Cell> Out<'_, C> {
+    #[inline]
+    fn put(&mut self, v: usize, lane: usize, c: C) {
+        match self {
+            Out::Rows(rows) => rows[lane][v] = c,
+            Out::Cols {
+                cells,
+                col0,
+                stride,
+            } => cells[v * *stride + *col0 + lane] = c,
+        }
+    }
+
+    fn by_ref(&mut self) -> Out<'_, C> {
+        match self {
+            Out::Rows(rows) => Out::Rows(rows.iter_mut().map(|r| &mut **r).collect()),
+            Out::Cols {
+                cells,
+                col0,
+                stride,
+            } => Out::Cols {
+                cells,
+                col0: *col0,
+                stride: *stride,
+            },
+        }
+    }
+}
+
+impl<'a, C: Cell> Out<'a, C> {
+    /// Splits into pieces for the consecutive node ranges of `lens`.
+    fn split(self, lens: &[usize]) -> Vec<Out<'a, C>> {
+        match self {
+            Out::Rows(rows) => {
+                let mut pieces: Vec<Vec<&'a mut [C]>> = lens
+                    .iter()
+                    .map(|_| Vec::with_capacity(rows.len()))
+                    .collect();
+                for mut row in rows {
+                    for (piece, &len) in pieces.iter_mut().zip(lens) {
+                        let (head, tail) = row.split_at_mut(len);
+                        piece.push(head);
+                        row = tail;
+                    }
+                }
+                pieces.into_iter().map(Out::Rows).collect()
+            }
+            Out::Cols {
+                mut cells,
+                col0,
+                stride,
+            } => lens
+                .iter()
+                .map(|&len| {
+                    let (head, tail) = std::mem::take(&mut cells).split_at_mut(len * stride);
+                    cells = tail;
+                    Out::Cols {
+                        cells: head,
+                        col0,
+                        stride,
+                    }
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Lengths of `parts` consecutive ranges covering `0..n`, cut at
+/// multiples of 64 so decode tiles never straddle two ranges.
+fn range_lens(n: usize, parts: usize) -> Vec<usize> {
+    let cut = |t: usize| ((n * t / parts) & !63).min(n);
+    (0..parts)
+        .map(|t| if t + 1 == parts { n } else { cut(t + 1) } - cut(t))
+        .collect()
+}
+
+/// Runs `f(lo, planes, out)` over consecutive node ranges of the
+/// planes' nodes, with `planes` and `out` cut to match: one range per
+/// part, range 0 on the calling thread and the rest on scoped threads.
+/// One part runs inline with no split at all.
+fn for_ranges<const W: usize, C: Cell>(
+    parts: usize,
+    planes: Planes<'_, W>,
+    out: Out<'_, C>,
+    f: impl Fn(usize, Planes<'_, W>, Out<'_, C>) + Sync,
+) {
+    if parts <= 1 {
+        return f(0, planes, out);
+    }
+    let lens = range_lens(planes[0].len(), parts);
+    let mut pieces: Vec<Planes<'_, W>> = lens.iter().map(|_| Default::default()).collect();
+    for (p, mut rest) in planes.into_iter().enumerate() {
+        for (piece, &len) in pieces.iter_mut().zip(&lens) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            piece[p] = head;
+            rest = tail;
+        }
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let mut lo = 0;
+        let mut inline = None;
+        for ((&len, planes), out) in lens.iter().zip(pieces).zip(out.split(&lens)) {
+            if lo == 0 {
+                inline = Some((planes, out));
+            } else {
+                s.spawn(move || f(lo, planes, out));
+            }
+            lo += len;
+        }
+        if let Some((planes, out)) = inline {
+            f(0, planes, out);
+        }
+    });
+}
+
+/// Decodes the depth planes of one node range into `out` and clears
+/// them: the lane with relative depth `r` at a node gets `base + r`.
+/// Window 0 (`base == 0`) writes every lane, zero included — a source,
+/// or a lane that a later window or the unreached patch overwrites;
+/// later windows write only lanes with `r ≠ 0`. Lane-major rows are
+/// written through 64-node tiles whose decoded bytes sit in a 4 KiB
+/// L1-resident buffer, so neither side streams a cold `n × k` scratch.
+fn decode_range<const W: usize, C: Cell>(
+    mut planes: Planes<'_, W>,
+    out: &mut Out<'_, C>,
+    k: usize,
+    base: u32,
+    pbits: usize,
+) {
+    let len = planes[0].len();
+    let words = k.div_ceil(64);
+    match out {
+        Out::Rows(rows) => {
+            const TILE: usize = 64;
+            let mut tile_buf = [[0u8; 64]; TILE];
+            for v0 in (0..len).step_by(TILE) {
+                let tn = TILE.min(len - v0);
+                for i in 0..words {
+                    let lane_lo = i * 64;
+                    let lanes = (k - lane_lo).min(64);
+                    for (t, buf) in tile_buf[..tn].iter_mut().enumerate() {
+                        *buf = decode_word(&planes, v0 + t, i, pbits, lanes.div_ceil(8));
+                    }
+                    // Indexing `tile_buf[t][j]` by the outer loop variable
+                    // is the transpose itself, not an iterator in disguise.
+                    #[allow(clippy::needless_range_loop)]
+                    for j in 0..lanes {
+                        let cells = &mut rows[lane_lo + j][v0..v0 + tn];
+                        if base == 0 {
+                            for (t, c) in cells.iter_mut().enumerate() {
+                                *c = C::depth(tile_buf[t][j] as u32);
+                            }
+                        } else {
+                            for (t, c) in cells.iter_mut().enumerate() {
+                                let r = tile_buf[t][j];
+                                if r != 0 {
+                                    *c = C::depth(base + r as u32);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Out::Cols {
+            cells,
+            col0,
+            stride,
+        } => {
+            for v in 0..len {
+                let node = &mut cells[v * *stride + *col0..][..k];
+                for (i, lanes) in node.chunks_mut(64).enumerate() {
+                    let buf = decode_word(&planes, v, i, pbits, lanes.len().div_ceil(8));
+                    for (c, &r) in lanes.iter_mut().zip(&buf) {
+                        if base == 0 || r != 0 {
+                            *c = C::depth(base + r as u32);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for plane in &mut planes[..pbits] {
+        plane.fill([0; W]);
+    }
+}
+
+/// Decodes node `v`'s planes of a window past the first into `out`, like
+/// [`decode_range`], and clears them.
+fn decode_node<const W: usize, C: Cell>(
+    planes: &mut Planes<'_, W>,
+    v: usize,
+    out: &mut Out<'_, C>,
+    k: usize,
+    base: u32,
+    pbits: usize,
+) {
+    for i in 0..k.div_ceil(64) {
+        let lanes = (k - i * 64).min(64);
+        let buf = decode_word(planes, v, i, pbits, lanes.div_ceil(8));
+        for (j, &r) in buf[..lanes].iter().enumerate() {
+            if r != 0 {
+                out.put(v, i * 64 + j, C::depth(base + r as u32));
+            }
+        }
+    }
+    for plane in &mut planes[..pbits] {
+        plane[v] = [0; W];
+    }
+}
+
+/// Writes `INF` into every cell whose lane never reached its node, for
+/// the node range whose `seen` masks are given.
+fn patch_unreached<const W: usize, C: Cell>(
+    seen: &[[u64; W]],
+    out: &mut Out<'_, C>,
+    full: &[u64; W],
+) {
+    for (v, seen) in seen.iter().enumerate() {
+        for (i, (&word, &all)) in seen.iter().zip(full).enumerate() {
+            let mut missing = all & !word;
+            while missing != 0 {
+                out.put(v, i * 64 + missing.trailing_zeros() as usize, C::INF);
+                missing &= missing - 1;
+            }
+        }
+    }
+}
+
+/// The bottom-up pull over the node range `lo .. lo + next.len()`: the
+/// frontier covers a large fraction of the graph, so pull from the (few)
+/// lanes still missing at each node and stop scanning a node's
+/// neighbours as soon as its missing lanes are covered. Writes each
+/// newly reached node's lanes into `next` and appends the node to `nxt`
+/// in ascending order.
+fn pull_range<const W: usize>(
+    g: &Graph,
+    seen: &[[u64; W]],
+    frontier: &[[u64; W]],
+    next: &mut [[u64; W]],
+    lo: usize,
+    full: &[u64; W],
+    nxt: &mut Vec<NodeId>,
+) {
+    for (vu, slot) in (lo..).zip(next.iter_mut()) {
+        let sv = &seen[vu];
+        let mut missing = [0u64; W];
+        let mut any = 0u64;
+        for i in 0..W {
+            missing[i] = full[i] & !sv[i];
+            any |= missing[i];
+        }
+        if any == 0 {
+            continue;
+        }
+        // Pull plain `OR`s in runs of 8 neighbours and test coverage
+        // once per run: a per-neighbour covered check costs more than the
+        // neighbours it skips on low-degree graphs (the common case
+        // here), while high-degree nodes still stop after the first
+        // covering run instead of scanning the whole list.
+        let mut cand = [0u64; W];
+        for chunk in g.neighbors(vu as NodeId).chunks(8) {
+            for &w in chunk {
+                let fw = &frontier[w as usize];
+                for (c, f) in cand.iter_mut().zip(fw) {
+                    *c |= f;
+                }
+            }
+            let covered = cand.iter().zip(&missing).all(|(c, m)| c & m == *m);
+            if covered {
+                break;
+            }
+        }
+        let mut new = [0u64; W];
+        let mut any_new = 0u64;
+        for i in 0..W {
+            new[i] = cand[i] & missing[i];
+            any_new |= new[i];
+        }
+        if any_new != 0 {
+            nxt.push(vu as NodeId);
+            *slot = new;
+        }
+    }
+}
+
 impl<const W: usize> MsBfsW<W> {
     /// Bit lanes (sources) one pass of this width carries.
     pub const LANES: usize = LANES * W;
@@ -212,8 +594,11 @@ impl<const W: usize> MsBfsW<W> {
             next: vec![[0; W]; n],
             cur_list: Vec::new(),
             next_list: Vec::new(),
-            planes: Vec::new(),
-            dirty_planes: 0,
+            planes: Default::default(),
+            touched: Vec::new(),
+            frags: Vec::new(),
+            threads: 1,
+            split_levels: 0,
         }
     }
 
@@ -225,6 +610,24 @@ impl<const W: usize> MsBfsW<W> {
             self.frontier.resize(n, [0; W]);
             self.next.resize(n, [0; W]);
         }
+    }
+
+    /// Sets how many threads one distance fill may use (`1`, the
+    /// default, keeps every pass on the calling thread). A pass splits
+    /// its bottom-up levels and its plane decodes into contiguous node
+    /// ranges, one per thread, once the graph has at least 2¹⁵ nodes;
+    /// the ranges' discoveries are concatenated in node order, so the
+    /// output never depends on the thread count. [`MsBfsW::run`] and
+    /// [`MsBfsW::eccentricities`] always run serially.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
+    /// How many levels this workspace's fills have split across threads
+    /// since it was created: a diagnostic that shows whether
+    /// [`MsBfsW::set_threads`] engages on a given graph.
+    pub fn split_levels(&self) -> u64 {
+        self.split_levels
     }
 
     /// Runs one bit-parallel BFS pass carrying `sources.len() ≤ 64 · W`
@@ -244,7 +647,7 @@ impl<const W: usize> MsBfsW<W> {
         for (lane, &s) in sources.iter().enumerate() {
             visit(lane as u32, s, 0);
         }
-        self.levels(g, sources.len(), |v, newly, depth| {
+        self.levels(g, sources.len(), u32::MAX, 1, |v, newly, depth| {
             for (i, &word) in newly.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
@@ -293,15 +696,30 @@ impl<const W: usize> MsBfsW<W> {
     /// block of lanes that discovered the node at that depth (`depth ≥ 1`;
     /// depth-0 records are the caller's). Nodes are emitted in
     /// discovery-list order within a level — [`MsBfsW::run`] unpacks the
-    /// blocks into its per-lane visit order from here.
-    fn levels<F: FnMut(NodeId, &[u64; W], u32)>(&mut self, g: &Graph, k: usize, mut blocks: F) {
+    /// blocks into its per-lane visit order from here. Bottom-up levels
+    /// of a graph with at least [`SPLIT_MIN`] nodes split into `parts`
+    /// node ranges on scoped threads; their discoveries concatenate in
+    /// range order, which is the serial order. Returns `false`, and stops
+    /// before emitting it, at the first level whose depth reaches `cap`.
+    fn levels<F: FnMut(NodeId, &[u64; W], u32)>(
+        &mut self,
+        g: &Graph,
+        k: usize,
+        cap: u32,
+        parts: usize,
+        mut blocks: F,
+    ) -> bool {
         let n = g.num_nodes();
+        let parts = if n >= SPLIT_MIN { parts } else { 1 };
         // The lists move out of `self` so the hot loops can hold plain
         // slice bindings (no repeated field loads, no indexed re-borrows).
         let mut cur = std::mem::take(&mut self.cur_list);
         let mut nxt = std::mem::take(&mut self.next_list);
+        let mut frags = std::mem::take(&mut self.frags);
+        frags.resize_with(parts.max(frags.len()), Vec::new);
         let full = full_mask::<W>(k);
         let mut depth = 0u32;
+        let mut within_cap = true;
         while !cur.is_empty() {
             // Expand, direction-optimized (Beamer-style). `seen` is stable
             // during either scan, so the bits landing in `next[v]` are
@@ -310,55 +728,38 @@ impl<const W: usize> MsBfsW<W> {
             let frontier = &self.frontier[..n];
             let next = &mut self.next[..n];
             if cur.len() >= n / 8 {
-                // Bottom-up: the frontier covers a large fraction of the
-                // graph, so pull from the (few) lanes still missing at
-                // each node and stop scanning a node's neighbours as soon
-                // as its missing lanes are covered. Sparse levels (long
-                // thin graphs) never trigger this arm, keeping the
-                // `O(active)`-per-level behaviour there. The `n / 8`
-                // threshold measured flat across widths: wider blocks
-                // cost more per pulled word but early-exit sooner (more
-                // lanes are missing per node), so the crossover stays put.
-                for vu in 0..n {
-                    let sv = &seen[vu];
-                    let mut missing = [0u64; W];
-                    let mut any = 0u64;
-                    for i in 0..W {
-                        missing[i] = full[i] & !sv[i];
-                        any |= missing[i];
-                    }
-                    if any == 0 {
-                        continue;
-                    }
-                    // Pull plain `OR`s in runs of 8 neighbours and test
-                    // coverage once per run: a per-neighbour covered
-                    // check costs more than the neighbours it skips on
-                    // low-degree graphs (the common case here), while
-                    // high-degree nodes still stop after the first
-                    // covering run instead of scanning the whole list.
-                    let mut cand = [0u64; W];
-                    for chunk in g.neighbors(vu as NodeId).chunks(8) {
-                        for &w in chunk {
-                            let fw = &frontier[w as usize];
-                            for (c, f) in cand.iter_mut().zip(fw) {
-                                *c |= f;
+                // Bottom-up once the active list covers n / 8 nodes.
+                // Sparse levels (long thin graphs) never trigger this arm,
+                // keeping the `O(active)`-per-level behaviour there. The
+                // threshold measured flat across widths: wider blocks cost
+                // more per pulled word but early-exit sooner (more lanes
+                // are missing per node), so the crossover stays put.
+                if parts > 1 {
+                    self.split_levels += 1;
+                    let lens = range_lens(n, parts);
+                    std::thread::scope(|s| {
+                        let mut rest = next;
+                        let mut lo = 0;
+                        for (&len, frag) in lens.iter().zip(&mut frags) {
+                            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                            rest = tail;
+                            frag.clear();
+                            let full = &full;
+                            let mut pull =
+                                move || pull_range(g, seen, frontier, piece, lo, full, frag);
+                            if lo + len == n {
+                                pull();
+                            } else {
+                                s.spawn(pull);
                             }
+                            lo += len;
                         }
-                        let covered = cand.iter().zip(&missing).all(|(c, m)| c & m == *m);
-                        if covered {
-                            break;
-                        }
+                    });
+                    for frag in &frags[..parts] {
+                        nxt.extend_from_slice(frag);
                     }
-                    let mut new = [0u64; W];
-                    let mut any_new = 0u64;
-                    for i in 0..W {
-                        new[i] = cand[i] & missing[i];
-                        any_new |= new[i];
-                    }
-                    if any_new != 0 {
-                        nxt.push(vu as NodeId);
-                        next[vu] = new;
-                    }
+                } else {
+                    pull_range(g, seen, frontier, next, 0, &full, &mut nxt);
                 }
             } else {
                 // Top-down: push every frontier lane across every
@@ -386,173 +787,134 @@ impl<const W: usize> MsBfsW<W> {
                     }
                 }
             }
-            // Retire the old frontier before installing the new one (a
-            // node can sit in both lists when different lanes reach it at
-            // consecutive levels).
+            if !nxt.is_empty() && depth + 1 >= cap {
+                // Stale `next` bits are cleared by the next `begin`.
+                within_cap = false;
+                break;
+            }
+            // `next` now holds exactly the new frontier: swap it in, and
+            // retire the old frontier — the new `next` — at `cur`, so
+            // `next` is all zero again for the following level.
+            std::mem::swap(&mut self.frontier, &mut self.next);
             for &u in &cur {
-                self.frontier[u as usize] = [0; W];
+                self.next[u as usize] = [0; W];
             }
             depth += 1;
             for &v in &nxt {
                 let vu = v as usize;
-                let newly = self.next[vu];
-                for (slot, &nw) in self.seen[vu].iter_mut().zip(&newly) {
+                let newly = &self.frontier[vu];
+                for (slot, &nw) in self.seen[vu].iter_mut().zip(newly) {
                     *slot |= nw;
                 }
-                self.frontier[vu] = newly;
-                self.next[vu] = [0; W];
-                blocks(v, &newly, depth);
+                blocks(v, newly, depth);
             }
             std::mem::swap(&mut cur, &mut nxt);
             nxt.clear();
         }
         self.cur_list = cur;
         self.next_list = nxt;
+        self.frags = frags;
+        within_cap
     }
 
-    /// Runs one traversal pass recording depths into the bit-sliced
-    /// `planes` instead of emitting per-lane discoveries: each level ORs
-    /// its `newly` block into the planes of the depth's set bits (≤ 8
-    /// word-block ORs per *node event*, so the recording cost scales with
-    /// `W` exactly like the traversal — unlike per-discovery scalar
+    /// The one distance fill behind every `distances_into*` entry point:
+    /// a single traversal pass that records depths into the bit-sliced
+    /// `planes` instead of emitting per-lane discoveries. Each level ORs
+    /// its `newly` block into the planes of the relative depth's set bits
+    /// (≤ 8 word-block ORs per *node event*, so the recording cost scales
+    /// with `W` exactly like the traversal — unlike per-discovery scalar
     /// stores, which cost one write per *cell* and dominate wide passes).
-    /// Returns the maximum depth reached, or `None` when a level reaches
-    /// depth 256 (the 8-plane cap): the planes are then partial and the
-    /// caller falls back to a per-discovery fill.
-    fn fill_planes(&mut self, g: &Graph, sources: &[NodeId]) -> Option<u32> {
+    ///
+    /// Depths are recorded in [`WINDOW`]s of 255 levels. When a level
+    /// opens window `w ≥ 1`, window `w − 1` is decoded into `out` at
+    /// `base + r` and its planes cleared. Window 0 streams over every
+    /// node; later windows decode the nodes they touched, or every node
+    /// once they touched `n / 16` of them. Unreached cells are patched to
+    /// `C::INF` from the `seen` masks at the end. Returns `false` —
+    /// `out` partial, planes cleared — when a depth reaches `C::INF`.
+    fn fill<C: Cell>(&mut self, g: &Graph, sources: &[NodeId], mut out: Out<'_, C>) -> bool {
         let n = g.num_nodes();
+        let k = sources.len();
         self.begin(g, sources);
-        if self.planes.len() < n {
-            self.planes.resize(n, [[0; W]; 8]);
+        for plane in &mut self.planes {
+            if plane.len() < n {
+                plane.resize(n, [0; W]);
+            }
         }
         // Taken out of `self` for the closure (`levels` borrows the
         // traversal state mutably); restored below.
         let mut planes = std::mem::take(&mut self.planes);
-        if self.dirty_planes > 0 {
-            for blk in &mut planes[..n] {
-                blk[..self.dirty_planes].fill([0; W]);
-            }
-        }
-        let mut maxd = 0u32;
-        let mut overflow = false;
-        self.levels(g, sources.len(), |v, newly, d| {
-            if d >= 256 {
-                overflow = true;
-                return;
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        let parts = if n >= SPLIT_MIN { self.threads } else { 1 };
+        let dense_at = n / 16;
+        let (mut window, mut dense, mut maxd) = (0u32, true, 0u32);
+        let within_cap = self.levels(g, k, C::CAP, parts, |v, newly, d| {
+            let w = (d - 1) / WINDOW;
+            if w != window {
+                let base = window * WINDOW;
+                let view = planes.each_mut().map(|p| &mut p[..n]);
+                flush_window(view, &mut touched, dense, &mut out, k, base, 8, parts);
+                (window, dense) = (w, false);
             }
             maxd = d;
-            let blk = &mut planes[v as usize];
-            let mut db = d;
-            while db != 0 {
-                let plane = &mut blk[db.trailing_zeros() as usize];
-                for (slot, &nw) in plane.iter_mut().zip(newly) {
-                    *slot |= nw;
+            if !dense {
+                if touched.len() < dense_at {
+                    touched.push(v);
+                } else {
+                    dense = true;
                 }
-                db &= db - 1;
+            }
+            let mut r = d - w * WINDOW;
+            while r != 0 {
+                let slot = &mut planes[r.trailing_zeros() as usize][v as usize];
+                for (s, &nw) in slot.iter_mut().zip(newly) {
+                    *s |= nw;
+                }
+                r &= r - 1;
             }
         });
-        // An overflowed pass dirtied all 8 planes (depths up to 255 were
-        // recorded before the cap hit); a clean pass dirtied the planes of
-        // its depth bits. When this pass's graph is smaller than the
-        // workspace, nodes beyond `n` kept their old dirt — keep the max.
-        let pbits = if overflow {
-            8
+        if within_cap {
+            let base = window * WINDOW;
+            let pbits = plane_bits(maxd - base);
+            if !dense {
+                let view = planes.each_mut().map(|p| &mut p[..n]);
+                flush_window(view, &mut touched, false, &mut out, k, base, pbits, 1);
+            }
+            let seen = &self.seen[..n];
+            let full = full_mask::<W>(k);
+            let view = planes.each_mut().map(|p| &mut p[..n]);
+            for_ranges(parts, view, out, |lo, view, mut piece| {
+                let len = view[0].len();
+                if dense {
+                    decode_range(view, &mut piece, k, base, pbits);
+                }
+                patch_unreached(&seen[lo..lo + len], &mut piece, &full);
+            });
         } else {
-            (32 - maxd.leading_zeros()) as usize
-        };
-        self.dirty_planes = if n == planes.len() {
-            pbits
-        } else {
-            self.dirty_planes.max(pbits)
-        };
+            for plane in &mut planes {
+                plane[..n].fill([0; W]);
+            }
+        }
         self.planes = planes;
-        if overflow {
-            None
-        } else {
-            Some(maxd)
-        }
-    }
-
-    /// Decodes the depth planes of a finished [`MsBfsW::fill_planes`] pass
-    /// into lane-major `rows` (`k × n` cells of `C`), patching unreached
-    /// cells to `inf` from the `seen` masks. The transpose from node-major
-    /// planes to lane-major rows runs over 64-node tiles whose decoded
-    /// bytes live in a 4 KiB L1-resident buffer, so neither side streams
-    /// a cold `n × k` scratch.
-    fn decode_rows<C: Copy + From<u8>>(
-        &self,
-        n: usize,
-        k: usize,
-        inf: C,
-        maxd: u32,
-        rows: &mut [C],
-    ) {
-        let pbits = (32 - maxd.leading_zeros()) as usize;
-        let full = full_mask::<W>(k);
-        const TILE: usize = 64;
-        let mut tile_buf = [[0u8; 64]; TILE];
-        for i in 0..W {
-            let lane_lo = i * 64;
-            if lane_lo >= k {
-                break;
-            }
-            let lanes_here = (k - lane_lo).min(64);
-            let mut v0 = 0;
-            while v0 < n {
-                let tn = TILE.min(n - v0);
-                for (t, buf) in tile_buf[..tn].iter_mut().enumerate() {
-                    *buf = decode_word(&self.planes[v0 + t], i, pbits);
-                }
-                // Indexing `tile_buf[t][j]` by the outer loop variable is
-                // the transpose itself, not an iterator in disguise.
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..lanes_here {
-                    let base = (lane_lo + j) * n + v0;
-                    for (t, slot) in rows[base..base + tn].iter_mut().enumerate() {
-                        *slot = C::from(tile_buf[t][j]);
-                    }
-                }
-                v0 += tn;
-            }
-        }
-        for (v, seen) in self.seen[..n].iter().enumerate() {
-            for (i, &word) in seen.iter().enumerate() {
-                let mut missing = full[i] & !word;
-                while missing != 0 {
-                    let lane = i * 64 + missing.trailing_zeros() as usize;
-                    rows[lane * n + v] = inf;
-                    missing &= missing - 1;
-                }
-            }
-        }
+        self.touched = touched;
+        within_cap
     }
 
     /// Fills `rows` — row-major `sources.len() × g.num_nodes()` — with the
-    /// BFS distances of each source's lane ([`INFINITY`] for unreached).
+    /// BFS distances of each source's lane ([`crate::INFINITY`] for unreached).
     ///
-    /// Distances are accumulated bit-sliced (`fill_planes`) and
-    /// decoded in one streaming pass, so extraction no longer costs a
-    /// scalar store per (lane, node) cell; graphs of diameter ≥ 256 take
-    /// the per-discovery fallback (a second traversal, but such graphs pay
-    /// Θ(n · diam) traversal levels anyway).
+    /// Distances are accumulated bit-sliced in 255-level windows and
+    /// decoded in streaming passes, so extraction never costs a scalar
+    /// store per (lane, node) cell, and a graph of any diameter is
+    /// traversed once.
     ///
     /// # Panics
     /// Panics if `rows.len() != sources.len() * g.num_nodes()` (in
     /// addition to [`MsBfsW::run`]'s conditions).
     pub fn distances_into(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [u32]) {
-        let n = g.num_nodes();
-        assert_eq!(
-            rows.len(),
-            sources.len() * n,
-            "rows buffer must be sources.len() * n"
-        );
-        match self.fill_planes(g, sources) {
-            Some(maxd) => self.decode_rows(n, sources.len(), INFINITY, maxd, rows),
-            None => {
-                let ok = self.fill_rows(g, sources, rows, INFINITY, |d| d);
-                debug_assert!(ok, "u32 depth cells cannot overflow");
-            }
-        }
+        let ok = self.fill_lane_rows(g, sources, rows);
+        debug_assert!(ok, "u32 depth cells cannot overflow");
     }
 
     /// [`MsBfsW::distances_into`] at 16-bit width: fills `rows` — row-major
@@ -574,46 +936,45 @@ impl<const W: usize> MsBfsW<W> {
         sources: &[NodeId],
         rows: &mut [u16],
     ) -> bool {
-        let n = g.num_nodes();
-        assert_eq!(
-            rows.len(),
-            sources.len() * n,
-            "rows buffer must be sources.len() * n"
-        );
-        match self.fill_planes(g, sources) {
-            Some(maxd) => {
-                self.decode_rows(n, sources.len(), u16::MAX, maxd, rows);
-                true
-            }
-            // Diameter ≥ 256 outgrows the planes but may still fit u16:
-            // the per-discovery fill keeps the `false`-at-65535 contract.
-            None => self.fill_rows(g, sources, rows, u16::MAX, |d| d as u16),
-        }
+        self.fill_lane_rows(g, sources, rows)
     }
 
     /// [`MsBfsW::distances_into_narrow`] at 8-bit width, with `u8::MAX`
     /// for unreached nodes: a quarter of the `u32` staging for callers
     /// that only bucket distances (the ball-row builder). Returns `false`
     /// — `rows` contents unspecified — when a finite distance reaches
-    /// `u8::MAX`; the caller then falls back to a wider fill.
+    /// `u8::MAX`; the pass stops at that level, and the caller falls back
+    /// to a wider fill.
     ///
     /// # Panics
     /// Panics if `rows.len() != sources.len() * g.num_nodes()` (in
     /// addition to [`MsBfsW::run`]'s conditions).
     pub fn distances_into_bytes(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [u8]) -> bool {
+        self.fill_lane_rows(g, sources, rows)
+    }
+
+    /// Lane-major `sources.len() × n` rows behind the `distances_into*`
+    /// entry points.
+    fn fill_lane_rows<C: Cell>(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [C]) -> bool {
         let n = g.num_nodes();
         assert_eq!(
             rows.len(),
             sources.len() * n,
             "rows buffer must be sources.len() * n"
         );
-        match self.fill_planes(g, sources) {
-            Some(maxd) if maxd < u8::MAX as u32 => {
-                self.decode_rows(n, sources.len(), u8::MAX, maxd, rows);
-                true
-            }
-            _ => false,
-        }
+        self.fill(g, sources, Out::Rows(rows.chunks_mut(n.max(1)).collect()))
+    }
+
+    /// Fills one `n`-cell slice per source: row `i` gets source `i`'s
+    /// distances, `u16::MAX` when unreached. Returns `false` — contents
+    /// unspecified — when a finite distance reaches `u16::MAX`, exactly
+    /// like [`MsBfsW::distances_into_narrow`].
+    fn fill_narrow_rows(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [Vec<u16>]) -> bool {
+        self.fill(
+            g,
+            sources,
+            Out::Rows(rows.iter_mut().map(|r| &mut r[..]).collect()),
+        )
     }
 
     /// Writes one batch's distances as *columns* `col0 .. col0 + k` of a
@@ -649,157 +1010,21 @@ impl<const W: usize> MsBfsW<W> {
             "columns {col0}..{} exceed row width {n_total}",
             col0 + k
         );
-        let Some(maxd) = self.fill_planes(g, sources) else {
-            return self.fill_columns_slow(g, sources, col0, n_total, out);
-        };
-        let pbits = (32 - maxd.leading_zeros()) as usize;
-        let full = full_mask::<W>(k);
-        for v in 0..n {
-            let blk = &self.planes[v];
-            let seen = &self.seen[v];
-            let base = v * n_total + col0;
-            for i in 0..W {
-                let lane_lo = i * 64;
-                if lane_lo >= k {
-                    break;
-                }
-                let m = (k - lane_lo).min(64);
-                let buf = decode_word(blk, i, pbits);
-                for (j, slot) in out[base + lane_lo..base + lane_lo + m]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    *slot = buf[j] as u16;
-                }
-                let mut missing = full[i] & !seen[i];
-                while missing != 0 {
-                    out[base + lane_lo + missing.trailing_zeros() as usize] = u16::MAX;
-                    missing &= missing - 1;
-                }
-            }
-        }
-        true
-    }
-
-    /// Per-discovery fallback for [`MsBfsW::distances_into_columns`] when
-    /// the depth planes overflow (diameter ≥ 256): a second traversal
-    /// writing each discovery's column cell directly. Returns `false` once
-    /// a depth reaches `u16::MAX`.
-    fn fill_columns_slow(
-        &mut self,
-        g: &Graph,
-        sources: &[NodeId],
-        col0: usize,
-        n_total: usize,
-        out: &mut [u16],
-    ) -> bool {
-        let n = g.num_nodes();
-        let k = sources.len();
-        self.begin(g, sources);
-        for (lane, &s) in sources.iter().enumerate() {
-            out[s as usize * n_total + col0 + lane] = 0;
-        }
-        let mut overflow = false;
-        self.levels(g, k, |v, newly, d| {
-            if overflow || d >= u16::MAX as u32 {
-                overflow = true;
-                return;
-            }
-            let base = v as usize * n_total + col0;
-            for (i, &word) in newly.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    out[base + i * 64 + bits.trailing_zeros() as usize] = d as u16;
-                    bits &= bits - 1;
-                }
-            }
-        });
-        if overflow {
-            return false;
-        }
-        let full = full_mask::<W>(k);
-        for (v, seen) in self.seen[..n].iter().enumerate() {
-            let base = v * n_total + col0;
-            for (i, &word) in seen.iter().enumerate() {
-                let mut missing = full[i] & !word;
-                while missing != 0 {
-                    out[base + i * 64 + missing.trailing_zeros() as usize] = u16::MAX;
-                    missing &= missing - 1;
-                }
-            }
-        }
-        true
-    }
-
-    /// The per-discovery distance-fill fallback: one [`MsBfsW::begin`] +
-    /// [`MsBfsW::levels`] pass writing each discovery's depth straight
-    /// into the lane-major `rows` at cell type `C`, with `inf` doubling as
-    /// the unreached sentinel **and** the exclusive depth cap. Returns
-    /// `false` (partial rows, caller falls back to a wider cell) as soon
-    /// as a level's depth would collide with the sentinel. Only graphs
-    /// whose diameter outgrows the 8 depth planes (≥ 256) land here.
-    ///
-    /// `rows` is not pre-filled (it may hold stale values from a previous
-    /// batch): the pass's `seen` masks say exactly which (lane, node)
-    /// cells were written, so only the unreached ones get an `inf` patch —
-    /// a no-op sweep on connected graphs.
-    fn fill_rows<C: Copy + PartialEq>(
-        &mut self,
-        g: &Graph,
-        sources: &[NodeId],
-        rows: &mut [C],
-        inf: C,
-        from_depth: impl Fn(u32) -> C,
-    ) -> bool {
-        let n = g.num_nodes();
-        let k = sources.len();
-        self.begin(g, sources);
-        let zero = from_depth(0);
-        for (lane, &s) in sources.iter().enumerate() {
-            rows[lane * n + s as usize] = zero;
-        }
-        let mut overflow = false;
-        self.levels(g, k, |v, newly, d| {
-            // Depths are sequential, so the first colliding level is
-            // caught exactly; later levels just skip work on the doomed
-            // buffer.
-            let cell = from_depth(d);
-            if overflow || cell == inf {
-                overflow = true;
-                return;
-            }
-            let vu = v as usize;
-            for (i, &word) in newly.iter().enumerate() {
-                let base = i * 64;
-                let mut bits = word;
-                while bits != 0 {
-                    let lane = base + bits.trailing_zeros() as usize;
-                    rows[lane * n + vu] = cell;
-                    bits &= bits - 1;
-                }
-            }
-        });
-        if overflow {
-            return false;
-        }
-        let full = full_mask::<W>(k);
-        for (v, seen) in self.seen[..n].iter().enumerate() {
-            for (i, &word) in seen.iter().enumerate() {
-                let mut missing = full[i] & !word;
-                while missing != 0 {
-                    let lane = i * 64 + missing.trailing_zeros() as usize;
-                    rows[lane * n + v] = inf;
-                    missing &= missing - 1;
-                }
-            }
-        }
-        true
+        self.fill(
+            g,
+            sources,
+            Out::Cols {
+                cells: out,
+                col0,
+                stride: n_total,
+            },
+        )
     }
 
     /// Owned-buffer convenience around [`MsBfsW::distances_into`].
     pub fn distances(&mut self, g: &Graph, sources: &[NodeId]) -> Vec<u32> {
         // Zero-init: `distances_into` overwrites every slot (reached ones
-        // during the run, the rest via the INFINITY patch).
+        // from the planes, the rest via the INFINITY patch).
         let mut rows = vec![0u32; sources.len() * g.num_nodes()];
         self.distances_into(g, sources, &mut rows);
         rows
@@ -819,13 +1044,42 @@ impl<const W: usize> MsBfsW<W> {
     }
 }
 
+/// Decodes one closed window of depth planes into `out` at `base + r`
+/// and clears them: every node when `dense` (split over `parts` node
+/// ranges), else only the `touched` nodes, in node order.
+#[allow(clippy::too_many_arguments)]
+fn flush_window<const W: usize, C: Cell>(
+    mut planes: Planes<'_, W>,
+    touched: &mut Vec<NodeId>,
+    dense: bool,
+    out: &mut Out<'_, C>,
+    k: usize,
+    base: u32,
+    pbits: usize,
+    parts: usize,
+) {
+    if dense {
+        for_ranges(parts, planes, out.by_ref(), |_, view, mut piece| {
+            decode_range(view, &mut piece, k, base, pbits)
+        });
+    } else {
+        touched.sort_unstable();
+        touched.dedup();
+        for &v in touched.iter() {
+            decode_node(&mut planes, v as usize, out, k, base, pbits);
+        }
+    }
+    touched.clear();
+}
+
 /// Per-thread reusable workspace access, implemented for each supported
 /// width ([`MsBfsW<1>`], [`MsBfsW<2>`], [`MsBfsW<4>`]). Width-generic
 /// batch code bounds on this trait to recycle buffers across passes the
 /// way [`with_msbfs`] does at width 1.
 pub trait MsBfsWorkspace: Sized {
     /// Runs `f` with this thread's reusable workspace of this width,
-    /// grown to capacity `n`.
+    /// grown to capacity `n`, on one thread ([`MsBfsW::set_threads`] is
+    /// reset to 1 for every call).
     ///
     /// # Panics
     /// Panics if called re-entrantly from within `f` (the workspace is
@@ -844,6 +1098,7 @@ macro_rules! msbfs_workspace {
                 $tls.with(|cell| {
                     let mut ws = cell.borrow_mut();
                     ws.ensure_capacity(n);
+                    ws.set_threads(1);
                     f(&mut ws)
                 })
             }
@@ -917,15 +1172,82 @@ pub(crate) fn batched_rows_impl_for<const W: usize>(
     );
     let lanes = MsBfsW::<W>::LANES;
     let batches: Vec<&[NodeId]> = sources.chunks(lanes).collect();
-    nav_par::parallel_chunks_mut(rows, lanes * n.max(1), threads, |b, stripe| {
-        MsBfsW::<W>::with_ws(n, |ms| ms.distances_into(g, batches[b], stripe));
+    let (outer, inner) = pass_threads(batches.len(), threads);
+    nav_par::parallel_chunks_mut(rows, lanes * n.max(1), outer, |b, stripe| {
+        MsBfsW::<W>::with_ws(n, |ms| {
+            ms.set_threads(inner);
+            ms.distances_into(g, batches[b], stripe)
+        });
     });
+}
+
+/// Splits `threads` between a fill's `passes`: passes fan out first, and
+/// threads the passes leave idle split each pass's levels instead.
+/// Returns `(workers over passes, threads inside one pass)`.
+fn pass_threads(passes: usize, threads: usize) -> (usize, usize) {
+    let threads = threads.max(1);
+    if passes >= threads {
+        (threads, 1)
+    } else {
+        (passes, threads / passes.max(1))
+    }
+}
+
+/// The distance rows of `sources` as compact [`DistRowBuf`]s, one per
+/// source in order, at `width.lanes()` sources per pass: each pass
+/// writes its rows straight into per-row `u16` buffers, so no
+/// `sources.len() × n` staging buffer exists at any point. A pass whose
+/// graph has a finite distance `≥ u16::MAX` refills at `u32` and keeps
+/// each row at the width [`DistRowBuf::from_wide`] picks for it. Passes
+/// fan out to `threads` workers, and a pass with idle threads splits its
+/// levels across them ([`MsBfsW::set_threads`]); the rows are
+/// bit-identical at every width and thread count.
+pub fn batched_compact_rows_w(
+    g: &Graph,
+    sources: &[NodeId],
+    threads: usize,
+    width: LaneWidth,
+) -> Vec<DistRowBuf> {
+    match width {
+        LaneWidth::W64 => compact_rows_for::<1>(g, sources, threads),
+        LaneWidth::W128 => compact_rows_for::<2>(g, sources, threads),
+        LaneWidth::W256 => compact_rows_for::<4>(g, sources, threads),
+    }
+}
+
+fn compact_rows_for<const W: usize>(
+    g: &Graph,
+    sources: &[NodeId],
+    threads: usize,
+) -> Vec<DistRowBuf>
+where
+    MsBfsW<W>: MsBfsWorkspace,
+{
+    let n = g.num_nodes();
+    let batches: Vec<&[NodeId]> = sources.chunks(MsBfsW::<W>::LANES).collect();
+    let (outer, inner) = pass_threads(batches.len(), threads);
+    let mut passes: Vec<Vec<DistRowBuf>> = vec![Vec::new(); batches.len()];
+    nav_par::parallel_chunks_mut(&mut passes, 1, outer, |b, cell| {
+        let batch = batches[b];
+        cell[0] = MsBfsW::<W>::with_ws(n, |ms| {
+            ms.set_threads(inner);
+            let mut narrow: Vec<Vec<u16>> = batch.iter().map(|_| vec![0u16; n]).collect();
+            if ms.fill_narrow_rows(g, batch, &mut narrow) {
+                return narrow.into_iter().map(DistRowBuf::Narrow).collect();
+            }
+            drop(narrow);
+            let mut wide = vec![0u32; batch.len() * n];
+            ms.distances_into(g, batch, &mut wide);
+            wide.chunks(n).map(DistRowBuf::from_wide).collect()
+        });
+    });
+    passes.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs::Bfs, GraphBuilder};
+    use crate::{bfs::Bfs, GraphBuilder, INFINITY};
 
     fn path(n: usize) -> Graph {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
@@ -1204,8 +1526,8 @@ mod tests {
 
     #[test]
     fn deep_graphs_fall_back_past_the_plane_cap() {
-        // Diameter 299 > 255: the bit-sliced planes overflow and every
-        // fill takes its per-discovery fallback — same results.
+        // Diameter 299 > 255: depths past 255 land in the second plane
+        // window of the same traversal — same results from every fill.
         let g = path(300);
         let sources: Vec<NodeId> = vec![0, 150, 299];
         assert_matches_scalar(&g, &sources);
@@ -1216,6 +1538,37 @@ mod tests {
         assert!(ms.distances_into_narrow(&g, &sources, &mut narrow));
         assert_eq!(narrow[n - 1], 299);
         assert_columns_match_rows_w::<1>(&g, &sources, 1);
+    }
+
+    #[test]
+    fn narrow_fills_refuse_at_u16_max_and_compact_rows_widen_per_row() {
+        // 257 plane windows in one traversal, each touching a few hundred
+        // of 65,537 nodes (so each decodes only the nodes it touched).
+        // Source 0 reaches depth 65536: the u16 fills refuse, and its
+        // compact row widens while source 32768's row stays narrow.
+        let g = path(65_537);
+        let n = g.num_nodes();
+        let sources: Vec<NodeId> = vec![0, 32_768];
+        let mut ms = MsBfs::new(n);
+        let wide = ms.distances(&g, &sources);
+        assert_eq!(
+            (wide[n - 1], wide[n], wide[2 * n - 1]),
+            (65_536, 32_768, 32_768)
+        );
+        let mut narrow = vec![0u16; 2 * n];
+        assert!(!ms.distances_into_narrow(&g, &sources, &mut narrow));
+        let mut cols = vec![0u16; 2 * n];
+        assert!(!ms.distances_into_columns(&g, &sources, 0, 2, &mut cols));
+        assert!(ms.distances_into_narrow(&g, &sources[1..], &mut narrow[..n]));
+        assert_eq!(
+            narrow[..n],
+            wide[n..].iter().map(|&d| d as u16).collect::<Vec<_>>()
+        );
+        let rows = batched_compact_rows_w(&g, &sources, 2, LaneWidth::W64);
+        assert!(!rows[0].is_narrow() && rows[1].is_narrow());
+        for (row, want) in rows.iter().zip(wide.chunks(n)) {
+            assert_eq!(row, &DistRowBuf::from_wide(want));
+        }
     }
 
     #[test]

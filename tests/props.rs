@@ -316,3 +316,251 @@ proptest! {
         }
     }
 }
+
+/// A lollipop under a random id permutation: a connected random "body"
+/// of `body` nodes, a path "tail" of `tail` nodes hanging off it, and one
+/// detached edge (so every lane has unreached cells). Returns the graph,
+/// the body ids and the tail ids (nearest the body first). The tail
+/// pushes BFS depths past one or more 255-level plane windows, and the
+/// permutation scatters its ids the way `gnp_connected` scatters the
+/// isolated nodes it chains into a tail.
+fn deep_tailed_graph(body: usize, tail: usize, seed: u64) -> (Graph, Vec<u32>, Vec<u32>) {
+    use rand::Rng;
+    let n = body + tail + 2;
+    let mut rng = seeded_rng(seed);
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..=i));
+    }
+    let mut b = GraphBuilder::new(n);
+    for u in 0..body {
+        b.add_edge(perm[u], perm[(u + 1) % body]);
+        let v = rng.gen_range(0..body);
+        if v != u {
+            b.add_edge(perm[u], perm[v]);
+        }
+    }
+    for i in 0..tail {
+        let prev = if i == 0 { 0 } else { body + i - 1 };
+        b.add_edge(perm[prev], perm[body + i]);
+    }
+    b.add_edge(perm[n - 2], perm[n - 1]);
+    let g = b.build().expect("valid");
+    (g, perm[..body].to_vec(), perm[body..body + tail].to_vec())
+}
+
+/// Every distance fill of a width-`W` workspace against scalar BFS rows:
+/// `u32` rows, `u16` rows, `u16` columns (cells outside the batch's
+/// columns untouched), and `u8` rows, which must refuse exactly when a
+/// finite distance reaches 255.
+fn assert_fills_match_scalar<const W: usize>(
+    ms: &mut navigability::graph::msbfs::MsBfsW<W>,
+    g: &Graph,
+    sources: &[u32],
+) {
+    use navigability::graph::bfs::Bfs;
+    use navigability::graph::INFINITY;
+    let n = g.num_nodes();
+    let k = sources.len();
+    let mut bfs = Bfs::new(n);
+    let scalar: Vec<Vec<u32>> = sources.iter().map(|&s| bfs.distances(g, s)).collect();
+    let narrow_of = |d: u32| if d == INFINITY { u16::MAX } else { d as u16 };
+    let rows = ms.distances(g, sources);
+    for (lane, want) in scalar.iter().enumerate() {
+        assert_eq!(
+            &rows[lane * n..(lane + 1) * n],
+            want.as_slice(),
+            "W={W} u32 lane {lane}"
+        );
+    }
+    let mut narrow = vec![7u16; k * n];
+    assert!(ms.distances_into_narrow(g, sources, &mut narrow), "W={W}");
+    for (lane, want) in scalar.iter().enumerate() {
+        let want: Vec<u16> = want.iter().map(|&d| narrow_of(d)).collect();
+        assert_eq!(
+            &narrow[lane * n..(lane + 1) * n],
+            want.as_slice(),
+            "W={W} u16 lane {lane}"
+        );
+    }
+    let (col0, n_total) = (3, k + 5);
+    let mut cols = vec![7u16; n * n_total];
+    assert!(
+        ms.distances_into_columns(g, sources, col0, n_total, &mut cols),
+        "W={W}"
+    );
+    for (v, row) in cols.chunks(n_total).enumerate() {
+        let want: Vec<u16> = scalar.iter().map(|r| narrow_of(r[v])).collect();
+        assert_eq!(
+            &row[col0..col0 + k],
+            want.as_slice(),
+            "W={W} column node {v}"
+        );
+        assert!(row[..col0].iter().chain(&row[col0 + k..]).all(|&c| c == 7));
+    }
+    let deepest = scalar
+        .iter()
+        .flatten()
+        .filter(|&&d| d != INFINITY)
+        .max()
+        .copied();
+    let mut bytes = vec![7u8; k * n];
+    let fits = ms.distances_into_bytes(g, sources, &mut bytes);
+    assert_eq!(fits, deepest.unwrap_or(0) < 255, "W={W} byte refusal");
+    if fits {
+        for (lane, want) in scalar.iter().enumerate() {
+            let want: Vec<u8> = want.iter().map(|&d| d.min(255) as u8).collect();
+            assert_eq!(
+                &bytes[lane * n..(lane + 1) * n],
+                want.as_slice(),
+                "W={W} u8 lane {lane}"
+            );
+        }
+    }
+}
+
+/// Up to `64 · W` sources on a tailed graph: half in the body, half in
+/// the deeper half of the tail, with the body and the tail's end always
+/// present — a source deep in the tail discovers most nodes past depth
+/// 255.
+fn tailed_sources(lanes: usize, body: &[u32], tail: &[u32], seed: u64) -> Vec<u32> {
+    use rand::Rng;
+    let mut rng = seeded_rng(seed);
+    let k = rng.gen_range(2..=lanes);
+    let mut sources: Vec<u32> = (0..k)
+        .map(|_| {
+            if rng.gen_range(0..2u32) == 0 {
+                body[rng.gen_range(0..body.len())]
+            } else {
+                tail[rng.gen_range(tail.len() / 2..tail.len())]
+            }
+        })
+        .collect();
+    sources[0] = body[0];
+    sources[k - 1] = tail[tail.len() - 1];
+    sources
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn msbfs_deep_graphs_equal_scalar_bfs(
+        body in 20usize..200,
+        tail in 260usize..900,
+        seed in 0u64..1000,
+    ) {
+        // Depths past 255 (and past 510 and 765 on the longer tails) are
+        // recorded in successive plane windows of one traversal. Every
+        // fill entry point must still equal scalar BFS at every width,
+        // and the byte fill must still refuse. Each workspace then serves
+        // a smaller graph, which must see no dirty planes.
+        use navigability::graph::msbfs::MsBfsW;
+        fn check<const W: usize>(g: &Graph, body: &[u32], tail: &[u32], small: &Graph, seed: u64) {
+            let mut ms = MsBfsW::<W>::new(0);
+            let sources = tailed_sources(64 * W, body, tail, seed);
+            assert_fills_match_scalar(&mut ms, g, &sources);
+            let n = small.num_nodes() as u32;
+            let sources: Vec<u32> = (0..(64 * W).min(40) as u32).map(|i| i * 7 % n).collect();
+            assert_fills_match_scalar(&mut ms, small, &sources);
+        }
+        let (g, body_ids, tail_ids) = deep_tailed_graph(body, tail, seed);
+        let (small, _, _) = deep_tailed_graph(12, 30, seed ^ 1);
+        check::<1>(&g, &body_ids, &tail_ids, &small, seed);
+        check::<2>(&g, &body_ids, &tail_ids, &small, seed ^ 2);
+        check::<4>(&g, &body_ids, &tail_ids, &small, seed ^ 4);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a graph past the split gate takes ~40 s unoptimised; CI runs it in release"
+)]
+fn msbfs_level_split_is_thread_invariant() {
+    // 40,000 body nodes put the graph past the 2^15-node split gate, so
+    // at 2 and 3 threads every bottom-up level and plane decode splits
+    // into node ranges; the workspace's split counter proves it did, and
+    // never moves at 1 thread. Rows must be bit-identical at every thread
+    // count, through the workspace and the batched entry points: at every
+    // width on the deep graph (a 600-node tail, three plane windows), and
+    // at 64 lanes on the shallow one (no tail, so the byte fill succeeds).
+    // `run` stays serial: its visit order, hashed, never changes.
+    use navigability::graph::msbfs::{
+        batched_compact_rows_w, batched_rows_into_w, LaneWidth, MsBfsW,
+    };
+    fn fills<const W: usize>(
+        g: &Graph,
+        sources: &[u32],
+        threads: usize,
+    ) -> (Vec<u32>, Vec<u16>, Vec<u16>, Option<Vec<u8>>) {
+        let n = g.num_nodes();
+        let k = sources.len();
+        let mut ms = MsBfsW::<W>::new(n);
+        ms.set_threads(threads);
+        let rows = ms.distances(g, sources);
+        let mut narrow = vec![0u16; k * n];
+        assert!(ms.distances_into_narrow(g, sources, &mut narrow));
+        let mut cols = vec![0u16; n * k];
+        assert!(ms.distances_into_columns(g, sources, 0, k, &mut cols));
+        let mut bytes = vec![0u8; k * n];
+        let bytes = ms
+            .distances_into_bytes(g, sources, &mut bytes)
+            .then_some(bytes);
+        assert_eq!(ms.split_levels() > 0, threads > 1, "threads {threads}");
+        (rows, narrow, cols, bytes)
+    }
+    fn visit_hash<const W: usize>(g: &Graph, sources: &[u32], threads: usize) -> u64 {
+        let mut ms = MsBfsW::<W>::new(g.num_nodes());
+        ms.set_threads(threads);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        ms.run(g, sources, |lane, v, d| {
+            for x in [lane, v, d] {
+                h = (h ^ x as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        });
+        assert_eq!(ms.split_levels(), 0, "run never splits");
+        h
+    }
+    fn check<const W: usize>(g: &Graph, sources: &[u32], width: LaneWidth) {
+        let n = g.num_nodes();
+        let base = fills::<W>(g, sources, 1);
+        let compact = batched_compact_rows_w(g, sources, 1, width);
+        for threads in [2, 3] {
+            assert!(
+                fills::<W>(g, sources, threads) == base,
+                "W={W} threads {threads}"
+            );
+            let mut rows = vec![0u32; sources.len() * n];
+            batched_rows_into_w(g, sources, threads, width, &mut rows);
+            assert!(rows == base.0, "W={W} batched rows at {threads} threads");
+            let got = batched_compact_rows_w(g, sources, threads, width);
+            assert!(got == compact, "W={W} compact rows at {threads} threads");
+        }
+        for (i, row) in compact.iter().enumerate() {
+            assert!(row.is_narrow());
+            assert!(
+                (0..n).all(|v| row.get(v) == base.0[i * n + v]),
+                "W={W} row {i}"
+            );
+        }
+    }
+    for tail in [600, 0] {
+        let (g, body, tail_ids) = deep_tailed_graph(40_000, tail, 11);
+        let tail_end = tail_ids.last().copied().unwrap_or(body[1]);
+        let sources = |k: usize| -> Vec<u32> {
+            (0..k)
+                .map(|i| if i % 5 == 4 { tail_end } else { body[i * 97] })
+                .collect()
+        };
+        check::<1>(&g, &sources(64), LaneWidth::W64);
+        let order = visit_hash::<1>(&g, &sources(64), 1);
+        for threads in [2, 3] {
+            assert_eq!(visit_hash::<1>(&g, &sources(64), threads), order);
+        }
+        if tail > 0 {
+            check::<2>(&g, &sources(100), LaneWidth::W128);
+            check::<4>(&g, &sources(130), LaneWidth::W256);
+        }
+    }
+}
