@@ -38,17 +38,12 @@
 //! cargo run -p nav-bench --release --bin nav-engine -- replay traffic.navr 127.0.0.1:4777
 //! ```
 //!
-//! `serve`, `serve-tcp`, and `gen` all take `--shards K` (1..=255): `gen`
-//! stamps the workload file, the serving commands give the one engine `K`
-//! shard labels (target `t` belongs to shard `t % K`). Labels stamp traces
-//! and let a wire handle pin one shard's targets; answers never change.
-//!
 //! The serving commands also take `--drop-p P` (each long-range lookup
 //! fails i.i.d. with probability `P`) and `--fault-epochs E` (`E` epochs
 //! of seeded node churn, 1024 queries / 5% of nodes down each); either
 //! flag overrides the workload file's `fault` directive. Faulty answers
-//! stay bit-identical across threads, cache sizes, batch splits and
-//! shard counts — failure injection is part of the determinism contract.
+//! stay bit-identical across threads, cache sizes and batch splits —
+//! failure injection is part of the determinism contract.
 
 use nav_bench::faultjson::render_fault_bench;
 use nav_bench::measure::{emit_bench, parse_bench_args, BENCH_USAGE};
@@ -63,9 +58,9 @@ use nav_core::sampler::SamplerMode;
 use nav_core::scheme::AugmentationScheme;
 use nav_core::uniform::{NoAugmentation, UniformScheme};
 use nav_engine::workload::{
-    parse_workload, render_workload_with_shards, FaultSpec, GraphSpec, WorkloadSpec, ZipfSpec,
+    parse_workload, render_workload, FaultSpec, GraphSpec, WorkloadSpec, ZipfSpec,
 };
-use nav_engine::{AdmissionPolicy, Engine, EngineConfig, MAX_SHARDS};
+use nav_engine::{AdmissionPolicy, Engine, EngineConfig};
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::Graph;
 use nav_net::{Frame, MetricsSnapshot, NetClient, NetConfig, NetError, NetServer};
@@ -116,13 +111,11 @@ fn scheme_for(
     }
 }
 
-/// An engine over the named scheme with `shards` shard labels — the
-/// shared construction of `serve` and `serve-tcp`.
-fn build_engine(g: Graph, scheme_name: &str, cfg: EngineConfig, shards: usize) -> Engine {
+/// An engine over the named scheme — the shared construction of `serve`
+/// and `serve-tcp`.
+fn build_engine(g: Graph, scheme_name: &str, cfg: EngineConfig) -> Engine {
     let scheme = scheme_for(scheme_name, &g, cfg.seed, cfg.threads);
-    let mut engine = Engine::new(g, scheme, cfg);
-    engine.set_shards(shards);
-    engine
+    Engine::new(g, scheme, cfg)
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -148,16 +141,6 @@ fn expect_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, fla
     args.next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| die!(2, "{flag} needs a number"))
-}
-
-/// Parses `--shards K` (bounded by the one-byte shard selector of the
-/// wire protocol's handle, like the workload-file directive).
-fn expect_shards(args: &mut impl Iterator<Item = String>) -> usize {
-    let shards: usize = expect_num(args, "--shards");
-    if shards == 0 || shards > MAX_SHARDS {
-        die!(2, "--shards must be in 1..={MAX_SHARDS}, got {shards}");
-    }
-    shards
 }
 
 /// Resolves a serving command's fault injection: `--drop-p` /
@@ -197,7 +180,7 @@ fn resolve_fault(
 /// Reads and decodes a snapshot file, restoring a serving engine from it
 /// (exiting with a message on any failure). The snapshot carries
 /// everything answer-determining — graph, scheme, seed, cache, faults —
-/// plus the shard count, counters and rows, so only the answer-invisible
+/// plus the counters and rows, so only the answer-invisible
 /// knobs (threads, tracing) come from `cfg`.
 fn restore_engine(path: &str, cfg: &EngineConfig) -> Engine {
     let bytes = std::fs::read(path).unwrap_or_else(|e| die!(2, "reading {path}: {e}"));
@@ -206,10 +189,9 @@ fn restore_engine(path: &str, cfg: &EngineConfig) -> Engine {
         .restore(cfg.threads, cfg.obs)
         .unwrap_or_else(|e| die!(2, "{path}: restore failed: {e}"));
     eprintln!(
-        "[nav-engine] restored {path}: n={} seed={} shards={} served={} resident rows={}",
+        "[nav-engine] restored {path}: n={} seed={} served={} resident rows={}",
         snap.num_nodes,
         snap.seed,
-        snap.shards,
         snap.state.served,
         snap.state.rows.len()
     );
@@ -234,7 +216,6 @@ fn expect_admission(args: &mut impl Iterator<Item = String>) -> AdmissionPolicy 
 struct EngineFlags {
     cfg: EngineConfig,
     scheme: String,
-    shards: Option<usize>,
     drop_p: Option<f64>,
     fault_epochs: Option<u32>,
     restore: Option<String>,
@@ -245,7 +226,6 @@ impl EngineFlags {
         EngineFlags {
             cfg: EngineConfig::default(),
             scheme: "uniform".to_string(),
-            shards: None,
             drop_p: None,
             fault_epochs: None,
             restore: None,
@@ -262,7 +242,6 @@ impl EngineFlags {
             "--admission" => cfg.admission = expect_admission(args),
             "--width" => cfg.width = expect_width(args),
             "--trace-every" => cfg.obs.trace_every = expect_num(args, "--trace-every"),
-            "--shards" => self.shards = Some(expect_shards(args)),
             "--drop-p" => self.drop_p = Some(expect_num(args, "--drop-p")),
             "--fault-epochs" => self.fault_epochs = Some(expect_num(args, "--fault-epochs")),
             "--restore" => self.restore = Some(expect_arg(args, "--restore needs a snapshot path")),
@@ -321,7 +300,6 @@ fn serve(mut args: impl Iterator<Item = String>) {
     // insists the two agree exactly or out-of-range endpoints would abort
     // mid-replay. (`gen` pins the file to the built size.)
     let (spec, g) = load_workload(&file);
-    let shards = flags.shards.unwrap_or(spec.shards);
     let fault = resolve_fault(flags.drop_p, flags.fault_epochs, spec.fault, seed);
     if fault.is_active() {
         eprintln!(
@@ -339,7 +317,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
         );
     }
     eprintln!(
-        "[nav-engine] graph {} n={} m={} | {} queries ({} distinct targets), batch {}, scheme {}, sampler {}, cache {} MiB, threads {}, shards {}",
+        "[nav-engine] graph {} n={} m={} | {} queries ({} distinct targets), batch {}, scheme {}, sampler {}, cache {} MiB, threads {}",
         spec.graph.family,
         g.num_nodes(),
         g.num_edges(),
@@ -349,8 +327,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
         scheme_name,
         sampler.label(),
         flags.cfg.cache_bytes >> 20,
-        threads,
-        shards
+        threads
     );
     let mut engine = match &flags.restore {
         // The snapshot wins every answer-determining knob; the workload
@@ -375,11 +352,8 @@ fn serve(mut args: impl Iterator<Item = String>) {
                 fault,
                 ..flags.cfg
             },
-            shards,
         ),
     };
-    // A restored engine keeps the snapshot's shard count.
-    let shards = engine.num_shards();
     let t0 = std::time::Instant::now();
     let mut failures = 0usize;
     for batch in spec.batches() {
@@ -439,7 +413,7 @@ fn serve(mut args: impl Iterator<Item = String>) {
     }
     if let Some(path) = json_path {
         let json = format!(
-            "{{\n  \"schema\": \"nav-engine-serve/v1\",\n  \"workload\": \"{}\",\n  \"scheme\": \"{}\",\n  \"sampler\": \"{}\",\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"shards\": {shards},\n  \"host\": {},\n  \"queries\": {},\n  \"batches\": {},\n  \"trials\": {},\n  \"failures\": {failures},\n  \"elapsed_ms\": {elapsed_ms:.3},\n  \"qps\": {:.3},\n  \"batch_latency_ms\": {latency},\n  \"cache\": {{\"policy\": \"{}\", \"capacity_bytes\": {}, \"resident_rows\": {}, \"resident_bytes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.3}}},\n  \"ball_rows\": {{\"rows\": {}, \"passes\": {}, \"hits\": {}, \"misses\": {}, \"fallbacks\": {}, \"row_bytes\": {}}}\n}}\n",
+            "{{\n  \"schema\": \"nav-engine-serve/v1\",\n  \"workload\": \"{}\",\n  \"scheme\": \"{}\",\n  \"sampler\": \"{}\",\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"host\": {},\n  \"queries\": {},\n  \"batches\": {},\n  \"trials\": {},\n  \"failures\": {failures},\n  \"elapsed_ms\": {elapsed_ms:.3},\n  \"qps\": {:.3},\n  \"batch_latency_ms\": {latency},\n  \"cache\": {{\"policy\": \"{}\", \"capacity_bytes\": {}, \"resident_rows\": {}, \"resident_bytes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.3}}},\n  \"ball_rows\": {{\"rows\": {}, \"passes\": {}, \"hits\": {}, \"misses\": {}, \"fallbacks\": {}, \"row_bytes\": {}}}\n}}\n",
             json_escape(&file),
             json_escape(&engine.scheme_name()),
             sampler.label(),
@@ -479,10 +453,8 @@ fn gen(mut args: impl Iterator<Item = String>) {
     let mut zipf_seed = 7u64;
     let mut trials = 8usize;
     let mut batch = 512usize;
-    let mut shards = 1usize;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => shards = expect_shards(&mut args),
             "--family" => family = expect_arg(&mut args, "--family needs a value"),
             "--n" => n = expect_num(&mut args, "--n"),
             "--graph-seed" => graph_seed = expect_num(&mut args, "--graph-seed"),
@@ -527,14 +499,13 @@ fn gen(mut args: impl Iterator<Item = String>) {
         seed: zipf_seed,
         hot: hot.min(built_n),
     };
-    let text = render_workload_with_shards(&spec, trials, batch, shards, &zipf);
+    let text = render_workload(&spec, trials, batch, &zipf);
     // Validate what we are about to hand to `serve`.
     parse_workload(&text).unwrap_or_else(|e| panic!("generated workload invalid: {e}"));
     std::fs::write(&file, &text).unwrap_or_else(|e| panic!("writing {file}: {e}"));
     eprintln!(
-        "[nav-engine] workload ({queries} queries over {} hot targets, {shards} shard{}) -> {file}",
-        zipf.hot,
-        if shards == 1 { "" } else { "s" }
+        "[nav-engine] workload ({queries} queries over {} hot targets) -> {file}",
+        zipf.hot
     );
 }
 
@@ -593,16 +564,14 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
         None => {
             let file = file.unwrap_or_else(|| die!(2, "serve-tcp needs a workload file for its graph spec (try `gen` first) or --restore SNAPSHOT"));
             let (spec, g) = load_workload(&file);
-            let shards = flags.shards.unwrap_or(spec.shards);
             let fault = resolve_fault(flags.drop_p, flags.fault_epochs, spec.fault, seed);
             eprintln!(
-                "[nav-engine] serving graph {} n={} (scheme {}, seed {seed}, cache {} MiB [{}], {} shards, {} workers × {threads} threads)",
+                "[nav-engine] serving graph {} n={} (scheme {}, seed {seed}, cache {} MiB [{}], {} workers × {threads} threads)",
                 spec.graph.family,
                 spec.graph.n,
                 flags.scheme,
                 flags.cfg.cache_bytes >> 20,
                 flags.cfg.admission.label(),
-                shards,
                 net.workers
             );
             if fault.is_active() {
@@ -612,12 +581,7 @@ fn serve_tcp(mut args: impl Iterator<Item = String>) {
                     fault.plan.map(|p| p.epochs()).unwrap_or(0)
                 );
             }
-            build_engine(
-                g,
-                &flags.scheme,
-                EngineConfig { fault, ..flags.cfg },
-                shards,
-            )
+            build_engine(g, &flags.scheme, EngineConfig { fault, ..flags.cfg })
         }
     };
     let server = NetServer::bind(engine, net, addr.as_str())
@@ -754,7 +718,6 @@ fn stats_text(reply: &nav_net::StatsReply) -> String {
         ("nav_cache_resident_rows", m.cache_resident_rows),
         ("nav_cache_resident_bytes", m.cache_resident_bytes),
         ("nav_cache_capacity_bytes", m.cache_capacity_bytes),
-        ("nav_shards", u64::from(reply.shards)),
     ] {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {v}");
@@ -767,9 +730,8 @@ fn stats_text(reply: &nav_net::StatsReply) -> String {
 fn stats_json(addr: &str, reply: &nav_net::StatsReply) -> String {
     let m = &reply.metrics;
     format!(
-        "{{\n  \"schema\": \"nav-engine-stats/v1\",\n  \"addr\": \"{}\",\n  \"shards\": {},\n  \"metrics\": {{\"queries\": {}, \"batches\": {}, \"trials\": {}, \"warm_targets\": {}, \"cold_targets\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \"cache_rejected_rows\": {}, \"cache_resident_rows\": {}, \"cache_resident_bytes\": {}, \"cache_capacity_bytes\": {}, \"dropped_links\": {}, \"rerouted_hops\": {}, \"epoch_flips\": {}, \"timeout_setup_failures\": {}}},\n  \"obs\": {}\n}}\n",
+        "{{\n  \"schema\": \"nav-engine-stats/v1\",\n  \"addr\": \"{}\",\n  \"metrics\": {{\"queries\": {}, \"batches\": {}, \"trials\": {}, \"warm_targets\": {}, \"cold_targets\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \"cache_rejected_rows\": {}, \"cache_resident_rows\": {}, \"cache_resident_bytes\": {}, \"cache_capacity_bytes\": {}, \"dropped_links\": {}, \"rerouted_hops\": {}, \"epoch_flips\": {}, \"timeout_setup_failures\": {}}},\n  \"obs\": {}\n}}\n",
         json_escape(addr),
-        reply.shards,
         m.queries,
         m.batches,
         m.trials,
@@ -845,10 +807,9 @@ fn snapshot_cmd(mut args: impl Iterator<Item = String>) {
         .unwrap_or_else(|e| die!(1, "server sent an undecodable snapshot: {e}"));
     std::fs::write(&file, &bytes).unwrap_or_else(|e| panic!("writing {file}: {e}"));
     eprintln!(
-        "[nav-engine] snapshot of {addr}: n={} seed={} shards={} served={} resident rows={} ({} bytes) -> {file}",
+        "[nav-engine] snapshot of {addr}: n={} seed={} served={} resident rows={} ({} bytes) -> {file}",
         snap.num_nodes,
         snap.seed,
-        snap.shards,
         snap.state.served,
         snap.state.rows.len(),
         bytes.len()
@@ -882,7 +843,9 @@ fn hash_answer(h: &mut u64, a: &nav_core::trial::PairStats) {
 /// carries its own `rng_base`: answers are pure functions of the
 /// request, so a restored server must reproduce them exactly. Exits 1 on
 /// the first divergence; on success prints matching stream digests and
-/// the `replay bit-identical with recording` line CI greps for.
+/// the `replay bit-identical with recording` line CI greps for. Entries
+/// this build's protocol version cannot decode are counted as skipped,
+/// so every entry of a log recorded under protocol v4 is skipped.
 fn replay_cmd(mut args: impl Iterator<Item = String>) {
     let mut file: Option<String> = None;
     let mut addr: Option<String> = None;
@@ -970,7 +933,7 @@ fn bench(
 }
 
 fn usage() -> ! {
-    die!(2, "usage: nav-engine serve FILE [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--sampler scalar|batched|ball-realized] [--admission lru|segmented] [--shards K] [--drop-p P] [--fault-epochs E] [--trace-every T] [--restore SNAPSHOT] [--json PATH]\n       nav-engine serve-tcp FILE|--restore SNAPSHOT [--addr HOST:PORT] [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--admission lru|segmented] [--shards K] [--drop-p P] [--fault-epochs E] [--trace-every T] [--workers W] [--max-queries Q] [--record LOG]\n       nav-engine bench-tcp FILE --addr HOST:PORT [--json PATH]\n       nav-engine bench-tcp --bench-json {BENCH_USAGE}\n       nav-engine stats HOST:PORT [--handle H] [--json]\n       nav-engine snapshot HOST:PORT FILE [--handle H]\n       nav-engine replay LOG HOST:PORT\n       nav-engine gen FILE [--family F] [--n N] [--graph-seed S] [--queries C] [--theta T] [--hot H] [--zipf-seed Z] [--trials T] [--batch B] [--shards K]\n       nav-engine scale-bench {BENCH_USAGE}\n       nav-engine chaos-bench {BENCH_USAGE}\n       nav-engine --bench-json {BENCH_USAGE}");
+    die!(2, "usage: nav-engine serve FILE [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--sampler scalar|batched|ball-realized] [--admission lru|segmented] [--drop-p P] [--fault-epochs E] [--trace-every T] [--restore SNAPSHOT] [--json PATH]\n       nav-engine serve-tcp FILE|--restore SNAPSHOT [--addr HOST:PORT] [--threads N] [--seed S] [--cache-mb M] [--scheme NAME] [--admission lru|segmented] [--drop-p P] [--fault-epochs E] [--trace-every T] [--workers W] [--max-queries Q] [--record LOG]\n       nav-engine bench-tcp FILE --addr HOST:PORT [--json PATH]\n       nav-engine bench-tcp --bench-json {BENCH_USAGE}\n       nav-engine stats HOST:PORT [--handle H] [--json]\n       nav-engine snapshot HOST:PORT FILE [--handle H]\n       nav-engine replay LOG HOST:PORT\n       nav-engine gen FILE [--family F] [--n N] [--graph-seed S] [--queries C] [--theta T] [--hot H] [--zipf-seed Z] [--trials T] [--batch B]\n       nav-engine scale-bench {BENCH_USAGE}\n       nav-engine chaos-bench {BENCH_USAGE}\n       nav-engine --bench-json {BENCH_USAGE}");
 }
 
 fn main() {

@@ -169,7 +169,7 @@ impl<T: ContactSampler> ContactSampler for FaultySampler<T> {
 
 /// Seeded, epoch-tagged node-failure churn: epoch `e`'s down-node set is
 /// `{v : hash(seed, e, v) < down_frac}` — a pure function, so every
-/// holder of the plan (engine shards, test oracles, remote replicas)
+/// holder of the plan (engines, test oracles, remote replicas)
 /// agrees on exactly which nodes are down at every epoch with no
 /// coordination and no storage.
 ///

@@ -18,10 +18,6 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Largest shard label count [`Engine::set_shards`] accepts: a wire
-/// handle addresses shard `s` in one byte as `s + 1`.
-pub const MAX_SHARDS: usize = 255;
-
 /// Construction-time knobs of an [`Engine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -67,7 +63,7 @@ pub struct EngineConfig {
     /// fixed-size, traces live in a ring — and the trace sampler is
     /// deterministic in `(seed, lifetime query index)`, so it can never
     /// perturb answers and the traced set is identical across thread
-    /// counts, batch splits, and shard counts.
+    /// counts and batch splits.
     pub obs: ObsConfig,
     /// MS-BFS word-block width for the cold-fill passes and the batched
     /// sampler backends: 64, 128 or 256 bit-lanes per pass. Distance and
@@ -140,9 +136,6 @@ pub struct Engine {
     cache: RowCache,
     metrics: EngineMetrics,
     obs: Registry,
-    /// Shard label count `k` ([`Engine::set_shards`]): target `t`
-    /// belongs to shard `t % k`. A label only, never a partition.
-    shards: usize,
     /// Lifetime query counter — the RNG index of the next query, which
     /// makes a batched stream equivalent to one long `run_trials`.
     served: u64,
@@ -161,7 +154,6 @@ impl Engine {
             cache: RowCache::with_policy(cfg.cache_bytes, cfg.admission),
             metrics: EngineMetrics::default(),
             obs: Registry::new(cfg.obs, cfg.seed),
-            shards: 1,
             served: 0,
             last_epoch: 0,
             cap,
@@ -197,38 +189,10 @@ impl Engine {
     }
 
     /// Freezes the engine's observability state — per-stage latency
-    /// histograms and the retained sampled traces — into a mergeable
+    /// histograms and the retained sampled traces — into a
     /// snapshot.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         self.obs.snapshot()
-    }
-
-    /// Sets the shard label count `k` (`1` by default): target `t`
-    /// belongs to shard `t % k` ([`Engine::shard_of`]). The engine still
-    /// serves every target from its one graph and one row cache, so `k`
-    /// never changes an answer. It labels traces, and lets the network
-    /// front pin a wire handle to one shard's targets.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k <= MAX_SHARDS` (the wire handle addresses a
-    /// shard in one byte).
-    pub fn set_shards(&mut self, k: usize) {
-        assert!(
-            (1..=MAX_SHARDS).contains(&k),
-            "shard count {k} outside 1..={MAX_SHARDS}"
-        );
-        self.shards = k;
-    }
-
-    /// The shard label count `k`.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning target `t`: `t % k`.
-    #[inline]
-    pub fn shard_of(&self, t: NodeId) -> usize {
-        t as usize % self.shards
     }
 
     /// Queries answered over the engine's lifetime.
@@ -475,7 +439,6 @@ impl Engine {
                         index,
                         s: q.s,
                         t: q.t,
-                        shard: self.shard_of(q.t) as u16,
                         // `cold` is sorted (built from the sorted target list).
                         cache_hit: cold.binary_search(&q.t).is_err(),
                         trials: q.trials as u64,
@@ -1010,18 +973,7 @@ mod tests {
     #[test]
     fn invalid_endpoint_rejected_without_side_effects() {
         let g = path(10);
-        let mut e = Engine::new(g, Box::new(NoAugmentation), EngineConfig::default());
-        let bad = QueryBatch::from_pairs(&[(0, 10)], 2);
-        assert!(e.serve(&bad).is_err());
-        assert_eq!(e.queries_served(), 0);
-        assert_eq!(e.metrics().batches, 0);
-    }
-
-    #[test]
-    fn sharded_engine_rejects_before_any_row_fills() {
-        let g = path(10);
         let mut e = Engine::new(g, Box::new(UniformScheme), EngineConfig::default());
-        e.set_shards(3);
         // The valid query's target is not filled before the bad one is seen.
         let bad = QueryBatch::from_pairs(&[(0, 4), (0, 10)], 2);
         assert!(e.serve(&bad).is_err());
@@ -1031,63 +983,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_labels_never_change_answers() {
-        let g = path(90);
-        let pairs: Vec<(NodeId, NodeId)> =
-            (0..24u32).map(|i| (i * 3 % 90, 89 - (i % 11))).collect();
-        let cfg = EngineConfig {
-            seed: 17,
-            threads: 2,
-            cache_bytes: 1 << 20,
-            ..EngineConfig::default()
-        };
-        let mut single = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
-        let want = single.serve(&QueryBatch::from_pairs(&pairs, 7)).unwrap();
-        for k in [1usize, 2, 3, 5, 8] {
-            let mut e = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
-            e.set_shards(k);
-            assert_eq!(e.num_shards(), k);
-            let got = e.serve(&QueryBatch::from_pairs(&pairs, 7)).unwrap();
-            assert!(identical(&got.answers, &want.answers), "k={k}");
-            assert_eq!(
-                (got.warm_targets, got.cold_targets),
-                (want.warm_targets, want.cold_targets),
-                "k={k}"
-            );
-            assert_eq!(e.queries_served(), 24);
-        }
-    }
-
-    #[test]
-    fn batch_splits_and_shard_counts_commute() {
-        let g = path(90);
-        let pairs: Vec<(NodeId, NodeId)> =
-            (0..24u32).map(|i| (i * 3 % 90, 89 - (i % 11))).collect();
-        let cfg = EngineConfig {
-            seed: 23,
-            threads: 1,
-            cache_bytes: 1 << 18,
-            ..EngineConfig::default()
-        };
-        let mut whole = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
-        whole.set_shards(4);
-        let want = whole.serve(&QueryBatch::from_pairs(&pairs, 5)).unwrap();
-        let mut split = Engine::new(g, Box::new(UniformScheme), cfg);
-        split.set_shards(2);
-        let mut got = Vec::new();
-        for chunk in pairs.chunks(7) {
-            got.extend(
-                split
-                    .serve(&QueryBatch::from_pairs(chunk, 5))
-                    .unwrap()
-                    .answers,
-            );
-        }
-        assert!(identical(&want.answers, &got));
-    }
-
-    #[test]
-    fn shard_labels_stamp_traces() {
+    fn trace_every_one_traces_every_index() {
         let g = path(90);
         let cfg = EngineConfig {
             seed: 31,
@@ -1101,23 +997,11 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut e = Engine::new(g, Box::new(UniformScheme), cfg);
-        e.set_shards(3);
-        assert_eq!((e.shard_of(58), e.shard_of(59), e.shard_of(60)), (1, 2, 0));
         let pairs: Vec<(NodeId, NodeId)> = (0..24u32).map(|i| (i, 89 - (i % 11))).collect();
         e.serve(&QueryBatch::from_pairs(&pairs, 4)).unwrap();
         let snap = e.obs_snapshot();
         let idx: Vec<u64> = snap.traces.iter().map(|t| t.index).collect();
         assert_eq!(idx, (0..24u64).collect::<Vec<_>>());
-        for t in &snap.traces {
-            assert_eq!(t.shard as usize, t.t as usize % 3);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 1..=255")]
-    fn set_shards_refuses_counts_the_handle_byte_cannot_address() {
-        let mut e = Engine::new(path(4), Box::new(NoAugmentation), EngineConfig::default());
-        e.set_shards(MAX_SHARDS + 1);
     }
 
     #[test]

@@ -18,11 +18,6 @@
 //!   ([`nav_graph::distance::DistRowBuf`]), hit/miss/eviction counters,
 //!   and a choice of [`AdmissionPolicy`] (strict LRU, or a segmented
 //!   probation/protected LRU that survives one-shot scan traffic);
-//! * shard labels — [`Engine::set_shards`] gives the engine a shard count
-//!   `k`, and target `t` belongs to shard `t % k`. Shards are labels over
-//!   the one graph and the one row cache, never partitions: they stamp
-//!   traces and let a `nav-net` handle byte pin a connection to one
-//!   shard's targets, and they never change an answer;
 //! * [`workload`] — a dependency-free workload-file format (graph spec +
 //!   query stream) with a zipfian-target generator, so hot-target skew
 //!   actually exercises the cache;
@@ -36,8 +31,8 @@
 //! query's RNG is derived from `(seed, lifetime query index)`, so the
 //! engine's answers are **bit-identical** to a fresh
 //! [`nav_core::trial::run_trials`] over the same `(s, t)` sequence — at
-//! every thread count, every cache capacity (including 0), every batch
-//! split, and every shard count. `tests/engine.rs` and the `BENCH_serve.json` emitter both
+//! every thread count, every cache capacity (including 0) and every
+//! batch split. `tests/engine.rs` and the `BENCH_serve.json` emitter both
 //! assert it.
 
 #![forbid(unsafe_code)]
@@ -51,6 +46,6 @@ pub mod workload;
 
 pub use batch::{BatchResult, Query, QueryBatch};
 pub use cache::{AdmissionPolicy, CacheStats, RowCache};
-pub use engine::{Engine, EngineConfig, EngineState, MAX_SHARDS};
+pub use engine::{Engine, EngineConfig, EngineState};
 pub use metrics::EngineMetrics;
 pub use workload::{FaultSpec, GraphSpec, WorkloadError, WorkloadSpec, ZipfSpec};

@@ -10,12 +10,15 @@
 //! graph gnp 4096 42        # family, approx node count, build seed
 //! trials 8                 # default trials per query
 //! batch 512                # queries per service batch
-//! shards 4                 # shard label count of the serving engine (default 1)
 //! fault 0.25 3             # drop probability, churn epochs (default off)
 //! query 17 999             # explicit query (optional trailing trials)
 //! query 3 999 32
 //! zipf 100000 1.1 7 1024   # count theta seed hot-targets
 //! ```
+//!
+//! Files written by older versions may carry a `shards K` line. It is
+//! still range-checked (`1..=255`) and then ignored: it only ever
+//! labelled targets and never changed an answer.
 //!
 //! The `zipf` directive expands (deterministically, at parse time) into
 //! `count` queries whose **targets** follow a Zipf law of exponent
@@ -95,11 +98,6 @@ pub struct WorkloadSpec {
     pub default_trials: usize,
     /// Queries per service batch when replaying.
     pub batch_size: usize,
-    /// Shard label count the serving engine should run with (`1` by
-    /// default; see [`crate::Engine::set_shards`]). Answers are
-    /// bit-identical at every count; the file carries it so a replay
-    /// labels traces and pins wire handles the same way.
-    pub shards: usize,
     /// The query stream, in order.
     pub queries: Vec<Query>,
     /// The zipf directives encountered (reporting only).
@@ -185,7 +183,6 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, WorkloadError> {
     let mut graph: Option<GraphSpec> = None;
     let mut default_trials = 8usize;
     let mut batch_size = 256usize;
-    let mut shards = 1usize;
     let mut queries: Vec<Query> = Vec::new();
     let mut zipf: Vec<ZipfSpec> = Vec::new();
     let mut fault: Option<FaultSpec> = None;
@@ -210,8 +207,8 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, WorkloadError> {
                 }
             }
             "shards" => {
-                shards = parse_num(tok.next(), ln, "shard count")?;
-                if shards == 0 || shards > crate::MAX_SHARDS {
+                let k: usize = parse_num(tok.next(), ln, "shard count")?;
+                if !(1..=255).contains(&k) {
                     return Err(bad(ln, "shard count must be in 1..=255"));
                 }
             }
@@ -261,7 +258,6 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, WorkloadError> {
         graph,
         default_trials,
         batch_size,
-        shards,
         queries,
         zipf,
         fault,
@@ -277,46 +273,27 @@ pub fn render_workload(
     batch_size: usize,
     zipf: &ZipfSpec,
 ) -> String {
-    render_workload_with_shards(graph, default_trials, batch_size, 1, zipf)
+    render_workload_full(graph, default_trials, batch_size, None, zipf)
 }
 
-/// [`render_workload`] with an explicit shard count. A `shards` line is
-/// only emitted when `shards > 1`, so single-engine files keep their
-/// historical bytes (pinned in `tests/workload_gen.rs`).
-pub fn render_workload_with_shards(
-    graph: &GraphSpec,
-    default_trials: usize,
-    batch_size: usize,
-    shards: usize,
-    zipf: &ZipfSpec,
-) -> String {
-    render_workload_full(graph, default_trials, batch_size, shards, None, zipf)
-}
-
-/// The full renderer: shard count plus optional fault directive. Like
-/// the `shards` line, a `fault` line is only emitted when it says
-/// something (`Some`), so fault-free files keep their historical bytes.
+/// [`render_workload`] plus an optional fault directive. A `fault` line
+/// is only emitted when it says something (`Some`), so fault-free files
+/// keep their historical bytes (pinned in `tests/workload_gen.rs`).
 /// `drop_prob` renders through `{}` — the exact `f64`, not a rounded
 /// display — so parsing the rendered file replays the same coins.
 pub fn render_workload_full(
     graph: &GraphSpec,
     default_trials: usize,
     batch_size: usize,
-    shards: usize,
     fault: Option<FaultSpec>,
     zipf: &ZipfSpec,
 ) -> String {
-    let shard_line = if shards > 1 {
-        format!("shards {shards}\n")
-    } else {
-        String::new()
-    };
     let fault_line = match fault {
         Some(f) => format!("fault {} {}\n", f.drop_prob, f.epochs),
         None => String::new(),
     };
     format!(
-        "{HEADER}\ngraph {} {} {}\ntrials {default_trials}\nbatch {batch_size}\n{shard_line}{fault_line}zipf {} {} {} {}\n",
+        "{HEADER}\ngraph {} {} {}\ntrials {default_trials}\nbatch {batch_size}\n{fault_line}zipf {} {} {} {}\n",
         graph.family, graph.n, graph.seed, zipf.count, zipf.theta, zipf.seed, zipf.hot
     )
 }
@@ -493,38 +470,19 @@ zipf 100 1.1 3 8
     }
 
     #[test]
-    fn shards_directive_parses_and_renders() {
-        let w = parse_workload("nav-workload v1\ngraph path 8 1\nshards 4\nquery 0 7\n").unwrap();
-        assert_eq!(w.shards, 4);
-        // Default is a single engine.
-        assert_eq!(parse_workload(SAMPLE).unwrap().shards, 1);
-        // Out-of-range shard counts are located errors (the handle byte
-        // caps direct addressing at 255 shards).
+    fn old_shards_directive_is_range_checked_then_ignored() {
+        // Older files may carry a `shards K` line: it parses to the same
+        // spec as the file without it.
+        let with = parse_workload("nav-workload v1\ngraph path 8 1\nshards 4\nquery 0 7\n");
+        let without = parse_workload("nav-workload v1\ngraph path 8 1\nquery 0 7\n");
+        assert_eq!(with.unwrap(), without.unwrap());
+        // Out-of-range counts are still located errors.
         for bad_line in ["shards 0", "shards 256"] {
             let e = parse_workload(&format!("nav-workload v1\ngraph path 8 1\n{bad_line}\n"))
                 .unwrap_err();
             assert!(e.to_string().contains("1..=255"), "{e}");
+            assert!(e.to_string().contains("line 3"), "{e}");
         }
-        // Rendering with shards > 1 emits the directive and round-trips;
-        // shards == 1 keeps the historical bytes.
-        let g = GraphSpec {
-            family: "gnp".into(),
-            n: 128,
-            seed: 3,
-        };
-        let z = ZipfSpec {
-            count: 10,
-            theta: 1.0,
-            seed: 2,
-            hot: 4,
-        };
-        let text = render_workload_with_shards(&g, 4, 32, 6, &z);
-        assert!(text.contains("\nshards 6\n"));
-        assert_eq!(parse_workload(&text).unwrap().shards, 6);
-        assert_eq!(
-            render_workload_with_shards(&g, 4, 32, 1, &z),
-            render_workload(&g, 4, 32, &z)
-        );
     }
 
     #[test]
@@ -577,12 +535,12 @@ zipf 100 1.1 3 8
             drop_prob: 0.137,
             epochs: 5,
         };
-        let text = render_workload_full(&g, 4, 32, 2, Some(f), &z);
+        let text = render_workload_full(&g, 4, 32, Some(f), &z);
         assert!(text.contains("\nfault 0.137 5\n"), "{text}");
         assert_eq!(parse_workload(&text).unwrap().fault, Some(f));
         assert_eq!(
-            render_workload_full(&g, 4, 32, 2, None, &z),
-            render_workload_with_shards(&g, 4, 32, 2, &z)
+            render_workload_full(&g, 4, 32, None, &z),
+            render_workload(&g, 4, 32, &z)
         );
     }
 

@@ -159,8 +159,7 @@ impl NetClient {
     /// Asks the server for its ops snapshot: merged counters, per-stage
     /// latency histograms (engine pipeline stages plus the serving
     /// front's socket/decode/encode timings), and sampled query traces.
-    /// `handle` is tenant-checked exactly like a query handle; its shard
-    /// byte is ignored — stats always cover the whole front.
+    /// `handle` is checked exactly like a query handle.
     pub fn stats(&mut self, handle: u32) -> Result<StatsReply, NetError> {
         write_frame(
             &mut self.writer,
@@ -180,9 +179,8 @@ impl NetClient {
 
     /// Asks the server to capture a durable state snapshot of the engine
     /// behind `handle` and returns the encoded `nav-store` bytes (decode
-    /// them with `nav_store::Snapshot::decode`). Tenant-checked exactly
-    /// like a query handle; the shard byte is ignored — a snapshot always
-    /// covers the whole front.
+    /// them with `nav_store::Snapshot::decode`). `handle` is checked
+    /// exactly like a query handle.
     pub fn snapshot(&mut self, handle: u32) -> Result<Vec<u8>, NetError> {
         write_frame(
             &mut self.writer,

@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "NAVF"
-//! 4       2     version (= 4)
+//! 4       2     version (= 5)
 //! 6       1     kind    (1 = request, 2 = response, 3 = error,
 //!                        4 = stats request, 5 = stats,
 //!                        6 = snapshot request, 7 = snapshot reply)
@@ -37,8 +37,10 @@ pub const MAGIC: [u8; 4] = *b"NAVF";
 /// Protocol version this build speaks (2 added the stats frames; 3 added
 /// the snapshot frames and the cache-rejection metric; 4 widened the
 /// per-trace `trials`/`dropped_links`/`rerouted_hops` counters to `u64`
-/// and added the non-retryable [`ErrorCode::InvalidQuery`] refusal).
-pub const VERSION: u16 = 4;
+/// and added the non-retryable [`ErrorCode::InvalidQuery`] refusal; 5
+/// dropped the stats frame's `u32` label count after the metrics and the
+/// `u16` label after each trace's `t`).
+pub const VERSION: u16 = 5;
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 12;
 /// Default payload bound (16 MiB) — comfortably above any realistic
@@ -64,10 +66,10 @@ const METRICS_WIRE: usize = 128;
 /// `sum`/`min`/`max` as `f64` and the 64 bucket counts as `u64`s.
 const STAGE_WIRE: usize = 1 + 3 * 8 + BUCKETS * 8;
 /// Wire encoding of one [`QueryTrace`]: index `u64`, `s`/`t` `u32`,
-/// shard `u16`, cache-hit byte, trials `u64`, trials_ms `f64`,
+/// cache-hit byte, trials `u64`, trials_ms `f64`,
 /// dropped/rerouted `u64` (full width since v4 — long churn runs
 /// overflow 32 bits, and a trace must report what actually ran).
-const TRACE_WIRE: usize = 8 + 4 + 4 + 2 + 1 + 8 + 8 + 8 + 8;
+const TRACE_WIRE: usize = 8 + 4 + 4 + 1 + 8 + 8 + 8 + 8;
 
 /// Why a server refused a well-formed request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,8 +224,7 @@ pub struct ErrorFrame {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StatsRequest {
     /// Which graph/scheme registry to snapshot (same addressing as
-    /// [`Request::handle`]; the shard byte is ignored — stats always
-    /// describe the whole engine).
+    /// [`Request::handle`]).
     pub handle: u32,
 }
 
@@ -234,8 +235,6 @@ pub struct StatsRequest {
 pub struct StatsReply {
     /// Engine and cache counters.
     pub metrics: MetricsSnapshot,
-    /// The engine's shard label count (`Engine::num_shards`).
-    pub shards: u32,
     /// Stage histograms and sampled traces.
     pub obs: ObsSnapshot,
 }
@@ -245,8 +244,7 @@ pub struct StatsReply {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SnapshotRequest {
     /// Which graph/scheme to snapshot (same addressing as
-    /// [`Request::handle`]; the shard byte is ignored — a snapshot always
-    /// covers the whole engine).
+    /// [`Request::handle`]).
     pub handle: u32,
 }
 
@@ -457,7 +455,6 @@ impl Frame {
             }
             Frame::Stats(stats) => {
                 put_metrics(out, &stats.metrics);
-                put_u32(out, stats.shards);
                 put_u64(out, stats.obs.trace_every);
                 put_u64(out, stats.obs.traces_recorded);
                 // Only non-empty stages travel (ObsSnapshot's invariant),
@@ -477,7 +474,6 @@ impl Frame {
                     put_u64(out, t.index);
                     put_u32(out, t.s);
                     put_u32(out, t.t);
-                    put_u16(out, t.shard);
                     out.push(t.cache_hit as u8);
                     put_u64(out, t.trials);
                     put_f64(out, t.trials_ms);
@@ -701,7 +697,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, FrameError> {
         }
         KIND_STATS => {
             let metrics = decode_metrics(&mut cur)?;
-            let shards = cur.u32()?;
             let trace_every = cur.u64()?;
             let traces_recorded = cur.u64()?;
             let stage_count = cur.u8()? as usize;
@@ -745,7 +740,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, FrameError> {
                 let index = cur.u64()?;
                 let s = cur.u32()?;
                 let t = cur.u32()?;
-                let shard = cur.u16()?;
                 let cache_hit = match cur.u8()? {
                     0 => false,
                     1 => true,
@@ -755,7 +749,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, FrameError> {
                     index,
                     s,
                     t,
-                    shard,
                     cache_hit,
                     trials: cur.u64()?,
                     trials_ms: cur.f64()?,
@@ -766,7 +759,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             cur.done()?;
             Ok(Frame::Stats(StatsReply {
                 metrics,
-                shards,
                 obs: ObsSnapshot {
                     stages,
                     traces,
@@ -1082,12 +1074,15 @@ mod tests {
             Frame::decode(&bad, DEFAULT_MAX_PAYLOAD),
             Err(FrameError::BadMagic(_))
         ));
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert_eq!(
-            Frame::decode(&bad, DEFAULT_MAX_PAYLOAD).unwrap_err(),
-            FrameError::BadVersion(9)
-        );
+        // v4 frames (stats with a label count) are refused by version.
+        for v in [4u8, 9] {
+            let mut bad = good.clone();
+            bad[4] = v;
+            assert_eq!(
+                Frame::decode(&bad, DEFAULT_MAX_PAYLOAD).unwrap_err(),
+                FrameError::BadVersion(v.into())
+            );
+        }
         let mut bad = good.clone();
         bad[6] = 42;
         assert_eq!(
@@ -1287,7 +1282,6 @@ mod tests {
             index: 512,
             s: 3,
             t: 99,
-            shard: 1,
             cache_hit: true,
             trials: 8,
             trials_ms: 0.031,
@@ -1301,7 +1295,6 @@ mod tests {
                 cache_hits: 17,
                 ..MetricsSnapshot::default()
             },
-            shards: 3,
             obs: reg.snapshot(),
         }
     }
@@ -1319,7 +1312,6 @@ mod tests {
         // Empty snapshot too (a fresh server asked for stats).
         roundtrip(Frame::Stats(StatsReply {
             metrics: MetricsSnapshot::default(),
-            shards: 1,
             obs: ObsSnapshot::default(),
         }));
     }
@@ -1340,7 +1332,6 @@ mod tests {
             index: 9,
             s: 1,
             t: 2,
-            shard: 0,
             cache_hit: false,
             trials: u32::MAX as u64 + 17,
             trials_ms: 1.5,
@@ -1350,7 +1341,6 @@ mod tests {
         reg.record_trace(big);
         let frame = Frame::Stats(StatsReply {
             metrics: MetricsSnapshot::default(),
-            shards: 1,
             obs: reg.snapshot(),
         });
         let bytes = frame.encode();
@@ -1378,8 +1368,8 @@ mod tests {
     #[test]
     fn forged_stats_counts_cannot_overallocate_or_panic() {
         let bytes = Frame::Stats(sample_stats_reply()).encode();
-        // Stage count byte sits right after metrics + shards + two u64s.
-        let stage_count_at = HEADER_LEN + METRICS_WIRE + 4 + 8 + 8;
+        // Stage count byte sits right after metrics + two u64s.
+        let stage_count_at = HEADER_LEN + METRICS_WIRE + 8 + 8;
         let mut forged = bytes.clone();
         forged[stage_count_at] = 200;
         assert!(matches!(

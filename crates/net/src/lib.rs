@@ -64,6 +64,4 @@ pub use frame::{
     ReadError, Request, Response, SnapshotReply, SnapshotRequest, StatsReply, StatsRequest,
     WireTiming,
 };
-pub use server::{
-    compose_handle, split_handle, NetConfig, NetServer, ServerHandle, TENANT_BITS, TENANT_MASK,
-};
+pub use server::{NetConfig, NetServer, ServerHandle};

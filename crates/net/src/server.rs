@@ -38,44 +38,11 @@ use std::time::{Duration, Instant};
 /// flag. Bounds how far shutdown can lag behind an idle connection.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// How many low bits of a request handle name the tenant; the remaining
-/// top byte may pin a shard (see [`compose_handle`]).
-pub const TENANT_BITS: u32 = 24;
-
-/// Mask extracting the tenant from a request handle.
-pub const TENANT_MASK: u32 = (1 << TENANT_BITS) - 1;
-
-/// Composes a wire handle from a tenant id and an optional shard: the
-/// low 24 bits carry the tenant, the top byte carries `shard + 1`
-/// (`0` = any target). The inverse is [`split_handle`].
-///
-/// ```
-/// use nav_net::{compose_handle, split_handle};
-/// assert_eq!(split_handle(compose_handle(7, None)), (7, None));
-/// assert_eq!(split_handle(compose_handle(7, Some(3))), (7, Some(3)));
-/// ```
-pub fn compose_handle(tenant: u32, shard: Option<usize>) -> u32 {
-    debug_assert!(tenant <= TENANT_MASK, "tenant must fit 24 bits");
-    let sel = shard.map_or(0u32, |s| s as u32 + 1);
-    debug_assert!(sel <= 0xFF, "shard selector must fit one byte");
-    (sel << TENANT_BITS) | (tenant & TENANT_MASK)
-}
-
-/// Splits a wire handle into `(tenant, shard)` — `shard == None` means
-/// the request may name any target.
-pub fn split_handle(handle: u32) -> (u32, Option<usize>) {
-    let sel = handle >> TENANT_BITS;
-    (handle & TENANT_MASK, (sel > 0).then(|| sel as usize - 1))
-}
-
 /// Serving-front knobs of a [`NetServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
-    /// The tenant id requests must name in the low [`TENANT_BITS`] bits
-    /// of their handle (must itself fit 24 bits). The top handle byte is
-    /// a *pin*, not identity: `0` accepts any target, `s > 0` pins the
-    /// request to shard `s − 1` and refuses queries whose targets that
-    /// shard does not own ([`Engine::shard_of`]).
+    /// The handle every request must name, compared as a whole `u32`;
+    /// any other handle gets a typed [`ErrorCode::UnknownHandle`] refusal.
     pub handle: u32,
     /// Connection-handling worker threads (each engine batch additionally
     /// fans out to `EngineConfig::threads` compute workers).
@@ -221,8 +188,7 @@ pub struct ServerHandle {
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) around
-    /// `engine`. A handle's top byte may pin a request to one of the
-    /// engine's [`Engine::num_shards`] shards (see [`compose_handle`]).
+    /// `engine`.
     pub fn bind(engine: Engine, cfg: NetConfig, addr: impl ToSocketAddrs) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(NetServer {
@@ -464,22 +430,25 @@ fn refusal_for(e: &FrameError) -> Frame {
     })
 }
 
-/// Executes one admitted request against the engine. The handle's low 24
-/// bits must name this server's tenant; the top byte pins — `0` accepts
-/// any target, `s > 0` pins the request to shard `s − 1` (refusing
-/// targets it does not own, so a misrouted client learns immediately).
-/// Either way the one engine answers at the request's `rng_base`.
-fn answer(shared: &Shared, req: Request) -> Frame {
-    let (tenant, shard) = split_handle(req.handle);
-    if tenant != shared.cfg.handle & TENANT_MASK {
-        return Frame::Error(ErrorFrame {
+/// The typed refusal for a request whose handle is not this server's
+/// [`NetConfig::handle`]; `None` when the handle matches.
+fn unknown_handle(shared: &Shared, handle: u32) -> Option<Frame> {
+    (handle != shared.cfg.handle).then(|| {
+        Frame::Error(ErrorFrame {
             code: ErrorCode::UnknownHandle,
             message: format!(
-                "handle {} not served here (this server owns handle {})",
-                tenant,
-                shared.cfg.handle & TENANT_MASK
+                "handle {handle} not served here (this server owns handle {})",
+                shared.cfg.handle
             ),
-        });
+        })
+    })
+}
+
+/// Executes one admitted request against the engine at the request's
+/// `rng_base`.
+fn answer(shared: &Shared, req: Request) -> Frame {
+    if let Some(refusal) = unknown_handle(shared, req.handle) {
+        return refusal;
     }
     if req.queries.len() > shared.cfg.max_batch_queries {
         return Frame::Error(ErrorFrame {
@@ -495,32 +464,6 @@ fn answer(shared: &Shared, req: Request) -> Frame {
         queries: req.queries,
     };
     let mut engine = shared.engine.lock().expect("engine poisoned");
-    if let Some(s) = shard {
-        if s >= engine.num_shards() {
-            return Frame::Error(ErrorFrame {
-                code: ErrorCode::UnknownHandle,
-                message: format!(
-                    "shard {} not served here (this server runs {} shard(s))",
-                    s,
-                    engine.num_shards()
-                ),
-            });
-        }
-        if let Some(q) = batch
-            .queries
-            .iter()
-            .find(|q| (q.t as usize) < engine.graph().num_nodes() && engine.shard_of(q.t) != s)
-        {
-            return Frame::Error(ErrorFrame {
-                code: ErrorCode::InvalidEndpoint,
-                message: format!(
-                    "target {} is owned by shard {}, not shard {s}",
-                    q.t,
-                    engine.shard_of(q.t)
-                ),
-            });
-        }
-    }
     match engine.serve_at(&batch, req.rng_base, req.sampler) {
         Ok(result) => Frame::Response(Response {
             answers: result.answers,
@@ -561,49 +504,26 @@ fn metrics_snapshot(shared: &Shared, engine: &Engine) -> MetricsSnapshot {
 
 /// Answers a [`StatsRequest`]: the engine counters, stage histograms and
 /// sampled traces, plus the serving front's own wire-stage timings
-/// (socket/decode/encode) merged in. Tenant-checked like a query; the
-/// handle's shard byte is ignored — stats always cover the whole engine.
+/// (socket/decode/encode) merged in. Handle-checked like a query.
 fn stats_reply(shared: &Shared, req: StatsRequest) -> Frame {
-    let (tenant, _) = split_handle(req.handle);
-    if tenant != shared.cfg.handle & TENANT_MASK {
-        return Frame::Error(ErrorFrame {
-            code: ErrorCode::UnknownHandle,
-            message: format!(
-                "handle {} not served here (this server owns handle {})",
-                tenant,
-                shared.cfg.handle & TENANT_MASK
-            ),
-        });
+    if let Some(refusal) = unknown_handle(shared, req.handle) {
+        return refusal;
     }
     let engine = shared.engine.lock().expect("engine poisoned");
     let metrics = metrics_snapshot(shared, &engine);
-    let shards = engine.num_shards() as u32;
     let mut obs = engine.obs_snapshot();
     drop(engine);
     obs.merge_stage_set(&shared.net_stages.lock().expect("net stages poisoned"));
-    Frame::Stats(StatsReply {
-        metrics,
-        shards,
-        obs,
-    })
+    Frame::Stats(StatsReply { metrics, obs })
 }
 
 /// Answers a [`SnapshotRequest`]: captures the served engine's durable
 /// state under the engine lock (so the snapshot sits at a batch
-/// boundary) and ships the encoded `nav-store` bytes. Tenant-checked
-/// like a query; the handle's shard byte is ignored — a snapshot always
-/// covers the whole engine.
+/// boundary) and ships the encoded `nav-store` bytes. Handle-checked
+/// like a query.
 fn snapshot_reply(shared: &Shared, req: SnapshotRequest) -> Frame {
-    let (tenant, _) = split_handle(req.handle);
-    if tenant != shared.cfg.handle & TENANT_MASK {
-        return Frame::Error(ErrorFrame {
-            code: ErrorCode::UnknownHandle,
-            message: format!(
-                "handle {} not served here (this server owns handle {})",
-                tenant,
-                shared.cfg.handle & TENANT_MASK
-            ),
-        });
+    if let Some(refusal) = unknown_handle(shared, req.handle) {
+        return refusal;
     }
     let engine = shared.engine.lock().expect("engine poisoned");
     match Snapshot::capture(&engine) {

@@ -12,11 +12,11 @@
 //!   cost one branch.
 //! - Sampled traces — a [`TraceSampler`] picks 1-in-N queries
 //!   deterministically from the lifetime query index (identical picks
-//!   across threads, batch splits, and shard counts), recording a
+//!   across threads and batch splits), recording a
 //!   [`QueryTrace`] into a bounded [`TraceRing`].
 //!
 //! An engine owns a [`Registry`]; [`Registry::snapshot`] freezes it into
-//! the mergeable [`ObsSnapshot`] that travels over the wire and renders
+//! the [`ObsSnapshot`] that travels over the wire and renders
 //! as a `/metrics`-style text exposition, JSON, or an aligned table.
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! The per-engine observability registry and its mergeable snapshot.
+//! The per-engine observability registry and its snapshot.
 //!
 //! A [`Registry`] is the mutable state one engine owns: configuration,
 //! the deterministic trace sampler, per-stage histograms, and the trace
@@ -89,7 +89,7 @@ impl Registry {
         self.traces.push(t);
     }
 
-    /// Freezes the current state into a mergeable snapshot.
+    /// Freezes the current state into a snapshot.
     pub fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {
             stages: self
@@ -104,15 +104,14 @@ impl Registry {
     }
 }
 
-/// A frozen, mergeable view of one or more registries.
+/// A frozen view of a registry.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsSnapshot {
     /// Per-stage histograms, non-empty stages only, wire-id order.
     pub stages: Vec<(Stage, LogHistogram)>,
-    /// Retained sampled traces, oldest first (sorted by query index after
-    /// a merge).
+    /// Retained sampled traces, oldest first.
     pub traces: Vec<QueryTrace>,
-    /// The sampling period in force (max across merged registries).
+    /// The sampling period in force.
     pub trace_every: u64,
     /// Lifetime traces recorded, including ones the ring evicted.
     pub traces_recorded: u64,
@@ -125,22 +124,6 @@ impl ObsSnapshot {
             .iter()
             .find(|(s, _)| *s == stage)
             .map(|(_, h)| h)
-    }
-
-    /// Folds `other` into `self`: histograms merge per stage, traces
-    /// concatenate and re-sort by query index, counters add.
-    pub fn merge(&mut self, other: &ObsSnapshot) {
-        for (stage, h) in &other.stages {
-            match self.stages.iter_mut().find(|(s, _)| s == stage) {
-                Some((_, mine)) => mine.merge(h),
-                None => self.stages.push((*stage, h.clone())),
-            }
-        }
-        self.stages.sort_by_key(|(s, _)| s.wire_id());
-        self.traces.extend(other.traces.iter().copied());
-        self.traces.sort_by_key(|t| t.index);
-        self.trace_every = self.trace_every.max(other.trace_every);
-        self.traces_recorded = self.traces_recorded.saturating_add(other.traces_recorded);
     }
 
     /// Records stage histograms from a live [`StageSet`] (the network
@@ -189,11 +172,10 @@ impl ObsSnapshot {
         for t in &self.traces {
             let _ = writeln!(
                 out,
-                "# trace index={} s={} t={} shard={} cache_hit={} trials={} trials_ms={:.6} dropped_links={} rerouted_hops={}",
+                "# trace index={} s={} t={} cache_hit={} trials={} trials_ms={:.6} dropped_links={} rerouted_hops={}",
                 t.index,
                 t.s,
                 t.t,
-                t.shard,
                 t.cache_hit,
                 t.trials,
                 t.trials_ms,
@@ -238,11 +220,10 @@ impl ObsSnapshot {
             }
             let _ = write!(
                 out,
-                "{{\"index\": {}, \"s\": {}, \"t\": {}, \"shard\": {}, \"cache_hit\": {}, \"trials\": {}, \"trials_ms\": {:.6}, \"dropped_links\": {}, \"rerouted_hops\": {}}}",
+                "{{\"index\": {}, \"s\": {}, \"t\": {}, \"cache_hit\": {}, \"trials\": {}, \"trials_ms\": {:.6}, \"dropped_links\": {}, \"rerouted_hops\": {}}}",
                 t.index,
                 t.s,
                 t.t,
-                t.shard,
                 t.cache_hit,
                 t.trials,
                 t.trials_ms,
@@ -307,7 +288,6 @@ mod tests {
             index: 3,
             s: 0,
             t: 1,
-            shard: 2,
             cache_hit: true,
             trials: 8,
             trials_ms: 0.25,
@@ -320,47 +300,6 @@ mod tests {
         assert_eq!(snap.traces.len(), 1);
         assert_eq!(snap.stage(Stage::Trials).unwrap().count(), 1);
         assert!(snap.stage(Stage::Admission).is_none());
-    }
-
-    #[test]
-    fn merge_combines_stages_and_sorts_traces() {
-        let mut a = snapshot_with(Stage::Trials, &[1.0, 2.0]);
-        a.traces.push(QueryTrace {
-            index: 10,
-            s: 0,
-            t: 1,
-            shard: 0,
-            cache_hit: false,
-            trials: 1,
-            trials_ms: 0.1,
-            dropped_links: 0,
-            rerouted_hops: 0,
-        });
-        a.traces_recorded = 1;
-        let mut b = snapshot_with(Stage::Admission, &[0.5]);
-        b.traces.push(QueryTrace {
-            index: 4,
-            s: 2,
-            t: 3,
-            shard: 1,
-            cache_hit: true,
-            trials: 1,
-            trials_ms: 0.2,
-            dropped_links: 0,
-            rerouted_hops: 0,
-        });
-        b.traces_recorded = 1;
-        a.merge(&b);
-        assert_eq!(a.stage(Stage::Trials).unwrap().count(), 2);
-        assert_eq!(a.stage(Stage::Admission).unwrap().count(), 1);
-        let idx: Vec<u64> = a.traces.iter().map(|t| t.index).collect();
-        assert_eq!(idx, vec![4, 10]);
-        assert_eq!(a.traces_recorded, 2);
-        // Stage order is wire-id order after a merge.
-        assert!(a
-            .stages
-            .windows(2)
-            .all(|w| w[0].0.wire_id() < w[1].0.wire_id()));
     }
 
     #[test]
@@ -386,7 +325,6 @@ mod tests {
             index: 7,
             s: 1,
             t: 2,
-            shard: 0,
             cache_hit: true,
             trials: 3,
             trials_ms: 0.05,

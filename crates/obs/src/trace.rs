@@ -3,8 +3,8 @@
 //! The sampler picks 1-in-N queries deterministically from the query's
 //! lifetime RNG index — the same address every other piece of this stack
 //! keys on — so the set of traced queries is identical across thread
-//! counts, batch splits, and shard counts, and a captured trace can be
-//! replayed exactly. Traces land in a bounded ring buffer: memory stays
+//! counts and batch splits, and a captured trace can be replayed
+//! exactly. Traces land in a bounded ring buffer: memory stays
 //! O(capacity) no matter how long the server runs.
 
 /// SplitMix64 finalizer, the same mixer the engine's RNG seeding uses.
@@ -36,8 +36,8 @@ impl TraceSampler {
     }
 
     /// Whether the query at lifetime RNG index `index` is traced. Pure in
-    /// `(seed, index)`: the decision is identical no matter which thread,
-    /// batch, or shard serves the query.
+    /// `(seed, index)`: the decision is identical no matter which thread
+    /// or batch serves the query.
     #[inline]
     pub fn hits(&self, index: u64) -> bool {
         match self.every {
@@ -59,9 +59,6 @@ pub struct QueryTrace {
     pub s: u32,
     /// Target node.
     pub t: u32,
-    /// Shard label of the query's target: `t % k` for an engine with
-    /// `k` shards (0 when `k == 1`).
-    pub shard: u16,
     /// Whether the target's distance row was already resident.
     pub cache_hit: bool,
     /// Routing trials executed. Full width — a trace must report the
@@ -142,7 +139,6 @@ mod tests {
             index,
             s: 1,
             t: 2,
-            shard: 0,
             cache_hit: false,
             trials: 4,
             trials_ms: 0.1,

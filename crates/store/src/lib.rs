@@ -10,8 +10,8 @@
 //! * [`Snapshot`] — a versioned on-disk image of a
 //!   [`nav_engine::Engine`]: graph edges, the augmentation scheme
 //!   (realized schemes by their actual joint draw, so a restore never
-//!   re-rolls the links), the answer-determining config, the shard label
-//!   count, the lifetime counters and the resident cache rows.
+//!   re-rolls the links), the answer-determining config, the lifetime
+//!   counters and the resident cache rows.
 //!   The format is a magic/version/section-table header over
 //!   independently offset sections — unknown section ids are skipped, so
 //!   old readers survive new writers ([`Snapshot::encode`],

@@ -13,28 +13,23 @@
 //! for realized schemes — the joint draw itself, never the distribution
 //! it came from), `CONFIG` (every answer-determining engine knob; thread
 //! count and observability are restore-time parameters because they are
-//! answer-invisible by contract), `SHARDS` (the engine's lifetime query
-//! and batch counters and its shard count `k`, then `k` records of
-//! resident rows with their SLRU tier), and `WIDTH` (the engine's MS-BFS
-//! lane width — one
-//! byte, defaulting to 64 lanes when absent so pre-width snapshots
-//! restore unchanged). Readers skip unknown section ids, so the format
-//! can grow sections without a version bump; a version bump means the
-//! header itself changed.
+//! answer-invisible by contract), `STATE` (the engine's lifetime query
+//! and batch counters, then a `u16` record count and that many records
+//! of resident rows with their SLRU tier), and `WIDTH` (the engine's
+//! MS-BFS lane width — one byte, defaulting to 64 lanes when absent so
+//! pre-width snapshots restore unchanged). Readers skip unknown section
+//! ids, so the format can grow sections without a version bump; a
+//! version bump means the header itself changed.
 //!
-//! The `SHARDS` layout dates from when each shard was its own engine
-//! with its own cache. One engine now serves every shard from one cache,
-//! and the layout is kept so neither side needs a version bump:
-//!
-//! * writers put the engine's counters in the front slots, then write
-//!   record `s` with the rows whose key is `s` mod `k`, and 0 in the
-//!   record's own served counter and in its reserved u64 (which once
-//!   held a churn epoch). An older reader rebuilds an equivalent
-//!   `k`-shard front from it;
-//! * readers merge every record's rows, in record order, into the one
-//!   cache, and skip each record's served counter and reserved u64.
-//!   Rows that no longer fit are rejected by the cache's normal
-//!   admission control. A shard count outside `1..=255` is malformed.
+//! Each `STATE` record is a `u64` served counter, a reserved `u64` and a
+//! `u32` row count, then the rows. Writers emit one record holding every
+//! resident row in cache order, with 0 in both `u64` slots. Older
+//! writers called the section `SHARDS` and emitted one record per shard
+//! label `k` (rows keyed `s` mod `k` in record `s`, a churn epoch in the
+//! reserved slot). Readers still accept any record count in `1..=255`,
+//! merge every record's rows, in record order, into the one cache, and
+//! skip each record's two `u64` slots. Rows that no longer fit are
+//! rejected by the cache's normal admission control.
 
 use crate::cursor::Cur;
 use crate::StoreError;
@@ -44,7 +39,7 @@ use nav_core::realization::Realization;
 use nav_core::sampler::SamplerMode;
 use nav_core::scheme::AugmentationScheme;
 use nav_core::uniform::{NoAugmentation, UniformScheme};
-use nav_engine::{AdmissionPolicy, Engine, EngineConfig, EngineState, MAX_SHARDS};
+use nav_engine::{AdmissionPolicy, Engine, EngineConfig, EngineState};
 use nav_graph::distance::DistRowBuf;
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::{GraphBuilder, NodeId};
@@ -60,13 +55,13 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 const SEC_GRAPH: u16 = 1;
 const SEC_SCHEME: u16 = 2;
 const SEC_CONFIG: u16 = 3;
-const SEC_SHARDS: u16 = 4;
+const SEC_STATE: u16 = 4;
 const SEC_WIDTH: u16 = 5;
 
 /// Sentinel in a serialized contact table for "no long-range link".
 const NO_CONTACT: u32 = u32::MAX;
 
-/// Row flags in the `SHARDS` section.
+/// Row flags in the `STATE` section.
 const FLAG_PROTECTED: u8 = 1 << 0;
 const FLAG_WIDE: u8 = 1 << 1;
 
@@ -157,8 +152,6 @@ pub struct Snapshot {
     /// the width that produced them; snapshots written before the
     /// `WIDTH` section existed restore at the 64-lane default.
     pub width: LaneWidth,
-    /// The engine's shard label count ([`Engine::num_shards`]).
-    pub shards: usize,
     /// The engine's lifetime counters and resident rows
     /// ([`Engine::export_state`]).
     pub state: EngineState,
@@ -166,7 +159,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Freezes a serving engine into a snapshot: graph, scheme, the
-    /// answer-determining config, shard count, lifetime counters, and
+    /// answer-determining config, lifetime counters, and
     /// resident rows. The engine is not disturbed. Errors only when the
     /// scheme cannot be represented ([`StoreError::UnsupportedScheme`]).
     pub fn capture(engine: &Engine) -> Result<Self, StoreError> {
@@ -182,7 +175,6 @@ impl Snapshot {
             sampler: cfg.sampler,
             fault: cfg.fault,
             width: cfg.width,
-            shards: engine.num_shards(),
             state: engine.export_state(),
         })
     }
@@ -217,12 +209,8 @@ impl Snapshot {
             width: self.width,
             obs,
         };
-        if !(1..=MAX_SHARDS).contains(&self.shards) {
-            return Err(StoreError::Malformed("shard count outside 1..=255"));
-        }
         let scheme = self.scheme.build(&g);
         let mut engine = Engine::new(g, scheme, cfg);
-        engine.set_shards(self.shards);
         engine.import_state(self.state.clone());
         Ok(engine)
     }
@@ -232,13 +220,13 @@ impl Snapshot {
         let graph = self.encode_graph();
         let scheme = self.encode_scheme();
         let config = self.encode_config();
-        let shards = self.encode_shards();
+        let state = self.encode_state();
         let width = [self.width.words() as u8];
         let sections: [(u16, &[u8]); 5] = [
             (SEC_GRAPH, &graph),
             (SEC_SCHEME, &scheme),
             (SEC_CONFIG, &config),
-            (SEC_SHARDS, &shards),
+            (SEC_STATE, &state),
             (SEC_WIDTH, &width),
         ];
         // Header: magic(4) + version(2) + count(2), then 20 bytes per
@@ -311,43 +299,35 @@ impl Snapshot {
         b
     }
 
-    fn encode_shards(&self) -> Vec<u8> {
+    fn encode_state(&self) -> Vec<u8> {
+        let rows = &self.state.rows;
         let mut b = Vec::new();
         put_u64(&mut b, self.state.served);
         put_u64(&mut b, self.state.batches);
-        let k = self.shards.min(u16::MAX as usize);
-        put_u16(&mut b, k as u16);
-        for s in 0..k {
-            let rows: Vec<_> = self
-                .state
-                .rows
-                .iter()
-                .filter(|(key, ..)| *key as usize % k == s)
-                .collect();
-            put_u64(&mut b, 0); // record served (see the module docs)
-            put_u64(&mut b, 0); // reserved
-            put_u32(&mut b, rows.len().min(u32::MAX as usize) as u32);
-            for (key, row, protected) in rows {
-                put_u32(&mut b, *key);
-                let mut flags = 0u8;
-                if *protected {
-                    flags |= FLAG_PROTECTED;
-                }
-                if !row.is_narrow() {
-                    flags |= FLAG_WIDE;
-                }
-                b.push(flags);
-                put_u32(&mut b, row.len().min(u32::MAX as usize) as u32);
-                match row.as_ref() {
-                    DistRowBuf::Narrow(v) => {
-                        for &d in v {
-                            b.extend_from_slice(&d.to_le_bytes());
-                        }
+        put_u16(&mut b, 1); // one record (see the module docs)
+        put_u64(&mut b, 0); // record served
+        put_u64(&mut b, 0); // reserved
+        put_u32(&mut b, rows.len().min(u32::MAX as usize) as u32);
+        for (key, row, protected) in rows {
+            put_u32(&mut b, *key);
+            let mut flags = 0u8;
+            if *protected {
+                flags |= FLAG_PROTECTED;
+            }
+            if !row.is_narrow() {
+                flags |= FLAG_WIDE;
+            }
+            b.push(flags);
+            put_u32(&mut b, row.len().min(u32::MAX as usize) as u32);
+            match row.as_ref() {
+                DistRowBuf::Narrow(v) => {
+                    for &d in v {
+                        b.extend_from_slice(&d.to_le_bytes());
                     }
-                    DistRowBuf::Wide(v) => {
-                        for &d in v {
-                            put_u32(&mut b, d);
-                        }
+                }
+                DistRowBuf::Wide(v) => {
+                    for &d in v {
+                        put_u32(&mut b, d);
                     }
                 }
             }
@@ -375,7 +355,7 @@ impl Snapshot {
         let mut graph = None;
         let mut scheme = None;
         let mut config = None;
-        let mut shards = None;
+        let mut state = None;
         let mut width = None;
         for _ in 0..section_count {
             let id = cur.u16("section id")?;
@@ -393,7 +373,7 @@ impl Snapshot {
                 SEC_GRAPH => &mut graph,
                 SEC_SCHEME => &mut scheme,
                 SEC_CONFIG => &mut config,
-                SEC_SHARDS => &mut shards,
+                SEC_STATE => &mut state,
                 SEC_WIDTH => &mut width,
                 // Unknown sections are future format growth: skip them.
                 _ => continue,
@@ -407,8 +387,7 @@ impl Snapshot {
         let scheme = decode_scheme(scheme.ok_or(StoreError::Malformed("missing scheme section"))?)?;
         let (seed, cache_bytes, admission, sampler, fault) =
             decode_config(config.ok_or(StoreError::Malformed("missing config section"))?)?;
-        let (shards, state) =
-            decode_shards(shards.ok_or(StoreError::Malformed("missing shards section"))?)?;
+        let state = decode_state(state.ok_or(StoreError::Malformed("missing state section"))?)?;
         // Absent on snapshots written before the section existed: those
         // engines always ran 64-lane MS-BFS, so the default is exact.
         let width = width.map_or(Ok(LaneWidth::default()), decode_width)?;
@@ -422,7 +401,6 @@ impl Snapshot {
             sampler,
             fault,
             width,
-            shards,
             state,
         })
     }
@@ -531,19 +509,20 @@ fn decode_config(body: &[u8]) -> Result<ConfigFields, StoreError> {
     ))
 }
 
-fn decode_shards(body: &[u8]) -> Result<(usize, EngineState), StoreError> {
+fn decode_state(body: &[u8]) -> Result<EngineState, StoreError> {
     let mut cur = Cur::new(body);
-    let served = cur.u64("front served")?;
-    let batches = cur.u64("front batches")?;
-    let shard_count = cur.u16("shard count")? as usize;
-    if !(1..=MAX_SHARDS).contains(&shard_count) {
+    let served = cur.u64("engine served")?;
+    let batches = cur.u64("engine batches")?;
+    // Older writers emitted one record per shard label (module docs).
+    let records = cur.u16("record count")? as usize;
+    if !(1..=255).contains(&records) {
         return Err(StoreError::Malformed("shard count outside 1..=255"));
     }
     let mut rows = Vec::new();
-    for _ in 0..shard_count {
+    for _ in 0..records {
         // Both ignored (see the module docs).
-        cur.u64("shard served")?;
-        cur.u64("shard reserved")?;
+        cur.u64("record served")?;
+        cur.u64("record reserved")?;
         let row_count = cur.u32("row count")? as usize;
         // A row entry is at least 9 header bytes, so a forged count must
         // exceed what the bytes can hold before any allocation happens.
@@ -580,15 +559,12 @@ fn decode_shards(body: &[u8]) -> Result<(usize, EngineState), StoreError> {
             rows.push((key, Arc::new(row), flags & FLAG_PROTECTED != 0));
         }
     }
-    cur.done("trailing bytes in shards section")?;
-    Ok((
-        shard_count,
-        EngineState {
-            served,
-            batches,
-            rows,
-        },
-    ))
+    cur.done("trailing bytes in state section")?;
+    Ok(EngineState {
+        served,
+        batches,
+        rows,
+    })
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -613,7 +589,7 @@ mod tests {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
     }
 
-    fn warm_engine(shards: usize) -> Engine {
+    fn warm_engine() -> Engine {
         let cfg = EngineConfig {
             seed: 42,
             threads: 1,
@@ -626,7 +602,6 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut engine = Engine::new(path(48), Box::new(UniformScheme), cfg);
-        engine.set_shards(shards);
         let pairs: Vec<(NodeId, NodeId)> = (0..10).map(|i| (i, 47 - (i % 4))).collect();
         engine.serve(&QueryBatch::from_pairs(&pairs, 3)).unwrap();
         engine
@@ -663,33 +638,46 @@ mod tests {
         a.encode() == b.encode()
     }
 
+    /// `engine`'s encoded snapshot with its `STATE` table entry pointed
+    /// at `body`, appended after the other sections.
+    fn with_state_body(engine: &Engine, body: &[u8]) -> Vec<u8> {
+        let mut bytes = Snapshot::capture(engine).unwrap().encode();
+        let entry = 8 + 20 * section(&bytes, SEC_STATE).1;
+        let end = bytes.len() as u64;
+        bytes[entry + 4..entry + 12].copy_from_slice(&end.to_le_bytes());
+        bytes[entry + 12..entry + 20].copy_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
     #[test]
     fn encode_decode_roundtrip_is_identity() {
-        let snap = Snapshot::capture(&warm_engine(3)).unwrap();
+        let engine = warm_engine();
+        let snap = Snapshot::capture(&engine).unwrap();
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
         assert!(snapshots_eq(&snap, &back));
         assert_eq!(back.num_nodes, 48);
-        assert_eq!(back.shards, 3);
         assert_eq!(back.state.served, 10);
         assert_eq!(back.state.batches, 1);
         assert_eq!(back.admission, AdmissionPolicy::Segmented);
+        // One record, rows in cache order.
+        let count = section(&bytes, SEC_STATE).0 + 16;
+        assert_eq!(bytes[count..count + 2], 1u16.to_le_bytes());
+        let keys = |rows: &[(NodeId, Arc<DistRowBuf>, bool)]| -> Vec<NodeId> {
+            rows.iter().map(|r| r.0).collect()
+        };
         assert_eq!(back.state.rows.len(), 4);
-        // Records come back in key-mod-k order.
-        let keys: Vec<NodeId> = back.state.rows.iter().map(|r| r.0).collect();
-        let mut by_shard = keys.clone();
-        by_shard.sort_by_key(|&t| t % 3);
-        assert_eq!(keys, by_shard);
+        assert_eq!(keys(&back.state.rows), keys(&engine.export_state().rows));
     }
 
     #[test]
     fn restore_continues_the_stream_bit_identically() {
-        let mut uninterrupted = warm_engine(2);
-        let snap = Snapshot::capture(&warm_engine(2)).unwrap();
+        let mut uninterrupted = warm_engine();
+        let snap = Snapshot::capture(&warm_engine()).unwrap();
         let mut restored = snap.restore(2, ObsConfig::default()).unwrap();
         assert_eq!(restored.queries_served(), 10);
         assert_eq!(restored.metrics().batches, 1);
-        assert_eq!(restored.num_shards(), 2);
         assert!(identical(
             &resume(&mut uninterrupted),
             &resume(&mut restored)
@@ -751,9 +739,9 @@ mod tests {
     #[test]
     fn nonzero_reserved_shard_slot_restores_and_replays_bit_identically() {
         // Older writers stored the shard's churn epoch in the u64 after
-        // its lifetime counter (past the 18-byte front header): forge it.
-        let bytes = Snapshot::capture(&warm_engine(1)).unwrap().encode();
-        let slot = section(&bytes, SEC_SHARDS).0 + 18 + 8;
+        // its lifetime counter (past the 18-byte section header): forge it.
+        let bytes = Snapshot::capture(&warm_engine()).unwrap().encode();
+        let slot = section(&bytes, SEC_STATE).0 + 18 + 8;
         let mut old = bytes.clone();
         old[slot..slot + 8].copy_from_slice(&2u64.to_le_bytes());
 
@@ -761,7 +749,7 @@ mod tests {
         assert_eq!(snap.encode(), bytes, "writers put 0 in the slot");
         let mut restored = snap.restore(1, ObsConfig::default()).unwrap();
         assert!(identical(
-            &resume(&mut warm_engine(1)),
+            &resume(&mut warm_engine()),
             &resume(&mut restored)
         ));
         assert!(restored.cache_stats().hits > 0, "restored rows serve");
@@ -771,9 +759,9 @@ mod tests {
     fn multi_record_shards_section_restores_into_one_engine() {
         // An older k-shard front wrote one record per shard, each with
         // its own served counter and reserved slot. Forge such a 3-record
-        // section by hand from a 1-shard engine's rows, point the table
-        // at it, and restore: one engine, one cache, three shard labels.
-        let engine = warm_engine(1);
+        // section by hand from the engine's rows, point the table at it,
+        // and restore: one engine, one cache.
+        let engine = warm_engine();
         let state = engine.export_state();
         let mut body = Vec::new();
         put_u64(&mut body, state.served);
@@ -793,23 +781,13 @@ mod tests {
                 }
             }
         }
-        let forge = |body: &[u8]| {
-            let mut bytes = Snapshot::capture(&engine).unwrap().encode();
-            let entry = 8 + 20 * section(&bytes, SEC_SHARDS).1;
-            let end = bytes.len() as u64;
-            bytes[entry + 4..entry + 12].copy_from_slice(&end.to_le_bytes());
-            bytes[entry + 12..entry + 20].copy_from_slice(&(body.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(body);
-            bytes
-        };
-        let snap = Snapshot::decode(&forge(&body)).unwrap();
-        assert_eq!((snap.shards, snap.state.served), (3, 10));
+        let snap = Snapshot::decode(&with_state_body(&engine, &body)).unwrap();
+        assert_eq!(snap.state.served, 10);
         assert_eq!(snap.state.rows.len(), state.rows.len());
         let mut restored = snap.restore(1, ObsConfig::default()).unwrap();
-        assert_eq!(restored.num_shards(), 3);
         assert_eq!(restored.cache_stats().resident_rows, state.rows.len());
         assert!(identical(
-            &resume(&mut warm_engine(1)),
+            &resume(&mut warm_engine()),
             &resume(&mut restored)
         ));
         assert!(restored.cache_stats().hits > 0, "merged rows serve");
@@ -818,9 +796,10 @@ mod tests {
     #[test]
     fn oversized_shard_counts_are_refused_with_a_typed_error() {
         // A forged count is refused before any record is read or any
-        // engine built; the handle byte's whole range still decodes.
-        let bytes = Snapshot::capture(&warm_engine(1)).unwrap().encode();
-        let count = section(&bytes, SEC_SHARDS).0 + 16;
+        // engine built; the old writers' whole range still decodes.
+        let engine = warm_engine();
+        let bytes = Snapshot::capture(&engine).unwrap().encode();
+        let count = section(&bytes, SEC_STATE).0 + 16;
         for k in [0u16, 256, u16::MAX] {
             let mut bad = bytes.clone();
             bad[count..count + 2].copy_from_slice(&k.to_le_bytes());
@@ -829,9 +808,15 @@ mod tests {
                 StoreError::Malformed("shard count outside 1..=255")
             ));
         }
-        let engine = warm_engine(MAX_SHARDS);
-        let snap = Snapshot::decode(&Snapshot::capture(&engine).unwrap().encode()).unwrap();
-        assert_eq!(snap.shards, MAX_SHARDS);
+        let mut body = Vec::new();
+        put_u64(&mut body, 10);
+        put_u64(&mut body, 1);
+        put_u16(&mut body, 255);
+        for _ in 0..255 {
+            body.extend_from_slice(&[0u8; 20]); // served, reserved, no rows
+        }
+        let snap = Snapshot::decode(&with_state_body(&engine, &body)).unwrap();
+        assert!(snap.state.rows.is_empty());
     }
 
     #[test]
@@ -855,7 +840,7 @@ mod tests {
 
     #[test]
     fn unknown_sections_are_skipped() {
-        let snap = Snapshot::capture(&warm_engine(1)).unwrap();
+        let snap = Snapshot::capture(&warm_engine()).unwrap();
         let mut bytes = snap.encode();
         // Append a section body and splice a table entry for an unknown
         // id by re-encoding with one extra table slot: simplest is to
@@ -887,7 +872,7 @@ mod tests {
 
     #[test]
     fn header_damage_is_rejected() {
-        let bytes = Snapshot::capture(&warm_engine(1)).unwrap().encode();
+        let bytes = Snapshot::capture(&warm_engine()).unwrap().encode();
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
         assert!(matches!(
@@ -905,7 +890,7 @@ mod tests {
 
     #[test]
     fn every_truncation_errors_cleanly() {
-        let bytes = Snapshot::capture(&warm_engine(2)).unwrap().encode();
+        let bytes = Snapshot::capture(&warm_engine()).unwrap().encode();
         for cut in 0..bytes.len() {
             assert!(
                 Snapshot::decode(&bytes[..cut]).is_err(),

@@ -1,7 +1,7 @@
 //! The serving engine's determinism contract, property-tested: batch
 //! answers are bit-identical to a direct [`run_trials`] over the same
 //! query sequence — across cache capacities (including 0), thread counts,
-//! batch orderings, cache admission policies, and shard label counts.
+//! batch orderings, and cache admission policies.
 //!
 //! Thread counts come from the centralized `NAV_TEST_THREADS` knob
 //! ([`nav_par::test_threads`]) and case counts from `PROPTEST_CASES`, so
@@ -448,9 +448,8 @@ proptest! {
     ) {
         // The robustness contract: with link drops *and* churn epochs on,
         // answers stay bit-identical across cache capacities (evictions
-        // leave different residencies), thread counts, batch splits, and
-        // shard counts — every query's fate is a pure function of its RNG
-        // index. The 3-epoch / period-4 plan guarantees streams cross
+        // leave different residencies), thread counts and batch splits —
+        // every query's fate is a pure function of its RNG index. The 3-epoch / period-4 plan guarantees streams cross
         // epoch boundaries mid-run.
         let n = g.num_nodes() as NodeId;
         let mut rng = seeded_rng(seed ^ 0xfa017);
@@ -489,30 +488,6 @@ proptest! {
                 );
             }
         }
-        for shards in [2usize, 5] {
-            let mut engine = Engine::new(
-                g.clone(),
-                Box::new(UniformScheme),
-                EngineConfig {
-                    seed,
-                    threads: test_threads(),
-                    cache_bytes: 1 << 20,
-                    fault,
-                    ..EngineConfig::default()
-                },
-            );
-            engine.set_shards(shards);
-            let mut answers = Vec::new();
-            for chunk in pairs.chunks(batch_size.max(1)) {
-                answers.extend(
-                    engine.serve(&QueryBatch::from_pairs(chunk, 3)).expect("valid").answers,
-                );
-            }
-            prop_assert!(
-                identical(&answers, &reference),
-                "sharded fault serving diverged at shards={shards}"
-            );
-        }
     }
 
     #[test]
@@ -527,9 +502,8 @@ proptest! {
         // fault-injected front mid-stream, round-trip it through the
         // on-disk snapshot *bytes*, restore at a different thread count,
         // and the continuation must be bit-identical to the engine that
-        // was never interrupted — whatever the cut point, batch split,
-        // or shard count. Cache contents and the RNG cursor travel
-        // through the encoding.
+        // was never interrupted — whatever the cut point or batch split.
+        // Cache contents and the RNG cursor travel through the encoding.
         use navigability::obs::ObsConfig;
         use navigability::store::Snapshot;
         let n = g.num_nodes() as NodeId;
@@ -552,56 +526,48 @@ proptest! {
             ..EngineConfig::default()
         };
         let cut = cut_seed.min(pairs.len() - 1).max(1);
-        let sharded = |shards: usize| {
-            let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
-            engine.set_shards(shards);
-            engine
-        };
-        for shards in [1usize, 3] {
-            let mut uninterrupted = sharded(shards);
-            let mut reference = Vec::new();
-            for chunk in pairs.chunks(batch_size) {
-                reference.extend(
-                    uninterrupted
-                        .serve(&QueryBatch::from_pairs(chunk, 3))
-                        .expect("valid")
-                        .answers,
-                );
-            }
-            // Serve a prefix, snapshot, drop everything but the bytes.
-            let mut victim = sharded(shards);
-            let mut resumed = Vec::new();
-            for chunk in pairs[..cut].chunks(batch_size) {
-                resumed.extend(
-                    victim
-                        .serve(&QueryBatch::from_pairs(chunk, 3))
-                        .expect("valid")
-                        .answers,
-                );
-            }
-            let bytes = Snapshot::capture(&victim)
-                .expect("uniform scheme snapshots")
-                .encode();
-            drop(victim);
-            let mut restored = Snapshot::decode(&bytes)
-                .expect("own encoding decodes")
-                .restore(test_threads(), ObsConfig::default())
-                .expect("own snapshot restores");
-            prop_assert_eq!(restored.queries_served(), cut as u64);
-            prop_assert_eq!(restored.num_shards(), shards);
-            for chunk in pairs[cut..].chunks(batch_size) {
-                resumed.extend(
-                    restored
-                        .serve(&QueryBatch::from_pairs(chunk, 3))
-                        .expect("valid")
-                        .answers,
-                );
-            }
-            prop_assert!(
-                identical(&resumed, &reference),
-                "restored stream diverged at shards={shards} cut={cut} batch={batch_size}"
+        let mut uninterrupted = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let mut reference = Vec::new();
+        for chunk in pairs.chunks(batch_size) {
+            reference.extend(
+                uninterrupted
+                    .serve(&QueryBatch::from_pairs(chunk, 3))
+                    .expect("valid")
+                    .answers,
             );
         }
+        // Serve a prefix, snapshot, drop everything but the bytes.
+        let mut victim = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let mut resumed = Vec::new();
+        for chunk in pairs[..cut].chunks(batch_size) {
+            resumed.extend(
+                victim
+                    .serve(&QueryBatch::from_pairs(chunk, 3))
+                    .expect("valid")
+                    .answers,
+            );
+        }
+        let bytes = Snapshot::capture(&victim)
+            .expect("uniform scheme snapshots")
+            .encode();
+        drop(victim);
+        let mut restored = Snapshot::decode(&bytes)
+            .expect("own encoding decodes")
+            .restore(test_threads(), ObsConfig::default())
+            .expect("own snapshot restores");
+        prop_assert_eq!(restored.queries_served(), cut as u64);
+        for chunk in pairs[cut..].chunks(batch_size) {
+            resumed.extend(
+                restored
+                    .serve(&QueryBatch::from_pairs(chunk, 3))
+                    .expect("valid")
+                    .answers,
+            );
+        }
+        prop_assert!(
+            identical(&resumed, &reference),
+            "restored stream diverged at cut={cut} batch={batch_size}"
+        );
     }
 }
 
@@ -675,7 +641,7 @@ fn wide_row_fallback_on_real_geometry() {
 /// each query routes under its own epoch, so a cache big enough for the
 /// working set computes every distinct target exactly once, however many
 /// epoch flips the stream crosses — and the answers stay bit-identical to
-/// an engine that caches nothing and to a 2-shard engine.
+/// an engine that caches nothing.
 #[test]
 fn churn_epoch_flips_never_refill_a_resident_row() {
     let g = navigability::gen::grid::grid2d(8, 8).expect("grid");
@@ -717,23 +683,13 @@ fn churn_epoch_flips_never_refill_a_resident_row() {
         identical(&answers, &reference),
         "diverged from cache_bytes = 0"
     );
-
-    let mut front = Engine::new(g.clone(), Box::new(UniformScheme), cfg(1 << 20));
-    front.set_shards(2);
-    let sharded = serve(&mut |b| front.serve(b).expect("valid").answers);
-    assert!(
-        identical(&answers, &sharded),
-        "diverged from the 2-shard engine"
-    );
-    assert_eq!(front.cache_stats().insertions, targets.len() as u64);
 }
 
-/// Shard labels never split a cold fill: one batch whose cold targets
-/// fall in every one of 4 shards fills them all in one `ColdFill` stage
-/// (one set of shared MS-BFS passes) and records one batch, and every
-/// distinct target is filled exactly once.
+/// One batch fills all its cold targets in one `ColdFill` stage (one set
+/// of shared MS-BFS passes) and records one batch, and every distinct
+/// target is filled exactly once.
 #[test]
-fn one_batch_fills_every_shards_cold_targets_in_one_pass() {
+fn one_batch_fills_all_its_cold_targets_in_one_pass() {
     use navigability::obs::{ObsConfig, Stage};
     let g = navigability::gen::grid::grid2d(8, 8).expect("grid");
     let mut engine = Engine::new(
@@ -750,12 +706,8 @@ fn one_batch_fills_every_shards_cold_targets_in_one_pass() {
             ..EngineConfig::default()
         },
     );
-    engine.set_shards(4);
-    // Targets 40..48 cover shards 0..4 twice; every target is asked twice.
+    // 8 distinct targets 40..48, every target asked twice.
     let pairs: Vec<(NodeId, NodeId)> = (0..16u32).map(|i| (i, 40 + i % 8)).collect();
-    let shards: std::collections::BTreeSet<usize> =
-        pairs.iter().map(|&(_, t)| engine.shard_of(t)).collect();
-    assert_eq!(shards.len(), 4);
     let result = engine
         .serve(&QueryBatch::from_pairs(&pairs, 2))
         .expect("valid");

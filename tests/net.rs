@@ -156,12 +156,11 @@ fn arb_stats() -> impl Strategy<Value = Frame> {
                     index,
                     s,
                     t,
-                    shard: (t % 7) as u16,
                     cache_hit: index % 2 == 0,
                     trials: 3,
                     trials_ms: 0.25 * (s as f64 + 1.0),
-                    // Shifted past 32 bits every few traces: the v4 wire
-                    // must carry full-width counters.
+                    // Shifted past 32 bits every few traces: the wire
+                    // must carry full-width counters (since v4).
                     dropped_links: (s as u64 % 5) << (8 * (index % 5)),
                     rerouted_hops: (t as u64 % 3) << (8 * (s as u64 % 5)),
                 });
@@ -172,7 +171,6 @@ fn arb_stats() -> impl Strategy<Value = Frame> {
                     batches: seed / 7,
                     ..MetricsSnapshot::default()
                 },
-                shards: 1 + (seed % 4) as u32,
                 obs: reg.snapshot(),
             })
         })
@@ -542,7 +540,6 @@ fn stats_frame_reports_stages_and_traces_over_loopback() {
     let reply = client.stats(0).expect("stats");
     assert_eq!(reply.metrics.queries, 20);
     assert_eq!(reply.metrics.batches, 4);
-    assert_eq!(reply.shards, 1);
     // Engine pipeline stages: one sample per served batch.
     for stage in [Stage::Admission, Stage::CacheLookup, Stage::Trials] {
         let h = reply
@@ -568,7 +565,6 @@ fn stats_frame_reports_stages_and_traces_over_loopback() {
     for (i, t) in reply.obs.traces.iter().enumerate() {
         assert_eq!(t.index, i as u64);
         assert_eq!((t.s, t.t), (pairs[i].0, pairs[i].1));
-        assert_eq!(t.shard, 0);
     }
     // Both renderings carry the per-stage quantiles and the traces.
     let mut text = String::new();
@@ -834,11 +830,10 @@ fn oversized_trials_are_refused_client_side_without_retries() {
     server.shutdown();
 }
 
-// --- 4. shard pinning via the handle byte --------------------------------
+// --- 4. handles compare as one whole u32 --------------------------------
 
 #[test]
-fn sharded_server_routes_by_handle_byte_and_stays_bit_identical() {
-    use navigability::net::{compose_handle, split_handle};
+fn former_pin_bytes_are_unknown_handles_and_stats_still_answer() {
     let g = world(72, 4);
     let seed = 29u64;
     let cfg = EngineConfig {
@@ -847,15 +842,14 @@ fn sharded_server_routes_by_handle_byte_and_stays_bit_identical() {
         cache_bytes: 1 << 20,
         ..EngineConfig::default()
     };
-    let mut sharded = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
-    sharded.set_shards(3);
-    let server = NetServer::bind(sharded, NetConfig::default(), "127.0.0.1:0")
+    let engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+    let server = NetServer::bind(engine, NetConfig::default(), "127.0.0.1:0")
         .expect("bind")
         .spawn()
         .expect("spawn");
     let mut client = NetClient::connect(server.addr()).expect("connect");
 
-    // No pin (shard byte 0): any target, bit-identical to run_trials.
+    // The configured handle: bit-identical to run_trials.
     let pairs = client_pairs(&g, 1, 18);
     let reference = run_trials(
         &g,
@@ -870,73 +864,51 @@ fn sharded_server_routes_by_handle_byte_and_stays_bit_identical() {
     )
     .expect("valid");
     let (answers, _) = client
-        .serve(
-            compose_handle(0, None),
-            SamplerMode::Scalar,
-            &QueryBatch::from_pairs(&pairs, 3),
-        )
-        .expect("front routing");
+        .serve(0, SamplerMode::Scalar, &QueryBatch::from_pairs(&pairs, 3))
+        .expect("serve");
     assert!(identical(&answers, &reference.pairs));
 
-    // A pinned handle: a batch of targets shard 1 owns (t % 3 == 1)
-    // equals a local engine's stream at the same rng_base.
-    let owned: Vec<(NodeId, NodeId)> = vec![(0, 1), (5, 4), (9, 7)];
-    let mut local = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
-    let want = local
-        .serve_at(&QueryBatch::from_pairs(&owned, 2), 0, SamplerMode::Scalar)
-        .expect("local");
-    let mut direct = NetClient::connect(server.addr()).expect("connect");
-    let (got, _) = direct
-        .serve(
-            compose_handle(0, Some(1)),
-            SamplerMode::Scalar,
-            &QueryBatch::from_pairs(&owned, 2),
-        )
-        .expect("direct shard");
-    assert!(identical(&got, &want.answers));
-
-    // A target the shard does not own is refused, typed.
-    let err = direct
-        .serve(
-            compose_handle(0, Some(1)),
-            SamplerMode::Scalar,
-            &QueryBatch::from_pairs(&[(0, 3)], 1),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::InvalidEndpoint),
-        "{err}"
-    );
-
-    // A shard byte past the shard count is an unknown handle.
-    let err = direct
-        .serve(
-            compose_handle(0, Some(7)),
-            SamplerMode::Scalar,
-            &QueryBatch::from_pairs(&[(0, 1)], 1),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::UnknownHandle),
-        "{err}"
-    );
-
-    // And the wrong tenant still refuses, independent of the shard byte.
-    let err = direct
-        .serve(
-            compose_handle(9, Some(1)),
-            SamplerMode::Scalar,
-            &QueryBatch::from_pairs(&[(0, 1)], 1),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::UnknownHandle),
-        "{err}"
-    );
-
-    assert_eq!(split_handle(compose_handle(0, Some(2))), (0, Some(2)));
+    // A non-zero top byte is part of the handle: refused typed, never
+    // widened to "any target".
+    for top in [1u32, 2, 0xFF] {
+        let err = client
+            .serve(
+                top << 24,
+                SamplerMode::Scalar,
+                &QueryBatch::from_pairs(&[(0, 1)], 1),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, NetError::Remote(e) if e.code == ErrorCode::UnknownHandle),
+            "{err}"
+        );
+    }
+    // The same connection still answers stats, and nothing was served.
+    let reply = client.stats(0).expect("stats after refusals");
+    assert_eq!(reply.metrics.queries, pairs.len() as u64);
+    assert_eq!(reply.metrics.batches, 1);
     drop(client);
-    drop(direct);
+    server.shutdown();
+
+    // A server whose handle has a top byte accepts exactly that handle:
+    // its low 24 bits alone are refused.
+    let engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+    let net = NetConfig {
+        handle: 0x0100_0007,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind(engine, net, "127.0.0.1:0")
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let err = client.stats(7).unwrap_err();
+    assert!(
+        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::UnknownHandle),
+        "{err}"
+    );
+    assert_eq!(client.stats(0x0100_0007).expect("stats").metrics.queries, 0);
+    drop(client);
     server.shutdown();
 }
 

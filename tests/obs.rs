@@ -8,7 +8,7 @@
 //! 2. **Trace-sampler placement invariance**: which queries get traced is
 //!    a pure function of `(seed, lifetime query index)` — the traced set
 //!    must not move when the same stream is served with different thread
-//!    counts, different batch splits, or different shard label counts.
+//!    counts or different batch splits.
 
 use navigability::analysis::quantile::quantile_sorted;
 use navigability::core::uniform::UniformScheme;
@@ -104,8 +104,8 @@ proptest! {
         seed in 0u64..10_000,
         split in 1usize..500,
     ) {
-        // merge() must be exactly associative with record(): a sharded
-        // front's merged digest equals the single-engine digest.
+        // merge() must be exactly associative with record(): a digest
+        // merged from two halves equals the one-pass digest.
         let samples = samples(1, seed, 500);
         let split = split.min(samples.len());
         let mut whole = LogHistogram::new();
@@ -224,48 +224,6 @@ fn traced_query_set_is_invariant_across_threads_and_batch_splits() {
             keys(&traced(&g, &queries, chunk, 2, 4)),
             "traced set moved at chunk {chunk}"
         );
-    }
-}
-
-#[test]
-fn traced_query_set_is_invariant_across_shard_counts() {
-    let g = navigability::gen::grid::grid2d(10, 10).expect("grid");
-    let queries = query_stream(&g, 120);
-    let single = keys(&traced(&g, &queries, 11, 2, 4));
-    for shards in [2, 3] {
-        let mut front = Engine::new(
-            g.clone(),
-            Box::new(UniformScheme),
-            EngineConfig {
-                seed: 0xb0b,
-                threads: 2,
-                cache_bytes: 1 << 20,
-                obs: ObsConfig {
-                    stages: true,
-                    trace_every: 4,
-                    trace_capacity: queries.len() + 1,
-                },
-                ..EngineConfig::default()
-            },
-        );
-        front.set_shards(shards);
-        for c in queries.chunks(11) {
-            front
-                .serve(&QueryBatch {
-                    queries: c.to_vec(),
-                })
-                .expect("valid queries");
-        }
-        let snap = front.obs_snapshot();
-        assert_eq!(
-            single,
-            keys(&snap.traces),
-            "traced set moved at {shards} shards"
-        );
-        // Shard labels must be the ownership rule t % k, not noise.
-        for t in &snap.traces {
-            assert_eq!(u64::from(t.shard), u64::from(t.t) % shards as u64);
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The durability layer's contract, tested at workspace level:
 //!
-//! 1. **kill -9 → restore → resume** — a warm, fault-injected 3-shard
-//!    engine is frozen mid-stream into an actual file, the process state
+//! 1. **kill -9 → restore → resume** — a warm, fault-injected engine is
+//!    frozen mid-stream into an actual file, the process state
 //!    is dropped (nothing survives but the bytes), and the restored
 //!    engine — at a *different* thread count and observability config —
 //!    must finish the stream **bit-identically** to an engine that was
@@ -70,19 +70,17 @@ fn identical(a: &[PairStats], b: &[PairStats]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
 }
 
-/// A uniform-scheme engine over `g` with `shards` shard labels.
-fn sharded(g: &Graph, seed: u64, shards: usize) -> Engine {
-    let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), serving_cfg(seed));
-    engine.set_shards(shards);
-    engine
+/// A uniform-scheme engine over `g`.
+fn engine(g: &Graph, seed: u64) -> Engine {
+    Engine::new(g.clone(), Box::new(UniformScheme), serving_cfg(seed))
 }
 
 /// A valid snapshot's bytes — the corpus every totality property
-/// mutates: a warm 2-shard engine with faults on and resident rows in
-/// both row widths of the cache.
+/// mutates: a warm engine with faults on and resident rows in both row
+/// widths of the cache.
 fn warm_snapshot_bytes(seed: u64) -> Vec<u8> {
     let g = world(40, seed ^ 0x5eed);
-    let mut front = sharded(&g, seed, 2);
+    let mut front = engine(&g, seed);
     let pairs = pair_stream(&g, 8);
     front
         .serve(&QueryBatch::from_pairs(&pairs, 2))
@@ -101,7 +99,7 @@ fn kill_dash_nine_then_restore_resumes_the_stream_bit_identically() {
     let pairs = pair_stream(&g, 24);
 
     // The reference: one engine serves the whole stream, uninterrupted.
-    let mut uninterrupted = sharded(&g, seed, 3);
+    let mut uninterrupted = engine(&g, seed);
     let mut reference = Vec::new();
     for chunk in pairs.chunks(5) {
         reference.extend(
@@ -115,7 +113,7 @@ fn kill_dash_nine_then_restore_resumes_the_stream_bit_identically() {
     // The victim serves the first 10 queries, snapshots to a real file,
     // and then "dies": every in-memory structure is dropped. Only the
     // file survives the kill.
-    let mut victim = sharded(&g, seed, 3);
+    let mut victim = engine(&g, seed);
     let mut resumed = Vec::new();
     for chunk in pairs[..10].chunks(5) {
         resumed.extend(
@@ -149,7 +147,6 @@ fn kill_dash_nine_then_restore_resumes_the_stream_bit_identically() {
         )
         .expect("snapshot restores");
     assert_eq!(restored.queries_served(), 10, "RNG cursor survived");
-    assert_eq!(restored.num_shards(), 3, "shard labels survived");
     assert!(
         restored.cache_stats().resident_rows > 0,
         "the restored cache must come back warm"

@@ -4,8 +4,8 @@
 //! exact bytes — so format or generator drift cannot land silently.
 
 use navigability::engine::workload::{
-    parse_workload, render_workload, render_workload_full, render_workload_with_shards,
-    zipf_queries, FaultSpec, GraphSpec, ZipfSpec,
+    parse_workload, render_workload, render_workload_full, zipf_queries, FaultSpec, GraphSpec,
+    ZipfSpec,
 };
 
 fn gen_spec() -> (GraphSpec, ZipfSpec) {
@@ -99,23 +99,17 @@ fn zipf_expansion_is_pinned_at_scale_n() {
 
 #[test]
 fn sharded_workload_file_is_byte_identical() {
-    // The golden bytes of a sharded workload: `gen --shards 4` emits one
-    // extra directive line between `batch` and `zipf`; `--shards 1`
-    // keeps the historical single-engine bytes exactly.
+    // The golden bytes older `gen --shards 4` runs wrote: one extra
+    // `shards` line between `batch` and `zipf`. It is range-checked and
+    // ignored, so the file parses to the same spec as the one without it.
     let (graph, zipf) = gen_spec();
-    let sharded = render_workload_with_shards(&graph, 8, 512, 4, &zipf);
-    assert_eq!(
-        sharded,
-        "nav-workload v1\ngraph gnp 4096 42\ntrials 8\nbatch 512\nshards 4\nzipf 100000 1.1 7 1024\n"
-    );
-    let spec = parse_workload(&sharded).expect("valid");
-    assert_eq!(spec.shards, 4);
+    let sharded =
+        "nav-workload v1\ngraph gnp 4096 42\ntrials 8\nbatch 512\nshards 4\nzipf 100000 1.1 7 1024\n";
+    let single = render_workload(&graph, 8, 512, &zipf);
+    assert_eq!(single, sharded.replace("shards 4\n", ""));
+    let spec = parse_workload(sharded).expect("valid");
     assert_eq!(stream_hash(&spec.queries), PINNED_STREAM_HASH);
-    // shards 1 is the default and is never rendered.
-    let single = render_workload_with_shards(&graph, 8, 512, 1, &zipf);
-    assert_eq!(single, render_workload(&graph, 8, 512, &zipf));
-    assert_eq!(parse_workload(&single).expect("valid").shards, 1);
-    // The one-byte wire handle bounds the shard count at parse time.
+    assert_eq!(spec, parse_workload(&single).expect("valid"));
     for bad in ["shards 0", "shards 256"] {
         let text = single.replace("batch 512", &format!("batch 512\n{bad}"));
         assert!(parse_workload(&text).is_err(), "{bad} must be rejected");
@@ -125,7 +119,7 @@ fn sharded_workload_file_is_byte_identical() {
 #[test]
 fn fault_workload_file_is_byte_identical() {
     // The golden bytes of a faulty workload: the `fault` directive lands
-    // between `shards` and `zipf`, with the drop probability rendered
+    // between `batch` and `zipf`, with the drop probability rendered
     // exactly (no rounding — 0.125 stays 0.125, not 0.13). A fault-free
     // spec keeps the historical bytes, so every previously generated
     // file parses unchanged.
@@ -134,10 +128,10 @@ fn fault_workload_file_is_byte_identical() {
         drop_prob: 0.125,
         epochs: 3,
     });
-    let text = render_workload_full(&graph, 8, 512, 4, fault, &zipf);
+    let text = render_workload_full(&graph, 8, 512, fault, &zipf);
     assert_eq!(
         text,
-        "nav-workload v1\ngraph gnp 4096 42\ntrials 8\nbatch 512\nshards 4\nfault 0.125 3\nzipf 100000 1.1 7 1024\n"
+        "nav-workload v1\ngraph gnp 4096 42\ntrials 8\nbatch 512\nfault 0.125 3\nzipf 100000 1.1 7 1024\n"
     );
     let spec = parse_workload(&text).expect("valid");
     assert_eq!(spec.fault, fault);
@@ -145,7 +139,7 @@ fn fault_workload_file_is_byte_identical() {
     // are byte-for-byte the pinned fault-free expansion.
     assert_eq!(stream_hash(&spec.queries), PINNED_STREAM_HASH);
     // No fault: `render_workload_full` collapses to the historical bytes.
-    let plain = render_workload_full(&graph, 8, 512, 1, None, &zipf);
+    let plain = render_workload_full(&graph, 8, 512, None, &zipf);
     assert_eq!(plain, render_workload(&graph, 8, 512, &zipf));
     assert_eq!(parse_workload(&plain).expect("valid").fault, None);
 }
