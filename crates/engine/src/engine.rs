@@ -973,6 +973,16 @@ mod tests {
     #[test]
     fn invalid_endpoint_rejected_without_side_effects() {
         let g = path(10);
+        let mut e = Engine::new(g, Box::new(NoAugmentation), EngineConfig::default());
+        let bad = QueryBatch::from_pairs(&[(0, 10)], 2);
+        assert!(e.serve(&bad).is_err());
+        assert_eq!(e.queries_served(), 0);
+        assert_eq!(e.metrics().batches, 0);
+    }
+
+    #[test]
+    fn sharded_engine_rejects_before_any_row_fills() {
+        let g = path(10);
         let mut e = Engine::new(g, Box::new(UniformScheme), EngineConfig::default());
         // The valid query's target is not filled before the bad one is seen.
         let bad = QueryBatch::from_pairs(&[(0, 4), (0, 10)], 2);
