@@ -290,7 +290,7 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
             w.label()
         );
         let mut sampler = ball
-            .batched_sampler_w(&g, usize::MAX, w)
+            .batched_sampler(&g, usize::MAX, w)
             .expect("ball scheme has a batched sampler");
         let probe: Vec<NodeId> = vec![0, 37 % n as NodeId];
         check_sampler(

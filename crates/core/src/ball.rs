@@ -170,12 +170,7 @@ impl AugmentationScheme for BallScheme {
         "ball(thm4)".into()
     }
 
-    fn batched_sampler(&self, g: &Graph, byte_cap: usize) -> Option<Box<dyn ContactSampler + '_>> {
-        let _ = g;
-        Some(Box::new(BallRowSampler::new(*self, byte_cap)))
-    }
-
-    fn batched_sampler_w(
+    fn batched_sampler(
         &self,
         g: &Graph,
         byte_cap: usize,
@@ -962,7 +957,7 @@ mod tests {
         let g = path(9);
         let scheme = BallScheme::new(&g);
         let mut s = scheme
-            .batched_sampler(&g, usize::MAX)
+            .batched_sampler(&g, usize::MAX, LaneWidth::W64)
             .expect("ball has one");
         assert_eq!(s.name(), "ball(thm4)+rows");
         let mut rng = seeded_rng(8);

@@ -27,6 +27,7 @@
 
 use crate::sampler::{ContactSampler, SamplerStats};
 use crate::scheme::{AugmentationScheme, ExplicitScheme};
+use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, NodeId};
 use rand::{Rng, RngCore};
 
@@ -80,13 +81,14 @@ impl<S: AugmentationScheme> AugmentationScheme for FaultyScheme<S> {
         &'s self,
         g: &Graph,
         byte_cap: usize,
+        width: LaneWidth,
     ) -> Option<Box<dyn ContactSampler + 's>> {
-        // Pass the inner scheme's batched backend through the same coin.
-        // When the inner scheme has none, returning `None` makes
-        // `sampler_for` fall back to a `ScalarSampler` over `self`, which
-        // already applies the coin — either path consumes the identical
-        // RNG stream.
-        let inner = self.inner.batched_sampler(g, byte_cap)?;
+        // Pass the inner scheme's batched backend, at the same width,
+        // through the same coin. When the inner scheme has none,
+        // returning `None` makes `sampler_for_w` fall back to a
+        // `ScalarSampler` over `self`, which already applies the coin —
+        // either path consumes the identical RNG stream.
+        let inner = self.inner.batched_sampler(g, byte_cap, width)?;
         Some(Box::new(FaultySampler::new(inner, self.drop_prob)))
     }
 }
@@ -429,13 +431,13 @@ mod tests {
         let g = path(32);
         // UniformScheme has no batched backend → neither does its wrapper.
         assert!(FaultyScheme::new(UniformScheme, 0.3)
-            .batched_sampler(&g, usize::MAX)
+            .batched_sampler(&g, usize::MAX, LaneWidth::W64)
             .is_none());
         // BallScheme has one → the wrapper passes it through the coin.
         let ball = BallScheme::new(&g);
         let faulty = FaultyScheme::new(ball, 0.3);
         let mut s = faulty
-            .batched_sampler(&g, usize::MAX)
+            .batched_sampler(&g, usize::MAX, LaneWidth::W64)
             .expect("ball scheme has a batched backend");
         let mut rng = seeded_rng(5);
         for i in 0..32u32 {
@@ -444,6 +446,19 @@ mod tests {
                 assert!((v as usize) < 32);
             }
         }
+        // The passthrough keeps the lane width: asked for 256 lanes, the
+        // wrapped sampler readies as long a segment of 300 distinct nodes
+        // as the bare ball sampler does.
+        let g = path(600);
+        let ball = BallScheme::new(&g);
+        let nodes: Vec<NodeId> = (0..300).collect();
+        let segment = |s: &dyn AugmentationScheme| {
+            s.batched_sampler(&g, usize::MAX, LaneWidth::W256)
+                .expect("ball scheme has a batched backend")
+                .prepare(&g, &nodes)
+        };
+        assert_eq!(segment(&ball), 256);
+        assert_eq!(segment(&FaultyScheme::new(ball, 0.3)), 256);
     }
 
     #[test]

@@ -101,18 +101,6 @@ impl<'g> GreedyRouter<'g> {
         })
     }
 
-    /// Builds the router reusing a caller-provided BFS workspace.
-    pub fn with_workspace(g: &'g Graph, target: NodeId, bfs: &mut Bfs) -> Result<Self, GraphError> {
-        g.check_node(target)?;
-        let dist_t = Row::Owned(bfs.distances(g, target));
-        Ok(GreedyRouter {
-            g,
-            target,
-            dist_t,
-            fault: None,
-        })
-    }
-
     /// Builds the router on a borrowed, precomputed distance row
     /// (`dist_t[v] = dist_G(v, target)`) — no BFS. This is how the
     /// distance-oracle layer hands out routers.

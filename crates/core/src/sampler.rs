@@ -22,7 +22,7 @@
 //!   [`AugmentationScheme`], so serving it through [`ScalarSampler`] costs
 //!   one table lookup per draw.
 //!
-//! Workers pick a backend through [`SamplerMode`] + [`sampler_for`]:
+//! Workers pick a backend through [`SamplerMode`] + [`sampler_for_w`]:
 //! [`SamplerMode::Batched`] asks the scheme for its batched sampler
 //! ([`AugmentationScheme::batched_sampler`]) and falls back to the scalar
 //! path when the scheme has none, so the knob is safe on every scheme.
@@ -199,19 +199,9 @@ impl<S: AugmentationScheme + ?Sized> ContactSampler for ScalarSampler<'_, S> {
 /// Builds the sampler `mode` selects for `scheme`, for one routing
 /// worker. `byte_cap` bounds the bytes of resident sampler state
 /// (`usize::MAX` = unbounded); a tighter cap means more, smaller batches
-/// of state, never different draws.
-pub fn sampler_for<'s, S: AugmentationScheme + ?Sized>(
-    scheme: &'s S,
-    g: &Graph,
-    mode: SamplerMode,
-    byte_cap: usize,
-) -> Box<dyn ContactSampler + 's> {
-    sampler_for_w(scheme, g, mode, byte_cap, LaneWidth::W64)
-}
-
-/// [`sampler_for`] at an explicit MS-BFS word-block width: a batching
-/// backend fills up to `width.lanes()` rows per pass instead of 64. The
-/// width never changes a draw — only how many rows one pass amortises.
+/// of state, never different draws. A batching backend fills up to
+/// `width.lanes()` rows per MS-BFS pass; the width never changes a draw
+/// either — only how many rows one pass amortises.
 pub fn sampler_for_w<'s, S: AugmentationScheme + ?Sized>(
     scheme: &'s S,
     g: &Graph,
@@ -222,7 +212,7 @@ pub fn sampler_for_w<'s, S: AugmentationScheme + ?Sized>(
     match mode {
         SamplerMode::Scalar => Box::new(ScalarSampler::new(scheme)),
         SamplerMode::Batched => scheme
-            .batched_sampler_w(g, byte_cap, width)
+            .batched_sampler(g, byte_cap, width)
             .unwrap_or_else(|| Box::new(ScalarSampler::new(scheme))),
     }
 }
@@ -263,7 +253,13 @@ mod tests {
     #[test]
     fn batched_mode_falls_back_to_scalar_for_plain_schemes() {
         let g = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let mut s = sampler_for(&NoAugmentation, &g, SamplerMode::Batched, usize::MAX);
+        let mut s = sampler_for_w(
+            &NoAugmentation,
+            &g,
+            SamplerMode::Batched,
+            usize::MAX,
+            LaneWidth::W64,
+        );
         let mut rng = seeded_rng(1);
         assert_eq!(s.sample(&g, 0, &mut rng), None);
         assert_eq!(s.name(), "none");

@@ -1,6 +1,7 @@
 //! The augmentation-scheme abstraction.
 
 use crate::sampler::ContactSampler;
+use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, NodeId};
 use rand::RngCore;
 
@@ -22,34 +23,23 @@ pub trait AugmentationScheme: Sync {
     fn sample_contact(&self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId>;
 
     /// A per-worker **batched** sampler for this scheme, bounded at
-    /// `byte_cap` bytes of cached state, or `None` when only the generic
+    /// `byte_cap` bytes of cached state, whose MS-BFS batch fills carry
+    /// `width.lanes()` sources per pass — or `None` when only the generic
     /// scalar path exists (the default). Implementations must draw from
     /// exactly the same per-node distribution as [`sample_contact`]
     /// (they may consume the RNG differently — see
-    /// [`crate::sampler::ContactSampler`]).
+    /// [`crate::sampler::ContactSampler`]); the width is a throughput
+    /// knob, never a distribution change.
     ///
     /// [`sample_contact`]: AugmentationScheme::sample_contact
-    fn batched_sampler(&self, g: &Graph, byte_cap: usize) -> Option<Box<dyn ContactSampler + '_>> {
-        let _ = (g, byte_cap);
-        None
-    }
-
-    /// [`batched_sampler`] at an explicit MS-BFS word-block width: the
-    /// backend's batch fills carry `width.lanes()` sources per pass. The
-    /// default ignores the width and delegates to [`batched_sampler`]
-    /// (correct for any backend — the width is a throughput knob, never a
-    /// distribution change). Schemes whose backend batches MS-BFS passes
-    /// (the ball scheme's row cache) override this to widen their fills.
-    ///
-    /// [`batched_sampler`]: AugmentationScheme::batched_sampler
-    fn batched_sampler_w(
+    fn batched_sampler(
         &self,
         g: &Graph,
         byte_cap: usize,
-        width: nav_graph::msbfs::LaneWidth,
+        width: LaneWidth,
     ) -> Option<Box<dyn ContactSampler + '_>> {
-        let _ = width;
-        self.batched_sampler(g, byte_cap)
+        let _ = (g, byte_cap, width);
+        None
     }
 
     /// The scheme's explicit per-node contact table, when the scheme *is*
@@ -103,7 +93,9 @@ mod tests {
     #[test]
     fn default_batched_sampler_is_absent() {
         let g = GraphBuilder::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-        assert!(AlwaysZero.batched_sampler(&g, usize::MAX).is_none());
+        assert!(AlwaysZero
+            .batched_sampler(&g, usize::MAX, LaneWidth::W64)
+            .is_none());
     }
 
     #[test]

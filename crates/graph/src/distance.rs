@@ -5,13 +5,15 @@
 //! per target, cached by the routing engine) and, for analysis and small-n
 //! exact computations, full all-pairs matrices.
 //!
-//! All-pairs work here is batched: sources are packed 64 at a time into
-//! bit-parallel [`MsBfs`](crate::msbfs::MsBfs) passes and the batches run
-//! on `nav-par` workers, so [`DistanceMatrix::new`], [`eccentricities`] and
+//! All-pairs work here is batched: sources are packed into bit-parallel
+//! [`MsBfsW`](crate::msbfs::MsBfsW) passes and the batches run on
+//! `nav-par` workers, so [`DistanceMatrix::new`], [`eccentricities`] and
 //! [`diameter_exact`] scale with cores instead of running `n` sequential
-//! scalar sweeps.
+//! scalar sweeps. The matrix is the routing engine's cold fill
+//! ([`batched_compact_rows_w`]) run over every source: one compact row
+//! per node.
 
-use crate::msbfs::{with_msbfs, LaneWidth, MsBfsW, MsBfsWorkspace, LANES};
+use crate::msbfs::{batched_compact_rows_w, LaneWidth, MsBfs, MsBfsWorkspace, LANES};
 use crate::{bfs::Bfs, csr::Graph, NodeId, INFINITY};
 
 /// The value encoding [`INFINITY`] inside narrow (`u16`) distance storage.
@@ -38,8 +40,7 @@ impl DistRowBuf {
     /// `< NARROW_INFINITY` (so the sentinel never collides with a real
     /// distance), wide otherwise. One fused read pass — the fits check
     /// rides the conversion and aborts to the wide copy at the first
-    /// oversized value, which matters when the buffer is a whole
-    /// all-pairs matrix rather than one row.
+    /// oversized value.
     pub fn from_wide(values: &[u32]) -> Self {
         let narrow: Option<Vec<u16>> = values
             .iter()
@@ -98,16 +99,6 @@ impl DistRowBuf {
         match self {
             DistRowBuf::Narrow(v) => DistRowView::Narrow(v),
             DistRowBuf::Wide(v) => DistRowView::Wide(v),
-        }
-    }
-
-    /// A borrowed view of the half-open index range `lo..hi` (used by
-    /// matrix storage to slice out one row).
-    #[inline]
-    pub fn slice(&self, lo: usize, hi: usize) -> DistRowView<'_> {
-        match self {
-            DistRowBuf::Narrow(v) => DistRowView::Narrow(&v[lo..hi]),
-            DistRowBuf::Wide(v) => DistRowView::Wide(&v[lo..hi]),
         }
     }
 }
@@ -191,15 +182,14 @@ fn source_batches(n: usize) -> impl Iterator<Item = Vec<NodeId>> {
 /// Dense all-pairs distance matrix (`O(n·m)` time via batched bit-parallel
 /// BFS) — intended for analysis and exact evaluation at small `n`.
 ///
-/// Storage is adaptive ([`DistRowBuf`]): `n × n × 2` bytes when every
-/// eccentricity fits in 16 bits (i.e. essentially always — only graphs of
-/// diameter ≥ 65535 fall back to `u32`), halving the memory footprint and
-/// the traffic of whole-matrix scans.
+/// One [`DistRowBuf`] per source at adaptive width: `2n` bytes per row
+/// when the row's eccentricity fits in 16 bits (i.e. essentially always —
+/// only rows with a finite distance ≥ 65535 fall back to `u32`), halving
+/// the memory footprint and the traffic of whole-matrix scans.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DistanceMatrix {
-    n: usize,
-    /// Row-major `n × n` at adaptive width.
-    data: DistRowBuf,
+    /// Row `u` holds the distances from `u`.
+    rows: Vec<DistRowBuf>,
 }
 
 impl DistanceMatrix {
@@ -222,97 +212,38 @@ impl DistanceMatrix {
     /// the knob only changes how many sources amortise one traversal (see
     /// `BENCH_core.json`'s `all_pairs_width_sweep`).
     pub fn with_threads_width(g: &Graph, threads: usize, width: LaneWidth) -> Self {
-        match width {
-            LaneWidth::W64 => Self::fill::<1>(g, threads),
-            LaneWidth::W128 => Self::fill::<2>(g, threads),
-            LaneWidth::W256 => Self::fill::<4>(g, threads),
+        let sources: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        DistanceMatrix {
+            rows: batched_compact_rows_w(g, &sources, threads, width),
         }
-    }
-
-    fn fill<const W: usize>(g: &Graph, threads: usize) -> Self
-    where
-        MsBfsW<W>: MsBfsWorkspace,
-    {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let n = g.num_nodes();
-        let lanes = MsBfsW::<W>::LANES;
-        let sources: Vec<NodeId> = (0..n as NodeId).collect();
-        let batches: Vec<&[NodeId]> = sources.chunks(lanes).collect();
-        // Optimistically narrow: workers write their stripe's 16-bit
-        // cells straight out of the MS-BFS pass (`distances_into_narrow`
-        // emits `NARROW_INFINITY` natively) — the full-width `n × n`
-        // matrix is never materialised and no widen-then-narrow pass runs,
-        // halving both the resident footprint and the extraction traffic.
-        // Only a graph with an eccentricity ≥ 65535 takes the wide
-        // fallback (a full recompute, but such a graph pays Θ(n·diam)
-        // traversals anyway).
-        let mut narrow = vec![0u16; n * n];
-        let overflow = AtomicBool::new(false);
-        if threads <= 1 {
-            // Inline fill: the graph is undirected, so each batch's
-            // distances are also the matrix's *columns* for those sources
-            // (`M[v][s] = M[s][v]`) — stream them out node-major straight
-            // from the pass's depth planes and skip the lane-major
-            // transpose. Parallel fills can't use this (workers own
-            // disjoint row stripes, columns interleave), and don't need
-            // to: the transpose rides a worker while others traverse.
-            let ok = MsBfsW::<W>::with_ws(n, |ms| {
-                batches.iter().enumerate().all(|(b, batch)| {
-                    ms.distances_into_columns(g, batch, b * lanes, n, &mut narrow)
-                })
-            });
-            if !ok {
-                overflow.store(true, Ordering::Relaxed);
-            }
-        } else {
-            nav_par::parallel_chunks_mut(&mut narrow, lanes * n.max(1), threads, |b, stripe| {
-                if overflow.load(Ordering::Relaxed) {
-                    return;
-                }
-                let ok =
-                    MsBfsW::<W>::with_ws(n, |ms| ms.distances_into_narrow(g, batches[b], stripe));
-                if !ok {
-                    overflow.store(true, Ordering::Relaxed);
-                }
-            });
-        }
-        let data = if overflow.into_inner() {
-            let mut wide = vec![0u32; n * n];
-            crate::msbfs::batched_rows_impl_for::<W>(g, &sources, threads, &mut wide);
-            DistRowBuf::Wide(wide)
-        } else {
-            DistRowBuf::Narrow(narrow)
-        };
-        DistanceMatrix { n, data }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
-    /// `true` when the matrix is stored at 16-bit width.
+    /// `true` when every row is stored at 16-bit width.
     pub fn is_compact(&self) -> bool {
-        self.data.is_narrow()
+        self.rows.iter().all(DistRowBuf::is_narrow)
     }
 
     /// Resident payload size in bytes.
     pub fn bytes(&self) -> usize {
-        self.data.bytes()
+        self.rows.iter().map(DistRowBuf::bytes).sum()
     }
 
     /// `dist(u, v)`; [`INFINITY`] when disconnected.
     #[inline]
     pub fn dist(&self, u: NodeId, v: NodeId) -> u32 {
-        self.data.get(u as usize * self.n + v as usize)
+        self.rows[u as usize].get(v as usize)
     }
 
     /// Row of distances from `u` (a width-agnostic borrowed view).
     #[inline]
     pub fn row(&self, u: NodeId) -> DistRowView<'_> {
-        self.data
-            .slice(u as usize * self.n, (u as usize + 1) * self.n)
+        self.rows[u as usize].view()
     }
 
     /// Eccentricity of `u` (max finite distance). `None` if some node is
@@ -331,7 +262,7 @@ impl DistanceMatrix {
     /// Exact diameter; `None` when the graph is disconnected.
     pub fn diameter(&self) -> Option<u32> {
         let mut best = 0u32;
-        for u in 0..self.n {
+        for u in 0..self.num_nodes() {
             best = best.max(self.eccentricity(u as NodeId)?);
         }
         Some(best)
@@ -340,8 +271,9 @@ impl DistanceMatrix {
     /// A pair `(s, t)` realising the diameter (smallest ids on ties).
     pub fn diametral_pair(&self) -> Option<(NodeId, NodeId)> {
         let d = self.diameter()?;
-        for u in 0..self.n {
-            for v in 0..self.n {
+        let n = self.num_nodes();
+        for u in 0..n {
+            for v in 0..n {
                 if self.dist(u as NodeId, v as NodeId) == d {
                     return Some((u as NodeId, v as NodeId));
                 }
@@ -363,7 +295,7 @@ pub fn eccentricities_with_threads(g: &Graph, threads: usize) -> Vec<Option<u32>
     let n = g.num_nodes();
     let batches: Vec<Vec<NodeId>> = source_batches(n).collect();
     let per_batch = nav_par::parallel_map(batches.len(), threads, |c| {
-        with_msbfs(n, |ms| ms.eccentricities(g, &batches[c]))
+        MsBfs::with_ws(n, |ms| ms.eccentricities(g, &batches[c]))
     });
     per_batch
         .into_iter()
@@ -468,7 +400,7 @@ mod tests {
         assert!(!buf.is_narrow());
         assert_eq!(buf.bytes(), 12);
         assert!(buf.view().eq_wide(&wide));
-        assert_eq!(buf.slice(1, 3).iter().collect::<Vec<_>>(), wide[1..]);
+        assert_eq!(buf.view().iter().collect::<Vec<_>>(), wide);
     }
 
     #[test]

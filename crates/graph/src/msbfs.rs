@@ -35,11 +35,16 @@
 //! bottom-up early exit gets *more* effective at larger `W` because more
 //! lanes are missing per node, compensating the wider word ops).
 //!
-//! The distance fills (`distances_into*`) record depths bit-sliced into
-//! 8 depth planes and decode them into cells in bulk. The planes hold
-//! 255 levels at a time: each 255-level window is decoded as the next one
-//! opens, so a graph of any depth is traversed exactly once, and the
-//! transient state stays `O(n · W)`. A graph with at least 2¹⁵ nodes can
+//! Every distance fill writes one row per source — the `u32` and `u8`
+//! lane-major buffers of [`MsBfsW::distances_into`] and
+//! [`MsBfsW::distances_into_bytes`], and the compact per-source
+//! [`DistRowBuf`]s of [`batched_compact_rows_w`], which the routing
+//! engine's cold fill and the all-pairs matrix both use. The fills
+//! record depths bit-sliced into 8 depth planes and decode them into
+//! rows in bulk. The planes hold 255 levels at a time: each 255-level
+//! window is decoded as the next one opens, so a graph of any depth is
+//! traversed exactly once, and the transient state stays `O(n · W)`.
+//! A graph with at least 2¹⁵ nodes can
 //! spread one pass over several threads ([`MsBfsW::set_threads`]): each
 //! bottom-up level and each window decode splits into contiguous node
 //! ranges, and the output is bit-identical at every thread count.
@@ -282,84 +287,25 @@ cell!(u8);
 cell!(u16);
 cell!(u32);
 
-/// Where a fill's decoded depths land, indexed from the first node of
-/// the range it covers.
-enum Out<'a, C> {
-    /// One slice per lane, indexed by node.
-    Rows(Vec<&'a mut [C]>),
-    /// Node-major cells: node `v`'s lanes start at `v · stride + col0`.
-    Cols {
-        cells: &'a mut [C],
-        col0: usize,
-        stride: usize,
-    },
-}
+/// Where a fill's decoded depths land: one slice per lane, indexed by
+/// node from the first node of the range it covers.
+type Rows<'a, C> = Vec<&'a mut [C]>;
 
-impl<C: Cell> Out<'_, C> {
-    #[inline]
-    fn put(&mut self, v: usize, lane: usize, c: C) {
-        match self {
-            Out::Rows(rows) => rows[lane][v] = c,
-            Out::Cols {
-                cells,
-                col0,
-                stride,
-            } => cells[v * *stride + *col0 + lane] = c,
+/// Cuts per-lane rows into pieces for the consecutive node ranges of
+/// `lens`.
+fn split_rows<'a, C>(rows: Rows<'a, C>, lens: &[usize]) -> Vec<Rows<'a, C>> {
+    let mut pieces: Vec<Rows<'a, C>> = lens
+        .iter()
+        .map(|_| Vec::with_capacity(rows.len()))
+        .collect();
+    for mut row in rows {
+        for (piece, &len) in pieces.iter_mut().zip(lens) {
+            let (head, tail) = row.split_at_mut(len);
+            piece.push(head);
+            row = tail;
         }
     }
-
-    fn by_ref(&mut self) -> Out<'_, C> {
-        match self {
-            Out::Rows(rows) => Out::Rows(rows.iter_mut().map(|r| &mut **r).collect()),
-            Out::Cols {
-                cells,
-                col0,
-                stride,
-            } => Out::Cols {
-                cells,
-                col0: *col0,
-                stride: *stride,
-            },
-        }
-    }
-}
-
-impl<'a, C: Cell> Out<'a, C> {
-    /// Splits into pieces for the consecutive node ranges of `lens`.
-    fn split(self, lens: &[usize]) -> Vec<Out<'a, C>> {
-        match self {
-            Out::Rows(rows) => {
-                let mut pieces: Vec<Vec<&'a mut [C]>> = lens
-                    .iter()
-                    .map(|_| Vec::with_capacity(rows.len()))
-                    .collect();
-                for mut row in rows {
-                    for (piece, &len) in pieces.iter_mut().zip(lens) {
-                        let (head, tail) = row.split_at_mut(len);
-                        piece.push(head);
-                        row = tail;
-                    }
-                }
-                pieces.into_iter().map(Out::Rows).collect()
-            }
-            Out::Cols {
-                mut cells,
-                col0,
-                stride,
-            } => lens
-                .iter()
-                .map(|&len| {
-                    let (head, tail) = std::mem::take(&mut cells).split_at_mut(len * stride);
-                    cells = tail;
-                    Out::Cols {
-                        cells: head,
-                        col0,
-                        stride,
-                    }
-                })
-                .collect(),
-        }
-    }
+    pieces
 }
 
 /// Lengths of `parts` consecutive ranges covering `0..n`, cut at
@@ -371,18 +317,18 @@ fn range_lens(n: usize, parts: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Runs `f(lo, planes, out)` over consecutive node ranges of the
-/// planes' nodes, with `planes` and `out` cut to match: one range per
+/// Runs `f(lo, planes, rows)` over consecutive node ranges of the
+/// planes' nodes, with `planes` and `rows` cut to match: one range per
 /// part, range 0 on the calling thread and the rest on scoped threads.
 /// One part runs inline with no split at all.
 fn for_ranges<const W: usize, C: Cell>(
     parts: usize,
     planes: Planes<'_, W>,
-    out: Out<'_, C>,
-    f: impl Fn(usize, Planes<'_, W>, Out<'_, C>) + Sync,
+    rows: Rows<'_, C>,
+    f: impl Fn(usize, Planes<'_, W>, Rows<'_, C>) + Sync,
 ) {
     if parts <= 1 {
-        return f(0, planes, out);
+        return f(0, planes, rows);
     }
     let lens = range_lens(planes[0].len(), parts);
     let mut pieces: Vec<Planes<'_, W>> = lens.iter().map(|_| Default::default()).collect();
@@ -397,80 +343,58 @@ fn for_ranges<const W: usize, C: Cell>(
     std::thread::scope(|s| {
         let mut lo = 0;
         let mut inline = None;
-        for ((&len, planes), out) in lens.iter().zip(pieces).zip(out.split(&lens)) {
+        for ((&len, planes), rows) in lens.iter().zip(pieces).zip(split_rows(rows, &lens)) {
             if lo == 0 {
-                inline = Some((planes, out));
+                inline = Some((planes, rows));
             } else {
-                s.spawn(move || f(lo, planes, out));
+                s.spawn(move || f(lo, planes, rows));
             }
             lo += len;
         }
-        if let Some((planes, out)) = inline {
-            f(0, planes, out);
+        if let Some((planes, rows)) = inline {
+            f(0, planes, rows);
         }
     });
 }
 
-/// Decodes the depth planes of one node range into `out` and clears
+/// Decodes the depth planes of one node range into `rows` and clears
 /// them: the lane with relative depth `r` at a node gets `base + r`.
 /// Window 0 (`base == 0`) writes every lane, zero included — a source,
 /// or a lane that a later window or the unreached patch overwrites;
-/// later windows write only lanes with `r ≠ 0`. Lane-major rows are
-/// written through 64-node tiles whose decoded bytes sit in a 4 KiB
-/// L1-resident buffer, so neither side streams a cold `n × k` scratch.
+/// later windows write only lanes with `r ≠ 0`. Rows are written through
+/// 64-node tiles whose decoded bytes sit in a 4 KiB L1-resident buffer,
+/// so neither side streams a cold `n × k` scratch.
 fn decode_range<const W: usize, C: Cell>(
     mut planes: Planes<'_, W>,
-    out: &mut Out<'_, C>,
+    rows: &mut Rows<'_, C>,
     k: usize,
     base: u32,
     pbits: usize,
 ) {
+    const TILE: usize = 64;
     let len = planes[0].len();
-    let words = k.div_ceil(64);
-    match out {
-        Out::Rows(rows) => {
-            const TILE: usize = 64;
-            let mut tile_buf = [[0u8; 64]; TILE];
-            for v0 in (0..len).step_by(TILE) {
-                let tn = TILE.min(len - v0);
-                for i in 0..words {
-                    let lane_lo = i * 64;
-                    let lanes = (k - lane_lo).min(64);
-                    for (t, buf) in tile_buf[..tn].iter_mut().enumerate() {
-                        *buf = decode_word(&planes, v0 + t, i, pbits, lanes.div_ceil(8));
-                    }
-                    // Indexing `tile_buf[t][j]` by the outer loop variable
-                    // is the transpose itself, not an iterator in disguise.
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..lanes {
-                        let cells = &mut rows[lane_lo + j][v0..v0 + tn];
-                        if base == 0 {
-                            for (t, c) in cells.iter_mut().enumerate() {
-                                *c = C::depth(tile_buf[t][j] as u32);
-                            }
-                        } else {
-                            for (t, c) in cells.iter_mut().enumerate() {
-                                let r = tile_buf[t][j];
-                                if r != 0 {
-                                    *c = C::depth(base + r as u32);
-                                }
-                            }
-                        }
-                    }
-                }
+    let mut tile_buf = [[0u8; 64]; TILE];
+    for v0 in (0..len).step_by(TILE) {
+        let tn = TILE.min(len - v0);
+        for i in 0..k.div_ceil(64) {
+            let lane_lo = i * 64;
+            let lanes = (k - lane_lo).min(64);
+            for (t, buf) in tile_buf[..tn].iter_mut().enumerate() {
+                *buf = decode_word(&planes, v0 + t, i, pbits, lanes.div_ceil(8));
             }
-        }
-        Out::Cols {
-            cells,
-            col0,
-            stride,
-        } => {
-            for v in 0..len {
-                let node = &mut cells[v * *stride + *col0..][..k];
-                for (i, lanes) in node.chunks_mut(64).enumerate() {
-                    let buf = decode_word(&planes, v, i, pbits, lanes.len().div_ceil(8));
-                    for (c, &r) in lanes.iter_mut().zip(&buf) {
-                        if base == 0 || r != 0 {
+            // Indexing `tile_buf[t][j]` by the outer loop variable is the
+            // transpose itself, not an iterator in disguise.
+            #[allow(clippy::needless_range_loop)]
+            for j in 0..lanes {
+                let cells = &mut rows[lane_lo + j][v0..v0 + tn];
+                if base == 0 {
+                    for (t, c) in cells.iter_mut().enumerate() {
+                        *c = C::depth(tile_buf[t][j] as u32);
+                    }
+                } else {
+                    for (t, c) in cells.iter_mut().enumerate() {
+                        let r = tile_buf[t][j];
+                        if r != 0 {
                             *c = C::depth(base + r as u32);
                         }
                     }
@@ -483,12 +407,12 @@ fn decode_range<const W: usize, C: Cell>(
     }
 }
 
-/// Decodes node `v`'s planes of a window past the first into `out`, like
-/// [`decode_range`], and clears them.
+/// Decodes node `v`'s planes of a window past the first into `rows`,
+/// like [`decode_range`], and clears them.
 fn decode_node<const W: usize, C: Cell>(
     planes: &mut Planes<'_, W>,
     v: usize,
-    out: &mut Out<'_, C>,
+    rows: &mut Rows<'_, C>,
     k: usize,
     base: u32,
     pbits: usize,
@@ -498,7 +422,7 @@ fn decode_node<const W: usize, C: Cell>(
         let buf = decode_word(planes, v, i, pbits, lanes.div_ceil(8));
         for (j, &r) in buf[..lanes].iter().enumerate() {
             if r != 0 {
-                out.put(v, i * 64 + j, C::depth(base + r as u32));
+                rows[i * 64 + j][v] = C::depth(base + r as u32);
             }
         }
     }
@@ -511,14 +435,14 @@ fn decode_node<const W: usize, C: Cell>(
 /// the node range whose `seen` masks are given.
 fn patch_unreached<const W: usize, C: Cell>(
     seen: &[[u64; W]],
-    out: &mut Out<'_, C>,
+    rows: &mut Rows<'_, C>,
     full: &[u64; W],
 ) {
     for (v, seen) in seen.iter().enumerate() {
         for (i, (&word, &all)) in seen.iter().zip(full).enumerate() {
             let mut missing = all & !word;
             while missing != 0 {
-                out.put(v, i * 64 + missing.trailing_zeros() as usize, C::INF);
+                rows[i * 64 + missing.trailing_zeros() as usize][v] = C::INF;
                 missing &= missing - 1;
             }
         }
@@ -817,7 +741,7 @@ impl<const W: usize> MsBfsW<W> {
         within_cap
     }
 
-    /// The one distance fill behind every `distances_into*` entry point:
+    /// The one distance fill behind every row-writing entry point:
     /// a single traversal pass that records depths into the bit-sliced
     /// `planes` instead of emitting per-lane discoveries. Each level ORs
     /// its `newly` block into the planes of the relative depth's set bits
@@ -826,13 +750,13 @@ impl<const W: usize> MsBfsW<W> {
     /// stores, which cost one write per *cell* and dominate wide passes).
     ///
     /// Depths are recorded in [`WINDOW`]s of 255 levels. When a level
-    /// opens window `w ≥ 1`, window `w − 1` is decoded into `out` at
+    /// opens window `w ≥ 1`, window `w − 1` is decoded into `rows` at
     /// `base + r` and its planes cleared. Window 0 streams over every
     /// node; later windows decode the nodes they touched, or every node
     /// once they touched `n / 16` of them. Unreached cells are patched to
     /// `C::INF` from the `seen` masks at the end. Returns `false` —
-    /// `out` partial, planes cleared — when a depth reaches `C::INF`.
-    fn fill<C: Cell>(&mut self, g: &Graph, sources: &[NodeId], mut out: Out<'_, C>) -> bool {
+    /// `rows` partial, planes cleared — when a depth reaches `C::INF`.
+    fn fill<C: Cell>(&mut self, g: &Graph, sources: &[NodeId], mut rows: Rows<'_, C>) -> bool {
         let n = g.num_nodes();
         let k = sources.len();
         self.begin(g, sources);
@@ -854,7 +778,7 @@ impl<const W: usize> MsBfsW<W> {
             if w != window {
                 let base = window * WINDOW;
                 let view = planes.each_mut().map(|p| &mut p[..n]);
-                flush_window(view, &mut touched, dense, &mut out, k, base, 8, parts);
+                flush_window(view, &mut touched, dense, &mut rows, k, base, 8, parts);
                 (window, dense) = (w, false);
             }
             maxd = d;
@@ -879,12 +803,12 @@ impl<const W: usize> MsBfsW<W> {
             let pbits = plane_bits(maxd - base);
             if !dense {
                 let view = planes.each_mut().map(|p| &mut p[..n]);
-                flush_window(view, &mut touched, false, &mut out, k, base, pbits, 1);
+                flush_window(view, &mut touched, false, &mut rows, k, base, pbits, 1);
             }
             let seen = &self.seen[..n];
             let full = full_mask::<W>(k);
             let view = planes.each_mut().map(|p| &mut p[..n]);
-            for_ranges(parts, view, out, |lo, view, mut piece| {
+            for_ranges(parts, view, rows, |lo, view, mut piece| {
                 let len = view[0].len();
                 if dense {
                     decode_range(view, &mut piece, k, base, pbits);
@@ -917,32 +841,10 @@ impl<const W: usize> MsBfsW<W> {
         debug_assert!(ok, "u32 depth cells cannot overflow");
     }
 
-    /// [`MsBfsW::distances_into`] at 16-bit width: fills `rows` — row-major
-    /// `sources.len() × g.num_nodes()` of `u16`, with `u16::MAX` (the
-    /// narrow-storage infinity, [`crate::distance::NARROW_INFINITY`]) for
-    /// unreached nodes — and returns `true` on success. Returns `false`
-    /// when any finite distance reaches `u16::MAX` (diameter ≥ 65535);
-    /// `rows` contents are then unspecified and the caller must fall back
-    /// to the 32-bit fill. Writing the compact cells straight out of the
-    /// pass halves the extraction bandwidth of wide all-pairs sweeps
-    /// versus filling `u32` rows and narrowing afterwards.
-    ///
-    /// # Panics
-    /// Panics if `rows.len() != sources.len() * g.num_nodes()` (in
-    /// addition to [`MsBfsW::run`]'s conditions).
-    pub fn distances_into_narrow(
-        &mut self,
-        g: &Graph,
-        sources: &[NodeId],
-        rows: &mut [u16],
-    ) -> bool {
-        self.fill_lane_rows(g, sources, rows)
-    }
-
-    /// [`MsBfsW::distances_into_narrow`] at 8-bit width, with `u8::MAX`
-    /// for unreached nodes: a quarter of the `u32` staging for callers
-    /// that only bucket distances (the ball-row builder). Returns `false`
-    /// — `rows` contents unspecified — when a finite distance reaches
+    /// [`MsBfsW::distances_into`] at 8-bit width, with `u8::MAX` for
+    /// unreached nodes: a quarter of the `u32` staging for callers that
+    /// only bucket distances (the ball-row builder). Returns `false` —
+    /// `rows` contents unspecified — when a finite distance reaches
     /// `u8::MAX`; the pass stops at that level, and the caller falls back
     /// to a wider fill.
     ///
@@ -953,8 +855,8 @@ impl<const W: usize> MsBfsW<W> {
         self.fill_lane_rows(g, sources, rows)
     }
 
-    /// Lane-major `sources.len() × n` rows behind the `distances_into*`
-    /// entry points.
+    /// Lane-major `sources.len() × n` rows behind [`MsBfsW::distances_into`]
+    /// and [`MsBfsW::distances_into_bytes`].
     fn fill_lane_rows<C: Cell>(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [C]) -> bool {
         let n = g.num_nodes();
         assert_eq!(
@@ -962,63 +864,17 @@ impl<const W: usize> MsBfsW<W> {
             sources.len() * n,
             "rows buffer must be sources.len() * n"
         );
-        self.fill(g, sources, Out::Rows(rows.chunks_mut(n.max(1)).collect()))
+        self.fill(g, sources, rows.chunks_mut(n.max(1)).collect())
     }
 
-    /// Fills one `n`-cell slice per source: row `i` gets source `i`'s
-    /// distances, `u16::MAX` when unreached. Returns `false` — contents
-    /// unspecified — when a finite distance reaches `u16::MAX`, exactly
-    /// like [`MsBfsW::distances_into_narrow`].
+    /// Fills one `n`-cell row per source: row `i` gets source `i`'s
+    /// distances, `u16::MAX` (the narrow-storage infinity,
+    /// [`crate::distance::NARROW_INFINITY`]) when unreached. Returns
+    /// `false` — contents unspecified — when a finite distance reaches
+    /// `u16::MAX` (an eccentricity ≥ 65535); the caller then refills at
+    /// `u32`.
     fn fill_narrow_rows(&mut self, g: &Graph, sources: &[NodeId], rows: &mut [Vec<u16>]) -> bool {
-        self.fill(
-            g,
-            sources,
-            Out::Rows(rows.iter_mut().map(|r| &mut r[..]).collect()),
-        )
-    }
-
-    /// Writes one batch's distances as *columns* `col0 .. col0 + k` of a
-    /// row-major `g.num_nodes() × n_total` narrow matrix: cell
-    /// `(v, col0 + lane)` gets lane's distance to `v` (`u16::MAX` when
-    /// unreached). Returns `false` — buffer contents unspecified — when a
-    /// finite distance reaches `u16::MAX`, exactly like
-    /// [`MsBfsW::distances_into_narrow`].
-    ///
-    /// [`Graph`]s are invariantly undirected, so `dist(s, v) = dist(v, s)`
-    /// and these cells are exactly the all-pairs entries `M[v][s]`: the
-    /// inline [`crate::distance::DistanceMatrix`] fill streams each pass's
-    /// decoded depths out node-major (sequential `k`-cell runs per node)
-    /// and skips the lane-major transpose entirely.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != g.num_nodes() * n_total` or
-    /// `col0 + sources.len() > n_total` (in addition to [`MsBfsW::run`]'s
-    /// conditions).
-    pub fn distances_into_columns(
-        &mut self,
-        g: &Graph,
-        sources: &[NodeId],
-        col0: usize,
-        n_total: usize,
-        out: &mut [u16],
-    ) -> bool {
-        let n = g.num_nodes();
-        let k = sources.len();
-        assert_eq!(out.len(), n * n_total, "out buffer must be n * n_total");
-        assert!(
-            col0 + k <= n_total,
-            "columns {col0}..{} exceed row width {n_total}",
-            col0 + k
-        );
-        self.fill(
-            g,
-            sources,
-            Out::Cols {
-                cells: out,
-                col0,
-                stride: n_total,
-            },
-        )
+        self.fill(g, sources, rows.iter_mut().map(|r| &mut r[..]).collect())
     }
 
     /// Owned-buffer convenience around [`MsBfsW::distances_into`].
@@ -1044,7 +900,7 @@ impl<const W: usize> MsBfsW<W> {
     }
 }
 
-/// Decodes one closed window of depth planes into `out` at `base + r`
+/// Decodes one closed window of depth planes into `rows` at `base + r`
 /// and clears them: every node when `dense` (split over `parts` node
 /// ranges), else only the `touched` nodes, in node order.
 #[allow(clippy::too_many_arguments)]
@@ -1052,21 +908,22 @@ fn flush_window<const W: usize, C: Cell>(
     mut planes: Planes<'_, W>,
     touched: &mut Vec<NodeId>,
     dense: bool,
-    out: &mut Out<'_, C>,
+    rows: &mut Rows<'_, C>,
     k: usize,
     base: u32,
     pbits: usize,
     parts: usize,
 ) {
     if dense {
-        for_ranges(parts, planes, out.by_ref(), |_, view, mut piece| {
+        let reborrow = rows.iter_mut().map(|r| &mut **r).collect();
+        for_ranges(parts, planes, reborrow, |_, view, mut piece| {
             decode_range(view, &mut piece, k, base, pbits)
         });
     } else {
         touched.sort_unstable();
         touched.dedup();
         for &v in touched.iter() {
-            decode_node(&mut planes, v as usize, out, k, base, pbits);
+            decode_node(&mut planes, v as usize, rows, k, base, pbits);
         }
     }
     touched.clear();
@@ -1074,8 +931,8 @@ fn flush_window<const W: usize, C: Cell>(
 
 /// Per-thread reusable workspace access, implemented for each supported
 /// width ([`MsBfsW<1>`], [`MsBfsW<2>`], [`MsBfsW<4>`]). Width-generic
-/// batch code bounds on this trait to recycle buffers across passes the
-/// way [`with_msbfs`] does at width 1.
+/// batch code bounds on this trait to recycle buffers across passes,
+/// both inline and on `nav-par` workers.
 pub trait MsBfsWorkspace: Sized {
     /// Runs `f` with this thread's reusable workspace of this width,
     /// grown to capacity `n`, on one thread ([`MsBfsW::set_threads`] is
@@ -1109,36 +966,12 @@ msbfs_workspace!(MSBFS_WS64, 1);
 msbfs_workspace!(MSBFS_WS128, 2);
 msbfs_workspace!(MSBFS_WS256, 4);
 
-/// Runs `f` with this thread's reusable width-1 [`MsBfs`] workspace,
-/// grown to capacity `n`. Batched sweeps (all-pairs, the distance oracle)
-/// call this once per 64-source batch, so buffers are recycled across
-/// batches both inline and on `nav-par` workers.
-///
-/// # Panics
-/// Panics if called re-entrantly from within `f` (the workspace is
-/// exclusive per thread; batch loops never nest MS-BFS passes).
-pub fn with_msbfs<R>(n: usize, f: impl FnOnce(&mut MsBfs) -> R) -> R {
-    MsBfs::with_ws(n, f)
-}
-
 /// Fills `rows` — row-major `sources.len() × g.num_nodes()` — with the BFS
-/// distance rows of `sources`: 64 lanes per [`MsBfs`] pass, passes fanned
-/// out to `threads` `nav-par` workers that write disjoint stripes of
-/// `rows` in place (`1` = inline). This is the one definition of the
-/// batch-to-stripe layout; the all-pairs matrix and the routing engine's
-/// distance oracle both build on it. [`batched_rows_into_w`] is the same
-/// fill at a chosen [`LaneWidth`].
-///
-/// # Panics
-/// Panics if `rows.len() != sources.len() * g.num_nodes()`.
-pub fn batched_rows_into(g: &Graph, sources: &[NodeId], threads: usize, rows: &mut [u32]) {
-    batched_rows_into_w(g, sources, threads, LaneWidth::W64, rows)
-}
-
-/// [`batched_rows_into`] at an explicit word-block width: `width.lanes()`
-/// sources per MS-BFS pass. Output is **bit-identical at every width**
-/// (each lane is an exact BFS); the width only changes how many sources
-/// amortise one traversal.
+/// distance rows of `sources`: `width.lanes()` sources per MS-BFS pass,
+/// passes fanned out to `threads` `nav-par` workers that write disjoint
+/// stripes of `rows` in place (`1` = inline). Output is **bit-identical
+/// at every width** (each lane is an exact BFS); the width only changes
+/// how many sources amortise one traversal.
 ///
 /// # Panics
 /// Panics if `rows.len() != sources.len() * g.num_nodes()`.
@@ -1156,7 +989,7 @@ pub fn batched_rows_into_w(
     }
 }
 
-pub(crate) fn batched_rows_impl_for<const W: usize>(
+fn batched_rows_impl_for<const W: usize>(
     g: &Graph,
     sources: &[NodeId],
     threads: usize,
@@ -1334,8 +1167,8 @@ mod tests {
         let g = circulant(150, &[7, 40]);
         let sources: Vec<NodeId> = (0..150u32).collect();
         let n = g.num_nodes();
-        let mut base = vec![0u32; sources.len() * n];
-        batched_rows_into(&g, &sources, 2, &mut base);
+        let mut bfs = Bfs::new(n);
+        let base: Vec<u32> = sources.iter().flat_map(|&s| bfs.distances(&g, s)).collect();
         for width in LaneWidth::ALL {
             for threads in [1, 3] {
                 let mut rows = vec![0u32; sources.len() * n];
@@ -1428,10 +1261,10 @@ mod tests {
     #[test]
     fn thread_local_workspace_grows_and_reuses() {
         let g1 = path(5);
-        let d = with_msbfs(5, |ms| ms.distances(&g1, &[0]));
+        let d = MsBfs::with_ws(5, |ms| ms.distances(&g1, &[0]));
         assert_eq!(d, vec![0, 1, 2, 3, 4]);
         let g2 = path(80);
-        let d = with_msbfs(80, |ms| ms.distances(&g2, &[79]));
+        let d = MsBfs::with_ws(80, |ms| ms.distances(&g2, &[79]));
         assert_eq!(d[0], 79);
         // Each width owns its own thread-local workspace.
         let d = MsBfsW::<2>::with_ws(80, |ms| ms.distances(&g2, &[79]));
@@ -1483,47 +1316,6 @@ mod tests {
         }
     }
 
-    fn assert_columns_match_rows_w<const W: usize>(g: &Graph, sources: &[NodeId], col0: usize) {
-        let n = g.num_nodes();
-        let k = sources.len();
-        let n_total = col0 + k + 3;
-        let mut ms = MsBfsW::<W>::new(n);
-        let rows = ms.distances(g, sources);
-        let mut cols = vec![7u16; n * n_total];
-        assert!(ms.distances_into_columns(g, sources, col0, n_total, &mut cols));
-        for v in 0..n {
-            for (lane, _) in sources.iter().enumerate() {
-                let want = rows[lane * n + v];
-                let got = cols[v * n_total + col0 + lane];
-                if want == INFINITY {
-                    assert_eq!(got, u16::MAX, "W={W} v={v} lane={lane}");
-                } else {
-                    assert_eq!(got as u32, want, "W={W} v={v} lane={lane}");
-                }
-            }
-        }
-        // Cells outside the batch's columns are untouched.
-        assert!(cols
-            .chunks(n_total)
-            .all(|row| row[..col0].iter().chain(&row[col0 + k..]).all(|&c| c == 7)));
-    }
-
-    #[test]
-    fn column_fill_matches_row_fill() {
-        let g = circulant(130, &[5, 17]);
-        let sources: Vec<NodeId> = (0..64u32).map(|i| i * 2).collect();
-        assert_columns_match_rows_w::<1>(&g, &sources, 5);
-        let sources130: Vec<NodeId> = (0..130u32).collect();
-        assert_columns_match_rows_w::<4>(&g, &sources130, 0);
-    }
-
-    #[test]
-    fn column_fill_patches_unreached_cells() {
-        let g = GraphBuilder::from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (7, 8)]).unwrap();
-        let sources: Vec<NodeId> = (0..65u32).map(|i| i % 9).collect();
-        assert_columns_match_rows_w::<2>(&g, &sources, 2);
-    }
-
     #[test]
     fn deep_graphs_fall_back_past_the_plane_cap() {
         // Diameter 299 > 255: depths past 255 land in the second plane
@@ -1533,11 +1325,18 @@ mod tests {
         assert_matches_scalar(&g, &sources);
         assert_matches_scalar_w::<4>(&g, &sources);
         let n = g.num_nodes();
-        let mut ms = MsBfs::new(n);
-        let mut narrow = vec![0u16; sources.len() * n];
-        assert!(ms.distances_into_narrow(&g, &sources, &mut narrow));
-        assert_eq!(narrow[n - 1], 299);
-        assert_columns_match_rows_w::<1>(&g, &sources, 1);
+        let wide = MsBfs::new(n).distances(&g, &sources);
+        let mut narrow = vec![vec![0u16; n]; sources.len()];
+        assert!(MsBfs::new(n).fill_narrow_rows(&g, &sources, &mut narrow));
+        assert_eq!(narrow[0][n - 1], 299);
+        for (row, want) in narrow.iter().zip(wide.chunks(n)) {
+            assert!(row.iter().zip(want).all(|(&c, &d)| c as u32 == d));
+        }
+        let rows = batched_compact_rows_w(&g, &sources, 1, LaneWidth::W256);
+        assert!(rows.iter().all(DistRowBuf::is_narrow));
+        for (row, want) in rows.iter().zip(wide.chunks(n)) {
+            assert!(row.view().eq_wide(want));
+        }
     }
 
     #[test]
@@ -1555,13 +1354,11 @@ mod tests {
             (wide[n - 1], wide[n], wide[2 * n - 1]),
             (65_536, 32_768, 32_768)
         );
-        let mut narrow = vec![0u16; 2 * n];
-        assert!(!ms.distances_into_narrow(&g, &sources, &mut narrow));
-        let mut cols = vec![0u16; 2 * n];
-        assert!(!ms.distances_into_columns(&g, &sources, 0, 2, &mut cols));
-        assert!(ms.distances_into_narrow(&g, &sources[1..], &mut narrow[..n]));
+        let mut narrow = vec![vec![0u16; n]; 2];
+        assert!(!ms.fill_narrow_rows(&g, &sources, &mut narrow));
+        assert!(ms.fill_narrow_rows(&g, &sources[1..], &mut narrow[..1]));
         assert_eq!(
-            narrow[..n],
+            narrow[0],
             wide[n..].iter().map(|&d| d as u16).collect::<Vec<_>>()
         );
         let rows = batched_compact_rows_w(&g, &sources, 2, LaneWidth::W64);

@@ -9,6 +9,7 @@ use crate::frame::{
 use nav_core::sampler::SamplerMode;
 use nav_core::trial::PairStats;
 use nav_engine::QueryBatch;
+use nav_par::SplitMix64;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -248,16 +249,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 step — the jitter stream's generator. Self-contained so
-/// the client needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A [`NetClient`] that survives the connection: on a retryable failure
 /// (see [`NetError::is_retryable`]) it reconnects and **replays the same
 /// request** after a jittered backoff.
@@ -279,8 +270,8 @@ pub struct RetryingClient {
     /// Cumulative queries acknowledged — the next [`RetryingClient::serve`]
     /// call's `rng_base`. Mirrors [`NetClient::queries_sent`].
     sent: u64,
-    /// Jitter stream state.
-    rng: u64,
+    /// Jitter stream.
+    rng: SplitMix64,
     /// Previous sleep in milliseconds (decorrelated-jitter state).
     prev_sleep_ms: u64,
     /// Reconnect-and-replay events over this client's lifetime.
@@ -314,7 +305,7 @@ impl RetryingClient {
             policy,
             client: None,
             sent: 0,
-            rng: policy.seed,
+            rng: SplitMix64::new(policy.seed),
             prev_sleep_ms: policy.backoff_base.as_millis() as u64,
             retries: 0,
         })
@@ -347,7 +338,7 @@ impl RetryingClient {
         let ms = if span == 0 {
             base
         } else {
-            base + splitmix64(&mut self.rng) % (span + 1)
+            base + self.rng.next() % (span + 1)
         };
         self.prev_sleep_ms = ms;
         Duration::from_millis(ms)
@@ -361,34 +352,7 @@ impl RetryingClient {
     /// deterministic, so retrying it would only fail identically.
     pub fn request(&mut self, req: Request) -> Result<(Vec<PairStats>, MetricsSnapshot), NetError> {
         validate_request(&req)?;
-        let attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let result = match self.client.as_mut() {
-                Some(c) => c.request(req.clone()),
-                None => match NetClient::connect_with(self.addr, self.max_frame_bytes) {
-                    Ok(mut c) => {
-                        let r = c.request(req.clone());
-                        self.client = Some(c);
-                        r
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            match result {
-                Ok(out) => return Ok(out),
-                Err(e) if attempt < attempts && e.is_retryable() => {
-                    // The connection's state is unknowable after a failure
-                    // mid-conversation; replay only ever runs on a fresh
-                    // socket.
-                    self.client = None;
-                    self.retries += 1;
-                    std::thread::sleep(self.next_backoff());
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.with_retries(|c| c.request(req.clone()))
     }
 
     /// [`NetClient::stats`] with retries: reconnects and re-asks on
@@ -397,24 +361,37 @@ impl RetryingClient {
     /// stats are a read, so the worst a retry can observe is a *newer*
     /// snapshot, never a corrupted one.
     pub fn stats(&mut self, handle: u32) -> Result<StatsReply, NetError> {
+        self.with_retries(|c| c.stats(handle))
+    }
+
+    /// The retry loop behind [`RetryingClient::request`] and
+    /// [`RetryingClient::stats`]: runs `call` on the live connection
+    /// (connecting first when there is none) and, on a retryable failure,
+    /// drops the connection, backs off and runs it again, up to the
+    /// policy's attempt bound.
+    fn with_retries<T>(
+        &mut self,
+        mut call: impl FnMut(&mut NetClient) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         let attempts = self.policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let result = match self.client.as_mut() {
-                Some(c) => c.stats(handle),
-                None => match NetClient::connect_with(self.addr, self.max_frame_bytes) {
-                    Ok(mut c) => {
-                        let r = c.stats(handle);
-                        self.client = Some(c);
-                        r
-                    }
-                    Err(e) => Err(e),
-                },
+            let client = match self.client.take() {
+                Some(c) => Ok(c),
+                None => NetClient::connect_with(self.addr, self.max_frame_bytes),
             };
+            let result = client.and_then(|mut c| {
+                let r = call(&mut c);
+                self.client = Some(c);
+                r
+            });
             match result {
                 Ok(out) => return Ok(out),
                 Err(e) if attempt < attempts && e.is_retryable() => {
+                    // The connection's state is unknowable after a failure
+                    // mid-conversation; a retry only ever runs on a fresh
+                    // socket.
                     self.client = None;
                     self.retries += 1;
                     std::thread::sleep(self.next_backoff());

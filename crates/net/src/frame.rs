@@ -803,7 +803,7 @@ pub fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// `true` when `e` is the mid-frame deadline expiry produced by
-/// [`read_frame_deadline`] — as opposed to the stream's own idle-poll
+/// [`read_frame_timed`] — as opposed to the stream's own idle-poll
 /// timeout, which is a raw OS error carrying no inner payload. A server
 /// polling its stop flag must `continue` on the latter but tear the
 /// connection down on the former (the half-read frame has no
@@ -823,11 +823,11 @@ pub fn is_deadline_expiry(e: &io::Error) -> bool {
 /// server can poll a shutdown flag between frames; a timeout *inside* a
 /// frame keeps waiting — the frame boundary stays trustworthy under
 /// slow-trickle writers. A server that wants a *bound* on how long a
-/// started frame may trickle sets one with
-/// [`read_frame_deadline`] instead — the between-frames half of the
-/// contract is identical there, only the in-frame patience changes.
+/// started frame may trickle sets one with [`read_frame_timed`]
+/// instead — the between-frames half of the contract is identical
+/// there, only the in-frame patience changes.
 pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Option<Frame>, ReadError> {
-    Ok(read_frame_with_budget(r, max_payload, None)?.map(|(f, _)| f))
+    Ok(read_frame_timed(r, max_payload, None)?.map(|(f, _)| f))
 }
 
 /// Wall-clock observed while reading one frame, for the server's wire
@@ -842,34 +842,17 @@ pub struct WireTiming {
 }
 
 /// [`read_frame`] returning the observed [`WireTiming`] alongside the
-/// frame (with an optional in-frame deadline, as in
-/// [`read_frame_deadline`]; pass `None` for unbounded patience).
+/// frame, with an optional bound on in-frame patience (`None` =
+/// unbounded): once the first byte of a frame has arrived, the whole
+/// frame must complete within `budget` or the read fails with a
+/// [`io::ErrorKind::TimedOut`] transport error (tear the connection down
+/// — a half-read frame has no recoverable boundary). Timeouts
+/// **between** frames still surface immediately as `Io` errors, exactly
+/// as in [`read_frame`], so shutdown polling works unchanged. The budget
+/// is only checked when the underlying stream's read timeout fires, so
+/// the stream must have one set (e.g. the server's `IDLE_POLL`) for the
+/// deadline to bind.
 pub fn read_frame_timed(
-    r: &mut impl Read,
-    max_payload: usize,
-    budget: Option<Duration>,
-) -> Result<Option<(Frame, WireTiming)>, ReadError> {
-    read_frame_with_budget(r, max_payload, budget)
-}
-
-/// [`read_frame`] with a bound on in-frame patience: once the first byte
-/// of a frame has arrived, the whole frame must complete within `budget`
-/// or the read fails with a [`io::ErrorKind::TimedOut`] transport error
-/// (tear the connection down — a half-read frame has no recoverable
-/// boundary). Timeouts **between** frames still surface immediately as
-/// `Io` errors, exactly as in [`read_frame`], so shutdown polling works
-/// unchanged. The budget is only checked when the underlying stream's
-/// read timeout fires, so the stream must have one set (e.g. the
-/// server's `IDLE_POLL`) for the deadline to bind.
-pub fn read_frame_deadline(
-    r: &mut impl Read,
-    max_payload: usize,
-    budget: Duration,
-) -> Result<Option<Frame>, ReadError> {
-    Ok(read_frame_with_budget(r, max_payload, Some(budget))?.map(|(f, _)| f))
-}
-
-fn read_frame_with_budget(
     r: &mut impl Read,
     max_payload: usize,
     budget: Option<Duration>,
@@ -1238,7 +1221,7 @@ mod tests {
             bytes: Vec::new(),
             pos: 0,
         };
-        match read_frame_deadline(&mut idle, 1024, Duration::from_millis(0)) {
+        match read_frame_timed(&mut idle, 1024, Some(Duration::from_millis(0))) {
             Err(ReadError::Io(e)) => assert!(is_timeout(&e)),
             other => panic!("expected idle timeout, got {other:?}"),
         }
@@ -1253,13 +1236,13 @@ mod tests {
             bytes: bytes[..bytes.len() - 1].to_vec(),
             pos: 0,
         };
-        match read_frame_deadline(&mut trickle, 1024, Duration::from_millis(0)) {
+        match read_frame_timed(&mut trickle, 1024, Some(Duration::from_millis(0))) {
             Err(ReadError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
             other => panic!("expected mid-frame deadline, got {other:?}"),
         }
         // The whole frame inside the budget decodes normally.
         let mut ok = Trickle { bytes, pos: 0 };
-        let frame = read_frame_deadline(&mut ok, 1024, Duration::from_secs(30))
+        let (frame, _) = read_frame_timed(&mut ok, 1024, Some(Duration::from_secs(30)))
             .expect("reads")
             .expect("one frame");
         assert!(matches!(frame, Frame::Error(_)));

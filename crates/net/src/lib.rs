@@ -59,9 +59,8 @@ pub mod server;
 
 pub use client::{NetClient, NetError, RetryPolicy, RetryingClient};
 pub use frame::{
-    frames_bits_eq, is_deadline_expiry, is_timeout, read_frame, read_frame_deadline,
-    read_frame_timed, write_frame, ErrorCode, ErrorFrame, Frame, FrameError, MetricsSnapshot,
-    ReadError, Request, Response, SnapshotReply, SnapshotRequest, StatsReply, StatsRequest,
-    WireTiming,
+    frames_bits_eq, is_deadline_expiry, is_timeout, read_frame, read_frame_timed, write_frame,
+    ErrorCode, ErrorFrame, Frame, FrameError, MetricsSnapshot, ReadError, Request, Response,
+    SnapshotReply, SnapshotRequest, StatsReply, StatsRequest, WireTiming,
 };
 pub use server::{NetConfig, NetServer, ServerHandle};

@@ -330,7 +330,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     // flag (read_frame only surfaces timeouts at frame boundaries), so
     // ServerHandle::shutdown can never hang on a silent peer. The client
     // deadlines are separate knobs: cfg.read_deadline bounds a *started*
-    // frame via read_frame_deadline (the poll timeout is what makes the
+    // frame via read_frame_timed (the poll timeout is what makes the
     // budget observable), cfg.write_deadline is a plain socket write
     // timeout. Setup failures are counted, not fatal — the connection
     // still serves, just without the degraded guarantee.

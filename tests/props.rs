@@ -349,22 +349,23 @@ fn deep_tailed_graph(body: usize, tail: usize, seed: u64) -> (Graph, Vec<u32>, V
     (g, perm[..body].to_vec(), perm[body..body + tail].to_vec())
 }
 
-/// Every distance fill of a width-`W` workspace against scalar BFS rows:
-/// `u32` rows, `u16` rows, `u16` columns (cells outside the batch's
-/// columns untouched), and `u8` rows, which must refuse exactly when a
-/// finite distance reaches 255.
+/// Every distance fill at width `W` against scalar BFS rows: the
+/// workspace's `u32` rows, the compact rows of the batched cold fill
+/// (each narrow exactly when it fits in `u16`), and the workspace's `u8`
+/// rows, which must refuse exactly when a finite distance reaches 255.
 fn assert_fills_match_scalar<const W: usize>(
     ms: &mut navigability::graph::msbfs::MsBfsW<W>,
     g: &Graph,
     sources: &[u32],
 ) {
     use navigability::graph::bfs::Bfs;
+    use navigability::graph::distance::DistRowBuf;
+    use navigability::graph::msbfs::{batched_compact_rows_w, LaneWidth};
     use navigability::graph::INFINITY;
     let n = g.num_nodes();
     let k = sources.len();
     let mut bfs = Bfs::new(n);
     let scalar: Vec<Vec<u32>> = sources.iter().map(|&s| bfs.distances(g, s)).collect();
-    let narrow_of = |d: u32| if d == INFINITY { u16::MAX } else { d as u16 };
     let rows = ms.distances(g, sources);
     for (lane, want) in scalar.iter().enumerate() {
         assert_eq!(
@@ -373,30 +374,18 @@ fn assert_fills_match_scalar<const W: usize>(
             "W={W} u32 lane {lane}"
         );
     }
-    let mut narrow = vec![7u16; k * n];
-    assert!(ms.distances_into_narrow(g, sources, &mut narrow), "W={W}");
-    for (lane, want) in scalar.iter().enumerate() {
-        let want: Vec<u16> = want.iter().map(|&d| narrow_of(d)).collect();
+    let width = LaneWidth::ALL
+        .into_iter()
+        .find(|w| w.words() == W)
+        .expect("W is a supported width");
+    let compact = batched_compact_rows_w(g, sources, 1, width);
+    assert_eq!(compact.len(), k, "W={W}");
+    for (lane, (row, want)) in compact.iter().zip(&scalar).enumerate() {
         assert_eq!(
-            &narrow[lane * n..(lane + 1) * n],
-            want.as_slice(),
-            "W={W} u16 lane {lane}"
+            row,
+            &DistRowBuf::from_wide(want),
+            "W={W} compact lane {lane}"
         );
-    }
-    let (col0, n_total) = (3, k + 5);
-    let mut cols = vec![7u16; n * n_total];
-    assert!(
-        ms.distances_into_columns(g, sources, col0, n_total, &mut cols),
-        "W={W}"
-    );
-    for (v, row) in cols.chunks(n_total).enumerate() {
-        let want: Vec<u16> = scalar.iter().map(|r| narrow_of(r[v])).collect();
-        assert_eq!(
-            &row[col0..col0 + k],
-            want.as_slice(),
-            "W={W} column node {v}"
-        );
-        assert!(row[..col0].iter().chain(&row[col0 + k..]).all(|&c| c == 7));
     }
     let deepest = scalar
         .iter()
@@ -493,22 +482,18 @@ fn msbfs_level_split_is_thread_invariant() {
         g: &Graph,
         sources: &[u32],
         threads: usize,
-    ) -> (Vec<u32>, Vec<u16>, Vec<u16>, Option<Vec<u8>>) {
+    ) -> (Vec<u32>, Option<Vec<u8>>) {
         let n = g.num_nodes();
         let k = sources.len();
         let mut ms = MsBfsW::<W>::new(n);
         ms.set_threads(threads);
         let rows = ms.distances(g, sources);
-        let mut narrow = vec![0u16; k * n];
-        assert!(ms.distances_into_narrow(g, sources, &mut narrow));
-        let mut cols = vec![0u16; n * k];
-        assert!(ms.distances_into_columns(g, sources, 0, k, &mut cols));
         let mut bytes = vec![0u8; k * n];
         let bytes = ms
             .distances_into_bytes(g, sources, &mut bytes)
             .then_some(bytes);
         assert_eq!(ms.split_levels() > 0, threads > 1, "threads {threads}");
-        (rows, narrow, cols, bytes)
+        (rows, bytes)
     }
     fn visit_hash<const W: usize>(g: &Graph, sources: &[u32], threads: usize) -> u64 {
         let mut ms = MsBfsW::<W>::new(g.num_nodes());
