@@ -8,8 +8,8 @@
 //! diameters):
 //!
 //! * **memory** — exact rows cost `O(n)` bytes per resident target,
-//!   measured as the compact (adaptive `u16`/`u32`) rows a serving cache
-//!   holds and as the wide `u32` rows of a [`TargetDistanceCache`];
+//!   measured as the compact (adaptive `u16`/`u32`) rows a
+//!   [`TargetDistanceCache`] holds — the same rows a serving cache keeps;
 //! * **routing** — greedy success rate and mean steps over sampled pairs;
 //! * **serving** — one [`Engine`] replays a stream cold, asserted
 //!   **bit-identical** to [`run_trials`], then replays it again warm from
@@ -30,7 +30,6 @@ use nav_core::routing::default_step_cap;
 use nav_core::sampler::SamplerMode;
 use nav_core::uniform::UniformScheme;
 use nav_engine::{Engine, EngineConfig, Query};
-use nav_graph::distance::DistRowBuf;
 use nav_graph::{Graph, NodeId};
 use nav_par::rng::task_rng;
 use rand::RngCore as _;
@@ -114,10 +113,10 @@ fn measure_family(
     let step_cap = default_step_cap(&g);
 
     // --- targets, sources, and the exact working set ---------------------
-    // The exact side is charged what a serving cache would hold resident:
-    // one *compact* (adaptive u16/u32) row per sampled target. Rows are
-    // built 64 targets per chunk so the wide u32 staging buffer stays
-    // bounded at 64·n even at n = 10^6.
+    // The exact side is charged what its oracles hold resident: one
+    // compact (adaptive u16/u32) row per sampled target, the same rows a
+    // serving cache would keep. Rows are built 64 targets per chunk, so
+    // at most 64 rows are resident at once even at n = 10^6.
     let targets = sample_targets(n, p.targets, cfg.seed_for("scale-targets", n));
     let mut src_rng = task_rng(cfg.seed_for("scale-sources", n), 1);
     let sources: Vec<Vec<NodeId>> = targets
@@ -146,9 +145,8 @@ fn measure_family(
         let cache =
             TargetDistanceCache::build(&g, chunk.iter().copied(), cfg.threads).expect("in range");
         exact_build_ms += ms_since(t0);
+        exact_compact_bytes += cache.bytes();
         for (off, &t) in chunk.iter().enumerate() {
-            let row = cache.row(t).expect("built target");
-            exact_compact_bytes += DistRowBuf::from_wide(row).bytes();
             let router = cache.router(t).expect("built target");
             for &s in &sources[chunk_idx * 64 + off] {
                 routed_pairs += 1;
@@ -162,13 +160,12 @@ fn measure_family(
             }
         }
     }
-    let exact_wide_bytes = targets.len() * n * std::mem::size_of::<u32>();
     let trials_total = routed_pairs * p.route_trials;
 
     // --- serving: one engine, cold then warm, vs run_trials --------------
     let serving = measure_serving(&g, cfg, p, &targets);
     format!(
-        "    {{\"family\": \"{}\", \"n\": {n}, \"m\": {}, \"avg_degree\": {}, \"graph_build_ms\": {},\n     \"exact\": {{\"backend\": \"exact-rows\", \"targets\": {}, \"build_ms\": {}, \"resident_bytes_compact\": {exact_compact_bytes}, \"resident_bytes_wide\": {exact_wide_bytes}, \"success_rate\": {}, \"mean_steps\": {}}},\n     \"routed_pairs\": {routed_pairs},\n{serving}",
+        "    {{\"family\": \"{}\", \"n\": {n}, \"m\": {}, \"avg_degree\": {}, \"graph_build_ms\": {},\n     \"exact\": {{\"backend\": \"exact-rows\", \"targets\": {}, \"build_ms\": {}, \"resident_bytes_compact\": {exact_compact_bytes}, \"success_rate\": {}, \"mean_steps\": {}}},\n     \"routed_pairs\": {routed_pairs},\n{serving}",
         family.name(),
         g.num_edges(),
         fms(g.avg_degree()),
@@ -268,7 +265,7 @@ pub fn render_scale_bench_with(cfg: &ExpConfig, p: &ScaleParams) -> String {
             measure_family(f, cfg, p, &scheme)
         })
         .collect();
-    let mut out = bench_header("nav-bench-scale/v2", cfg);
+    let mut out = bench_header("nav-bench-scale/v3", cfg);
     out.push_str(&format!(
         "  \"params\": {{\"n\": {}, \"targets\": {}, \"sources_per_target\": {}, \"route_trials\": {}, \"serve_targets\": {}, \"serve_queries\": {}, \"serve_trials\": {}, \"batch\": {}}},\n",
         p.n,
@@ -323,7 +320,7 @@ mod tests {
         };
         let json = render_scale_bench_with(&cfg, &p);
         for key in [
-            "\"schema\": \"nav-bench-scale/v2\"",
+            "\"schema\": \"nav-bench-scale/v3\"",
             "\"mode\": \"quick\"",
             "\"host\":",
             "\"params\":",
@@ -339,7 +336,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        for gone in ["landmark", "shard", "memory_ratio"] {
+        for gone in ["landmark", "shard", "memory_ratio", "resident_bytes_wide"] {
             assert!(!json.contains(gone), "stale {gone} in {json}");
         }
         assert!(json.ends_with("}\n"));

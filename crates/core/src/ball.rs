@@ -19,7 +19,7 @@ use crate::sampler::{ContactSampler, SamplerStats};
 use crate::scheme::{AugmentationScheme, ExplicitScheme};
 use crate::workspace::with_bfs;
 use nav_graph::ball::rank_of_distance;
-use nav_graph::msbfs::{LaneWidth, MsBfsW, MsBfsWorkspace};
+use nav_graph::msbfs::{batched_compact_rows_w, LaneWidth, MsBfsW, MsBfsWorkspace};
 use nav_graph::{Graph, NodeId, INFINITY};
 use nav_par::rng::task_rng;
 use rand::{Rng, RngCore};
@@ -68,8 +68,9 @@ impl BallScheme {
 
     /// Realizes one long-range draw for **every** node, batched: centres
     /// are packed [`LANES`](nav_graph::msbfs::LANES) (= 64) per
-    /// bit-parallel MS-BFS pass and the
-    /// passes fanned out to `threads` `nav-par` workers — replacing the
+    /// bit-parallel MS-BFS pass of compact distance rows
+    /// ([`batched_compact_rows_w`]) and the passes fanned out to
+    /// `threads` `nav-par` workers — replacing the
     /// one scalar truncated BFS per node that [`Realization::sample`]
     /// would issue through [`AugmentationScheme::sample_contact`].
     ///
@@ -100,57 +101,36 @@ impl BallScheme {
         threads: usize,
         width: LaneWidth,
     ) -> Realization {
-        match width {
-            LaneWidth::W64 => self.realize_impl::<1>(g, seed, threads),
-            LaneWidth::W128 => self.realize_impl::<2>(g, seed, threads),
-            LaneWidth::W256 => self.realize_impl::<4>(g, seed, threads),
-        }
-    }
-
-    fn realize_impl<const W: usize>(&self, g: &Graph, seed: u64, threads: usize) -> Realization
-    where
-        MsBfsW<W>: MsBfsWorkspace,
-    {
-        let n = g.num_nodes();
-        let lanes = MsBfsW::<W>::LANES;
-        let batches: Vec<Vec<NodeId>> = (0..n.div_ceil(lanes))
-            .map(|c| {
-                let lo = c * lanes;
-                let hi = (lo + lanes).min(n);
-                (lo as NodeId..hi as NodeId).collect()
-            })
-            .collect();
+        let centres: Vec<NodeId> = g.nodes().collect();
+        let batches: Vec<&[NodeId]> = centres.chunks(width.lanes()).collect();
         let per_batch: Vec<Vec<Option<NodeId>>> =
             nav_par::parallel_map(batches.len(), threads, |b| {
-                let centres = &batches[b];
-                MsBfsW::<W>::with_ws(n, |ms| {
-                    let rows = ms.distances(g, centres);
-                    centres
-                        .iter()
-                        .enumerate()
-                        .map(|(lane, &u)| {
-                            let row = &rows[lane * n..(lane + 1) * n];
-                            let mut rng = task_rng(seed, u as u64);
-                            let k = rng.gen_range(1..=self.k_max);
-                            let radius = Self::radius(k);
-                            // Uniform over B(u, 2^k) by index: count the
-                            // members (u itself is always one, d = 0),
-                            // draw a rank, take the rank-th member in
-                            // ascending node-id order.
-                            let in_ball = |d: u32| d != INFINITY && d <= radius;
-                            let count = row.iter().filter(|&&d| in_ball(d)).count() as u64;
-                            let pick = rng.gen_range(0..count);
-                            let chosen = row
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &d)| in_ball(d))
-                                .nth(pick as usize)
-                                .map(|(v, _)| v as NodeId)
-                                .expect("ball contains at least the centre");
-                            Some(chosen)
-                        })
-                        .collect()
-                })
+                let centres = batches[b];
+                batched_compact_rows_w(g, centres, 1, width)
+                    .iter()
+                    .zip(centres)
+                    .map(|(row, &u)| {
+                        let row = row.view();
+                        let mut rng = task_rng(seed, u as u64);
+                        let k = rng.gen_range(1..=self.k_max);
+                        let radius = Self::radius(k);
+                        // Uniform over B(u, 2^k) by index: count the
+                        // members (u itself is always one, d = 0), draw a
+                        // rank, take the rank-th member in ascending
+                        // node-id order.
+                        let in_ball = |d: u32| d != INFINITY && d <= radius;
+                        let count = row.iter().filter(|&d| in_ball(d)).count() as u64;
+                        let pick = rng.gen_range(0..count);
+                        let chosen = row
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, d)| in_ball(d))
+                            .nth(pick as usize)
+                            .map(|(v, _)| v as NodeId)
+                            .expect("ball contains at least the centre");
+                        Some(chosen)
+                    })
+                    .collect()
             });
         Realization::from_contacts(per_batch.into_iter().flatten().collect())
     }
@@ -485,10 +465,14 @@ impl BallRowSampler {
                 })
                 .collect()
         } else {
-            // A finite distance reached u8::MAX: stage at full width.
-            let wide = MsBfsW::<W>::with_ws(n, |ms| ms.distances(g, centres));
-            wide.chunks(n)
-                .map(|row| BallRow::from_distances(self.scheme, row))
+            // A finite distance reached u8::MAX: take compact rows.
+            batched_compact_rows_w(g, centres, 1, self.width)
+                .iter()
+                .map(|row| {
+                    let row = row.view();
+                    let ranks = (0..n).map(|v| self.scheme.rank_in(row.get(v)));
+                    BallRow::from_ranks(self.scheme, n, ranks)
+                })
                 .collect()
         };
         for (&c, row) in centres.iter().zip(rows) {

@@ -81,7 +81,8 @@ pub fn exact_expected_steps_for_router<S: ExplicitScheme + ?Sized>(
 /// Exact greedy diameter of `(G, φ)`: `max_{s,t} E[steps s → t]` over all
 /// pairs. `O(n)` evaluator runs of `O(n · support)` each — small graphs.
 /// Target rows come from the distance oracle, 64 targets per bit-parallel
-/// BFS pass (chunked, so memory stays `O(64·n)` instead of `O(n²)`).
+/// BFS pass, one oracle per 64-target chunk, so at most 64 compact rows
+/// are resident (`O(64·n)` instead of `O(n²)`).
 pub fn exact_greedy_diameter<S: ExplicitScheme + ?Sized>(
     g: &Graph,
     scheme: &S,

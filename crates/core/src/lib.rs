@@ -21,10 +21,11 @@
 //! basis of the whole engine's efficiency.
 //!
 //! Distance queries flow through exact target rows ([`oracle`]): the
-//! distinct targets of a workload are deduplicated and their distance rows
-//! computed 64 at a time by bit-parallel multi-source BFS, then borrowed by
-//! the routers — no per-pair BFS anywhere in the engine, and no
-//! approximate distance tier.
+//! distinct targets of a workload are deduplicated and their compact
+//! distance rows computed `width.lanes()` (64, 128 or 256) at a time by
+//! bit-parallel multi-source BFS, then borrowed by the routers through
+//! their one row constructor ([`GreedyRouter::from_row`]) — no per-pair
+//! BFS anywhere in the engine, and no approximate distance tier.
 //!
 //! Per-step contact draws flow through the sampler layer ([`sampler`]):
 //! the scalar reference backend (bit-identical to calling

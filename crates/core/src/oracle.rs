@@ -5,18 +5,21 @@
 //! one scalar BFS per (s, t) pair — recomputing the same target row for
 //! every pair sharing a target, and paying a full traversal per row. The
 //! [`TargetDistanceCache`] fixes both: it deduplicates the targets of a
-//! pair set, packs the distinct ones 64 at a time into bit-parallel
-//! [`nav_graph::msbfs::MsBfs`] passes (batches fanned out to `nav-par`
-//! workers), and hands
-//! each [`GreedyRouter`] a *borrowed* row instead of an owned re-BFS.
+//! pair set, packs the distinct ones `width.lanes()` at a time into
+//! bit-parallel MS-BFS passes
+//! ([`nav_graph::msbfs::batched_compact_rows_w`], passes fanned out to
+//! `nav-par` workers), and hands each [`GreedyRouter`] a *borrowed* row
+//! instead of an owned re-BFS.
 //!
 //! Distances are exact, so cached rows are bit-identical to per-pair BFS
-//! for every thread count — the engine's determinism guarantee is
-//! unaffected. Each target costs `O(n)` bytes; the serving engine's row
-//! cache keeps the same rows in compact `u16`/`u32` form.
+//! for every thread count and width — the engine's determinism guarantee
+//! is unaffected. Rows are the same compact [`DistRowBuf`]s the serving
+//! engine's row cache holds: `2n` bytes per target, `4n` only for a row
+//! with a finite distance ≥ 65535.
 
 use crate::routing::GreedyRouter;
-use nav_graph::msbfs::LaneWidth;
+use nav_graph::distance::{DistRowBuf, DistRowView};
+use nav_graph::msbfs::{batched_compact_rows_w, LaneWidth};
 use nav_graph::{Graph, GraphError, NodeId};
 
 /// Distance rows for a set of routing targets, each computed exactly once.
@@ -41,19 +44,18 @@ pub struct TargetDistanceCache<'g> {
     /// The graph the rows were computed on — routers borrow it from here,
     /// so a cache can never be (mis)used against a different graph.
     g: &'g Graph,
-    n: usize,
     /// Distinct targets, sorted ascending; row `i` belongs to
     /// `targets[i]`. Lookup is a binary search, so the cache's footprint
     /// is `O(#targets)` beyond the rows — nothing `O(n)`.
     targets: Vec<NodeId>,
-    /// Row-major `targets.len() × n` distance rows.
-    rows: Vec<u32>,
+    /// One compact distance row per target.
+    rows: Vec<DistRowBuf>,
 }
 
 impl<'g> TargetDistanceCache<'g> {
     /// Computes one distance row per *distinct* target in `targets`
     /// (duplicates are free), batched 64 targets per MS-BFS pass with the
-    /// batches running on `threads` workers (`1` = inline). The result is
+    /// passes running on `threads` workers (`1` = inline). The result is
     /// identical for every thread count.
     pub fn build(
         g: &'g Graph,
@@ -73,7 +75,6 @@ impl<'g> TargetDistanceCache<'g> {
         threads: usize,
         width: LaneWidth,
     ) -> Result<Self, GraphError> {
-        let n = g.num_nodes();
         let mut distinct: Vec<NodeId> = Vec::new();
         for t in targets {
             g.check_node(t)?;
@@ -81,13 +82,9 @@ impl<'g> TargetDistanceCache<'g> {
         }
         distinct.sort_unstable();
         distinct.dedup();
-        // Workers fill their width.lanes()-row stripes of the final buffer
-        // in place (each entry is overwritten, so zero-init suffices).
-        let mut rows = vec![0u32; distinct.len() * n];
-        nav_graph::msbfs::batched_rows_into_w(g, &distinct, threads, width, &mut rows);
+        let rows = batched_compact_rows_w(g, &distinct, threads, width);
         Ok(TargetDistanceCache {
             g,
-            n,
             targets: distinct,
             rows,
         })
@@ -108,19 +105,24 @@ impl<'g> TargetDistanceCache<'g> {
         &self.targets
     }
 
-    /// The distance row of target `t` (`row[v] = dist_G(v, t)`,
-    /// [`nav_graph::INFINITY`] for unreachable `v`), or `None` if `t` was not in the
-    /// build set.
-    pub fn row(&self, t: NodeId) -> Option<&[u32]> {
+    /// Resident payload size of the rows in bytes.
+    pub fn bytes(&self) -> usize {
+        self.rows.iter().map(DistRowBuf::bytes).sum()
+    }
+
+    /// The distance row of target `t` (`row.get(v) = dist_G(v, t)`,
+    /// [`nav_graph::INFINITY`] for unreachable `v`), or `None` if `t` was
+    /// not in the build set.
+    pub fn row(&self, t: NodeId) -> Option<DistRowView<'_>> {
         let slot = self.targets.binary_search(&t).ok()?;
-        let lo = slot * self.n;
-        Some(&self.rows[lo..lo + self.n])
+        Some(self.rows[slot].view())
     }
 
     /// `dist_G(s, t)` for a cached target `t` ([`nav_graph::INFINITY`] when
     /// disconnected); `None` if `t` is not cached or `s` out of range.
     pub fn dist(&self, s: NodeId, t: NodeId) -> Option<u32> {
-        self.row(t)?.get(s as usize).copied()
+        let row = self.row(t)?;
+        ((s as usize) < row.len()).then(|| row.get(s as usize))
     }
 
     /// A [`GreedyRouter`] for cached target `t`, borrowing its row and the
@@ -151,7 +153,7 @@ mod tests {
             let fresh = GreedyRouter::new(&g, t).unwrap();
             let row = cache.row(t).unwrap();
             for v in 0..40u32 {
-                assert_eq!(row[v as usize], fresh.dist_to_target(v), "t={t} v={v}");
+                assert_eq!(row.get(v as usize), fresh.dist_to_target(v), "t={t} v={v}");
             }
         }
         assert!(cache.row(1).is_none());
@@ -176,9 +178,19 @@ mod tests {
             let fresh = GreedyRouter::new(&g, t).unwrap();
             let row = c1.row(t).unwrap();
             for v in 0..n as NodeId {
-                assert_eq!(row[v as usize], fresh.dist_to_target(v));
+                assert_eq!(row.get(v as usize), fresh.dist_to_target(v));
             }
         }
+    }
+
+    #[test]
+    fn rows_are_compact_and_out_of_range_sources_are_none() {
+        let g = path(40);
+        let cache = TargetDistanceCache::build(&g, [3u32, 20, 39, 3], 1).unwrap();
+        assert_eq!(cache.bytes(), cache.num_targets() * 40 * 2);
+        assert!(matches!(cache.row(20), Some(DistRowView::Narrow(_))));
+        assert_eq!(cache.dist(39, 20), Some(19));
+        assert_eq!(cache.dist(40, 20), None);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! Implementation notes:
 //! * one distance row from the target serves the whole trial — computed by
-//!   a fresh BFS ([`GreedyRouter::new`]) or borrowed from the batched
-//!   [`crate::oracle::TargetDistanceCache`] ([`GreedyRouter::from_row`]);
+//!   a fresh BFS ([`GreedyRouter::new`]) or borrowed as a compact
+//!   [`DistRowView`] ([`GreedyRouter::from_row`]) from the batched
+//!   [`crate::oracle::TargetDistanceCache`] or the serving engine's row
+//!   cache;
 //! * the long-range contact of each visited node is sampled lazily
 //!   (deferred decisions — exact because greedy routing never revisits:
 //!   the best local neighbour already strictly decreases the distance);
@@ -19,7 +21,7 @@
 use crate::faulty::FailurePlan;
 use crate::sampler::{ContactSampler, ScalarSampler};
 use crate::scheme::AugmentationScheme;
-use nav_graph::distance::{DistRowView, NARROW_INFINITY};
+use nav_graph::distance::DistRowView;
 use nav_graph::{bfs::Bfs, Graph, GraphError, NodeId, INFINITY};
 use rand::RngCore;
 use std::cell::Cell;
@@ -38,13 +40,12 @@ pub struct RouteOutcome {
     pub path: Option<Vec<NodeId>>,
 }
 
-/// The router's target-distance row: owned (one BFS), or borrowed at
-/// either storage width — full-width oracle rows and the serving cache's
-/// compact (`u16`) resident rows route without any copy or widening.
+/// The router's target-distance row: owned (one BFS), or a borrowed
+/// compact row at either storage width, routed on without any copy or
+/// widening.
 enum Row<'g> {
     Owned(Vec<u32>),
-    Wide(&'g [u32]),
-    Narrow(&'g [u16]),
+    View(DistRowView<'g>),
 }
 
 impl Row<'_> {
@@ -52,15 +53,7 @@ impl Row<'_> {
     fn get(&self, i: usize) -> u32 {
         match self {
             Row::Owned(v) => v[i],
-            Row::Wide(v) => v[i],
-            Row::Narrow(v) => {
-                let d = v[i];
-                if d == NARROW_INFINITY {
-                    INFINITY
-                } else {
-                    d as u32
-                }
-            }
+            Row::View(v) => v.get(i),
         }
     }
 }
@@ -78,8 +71,7 @@ struct FaultState {
 
 /// A router bound to one (graph, target) pair; reusable across sources and
 /// trials. The target-distance row is either owned (computed by one BFS)
-/// or borrowed — from a shared [`crate::oracle::TargetDistanceCache`] row,
-/// or from compact cached storage via [`GreedyRouter::from_row_view`].
+/// or borrowed via [`GreedyRouter::from_row`].
 pub struct GreedyRouter<'g> {
     g: &'g Graph,
     target: NodeId,
@@ -102,25 +94,16 @@ impl<'g> GreedyRouter<'g> {
     }
 
     /// Builds the router on a borrowed, precomputed distance row
-    /// (`dist_t[v] = dist_G(v, target)`) — no BFS. This is how the
-    /// distance-oracle layer hands out routers.
+    /// (`dist_t.get(v) = dist_G(v, target)`) — no BFS. This is how the
+    /// distance oracle and the serving engine's row cache hand out
+    /// routers. Narrow (`u16`) values are decoded on the fly, so routing
+    /// decisions are bit-identical at either storage width.
     ///
     /// # Panics
-    /// Panics if `dist_t.len() != g.num_nodes()` or `dist_t[target] != 0`
-    /// (a row that cannot be a distance row of `target`).
-    pub fn from_row(g: &'g Graph, target: NodeId, dist_t: &'g [u32]) -> Result<Self, GraphError> {
-        Self::from_row_view(g, target, DistRowView::Wide(dist_t))
-    }
-
-    /// [`GreedyRouter::from_row`] for a width-agnostic
-    /// [`DistRowView`] — the serving layer's compact (`u16`) cached rows
-    /// are routed on directly, with no widening copy. Narrow values are
-    /// decoded on the fly ([`NARROW_INFINITY`] ⇔ [`INFINITY`]), so routing
-    /// decisions are bit-identical to the full-width row.
-    ///
-    /// # Panics
-    /// Same conditions as [`GreedyRouter::from_row`].
-    pub fn from_row_view(
+    /// Panics if `dist_t.len() != g.num_nodes()` or
+    /// `dist_t.get(target) != 0` (a row that cannot be a distance row of
+    /// `target`).
+    pub fn from_row(
         g: &'g Graph,
         target: NodeId,
         dist_t: DistRowView<'g>,
@@ -136,14 +119,10 @@ impl<'g> GreedyRouter<'g> {
             0,
             "row is not a distance row of target {target}"
         );
-        let dist_t = match dist_t {
-            DistRowView::Wide(v) => Row::Wide(v),
-            DistRowView::Narrow(v) => Row::Narrow(v),
-        };
         Ok(GreedyRouter {
             g,
             target,
-            dist_t,
+            dist_t: Row::View(dist_t),
             fault: None,
         })
     }
@@ -568,7 +547,7 @@ mod tests {
         let g = path(40);
         let fresh = GreedyRouter::new(&g, 39).unwrap();
         let row: Vec<u32> = (0..40).map(|v| fresh.dist_to_target(v)).collect();
-        let borrowed = GreedyRouter::from_row(&g, 39, &row).unwrap();
+        let borrowed = GreedyRouter::from_row(&g, 39, DistRowView::Wide(&row)).unwrap();
         let out_f = fresh.route(
             &UniformScheme,
             0,
@@ -584,7 +563,7 @@ mod tests {
             true,
         );
         assert_eq!(out_f, out_b);
-        assert!(GreedyRouter::from_row(&g, 40, &row).is_err());
+        assert!(GreedyRouter::from_row(&g, 40, DistRowView::Wide(&row)).is_err());
     }
 
     #[test]
@@ -595,7 +574,7 @@ mod tests {
         let wide: Vec<u32> = (0..50).map(|v| fresh.dist_to_target(v)).collect();
         let compact = DistRowBuf::from_wide(&wide);
         assert!(compact.is_narrow());
-        let narrow = GreedyRouter::from_row_view(&g, 49, compact.view()).unwrap();
+        let narrow = GreedyRouter::from_row(&g, 49, compact.view()).unwrap();
         assert_eq!(narrow.dist_to_target(0), 49);
         let out_f = fresh.route(
             &UniformScheme,
@@ -615,7 +594,7 @@ mod tests {
         // Narrow INFINITY decodes as unreachable.
         let g2 = GraphBuilder::from_edges(3, [(0, 1)]).unwrap();
         let row2 = DistRowBuf::from_wide(&[0, 1, INFINITY]);
-        let r2 = GreedyRouter::from_row_view(&g2, 0, row2.view()).unwrap();
+        let r2 = GreedyRouter::from_row(&g2, 0, row2.view()).unwrap();
         assert_eq!(r2.dist_to_target(2), INFINITY);
     }
 
@@ -625,7 +604,7 @@ mod tests {
         let g = path(4);
         let fresh = GreedyRouter::new(&g, 3).unwrap();
         let row: Vec<u32> = (0..4).map(|v| fresh.dist_to_target(v)).collect();
-        let _ = GreedyRouter::from_row(&g, 0, &row);
+        let _ = GreedyRouter::from_row(&g, 0, DistRowView::Wide(&row));
     }
 
     #[test]

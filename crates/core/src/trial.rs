@@ -2,11 +2,11 @@
 //!
 //! Estimates `E(φ, s, t)` for a set of source/target pairs by repeated
 //! greedy-routing trials with fresh long-range draws. Target-distance rows
-//! come from one shared [`TargetDistanceCache`] (each distinct target's
-//! row computed exactly once, 64 targets per bit-parallel BFS pass); pairs
-//! then run in parallel (`nav-par`), each pair's trials using an RNG
-//! derived from `(seed, pair index)` — results are bit-identical across
-//! thread counts.
+//! come from one [`TargetDistanceCache`] per wave of targets (each
+//! distinct target's compact row computed exactly once, `width.lanes()`
+//! targets per bit-parallel BFS pass); pairs then run in parallel
+//! (`nav-par`), each pair's trials using an RNG derived from
+//! `(seed, pair index)` — results are bit-identical across thread counts.
 
 use crate::oracle::TargetDistanceCache;
 use crate::routing::{default_step_cap, GreedyRouter};
@@ -381,13 +381,13 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
     }
     // Group the pair indices by distinct target, `width.lanes()` distinct
     // targets per group, and process the groups in waves of `threads`:
-    // within a wave every group's oracle builds on its own worker (one
-    // MS-BFS pass each) and the wave's pairs then share the full worker
-    // pool, so both phases scale with cores while resident rows stay
-    // bounded at `O(lanes·threads·n)` however many targets the workload
-    // has. Outputs are a pure function of `(seed, pair index)`, so
-    // neither grouping, wave partitioning nor the workers' chunks change
-    // them.
+    // each wave builds one oracle over its targets (one MS-BFS pass per
+    // group, the passes fanned out to the workers) and the wave's pairs
+    // then share the full worker pool, so both phases scale with cores
+    // while resident rows stay bounded at `O(lanes·threads·n)` compact
+    // cells however many targets the workload has. Outputs are a pure
+    // function of `(seed, pair index)`, so neither grouping, wave
+    // partitioning nor the workers' chunks change them.
     let lanes = cfg.width.lanes();
     let mut slot_of = vec![u32::MAX; g.num_nodes()];
     let mut num_targets = 0usize;
@@ -408,37 +408,25 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
     let lockstep = new_sampler().wants_lockstep();
     let mut stats: Vec<PairStats> = vec![PairStats::default(); pairs.len()];
     for wave in groups.chunks(cfg.threads.max(1)) {
-        let oracles: Vec<Option<TargetDistanceCache<'_>>> =
-            nav_par::parallel_map(wave.len(), cfg.threads, |w| {
-                let targets = wave[w].iter().map(|&i| pairs[i].1);
-                Some(
-                    TargetDistanceCache::build_width(g, targets, 1, cfg.width)
-                        .expect("pairs validated above"),
-                )
-            });
-        let items: Vec<(usize, usize)> = wave
-            .iter()
-            .enumerate()
-            .flat_map(|(w, group)| group.iter().map(move |&idx| (w, idx)))
-            .collect();
+        let items: Vec<usize> = wave.concat();
+        let targets = items.iter().map(|&idx| pairs[idx].1);
+        let oracle = TargetDistanceCache::build_width(g, targets, cfg.threads, cfg.width)
+            .expect("pairs validated above");
         let wave_stats = map_pair_units(items.len(), cfg.threads, lockstep, |range| {
             let items = &items[range];
             let routers: Vec<GreedyRouter<'_>> = items
                 .iter()
-                .map(|&(w, idx)| {
-                    let oracle = oracles[w].as_ref().expect("built above");
-                    oracle.router(pairs[idx].1).expect("target cached above")
-                })
+                .map(|&idx| oracle.router(pairs[idx].1).expect("target cached above"))
                 .collect();
             let mut rngs: Vec<_> = items
                 .iter()
-                .map(|&(_, idx)| task_rng(cfg.seed, idx as u64))
+                .map(|&idx| task_rng(cfg.seed, idx as u64))
                 .collect();
             let mut jobs: Vec<PairJob<'_, '_>> = items
                 .iter()
                 .zip(&routers)
                 .zip(&mut rngs)
-                .map(|((&(_, idx), router), rng)| PairJob {
+                .map(|((&idx, router), rng)| PairJob {
                     router,
                     s: pairs[idx].0,
                     trials: cfg.trials_per_pair,
@@ -451,7 +439,7 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
                 .map(|(ps, _)| ps)
                 .collect::<Vec<_>>()
         });
-        for (&(_, idx), ps) in items.iter().zip(wave_stats.into_iter().flatten()) {
+        for (&idx, ps) in items.iter().zip(wave_stats.into_iter().flatten()) {
             stats[idx] = ps;
         }
     }
@@ -637,6 +625,34 @@ mod tests {
                 let r = run_trials(&g, &UniformScheme, &pairs, &cfg).unwrap();
                 for (a, b) in reference.pairs.iter().zip(&r.pairs) {
                     assert!(a.bits_eq(b), "width {width} threads {threads}");
+                }
+            }
+        }
+        // More distinct targets (280) than one wave holds at every width
+        // on one thread, and at 64 and 128 lanes on three: the oracle is
+        // rebuilt per wave, and every pair must still answer like a fresh
+        // scalar-BFS router with the pair's own RNG stream.
+        let g = path(300);
+        let pairs: Vec<(NodeId, NodeId)> = (0..280).map(|i| (i * 7 % 300, 299 - i)).collect();
+        let reference = run_trials(&g, &UniformScheme, &pairs, &base).unwrap();
+        let cap = default_step_cap(&g);
+        for (idx, &(s, t)) in pairs.iter().enumerate().step_by(31) {
+            let router = GreedyRouter::new(&g, t).unwrap();
+            let mut rng = task_rng(base.seed, idx as u64);
+            let fresh = aggregate_pair(&router, &UniformScheme, s, &mut rng, 6, cap);
+            assert!(fresh.bits_eq(&reference.pairs[idx]), "pair {idx}");
+        }
+        for width in LaneWidth::ALL {
+            for threads in [1usize, 3] {
+                let cfg = TrialConfig {
+                    width,
+                    threads,
+                    ..base.clone()
+                };
+                let r = run_trials(&g, &UniformScheme, &pairs, &cfg).unwrap();
+                assert_eq!(r.pairs.len(), pairs.len());
+                for (a, b) in reference.pairs.iter().zip(&r.pairs) {
+                    assert!(a.bits_eq(b), "multi-wave width {width} threads {threads}");
                 }
             }
         }

@@ -374,7 +374,7 @@ impl Engine {
                 .zip(indices(range.clone()))
                 .map(|(q, index)| {
                     let row = rows.get(&q.t).expect("row staged above");
-                    let router = GreedyRouter::from_row_view(&self.g, q.t, row.view())
+                    let router = GreedyRouter::from_row(&self.g, q.t, row.view())
                         .expect("endpoints validated at admission");
                     // The query's churn epoch is a pure function of its
                     // RNG index, so a retried query always routes under

@@ -35,11 +35,14 @@
 //! bottom-up early exit gets *more* effective at larger `W` because more
 //! lanes are missing per node, compensating the wider word ops).
 //!
-//! Every distance fill writes one row per source — the `u32` and `u8`
-//! lane-major buffers of [`MsBfsW::distances_into`] and
-//! [`MsBfsW::distances_into_bytes`], and the compact per-source
-//! [`DistRowBuf`]s of [`batched_compact_rows_w`], which the routing
-//! engine's cold fill and the all-pairs matrix both use. The fills
+//! Every distance fill writes one row per source. The compact
+//! per-source [`DistRowBuf`]s of [`batched_compact_rows_w`] are the one
+//! row type every exact-distance consumer holds: the routing engine's
+//! cold fill, the target-distance oracle, the all-pairs matrix and the
+//! ball scheme's batched realization. The `u8` lane-major buffer of
+//! [`MsBfsW::distances_into_bytes`] feeds the ball-row sampler, and the
+//! `u32` buffer of [`MsBfsW::distances_into`] is the compact fill's
+//! fallback for a pass deeper than `u16`. The fills
 //! record depths bit-sliced into 8 depth planes and decode them into
 //! rows in bulk. The planes hold 255 levels at a time: each 255-level
 //! window is decoded as the next one opens, so a graph of any depth is

@@ -575,28 +575,27 @@ proptest! {
 /// graph whose eccentricity overflows `u16`: a 70,000-node path, where
 /// the distance row of target 0 peaks at 69,999 > 65,535. Synthetic unit
 /// tests poke `DistRowBuf::from_wide` with hand-built slices; this drives
-/// the fallback end-to-end through the serving engine — the cached row
-/// must be stored wide (4 bytes/node, visible in `resident_bytes`), and
-/// the answers must stay bit-identical to [`run_trials`].
+/// the fallback end-to-end through the distance oracle and the serving
+/// engine — both must hold the row wide (4 bytes/node, visible in
+/// `bytes()` and `resident_bytes`), and the answers must stay
+/// bit-identical to [`run_trials`].
 #[test]
 fn wide_row_fallback_on_real_geometry() {
     use navigability::core::oracle::TargetDistanceCache;
-    use navigability::graph::distance::DistRowBuf;
+    use navigability::graph::distance::DistRowView;
 
     const N: usize = 70_000;
     let g = GraphBuilder::from_edges(N, (0..N as NodeId - 1).map(|u| (u, u + 1))).expect("path");
 
-    // The oracle layer: the compacted row refuses the narrow width.
+    // The oracle layer: its own row refuses the narrow width.
     let cache = TargetDistanceCache::build(&g, [0u32], 1).expect("in range");
     let row = cache.row(0).expect("built target");
-    assert_eq!(row[N - 1], (N - 1) as u32, "path eccentricity");
-    let compact = DistRowBuf::from_wide(row);
     assert!(
-        !compact.is_narrow(),
+        matches!(row, DistRowView::Wide(_)),
         "a 69,999-step row must fall back to u32 storage"
     );
-    assert_eq!(compact.bytes(), N * 4);
-    assert_eq!(compact.get(N - 1), (N - 1) as u32);
+    assert_eq!(cache.bytes(), N * 4);
+    assert_eq!(row.get(N - 1), (N - 1) as u32, "path eccentricity");
 
     // The serving layer: one warm target far beyond u16 range.
     let pairs: Vec<(NodeId, NodeId)> = vec![(1_000, 0), ((N - 1) as NodeId, 0), (500, 0)];
