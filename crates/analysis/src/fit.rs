@@ -2,12 +2,8 @@
 //!
 //! The paper's bounds are asymptotic (`O(√n)`, `Õ(n^{1/3})`, `O(log³n)`),
 //! so "reproducing a theorem" means sweeping `n` and fitting the measured
-//! mean steps to a model:
-//!
-//! * power law `y = C·n^γ` — fit on log–log scale; `γ` is the headline
-//!   (0.5 for the √n regimes, ≈1/3 for Theorem 4, ≈0 for polylog);
-//! * polylog `y = C·(log₂ n)^p` — for the Corollary-1 classes, fit `p`
-//!   with `C` profiled out.
+//! mean steps to a power law `y = C·n^γ` on log–log scale. `γ` is the
+//! headline (0.5 for the √n regimes, ≈1/3 for Theorem 4, ≈0 for polylog).
 
 /// Least-squares line fit `y = a + b·x` with coefficient of determination.
 #[derive(Clone, Copy, Debug)]
@@ -75,32 +71,6 @@ pub fn fit_power_law(points: &[(f64, f64)]) -> Option<PowerLawFit> {
     })
 }
 
-/// A fitted polylog law `y = C · (log₂ n)^p`.
-#[derive(Clone, Copy, Debug)]
-pub struct PolylogFit {
-    /// Multiplicative constant `C`.
-    pub c: f64,
-    /// The log power `p`.
-    pub power: f64,
-    /// R² on the transformed scale.
-    pub r2: f64,
-}
-
-/// Fits `y = C · (log₂ n)^p` through `(n, y)` points (`n ≥ 2`).
-pub fn fit_polylog(points: &[(f64, f64)]) -> Option<PolylogFit> {
-    let logs: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|&&(n, y)| n >= 2.0 && y > 0.0)
-        .map(|&(n, y)| (n.log2().ln(), y.ln()))
-        .collect();
-    let lf = line_fit(&logs)?;
-    Some(PolylogFit {
-        c: lf.a.exp(),
-        power: lf.b,
-        r2: lf.r2,
-    })
-}
-
 /// Crossover finder: the smallest `n` in the (sorted-by-n) sweep where
 /// series `a` drops strictly below series `b` and stays below for the rest
 /// of the sweep. Series are `(n, y)` aligned on identical `n` values.
@@ -162,19 +132,6 @@ mod tests {
             .collect();
         let f = fit_power_law(&pts).unwrap();
         assert!((f.exponent - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn polylog_recovered() {
-        let pts: Vec<(f64, f64)> = (3..16)
-            .map(|k| {
-                let n = (1usize << k) as f64;
-                (n, 0.8 * n.log2().powi(3))
-            })
-            .collect();
-        let f = fit_polylog(&pts).unwrap();
-        assert!((f.power - 3.0).abs() < 1e-9);
-        assert!((f.c - 0.8).abs() < 1e-6);
     }
 
     #[test]

@@ -3,14 +3,11 @@
 //! Everything needed to turn raw trial outputs into the paper-shaped
 //! artefacts of EXPERIMENTS.md:
 //!
-//! * [`stats`] — streaming (Welford) summaries: mean, variance, min/max;
 //! * [`quantile`] — order statistics on collected samples;
-//! * [`bootstrap`] — percentile bootstrap confidence intervals for means;
 //! * [`fit`] — least-squares **power-law fits** `y = C·n^γ` on log–log
 //!   scale (the scaling-exponent methodology: `γ ≈ 0.5` reproduces the
 //!   √n-regime, `γ ≈ 1/3` the ball scheme's headline, `γ ≈ 0` the polylog
-//!   regimes), plus a polylog model `y = C·logᵖn` for the Corollary-1
-//!   instances;
+//!   regimes);
 //! * [`table`] — markdown/CSV table rendering for the experiment binary;
 //! * [`latency`] — tail-latency digests (p50/p90/p99) for the
 //!   query-serving engine's batch reports.
@@ -18,13 +15,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod fit;
 pub mod latency;
 pub mod quantile;
-pub mod stats;
 pub mod table;
 
 pub use fit::PowerLawFit;
 pub use latency::LatencySummary;
-pub use stats::Summary;

@@ -3,11 +3,11 @@
 //! Regenerates every "table/figure" of the reproduction (the paper is a
 //! theory paper with no empirical section, so the experiment suite defined
 //! in DESIGN.md §4 plays that role). Each `eN_*` function returns rendered
-//! tables; the `experiments` binary prints them, and the Criterion benches
-//! time representative instances of the same code paths. The `nav-engine`
-//! binary fronts the serving subsystem: it replays workload files through
-//! a persistent [`nav_engine::Engine`] (mapping workload graph specs onto
-//! [`workloads::Workload`] builders), in-process or over `nav-net` TCP.
+//! tables; the `experiments` binary prints them with each experiment's
+//! wall time. The `nav-engine` binary fronts the serving subsystem: it
+//! replays workload files through a persistent [`nav_engine::Engine`]
+//! (mapping workload graph specs onto [`workloads::Workload`] builders),
+//! in-process or over `nav-net` TCP.
 //!
 //! Five emitters write the checked-in `BENCH_*.json` baselines —
 //! [`benchjson`] (core), [`servejson`] (serve), [`netjson`] (net),

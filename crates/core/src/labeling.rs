@@ -32,14 +32,6 @@ impl Labeling {
         Labeling::new((1..=n as u32).collect(), n)
     }
 
-    /// A labeling from a permutation of `{0, …, n−1}`: node `u` gets label
-    /// `perm[u] + 1`. Used by the Theorem-1 adversary to place chosen
-    /// labels on chosen path positions.
-    pub fn from_permutation(perm: &[usize]) -> Self {
-        let n = perm.len();
-        Labeling::new(perm.iter().map(|&p| p as u32 + 1).collect(), n)
-    }
-
     /// **The paper's Theorem-2 labeling.** Bags of a path-decomposition
     /// are numbered `1..=b` along the path; each node `u` occupies a
     /// contiguous interval `I_u` of bags, and `L(u)` is the unique index
@@ -118,14 +110,6 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn out_of_range_label_panics() {
         let _ = Labeling::new(vec![0, 1], 2);
-    }
-
-    #[test]
-    fn from_permutation() {
-        let l = Labeling::from_permutation(&[2, 0, 1]);
-        assert_eq!(l.label(0), 3);
-        assert_eq!(l.label(1), 1);
-        assert_eq!(l.label(2), 2);
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! greedy diameter is the expectation over these draws. The lazy sampling
 //! used by the trial engine is distributionally identical for a single
 //! (s, t) walk — but some questions live on a *fixed* realization: a
-//! deployed P2P overlay routes every lookup over the same fingers, and
-//! structural statistics (how much does augmentation shrink the diameter?)
-//! are per-realization quantities. This module materialises realizations
-//! and exposes them as (deterministic) schemes.
+//! deployed P2P overlay routes every lookup over the same fingers. This
+//! module materialises realizations and exposes them as (deterministic)
+//! schemes.
 
 use crate::scheme::{AugmentationScheme, ExplicitScheme};
-use nav_graph::{Graph, GraphBuilder, NodeId};
+use nav_graph::{Graph, NodeId};
 use rand::RngCore;
 
 /// One joint draw of every node's long-range contact.
@@ -50,36 +49,12 @@ impl Realization {
     pub fn num_links(&self) -> usize {
         self.contacts.iter().flatten().count()
     }
-
-    /// Views the realization as a (deterministic) augmentation scheme, so
-    /// the ordinary routing engine runs on the fixed links.
-    pub fn as_scheme(&self) -> RealizedScheme<'_> {
-        RealizedScheme { realization: self }
-    }
-
-    /// The augmented graph: underlying edges plus every realised long link
-    /// (as undirected edges; self-contacts are dropped). Useful for
-    /// structural analysis — e.g. how far the *graph* diameter falls,
-    /// versus how far the *greedy* diameter falls (greedy cannot exploit
-    /// links it cannot see, which is the whole point of the model).
-    pub fn augmented_graph(&self, g: &Graph) -> Graph {
-        let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_edges() + self.num_links());
-        b.extend_edges(g.edges());
-        for u in g.nodes() {
-            if let Some(v) = self.contacts[u as usize] {
-                if v != u {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        b.build().expect("augmenting a valid graph stays valid")
-    }
 }
 
 /// An owned [`Realization`] is itself a (deterministic)
 /// [`AugmentationScheme`]: every sample returns the fixed contact. This is
 /// the form a long-lived serving engine boxes up — no borrow to keep
-/// alive. Use [`Realization::as_scheme`] when a borrow suffices.
+/// alive.
 impl AugmentationScheme for Realization {
     fn name(&self) -> String {
         "realized".into()
@@ -107,35 +82,12 @@ impl ExplicitScheme for Realization {
     }
 }
 
-/// A [`Realization`] wrapped as an [`AugmentationScheme`] (every sample
-/// returns the fixed contact).
-#[derive(Clone, Copy, Debug)]
-pub struct RealizedScheme<'r> {
-    realization: &'r Realization,
-}
-
-impl AugmentationScheme for RealizedScheme<'_> {
-    fn name(&self) -> String {
-        "realized".into()
-    }
-
-    fn sample_contact(&self, _g: &Graph, u: NodeId, _rng: &mut dyn RngCore) -> Option<NodeId> {
-        self.realization.contact(u)
-    }
-}
-
-impl ExplicitScheme for RealizedScheme<'_> {
-    fn contact_distribution(&self, g: &Graph, u: NodeId) -> Vec<(NodeId, f64)> {
-        self.realization.contact_distribution(g, u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::{default_step_cap, GreedyRouter};
     use crate::uniform::{NoAugmentation, UniformScheme};
-    use nav_graph::distance::diameter_exact;
+    use nav_graph::GraphBuilder;
     use nav_par::rng::{seeded_rng, task_rng};
 
     fn path(n: usize) -> Graph {
@@ -147,12 +99,11 @@ mod tests {
         let g = path(50);
         let mut rng = seeded_rng(1);
         let real = Realization::sample(&g, &UniformScheme, &mut rng);
-        let scheme = real.as_scheme();
         let router = GreedyRouter::new(&g, 49).unwrap();
         let route = |seed: u64| {
             let mut r = seeded_rng(seed);
             router
-                .route(&scheme, 0, &mut r, default_step_cap(&g), true)
+                .route(&real, 0, &mut r, default_step_cap(&g), true)
                 .path
                 .unwrap()
         };
@@ -166,7 +117,6 @@ mod tests {
         let mut rng = seeded_rng(2);
         let real = Realization::sample(&g, &NoAugmentation, &mut rng);
         assert_eq!(real.num_links(), 0);
-        assert_eq!(real.augmented_graph(&g), g);
     }
 
     #[test]
@@ -178,18 +128,6 @@ mod tests {
         for u in g.nodes() {
             assert!(real.contact(u).unwrap() < 100);
         }
-    }
-
-    #[test]
-    fn augmented_graph_shrinks_diameter() {
-        let g = path(200);
-        let mut rng = seeded_rng(4);
-        let real = Realization::sample(&g, &UniformScheme, &mut rng);
-        let aug = real.augmented_graph(&g);
-        assert!(aug.num_edges() > g.num_edges());
-        let d0 = diameter_exact(&g).unwrap();
-        let d1 = diameter_exact(&aug).unwrap();
-        assert!(d1 < d0, "diameter {d0} -> {d1}");
     }
 
     #[test]
@@ -205,7 +143,7 @@ mod tests {
             let mut rng = task_rng(55, t);
             let real = Realization::sample(&g, &UniformScheme, &mut rng);
             sum_realized += router
-                .route(&real.as_scheme(), 0, &mut rng, default_step_cap(&g), false)
+                .route(&real, 0, &mut rng, default_step_cap(&g), false)
                 .steps as f64;
             let mut rng2 = task_rng(56, t);
             sum_lazy += router
@@ -214,28 +152,5 @@ mod tests {
         }
         let (a, b) = (sum_realized / trials as f64, sum_lazy / trials as f64);
         assert!((a - b).abs() < 0.6, "realized {a:.3} vs lazy {b:.3}");
-    }
-
-    #[test]
-    fn self_contact_dropped_from_augmented_graph() {
-        struct SelfLink;
-        impl AugmentationScheme for SelfLink {
-            fn name(&self) -> String {
-                "self".into()
-            }
-            fn sample_contact(
-                &self,
-                _g: &Graph,
-                u: NodeId,
-                _rng: &mut dyn RngCore,
-            ) -> Option<NodeId> {
-                Some(u)
-            }
-        }
-        let g = path(5);
-        let mut rng = seeded_rng(6);
-        let real = Realization::sample(&g, &SelfLink, &mut rng);
-        assert_eq!(real.num_links(), 5);
-        assert_eq!(real.augmented_graph(&g), g); // all loops dropped
     }
 }

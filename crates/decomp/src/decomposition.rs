@@ -87,39 +87,6 @@ impl PathDecomposition {
             }
         }
     }
-
-    /// Converts to the equivalent tree-decomposition (the path as a tree).
-    pub fn to_tree_decomposition(&self) -> TreeDecomposition {
-        TreeDecomposition {
-            bags: self.bags.clone(),
-            tree_edges: (1..self.bags.len()).map(|i| (i - 1, i)).collect(),
-        }
-    }
-}
-
-/// A tree-decomposition `(T, X)`: bags at the nodes of an arbitrary tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TreeDecomposition {
-    /// Bag contents (sorted, unique), indexed by tree-node.
-    pub bags: Vec<Vec<NodeId>>,
-    /// Edges of the decomposition tree over bag indices.
-    pub tree_edges: Vec<(usize, usize)>,
-}
-
-impl TreeDecomposition {
-    /// Creates a tree-decomposition, normalising bags.
-    pub fn new(mut bags: Vec<Vec<NodeId>>, tree_edges: Vec<(usize, usize)>) -> Self {
-        for bag in &mut bags {
-            bag.sort_unstable();
-            bag.dedup();
-        }
-        TreeDecomposition { bags, tree_edges }
-    }
-
-    /// Number of bags.
-    pub fn num_bags(&self) -> usize {
-        self.bags.len()
-    }
 }
 
 #[cfg(test)]
@@ -178,13 +145,5 @@ mod tests {
         let mut pd = PathDecomposition::new(vec![vec![0], vec![0, 1], vec![0, 1, 2]]);
         pd.reduce();
         assert_eq!(pd.bags, vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn to_tree_decomposition_path_edges() {
-        let pd = PathDecomposition::new(vec![vec![0], vec![1], vec![2]]);
-        let td = pd.to_tree_decomposition();
-        assert_eq!(td.tree_edges, vec![(0, 1), (1, 2)]);
-        assert_eq!(td.num_bags(), 3);
     }
 }

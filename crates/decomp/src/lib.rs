@@ -1,4 +1,4 @@
-//! # nav-decomp — tree/path decompositions and the **pathshape** parameter
+//! # nav-decomp — path decompositions and the **pathshape** parameter
 //!
 //! The paper's Theorem 2 analyses its matrix-based scheme `(M, L)` in terms
 //! of a new graph parameter, the *pathshape* `ps(G)`: the minimum over all
@@ -38,5 +38,5 @@ pub mod portfolio;
 pub mod tree_pd;
 pub mod validate;
 
-pub use decomposition::{PathDecomposition, TreeDecomposition};
+pub use decomposition::PathDecomposition;
 pub use portfolio::best_path_decomposition;

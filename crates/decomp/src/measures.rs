@@ -79,36 +79,6 @@ pub fn decomposition_shape(g: &Graph, pd: &PathDecomposition) -> usize {
         .unwrap_or(0)
 }
 
-/// Width of a **tree**-decomposition: max bag width (`tw(G)` is the min
-/// over tree-decompositions).
-pub fn tree_decomposition_width(td: &crate::decomposition::TreeDecomposition) -> usize {
-    td.bags.iter().map(|b| bag_width(b)).max().unwrap_or(0)
-}
-
-/// Length of a tree-decomposition: max bag length (Dourisboure's
-/// treelength when minimised).
-pub fn tree_decomposition_length(g: &Graph, td: &crate::decomposition::TreeDecomposition) -> u32 {
-    let mut bfs = Bfs::new(g.num_nodes());
-    td.bags
-        .iter()
-        .map(|b| bag_length(g, b, &mut bfs))
-        .max()
-        .unwrap_or(0)
-}
-
-/// Shape of a tree-decomposition: max over bags of `min(width, length)` —
-/// minimised over tree-decompositions this is the paper's **treeshape**
-/// `ts(G)`; since every path-decomposition is a tree-decomposition,
-/// `ts(G) ≤ ps(G)` always.
-pub fn tree_decomposition_shape(g: &Graph, td: &crate::decomposition::TreeDecomposition) -> usize {
-    let mut bfs = Bfs::new(g.num_nodes());
-    td.bags
-        .iter()
-        .map(|b| bag_shape(g, b, &mut bfs))
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,42 +140,6 @@ mod tests {
         let mut bfs = Bfs::new(5);
         // Bag = K4: width 3, length 1 → shape 1 (the interval-graph case).
         assert_eq!(bag_shape(&g, &[0, 1, 2, 3], &mut bfs), 1);
-    }
-
-    #[test]
-    fn tree_decomposition_measures_match_path_view() {
-        // A path-decomposition viewed as a tree-decomposition must report
-        // identical width/length/shape (treeshape ≤ pathshape witness).
-        let g = path_graph(8);
-        let pd = PathDecomposition::new(vec![vec![0, 1, 2], vec![2, 3], vec![3, 4, 5, 6, 7]]);
-        let td = pd.to_tree_decomposition();
-        assert_eq!(tree_decomposition_width(&td), decomposition_width(&pd));
-        assert_eq!(
-            tree_decomposition_length(&g, &td),
-            decomposition_length(&g, &pd)
-        );
-        assert_eq!(
-            tree_decomposition_shape(&g, &td),
-            decomposition_shape(&g, &pd)
-        );
-    }
-
-    #[test]
-    fn star_tree_decomposition_shape() {
-        // Star K_{1,5} with per-leaf bags in a star-shaped tree: width 1,
-        // length 1 → shape 1.
-        let mut b = GraphBuilder::new(6);
-        for v in 1..6u32 {
-            b.add_edge(0, v);
-        }
-        let g = b.build().unwrap();
-        let td = crate::decomposition::TreeDecomposition::new(
-            (1..6u32).map(|v| vec![0, v]).collect(),
-            vec![(0, 1), (0, 2), (0, 3), (0, 4)],
-        );
-        crate::validate::validate_tree_decomposition(&g, &td).unwrap();
-        assert_eq!(tree_decomposition_width(&td), 1);
-        assert_eq!(tree_decomposition_shape(&g, &td), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Axiomatic validation of decompositions.
 
-use crate::decomposition::{PathDecomposition, TreeDecomposition};
+use crate::decomposition::PathDecomposition;
 use nav_graph::Graph;
 use std::fmt;
 
@@ -17,8 +17,7 @@ pub enum ValidationError {
         /// The uncovered edge.
         edge: (u32, u32),
     },
-    /// A node's bags do not form a contiguous interval (path) / connected
-    /// subtree (tree).
+    /// A node's bags do not form a contiguous interval.
     NotContiguous {
         /// The offending node.
         node: u32,
@@ -28,8 +27,6 @@ pub enum ValidationError {
         /// The offending node id.
         node: u32,
     },
-    /// The decomposition tree is not a tree (wrong edge count or cyclic).
-    BadTree,
 }
 
 impl fmt::Display for ValidationError {
@@ -40,10 +37,9 @@ impl fmt::Display for ValidationError {
                 write!(f, "edge ({}, {}) in no bag", edge.0, edge.1)
             }
             ValidationError::NotContiguous { node } => {
-                write!(f, "bags of node {node} are not contiguous/connected")
+                write!(f, "bags of node {node} are not contiguous")
             }
             ValidationError::NodeOutOfRange { node } => write!(f, "bag node {node} out of range"),
-            ValidationError::BadTree => write!(f, "decomposition tree is not a tree"),
         }
     }
 }
@@ -89,87 +85,6 @@ pub fn validate_path_decomposition(
         let (fu, lu) = (first[u as usize], last[u as usize]);
         let (fv, lv) = (first[v as usize], last[v as usize]);
         if fu.max(fv) > lu.min(lv) {
-            return Err(ValidationError::EdgeUncovered { edge: (u, v) });
-        }
-    }
-    Ok(())
-}
-
-/// Checks the tree-decomposition axioms against `g` (the third axiom as
-/// subtree-connectivity of each node's bag set).
-pub fn validate_tree_decomposition(
-    g: &Graph,
-    td: &TreeDecomposition,
-) -> Result<(), ValidationError> {
-    let b = td.num_bags();
-    let n = g.num_nodes();
-    if b == 0 {
-        return Err(ValidationError::BadTree);
-    }
-    if td.tree_edges.len() != b - 1 {
-        return Err(ValidationError::BadTree);
-    }
-    // Decomposition-tree adjacency + connectivity check.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); b];
-    for &(x, y) in &td.tree_edges {
-        if x >= b || y >= b || x == y {
-            return Err(ValidationError::BadTree);
-        }
-        adj[x].push(y);
-        adj[y].push(x);
-    }
-    let mut seen = vec![false; b];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut visited = 0;
-    while let Some(x) = stack.pop() {
-        visited += 1;
-        for &y in &adj[x] {
-            if !seen[y] {
-                seen[y] = true;
-                stack.push(y);
-            }
-        }
-    }
-    if visited != b {
-        return Err(ValidationError::BadTree);
-    }
-    // Node coverage + range.
-    let mut bags_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, bag) in td.bags.iter().enumerate() {
-        for &u in bag {
-            if u as usize >= n {
-                return Err(ValidationError::NodeOutOfRange { node: u });
-            }
-            bags_of[u as usize].push(i);
-        }
-    }
-    for (u, bags_of_u) in bags_of.iter().enumerate() {
-        if bags_of_u.is_empty() {
-            return Err(ValidationError::NodeUncovered { node: u as u32 });
-        }
-        // Subtree connectivity: BFS within the induced bag set.
-        let in_set: std::collections::HashSet<usize> = bags_of_u.iter().copied().collect();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![bags_of_u[0]];
-        seen.insert(bags_of_u[0]);
-        while let Some(x) = stack.pop() {
-            for &y in &adj[x] {
-                if in_set.contains(&y) && seen.insert(y) {
-                    stack.push(y);
-                }
-            }
-        }
-        if seen.len() != in_set.len() {
-            return Err(ValidationError::NotContiguous { node: u as u32 });
-        }
-    }
-    // Edge coverage (direct check).
-    for (u, v) in g.edges() {
-        let covered = bags_of[u as usize]
-            .iter()
-            .any(|&i| td.bags[i].binary_search(&v).is_ok());
-        if !covered {
             return Err(ValidationError::EdgeUncovered { edge: (u, v) });
         }
     }
@@ -237,55 +152,5 @@ mod tests {
             validate_path_decomposition(&g, &pd),
             Err(ValidationError::NodeOutOfRange { node: 9 })
         );
-    }
-
-    #[test]
-    fn tree_decomposition_of_triangle() {
-        let g = GraphBuilder::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap();
-        let td = TreeDecomposition::new(vec![vec![0, 1, 2]], vec![]);
-        assert!(validate_tree_decomposition(&g, &td).is_ok());
-    }
-
-    #[test]
-    fn tree_decomposition_star_shape() {
-        // Star: hub 0 with leaves 1..4; bags {0,leaf} in a star tree.
-        let g = GraphBuilder::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
-        let td = TreeDecomposition::new(
-            vec![vec![0, 1], vec![0, 2], vec![0, 3]],
-            vec![(0, 1), (1, 2)],
-        );
-        assert!(validate_tree_decomposition(&g, &td).is_ok());
-    }
-
-    #[test]
-    fn disconnected_bag_tree_rejected() {
-        let g = path_graph(2);
-        let td = TreeDecomposition::new(vec![vec![0, 1], vec![0, 1], vec![0, 1]], vec![(0, 1)]);
-        assert_eq!(
-            validate_tree_decomposition(&g, &td),
-            Err(ValidationError::BadTree)
-        );
-    }
-
-    #[test]
-    fn tree_subtree_violation_detected() {
-        // Node 0 in bags 0 and 2 which are not adjacent in the bag tree.
-        let g = path_graph(3);
-        let td = TreeDecomposition::new(
-            vec![vec![0, 1], vec![1, 2], vec![0, 2]],
-            vec![(0, 1), (1, 2)],
-        );
-        assert_eq!(
-            validate_tree_decomposition(&g, &td),
-            Err(ValidationError::NotContiguous { node: 0 })
-        );
-    }
-
-    #[test]
-    fn path_decomposition_as_tree_valid() {
-        let g = path_graph(4);
-        let pd = PathDecomposition::new(vec![vec![0, 1], vec![1, 2], vec![2, 3]]);
-        let td = pd.to_tree_decomposition();
-        assert!(validate_tree_decomposition(&g, &td).is_ok());
     }
 }

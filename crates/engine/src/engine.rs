@@ -305,11 +305,7 @@ impl Engine {
             .fault
             .plan
             .and_then(|plan| indices(0..batch.len()).map(|i| plan.epoch_of(i)).max());
-        let mut epoch_flips = 0u64;
-        if let Some(epoch) = batch_epoch.filter(|&e| e != self.last_epoch) {
-            self.last_epoch = epoch;
-            epoch_flips = 1;
-        }
+        let new_epoch = batch_epoch.filter(|&e| e != self.last_epoch);
         // --- cache ----------------------------------------------------
         let span = StageSpan::begin(Stage::CacheLookup, obs_on);
         let mut rows: HashMap<NodeId, Arc<DistRowBuf>> = HashMap::with_capacity(targets.len());
@@ -459,8 +455,12 @@ impl Engine {
         self.metrics
             .record_batch(batch.len(), trials, warm, cold.len(), elapsed_ms);
         self.metrics.record_sampler(&sampler_stats);
+        // The epoch moves with the counters, once the batch completes.
+        if let Some(epoch) = new_epoch {
+            self.last_epoch = epoch;
+        }
         self.metrics
-            .record_fault(dropped_links, rerouted_hops, epoch_flips);
+            .record_fault(dropped_links, rerouted_hops, new_epoch.is_some() as u64);
         Ok(BatchResult {
             answers,
             warm_targets: warm,

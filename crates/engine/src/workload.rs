@@ -241,6 +241,12 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, WorkloadError> {
                     seed: parse_num(tok.next(), ln, "zipf seed")?,
                     hot: parse_num(tok.next(), ln, "hot-target count")?,
                 };
+                if !spec.theta.is_finite() {
+                    return Err(bad(ln, "theta must be finite"));
+                }
+                if g.n < 2 {
+                    return Err(bad(ln, "zipf needs a graph of at least 2 nodes"));
+                }
                 if spec.hot == 0 || spec.hot > g.n {
                     return Err(bad(ln, format!("hot targets must be in 1..={}", g.n)));
                 }
@@ -463,6 +469,12 @@ zipf 100 1.1 3 8
         assert!(e.to_string().contains("frobnicate"));
         let e = parse_workload("nav-workload v1\ngraph path 10 1\nzipf 5 1.0 1 11").unwrap_err();
         assert!(e.to_string().contains("hot targets"));
+        let e = parse_workload("nav-workload v1\ngraph path 10 1\nzipf 10 NaN 3 8").unwrap_err();
+        assert!(matches!(e, WorkloadError::BadDirective(3, _)), "{e}");
+        assert!(e.to_string().contains("theta must be finite"));
+        let e = parse_workload("nav-workload v1\ngraph path 1 7\nzipf 10 1.1 3 1").unwrap_err();
+        assert!(matches!(e, WorkloadError::BadDirective(3, _)), "{e}");
+        assert!(e.to_string().contains("at least 2 nodes"));
         let e = parse_workload("nav-workload v1\ngraph path 10 1\nbatch 0").unwrap_err();
         assert!(e.to_string().contains("positive"));
         let e = parse_workload("nav-workload v1\ngraph path 10 1\nquery 0 1 2 3").unwrap_err();

@@ -1,4 +1,4 @@
-//! Deterministic classic graphs: paths, cycles, stars, cliques, wheels.
+//! Deterministic classic graphs: paths, cycles, stars, cliques, circulants.
 
 use nav_graph::{Graph, GraphBuilder, GraphError, NodeId};
 
@@ -40,20 +40,6 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
         for v in (u + 1)..n {
             b.add_edge(u as NodeId, v as NodeId);
         }
-    }
-    b.build()
-}
-
-/// The wheel `W_n`: a cycle on nodes `1..n` plus hub 0 (`n ≥ 4`).
-pub fn wheel(n: usize) -> Result<Graph, GraphError> {
-    if n < 4 {
-        return Err(GraphError::Empty);
-    }
-    let mut b = GraphBuilder::with_capacity(n, 2 * (n - 1));
-    for v in 1..n {
-        b.add_edge(0, v as NodeId);
-        let next = if v == n - 1 { 1 } else { v + 1 };
-        b.add_edge(v as NodeId, next as NodeId);
     }
     b.build()
 }
@@ -119,17 +105,6 @@ mod tests {
         assert_eq!(g.num_edges(), 21);
         assert!(is_regular(&g, 6));
         assert_eq!(diameter_exact(&g), Some(1));
-    }
-
-    #[test]
-    fn wheel_shape() {
-        let g = wheel(7).unwrap();
-        assert_eq!(g.degree(0), 6);
-        for v in 1..7 {
-            assert_eq!(g.degree(v), 3);
-        }
-        assert_eq!(diameter_exact(&g), Some(2));
-        assert!(wheel(3).is_err());
     }
 
     #[test]

@@ -31,32 +31,6 @@ pub fn lollipop(clique: usize, path_len: usize) -> Result<Graph, GraphError> {
     b.build()
 }
 
-/// Barbell: two cliques of `clique` nodes joined by a path of `path_len`
-/// intermediate nodes. Total: `2·clique + path_len`.
-pub fn barbell(clique: usize, path_len: usize) -> Result<Graph, GraphError> {
-    if clique == 0 {
-        return Err(GraphError::Empty);
-    }
-    let n = 2 * clique + path_len;
-    let mut b = GraphBuilder::with_capacity(n, clique * clique + path_len + 2);
-    for base in [0, clique + path_len] {
-        for u in 0..clique {
-            for v in (u + 1)..clique {
-                b.add_edge((base + u) as NodeId, (base + v) as NodeId);
-            }
-        }
-    }
-    // Path from clique-1 node 0 through the middle nodes to clique-2 node 0.
-    let mut prev = 0 as NodeId;
-    for i in 0..path_len {
-        let v = (clique + i) as NodeId;
-        b.add_edge(prev, v);
-        prev = v;
-    }
-    b.add_edge(prev, (clique + path_len) as NodeId);
-    b.build()
-}
-
 /// Comb: a spine path of `spine` nodes, each carrying a pendant "tooth"
 /// path of `tooth_len` nodes. Total: `spine · (1 + tooth_len)`.
 pub fn comb(spine: usize, tooth_len: usize) -> Result<Graph, GraphError> {
@@ -74,32 +48,6 @@ pub fn comb(spine: usize, tooth_len: usize) -> Result<Graph, GraphError> {
             let v = (spine + s * tooth_len + t) as NodeId;
             b.add_edge(prev, v);
             prev = v;
-        }
-    }
-    b.build()
-}
-
-/// Clique chain ("path of cliques"): `count` cliques of `size` nodes;
-/// consecutive cliques share **one** node, so the chain is 1-connected and
-/// has small pathlength. Total nodes: `count·size − (count−1)`.
-pub fn clique_chain(count: usize, size: usize) -> Result<Graph, GraphError> {
-    if count == 0 || size == 0 {
-        return Err(GraphError::Empty);
-    }
-    if size == 1 {
-        // Degenerates to a single node repeated; produce a path instead.
-        return crate::classic::path(count);
-    }
-    let n = count * size - (count - 1);
-    let mut b = GraphBuilder::with_capacity(n, count * size * size / 2);
-    // Clique k occupies [k·(size−1), k·(size−1) + size); consecutive
-    // cliques overlap in exactly the boundary node.
-    for k in 0..count {
-        let base = k * (size - 1);
-        for u in 0..size {
-            for v in (u + 1)..size {
-                b.add_edge((base + u) as NodeId, (base + v) as NodeId);
-            }
         }
     }
     b.build()
@@ -173,22 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn barbell_structure() {
-        let g = barbell(4, 3).unwrap();
-        assert_eq!(g.num_nodes(), 11);
-        assert!(is_connected(&g));
-        // clique diameter 1 + path 4 hops + 1 = dist between far corners
-        assert_eq!(diameter_exact(&g), Some(1 + 4 + 1));
-    }
-
-    #[test]
-    fn barbell_zero_path_still_connected() {
-        let g = barbell(3, 0).unwrap();
-        assert_eq!(g.num_nodes(), 6);
-        assert!(is_connected(&g));
-    }
-
-    #[test]
     fn comb_structure() {
         let g = comb(5, 3).unwrap();
         assert_eq!(g.num_nodes(), 20);
@@ -200,22 +132,6 @@ mod tests {
     #[test]
     fn comb_no_teeth_is_path() {
         let g = comb(7, 0).unwrap();
-        assert!(nav_graph::properties::is_path_graph(&g));
-    }
-
-    #[test]
-    fn clique_chain_structure() {
-        let g = clique_chain(3, 4).unwrap();
-        assert_eq!(g.num_nodes(), 3 * 4 - 2);
-        assert!(is_connected(&g));
-        assert_eq!(diameter_exact(&g), Some(3));
-        // Shared nodes have degree 2·(size−1).
-        assert_eq!(g.degree(3), 6);
-    }
-
-    #[test]
-    fn clique_chain_size_one_degenerates_to_path() {
-        let g = clique_chain(5, 1).unwrap();
         assert!(nav_graph::properties::is_path_graph(&g));
     }
 
@@ -245,6 +161,5 @@ mod tests {
     fn degenerate_inputs() {
         assert!(lollipop(0, 5).is_err());
         assert!(comb(0, 2).is_err());
-        assert!(clique_chain(0, 3).is_err());
     }
 }

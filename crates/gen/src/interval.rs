@@ -76,28 +76,6 @@ pub fn random_interval_graph(
     Ok((g, rep))
 }
 
-/// Random **unit** interval graph (all lengths equal), same repair rule.
-pub fn random_unit_interval_graph(
-    n: usize,
-    length: u64,
-    rng: &mut impl Rng,
-) -> Result<(Graph, IntervalRep), GraphError> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
-    let space = (n as u64) * 4;
-    let mut intervals: Vec<(u64, u64)> = (0..n)
-        .map(|_| {
-            let l = rng.gen_range(0..space);
-            (l, l + length.max(1))
-        })
-        .collect();
-    repair_connectivity(&mut intervals);
-    let rep = IntervalRep { intervals };
-    let g = rep.to_graph()?;
-    Ok((g, rep))
-}
-
 /// Stretches intervals left so the union of intervals is one contiguous
 /// segment (⇒ the interval graph is connected).
 fn repair_connectivity(intervals: &mut [(u64, u64)]) {
@@ -160,14 +138,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unit_interval_connected() {
-        let (g, rep) = random_unit_interval_graph(200, 6, &mut rng(7)).unwrap();
-        assert!(is_connected(&g));
-        // Unit lengths may be stretched by repair: lengths are >= original.
-        assert!(rep.intervals.iter().all(|&(l, r)| l <= r));
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! claims are *universal* ("for any n-node graph"), so the experiment suite
 //! sweeps families chosen to cover the regimes its proofs distinguish:
 //!
-//! * [`classic`] — paths, cycles, stars, complete graphs, wheels: the
+//! * [`classic`] — paths, cycles, stars, complete graphs, circulants: the
 //!   extremal instances (every lower bound in the paper lives on the path);
 //! * [`grid`] — d-dimensional meshes, tori and hypercubes: bounded-growth
 //!   graphs where Kleinberg-style schemes are polylog;
 //! * [`tree`] — uniform random labelled trees (exact, via Prüfer), k-ary
-//!   trees, caterpillars, spiders, brooms: pathshape `O(log n)` instances
-//!   for Corollary 1;
+//!   trees, caterpillars: pathshape `O(log n)` instances for Corollary 1;
 //! * [`interval`] — random interval graphs **with their interval
 //!   representation** (AT-free, pathlength ≤ 1 clique-path decompositions
 //!   for Corollary 1's second clause);
@@ -18,7 +17,7 @@
 //!   (also AT-free);
 //! * [`random`] — Erdős–Rényi `G(n, p)` (connected variants), random
 //!   regular graphs (expander-like), random geometric graphs;
-//! * [`composite`] — lollipops, barbells, combs, clique chains: the
+//! * [`composite`] — lollipops, combs, expander lollipops: the
 //!   mixed-growth instances that separate the Õ(n^{1/3}) ball scheme from
 //!   the uniform scheme.
 //!

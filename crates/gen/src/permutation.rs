@@ -2,9 +2,7 @@
 //!
 //! Nodes are positions `0..n`; `i ~ j` iff the pair is *inverted* by the
 //! permutation: `(i < j) ∧ (π(i) > π(j))`. A uniform random permutation
-//! yields a dense graph (~n²/4 edges), usable only at small `n`; the
-//! *banded* construction below produces sparse connected permutation
-//! graphs at any scale.
+//! yields a dense graph (~n²/4 edges), usable only at small `n`.
 
 use nav_graph::{Graph, GraphBuilder, GraphError, NodeId};
 use rand::Rng;
@@ -45,59 +43,6 @@ pub fn random_permutation_graph(
     }
     make_indecomposable(&mut perm);
     let g = permutation_graph(&perm)?;
-    Ok((g, perm))
-}
-
-/// Sparse connected permutation graph: consecutive blocks of random size in
-/// `[2, max_block]` are reversed, then the boundary values are swapped so
-/// consecutive block-cliques share edges (see module docs of the design
-/// document). Edge count is `O(n · max_block)`.
-///
-/// Returns the graph and the permutation.
-pub fn banded_permutation_graph(
-    n: usize,
-    max_block: usize,
-    rng: &mut impl Rng,
-) -> Result<(Graph, Vec<usize>), GraphError> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
-    let max_block = max_block.max(2);
-    let mut perm: Vec<usize> = (0..n).collect();
-    // Partition into blocks and reverse each.
-    let mut boundaries = Vec::new(); // starts of blocks after the first
-    let mut s = 0usize;
-    while s < n {
-        let w = rng.gen_range(2..=max_block).min(n - s);
-        perm[s..s + w].reverse();
-        if s > 0 {
-            boundaries.push(s);
-        }
-        s += w;
-    }
-    // Swap values across each boundary to chain the block cliques.
-    for &b in &boundaries {
-        perm.swap(b - 1, b);
-    }
-    // Reversing/swapping can re-create prefix fixpoints in degenerate
-    // cases (e.g. trailing width-1 blocks); repair just like above.
-    make_indecomposable(&mut perm);
-    // The banded structure keeps every inversion within O(max_block) of
-    // the diagonal, so enumerate only nearby pairs.
-    let band = 2 * max_block + 2;
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..(i + band).min(n) {
-            if perm[i] > perm[j] {
-                b.add_edge(i as NodeId, j as NodeId);
-            }
-        }
-    }
-    // Defensive: verify no inversion escaped the band (would indicate a
-    // construction bug); cheap O(n) check on the block structure instead
-    // of O(n²): max displacement must be < band.
-    debug_assert!(perm.iter().enumerate().all(|(i, &v)| v.abs_diff(i) < band));
-    let g = b.build()?;
     Ok((g, perm))
 }
 
@@ -161,28 +106,6 @@ mod tests {
             let mut sorted = perm.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..60).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn banded_graph_connected_and_sparse() {
-        for seed in 0..5u64 {
-            let n = 500;
-            let (g, perm) = banded_permutation_graph(n, 6, &mut rng(seed)).unwrap();
-            assert!(is_connected(&g), "seed {seed}");
-            assert!(g.num_edges() < n * 20, "too dense: {} edges", g.num_edges());
-            let mut sorted = perm.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn banded_matches_bruteforce_on_small_n() {
-        for seed in 0..5u64 {
-            let (g, perm) = banded_permutation_graph(40, 5, &mut rng(seed)).unwrap();
-            let brute = permutation_graph(&perm).unwrap();
-            assert_eq!(g, brute, "seed {seed}");
         }
     }
 

@@ -17,20 +17,6 @@ pub fn random_tree(n: usize, rng: &mut impl Rng) -> Result<Graph, GraphError> {
     }
 }
 
-/// Random recursive tree: node `i` attaches to a uniform node in `0..i`.
-/// Height is `Θ(log n)` with high probability.
-pub fn random_recursive_tree(n: usize, rng: &mut impl Rng) -> Result<Graph, GraphError> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for i in 1..n {
-        let parent = rng.gen_range(0..i) as NodeId;
-        b.add_edge(parent, i as NodeId);
-    }
-    b.build()
-}
-
 /// Complete `k`-ary tree truncated to exactly `n` nodes (node `i`'s parent
 /// is `(i − 1) / k`), so the height is `Θ(log_k n)`.
 pub fn complete_kary_tree(k: usize, n: usize) -> Result<Graph, GraphError> {
@@ -58,39 +44,6 @@ pub fn caterpillar(spine: usize, legs: usize) -> Result<Graph, GraphError> {
     for leg in 0..legs {
         let attach = (leg % spine) as NodeId;
         b.add_edge(attach, (spine + leg) as NodeId);
-    }
-    b.build()
-}
-
-/// Spider: `legs` paths of length `leg_len` glued at a central node 0.
-/// Total nodes: `1 + legs · leg_len`.
-pub fn spider(legs: usize, leg_len: usize) -> Result<Graph, GraphError> {
-    let n = 1 + legs * leg_len;
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for leg in 0..legs {
-        let mut prev = 0 as NodeId;
-        for step in 0..leg_len {
-            let v = (1 + leg * leg_len + step) as NodeId;
-            b.add_edge(prev, v);
-            prev = v;
-        }
-    }
-    b.build()
-}
-
-/// Broom: a path of `handle` nodes with `bristles` leaves attached to its
-/// last node. Total nodes: `handle + bristles`.
-pub fn broom(handle: usize, bristles: usize) -> Result<Graph, GraphError> {
-    if handle == 0 {
-        return Err(GraphError::Empty);
-    }
-    let n = handle + bristles;
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for u in 1..handle {
-        b.add_edge((u - 1) as NodeId, u as NodeId);
-    }
-    for leaf in 0..bristles {
-        b.add_edge((handle - 1) as NodeId, (handle + leaf) as NodeId);
     }
     b.build()
 }
@@ -141,16 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn recursive_tree_low_height() {
-        let mut rng = rng();
-        let g = random_recursive_tree(1000, &mut rng).unwrap();
-        assert!(is_tree(&g));
-        // Height of a random recursive tree is ~e·ln n ≈ 19; diameter ≤ 2h.
-        let d = diameter_exact(&g).unwrap();
-        assert!(d < 60, "diameter {d} suspiciously large");
-    }
-
-    #[test]
     fn kary_tree_structure() {
         let g = complete_kary_tree(2, 15).unwrap();
         assert!(is_tree(&g));
@@ -169,29 +112,5 @@ mod tests {
         // Legs attach round-robin: spine node 0 gets legs 0 and 5.
         assert_eq!(g.degree(0), 1 + 2);
         assert!(caterpillar(0, 3).is_err());
-    }
-
-    #[test]
-    fn spider_structure() {
-        let g = spider(4, 6).unwrap();
-        assert!(is_tree(&g));
-        assert_eq!(g.num_nodes(), 25);
-        assert_eq!(g.degree(0), 4);
-        assert_eq!(diameter_exact(&g), Some(12));
-    }
-
-    #[test]
-    fn spider_no_legs_is_singleton() {
-        let g = spider(0, 5).unwrap();
-        assert_eq!(g.num_nodes(), 1);
-    }
-
-    #[test]
-    fn broom_structure() {
-        let g = broom(6, 4).unwrap();
-        assert!(is_tree(&g));
-        assert_eq!(g.degree(5), 1 + 4);
-        // Far end of the handle to any bristle: 5 hops + 1.
-        assert_eq!(diameter_exact(&g), Some(6));
     }
 }

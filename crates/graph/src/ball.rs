@@ -2,10 +2,9 @@
 //!
 //! The Õ(n^{1/3}) universal scheme augments every node `u` by first drawing
 //! a scale `k` uniformly in `{1, …, ⌈log₂ n⌉}` and then a uniform node of
-//! `B(u, 2^k)`. This module provides ball enumeration, ball-size profiles
-//! and the rank function `r(v) = min { k : v ∈ B(u, 2^k) }` used to write
-//! the scheme's distribution in closed form (needed by the exact
-//! expected-steps evaluator).
+//! `B(u, 2^k)`. This module provides ball enumeration and the rank
+//! function `r(v) = min { k : v ∈ B(u, 2^k) }` in which the scheme's
+//! distribution is written.
 
 use crate::{bfs::Bfs, csr::Graph, NodeId};
 
@@ -20,53 +19,6 @@ pub fn ball(g: &Graph, source: NodeId, radius: u32) -> Vec<NodeId> {
 /// Size of `B(source, radius)`.
 pub fn ball_size(g: &Graph, source: NodeId, radius: u32) -> usize {
     ball(g, source, radius).len()
-}
-
-/// Sizes of the dyadic balls `|B(source, 2^k)|` for `k = 0..=kmax`,
-/// computed with a single BFS.
-pub fn dyadic_ball_sizes(g: &Graph, source: NodeId, kmax: u32) -> Vec<usize> {
-    let mut bfs = Bfs::new(g.num_nodes());
-    let max_radius = 1u64 << kmax;
-    let max_radius = max_radius.min(u32::MAX as u64) as u32;
-    let mut counts_by_dist: Vec<usize> = Vec::new();
-    bfs.run(g, source, max_radius, |_, d| {
-        let d = d as usize;
-        if counts_by_dist.len() <= d {
-            counts_by_dist.resize(d + 1, 0);
-        }
-        counts_by_dist[d] += 1;
-        true
-    });
-    // Prefix sums at the dyadic radii.
-    let mut prefix = 0usize;
-    let mut cumulative: Vec<usize> = Vec::with_capacity(counts_by_dist.len());
-    for &c in &counts_by_dist {
-        prefix += c;
-        cumulative.push(prefix);
-    }
-    let at_radius = |r: u64| -> usize {
-        if cumulative.is_empty() {
-            return 0;
-        }
-        let idx = (r.min(cumulative.len() as u64 - 1)) as usize;
-        cumulative[idx]
-    };
-    (0..=kmax).map(|k| at_radius(1u64 << k)).collect()
-}
-
-/// The dyadic rank `r(v) = min { k ≥ 0 : dist(u, v) ≤ 2^k }` of every node
-/// reachable from `u` within `2^kmax`; unreachable nodes get `None`.
-///
-/// `r(u) = 0` for the source itself (distance 0 ≤ 1... indeed ≤ 2⁰).
-pub fn dyadic_ranks(g: &Graph, source: NodeId, kmax: u32) -> Vec<Option<u32>> {
-    let mut bfs = Bfs::new(g.num_nodes());
-    let max_radius = (1u64 << kmax).min(u32::MAX as u64) as u32;
-    let mut ranks = vec![None; g.num_nodes()];
-    bfs.run(g, source, max_radius, |v, d| {
-        ranks[v as usize] = Some(rank_of_distance(d));
-        true
-    });
-    ranks
 }
 
 /// The smallest `k ≥ 0` with `d ≤ 2^k` (so `rank_of_distance(0) == 0`).
@@ -125,37 +77,6 @@ mod tests {
         assert_eq!(ball_size(&g, 50, 1000), 101);
         // From an endpoint, |B(0, r)| = r + 1.
         assert_eq!(ball_size(&g, 0, 7), 8);
-    }
-
-    #[test]
-    fn dyadic_sizes_match_direct() {
-        let g = path(40);
-        let sizes = dyadic_ball_sizes(&g, 5, 6);
-        for (k, &s) in sizes.iter().enumerate() {
-            assert_eq!(s, ball_size(&g, 5, 1 << k), "k={k}");
-        }
-    }
-
-    #[test]
-    fn dyadic_ranks_consistent_with_distance() {
-        let g = path(33);
-        let ranks = dyadic_ranks(&g, 0, 6);
-        let mut bfs = Bfs::new(33);
-        let d = bfs.distances(&g, 0);
-        for v in 0..33u32 {
-            let expect = rank_of_distance(d[v as usize]);
-            assert_eq!(ranks[v as usize], Some(expect), "v={v}");
-        }
-    }
-
-    #[test]
-    fn dyadic_ranks_unreachable_none() {
-        let g = GraphBuilder::from_edges(4, [(0, 1)]).unwrap();
-        let ranks = dyadic_ranks(&g, 0, 5);
-        assert!(ranks[2].is_none());
-        assert!(ranks[3].is_none());
-        assert_eq!(ranks[0], Some(0));
-        assert_eq!(ranks[1], Some(0));
     }
 
     #[test]

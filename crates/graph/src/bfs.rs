@@ -129,21 +129,6 @@ impl Bfs {
         }
     }
 
-    /// Distance from `source` to `target`, or [`INFINITY`] if disconnected.
-    /// Early-exits as soon as the target is popped.
-    pub fn distance_to(&mut self, g: &Graph, source: NodeId, target: NodeId) -> u32 {
-        let mut found = INFINITY;
-        self.run(g, source, u32::MAX, |v, d| {
-            if v == target {
-                found = d;
-                false
-            } else {
-                true
-            }
-        });
-        found
-    }
-
     /// Collects the ball `B(source, radius)` (all nodes at distance ≤
     /// `radius`), in BFS order (so distances are non-decreasing along the
     /// returned vector and `out[0] == source`).
@@ -152,26 +137,6 @@ impl Bfs {
         self.run(g, source, radius, |v, _| {
             out.push(v);
             true
-        });
-    }
-
-    /// Like [`Bfs::ball`] but stops as soon as `cap` nodes were collected
-    /// (the ball is truncated; useful to bound work when balls explode).
-    pub fn ball_capped(
-        &mut self,
-        g: &Graph,
-        source: NodeId,
-        radius: u32,
-        cap: usize,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        if cap == 0 {
-            return;
-        }
-        self.run(g, source, radius, |v, _| {
-            out.push(v);
-            out.len() < cap
         });
     }
 
@@ -268,32 +233,6 @@ mod tests {
         let mut ball = Vec::new();
         bfs.ball(&g, 1, 0, &mut ball);
         assert_eq!(ball, vec![1]);
-    }
-
-    #[test]
-    fn ball_capped_truncates() {
-        let g = path(9);
-        let mut bfs = Bfs::new(9);
-        let mut ball = Vec::new();
-        bfs.ball_capped(&g, 4, 4, 3, &mut ball);
-        assert_eq!(ball.len(), 3);
-        bfs.ball_capped(&g, 4, 4, 0, &mut ball);
-        assert!(ball.is_empty());
-    }
-
-    #[test]
-    fn distance_to_early_exit() {
-        let g = path(100);
-        let mut bfs = Bfs::new(100);
-        assert_eq!(bfs.distance_to(&g, 0, 7), 7);
-        assert_eq!(bfs.distance_to(&g, 99, 99), 0);
-    }
-
-    #[test]
-    fn distance_to_unreachable() {
-        let g = GraphBuilder::from_edges(3, [(0, 1)]).unwrap();
-        let mut bfs = Bfs::new(3);
-        assert_eq!(bfs.distance_to(&g, 0, 2), INFINITY);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of edges added so far (duplicates included until `build`).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`. Errors are deferred to
     /// [`GraphBuilder::build`], so loops over edge sets stay clean.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
@@ -223,7 +218,6 @@ mod tests {
     fn extend_edges_builder_chaining() {
         let mut b = GraphBuilder::with_capacity(4, 3);
         b.extend_edges([(0, 1), (1, 2)]).add_edge(2, 3);
-        assert_eq!(b.num_pending_edges(), 3);
         assert_eq!(b.num_nodes(), 4);
         let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 3);

@@ -1,11 +1,11 @@
-//! Connected components and largest-component extraction.
+//! Connected components and connectivity repair.
 //!
 //! The paper's model assumes connected graphs (greedy routing needs every
 //! target reachable). Random generators (G(n,p), geometric, interval) may
-//! produce disconnected graphs; this module finds components and relabels
-//! the largest one into a standalone [`Graph`].
+//! produce disconnected graphs; this module finds components and links
+//! them into one [`Graph`].
 
-use crate::{bfs::Bfs, csr::Graph, GraphError, NodeId, NO_NODE};
+use crate::{bfs::Bfs, csr::Graph, NodeId, NO_NODE};
 
 /// Component labelling: `label[v]` is the 0-based component index of `v`,
 /// components numbered in order of discovery (by smallest contained node).
@@ -21,17 +21,6 @@ impl Components {
     /// Number of connected components.
     pub fn count(&self) -> usize {
         self.sizes.len()
-    }
-
-    /// Index of a largest component (smallest index on ties).
-    pub fn largest(&self) -> u32 {
-        let mut best = 0usize;
-        for (i, &s) in self.sizes.iter().enumerate() {
-            if s > self.sizes[best] {
-                best = i;
-            }
-        }
-        best as u32
     }
 }
 
@@ -63,33 +52,6 @@ pub fn is_connected(g: &Graph) -> bool {
     bfs.reachable_count(g, 0) == g.num_nodes()
 }
 
-/// Extracts the largest connected component as a new graph with nodes
-/// relabelled `0..size`, returning the graph and the map
-/// `new_id -> old_id`.
-pub fn largest_component(g: &Graph) -> (Graph, Vec<NodeId>) {
-    let comps = components(g);
-    let keep = comps.largest();
-    let mut old_of_new = Vec::with_capacity(comps.sizes[keep as usize]);
-    let mut new_of_old = vec![NO_NODE; g.num_nodes()];
-    for v in g.nodes() {
-        if comps.label[v as usize] == keep {
-            new_of_old[v as usize] = old_of_new.len() as NodeId;
-            old_of_new.push(v);
-        }
-    }
-    let mut b = crate::GraphBuilder::with_capacity(old_of_new.len(), g.num_edges());
-    for (u, v) in g.edges() {
-        let (nu, nv) = (new_of_old[u as usize], new_of_old[v as usize]);
-        if nu != NO_NODE && nv != NO_NODE {
-            b.add_edge(nu, nv);
-        }
-    }
-    (
-        b.build().expect("component of a valid graph is valid"),
-        old_of_new,
-    )
-}
-
 /// Ensures connectivity by linking consecutive components with an edge
 /// between their smallest-id nodes. Returns the (possibly identical)
 /// connected graph and the number of edges added.
@@ -119,16 +81,6 @@ pub fn connect_components(g: &Graph) -> (Graph, usize) {
     )
 }
 
-/// Like [`largest_component`] but errors on disconnected input instead of
-/// extracting — for call-sites that require the whole graph.
-pub fn require_connected(g: &Graph) -> Result<(), GraphError> {
-    if is_connected(g) {
-        Ok(())
-    } else {
-        Err(GraphError::NotConnected)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +93,6 @@ mod tests {
         assert_eq!(c.count(), 1);
         assert_eq!(c.sizes, vec![3]);
         assert!(is_connected(&g));
-        assert!(require_connected(&g).is_ok());
     }
 
     #[test]
@@ -150,20 +101,7 @@ mod tests {
         let c = components(&g);
         assert_eq!(c.count(), 3);
         assert_eq!(c.sizes, vec![2, 3, 1]);
-        assert_eq!(c.largest(), 1);
         assert!(!is_connected(&g));
-        assert!(require_connected(&g).is_err());
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        let g = GraphBuilder::from_edges(6, [(0, 1), (2, 3), (3, 4)]).unwrap();
-        let (lc, old_of_new) = largest_component(&g);
-        assert_eq!(lc.num_nodes(), 3);
-        assert_eq!(lc.num_edges(), 2);
-        assert_eq!(old_of_new, vec![2, 3, 4]);
-        // Path structure preserved: new node 1 (= old 3) is the middle.
-        assert_eq!(lc.degree(1), 2);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl Graph {
         self.nodes().map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
-    /// Minimum degree over all nodes; 0 for an edgeless graph.
-    pub fn min_degree(&self) -> usize {
-        self.nodes().map(|u| self.degree(u)).min().unwrap_or(0)
-    }
-
     /// Average degree `2m / n`.
     pub fn avg_degree(&self) -> f64 {
         if self.num_nodes() == 0 {
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.degree(3), 1);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.min_degree(), 1);
         assert!((g.avg_degree() - 2.0).abs() < 1e-12);
     }
 

@@ -267,20 +267,6 @@ impl DistanceMatrix {
         }
         Some(best)
     }
-
-    /// A pair `(s, t)` realising the diameter (smallest ids on ties).
-    pub fn diametral_pair(&self) -> Option<(NodeId, NodeId)> {
-        let d = self.diameter()?;
-        let n = self.num_nodes();
-        for u in 0..n {
-            for v in 0..n {
-                if self.dist(u as NodeId, v as NodeId) == d {
-                    return Some((u as NodeId, v as NodeId));
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Eccentricity of every node without storing the matrix: batched MS-BFS
@@ -316,21 +302,6 @@ pub fn diameter_exact(g: &Graph) -> Option<u32> {
         best = best.max(ecc?);
     }
     Some(best)
-}
-
-/// Exact radius (minimum eccentricity). `None` for disconnected graphs
-/// and for the empty graph (connectivity pre-checked as in
-/// [`diameter_exact`]).
-pub fn radius_exact(g: &Graph) -> Option<u32> {
-    if g.num_nodes() > 0 && !crate::components::is_connected(g) {
-        return None;
-    }
-    let mut best: Option<u32> = None;
-    for ecc in eccentricities(g) {
-        let e = ecc?;
-        best = Some(best.map_or(e, |b| b.min(e)));
-    }
-    best
 }
 
 /// Double-sweep lower bound on the diameter: BFS from `start`, then BFS from
@@ -421,7 +392,6 @@ mod tests {
         assert_eq!(m.eccentricity(0), Some(6));
         assert_eq!(m.eccentricity(3), Some(3));
         assert_eq!(m.diameter(), Some(6));
-        assert_eq!(m.diametral_pair(), Some((0, 6)));
         assert_eq!(diameter_exact(&g), Some(6));
     }
 
@@ -465,11 +435,8 @@ mod tests {
         let eccs = eccentricities(&g);
         assert_eq!(eccs[0], Some(6));
         assert_eq!(eccs[3], Some(3));
-        assert_eq!(radius_exact(&g), Some(3));
-        assert_eq!(radius_exact(&cycle(10)), Some(5));
         let disc = GraphBuilder::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert!(eccentricities(&disc).iter().all(|e| e.is_none()));
-        assert_eq!(radius_exact(&disc), None);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * a compact **CSR** (compressed sparse row) representation with sorted
 //!   adjacency ([`Graph`]), built through [`GraphBuilder`];
 //! * **BFS** machinery with reusable buffers ([`bfs::Bfs`]) — full
-//!   single-source distances, truncated (radius-bounded) searches and early
-//!   exit on a target;
+//!   single-source distances and truncated (radius-bounded) searches;
 //! * **bit-parallel multi-source BFS** ([`msbfs::MsBfs`]) — 64 sources per
 //!   pass, one `u64` lane each, feeding the all-pairs, eccentricity and
 //!   distance-oracle layers;
@@ -20,10 +19,9 @@
 //!   Theorem 4 scheme ([`ball`]);
 //! * exact **distance matrices**, eccentricities and diameters for analysis
 //!   and for the exact expected-steps evaluator ([`distance`]);
-//! * **connected components** and largest-component extraction
-//!   ([`components`]);
-//! * structural **properties** (tree test, degree statistics, …)
-//!   ([`properties`]);
+//! * **connected components** and connectivity repair ([`components`]);
+//! * structural **properties** (tree, path, cycle, regularity and
+//!   bipartiteness tests) ([`properties`]);
 //! * a **Prüfer-sequence codec** used by the uniform-random-tree generator
 //!   ([`prufer`]).
 //!

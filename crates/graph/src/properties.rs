@@ -48,76 +48,6 @@ pub fn is_bipartite(g: &Graph) -> bool {
         .all(|(u, v)| color[u as usize] != color[v as usize])
 }
 
-/// The center of `g`: all nodes of minimum eccentricity, in id order.
-/// Empty for disconnected (or empty) graphs. Eccentricities come from the
-/// batched bit-parallel sweep ([`crate::distance::eccentricities`]), so
-/// this is `64×`-batched and parallel like the diameter computations.
-pub fn center(g: &Graph) -> Vec<NodeId> {
-    // Same cheap pre-check as `diameter_exact`: one scalar BFS beats
-    // running the full batched sweep just to find a `None` eccentricity.
-    if g.num_nodes() > 0 && !is_connected(g) {
-        return Vec::new();
-    }
-    let eccs = crate::distance::eccentricities(g);
-    let mut radius = u32::MAX;
-    for ecc in &eccs {
-        match ecc {
-            None => return Vec::new(),
-            Some(e) => radius = radius.min(*e),
-        }
-    }
-    eccs.iter()
-        .enumerate()
-        .filter(|(_, e)| **e == Some(radius))
-        .map(|(v, _)| v as NodeId)
-        .collect()
-}
-
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for u in g.nodes() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
-/// Edge density `m / (n choose 2)`.
-pub fn density(g: &Graph) -> f64 {
-    let n = g.num_nodes() as f64;
-    if n < 2.0 {
-        0.0
-    } else {
-        g.num_edges() as f64 / (n * (n - 1.0) / 2.0)
-    }
-}
-
-/// Count of triangles incident to each node divided appropriately — returns
-/// the total number of triangles in the graph. Uses the sorted-adjacency
-/// merge, `O(Σ_e min(deg))`.
-pub fn triangle_count(g: &Graph) -> usize {
-    let mut total = 0usize;
-    for (u, v) in g.edges() {
-        // Count common neighbours w with w > v > u to count each triangle once.
-        let (mut i, mut j) = (0usize, 0usize);
-        let (nu, nv) = (g.neighbors(u), g.neighbors(v));
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if nu[i] > v {
-                        total += 1;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,40 +108,5 @@ mod tests {
         // Disconnected with one odd cycle.
         let g = GraphBuilder::from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 2)]).unwrap();
         assert!(!is_bipartite(&g));
-    }
-
-    #[test]
-    fn center_of_paths_and_cycles() {
-        assert_eq!(center(&path(7)), vec![3]);
-        assert_eq!(center(&path(6)), vec![2, 3]);
-        // Vertex-transitive: every node is central.
-        assert_eq!(center(&cycle(8)).len(), 8);
-        assert_eq!(center(&complete(4)).len(), 4);
-        // Disconnected: no center.
-        let g = GraphBuilder::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(center(&g).is_empty());
-    }
-
-    #[test]
-    fn degree_histogram_path() {
-        let h = degree_histogram(&path(5));
-        assert_eq!(h, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn density_bounds() {
-        assert!((density(&complete(6)) - 1.0).abs() < 1e-12);
-        assert!(density(&path(6)) < 0.5);
-        assert_eq!(density(&GraphBuilder::new(1).build().unwrap()), 0.0);
-    }
-
-    #[test]
-    fn triangles() {
-        assert_eq!(triangle_count(&complete(4)), 4);
-        assert_eq!(triangle_count(&complete(5)), 10);
-        assert_eq!(triangle_count(&cycle(5)), 0);
-        assert_eq!(triangle_count(&path(10)), 0);
-        let g = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
-        assert_eq!(triangle_count(&g), 1);
     }
 }

@@ -28,6 +28,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -464,14 +465,30 @@ fn answer(shared: &Shared, req: Request) -> Frame {
         queries: req.queries,
     };
     let mut engine = shared.engine.lock().expect("engine poisoned");
-    match engine.serve_at(&batch, req.rng_base, req.sampler) {
-        Ok(result) => Frame::Response(Response {
+    // A panic inside the batch (a scheme's sampler, say) costs this batch
+    // only: it is caught inside the locked region, so the guard drops
+    // normally and the mutex is never poisoned. The engine stays
+    // consistent after the unwind. Resident rows are exact whenever they
+    // are inserted; the batch counters and the churn epoch are recorded
+    // only after a batch completes; and an MS-BFS fill takes its depth
+    // planes out of the thread-local workspace while it runs, so an
+    // unwound fill leaves no dirty planes behind.
+    let served = panic::catch_unwind(AssertUnwindSafe(|| {
+        engine.serve_at(&batch, req.rng_base, req.sampler)
+    }));
+    match served {
+        Ok(Ok(result)) => Frame::Response(Response {
             answers: result.answers,
             metrics: metrics_snapshot(shared, &engine),
         }),
-        Err(e) => Frame::Error(ErrorFrame {
+        Ok(Err(e)) => Frame::Error(ErrorFrame {
             code: ErrorCode::InvalidEndpoint,
             message: e.to_string(),
+        }),
+        // The panic hook has already logged the payload.
+        Err(_) => Frame::Error(ErrorFrame {
+            code: ErrorCode::Internal,
+            message: "the batch panicked".into(),
         }),
     }
 }

@@ -11,9 +11,8 @@
 //!   [Xoshiro256++](`rng::Xoshiro256pp`) generator implementing the `rand`
 //!   traits, so every parallel task derives an independent, deterministic
 //!   generator from `(seed, task_index)`;
-//! * [`map`] — `parallel_map` / `parallel_for` over an index space with
-//!   dynamic (atomic-counter) load balancing, plus a deterministic
-//!   reduction helper.
+//! * [`map`] — `parallel_map` / `parallel_chunks_mut` over an index space
+//!   with dynamic (atomic-counter) load balancing.
 //!
 //! The design rule throughout: **parallel results are bit-identical to
 //! sequential results** for the same seed. Tests enforce it.
@@ -26,7 +25,7 @@ pub mod map;
 pub mod rng;
 
 pub use host::HostMeta;
-pub use map::{parallel_chunks_mut, parallel_for, parallel_map, parallel_map_reduce};
+pub use map::{parallel_chunks_mut, parallel_map};
 pub use rng::{seeded_rng, task_rng, SplitMix64, Xoshiro256pp};
 
 /// Default number of worker threads: the machine's available parallelism,

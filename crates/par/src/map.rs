@@ -1,4 +1,4 @@
-//! Parallel map/for over an index space with dynamic load balancing.
+//! Parallel map over an index space with dynamic load balancing.
 //!
 //! The workloads (independent routing trials, independent BFS runs) are
 //! embarrassingly parallel but individual items can have wildly different
@@ -95,58 +95,11 @@ where
     .expect("thread scope failed");
 }
 
-/// Runs `f` for every index in `0..n` in parallel for side effects only
-/// (e.g. filling caller-provided per-task output files).
-pub fn parallel_for<F>(n: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.min(n);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move |_| loop {
-                let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + CHUNK).min(n);
-                for i in start..end {
-                    f(i);
-                }
-            });
-        }
-    })
-    .expect("thread scope failed");
-}
-
-/// Parallel map followed by a **sequential, in-order** fold — the reduction
-/// order is `0, 1, …, n-1` regardless of thread count, so floating-point
-/// accumulations stay bit-identical to the sequential run.
-pub fn parallel_map_reduce<T, A, F, R>(n: usize, threads: usize, f: F, init: A, reduce: R) -> A
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-    R: FnMut(A, T) -> A,
-{
-    let mapped = parallel_map(n, threads, f);
-    mapped.into_iter().fold(init, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::task_rng;
     use rand::Rng;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn map_identity_in_order() {
@@ -193,27 +146,6 @@ mod tests {
         let mut buf: Vec<u32> = Vec::new();
         parallel_chunks_mut(&mut buf, 0, 4, |_, _| panic!("no cells"));
         parallel_chunks_mut(&mut buf, 8, 4, |_, _| panic!("no cells"));
-    }
-
-    #[test]
-    fn for_visits_every_index_once() {
-        let n = 1000;
-        let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, 6, |i| {
-            counters[i].fetch_add(1, Ordering::SeqCst);
-        });
-        for (i, c) in counters.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "index {i}");
-        }
-    }
-
-    #[test]
-    fn map_reduce_order_is_stable() {
-        // Build a string to make the fold order observable.
-        let s1 = parallel_map_reduce(10, 1, |i| i.to_string(), String::new(), |acc, x| acc + &x);
-        let s8 = parallel_map_reduce(10, 8, |i| i.to_string(), String::new(), |acc, x| acc + &x);
-        assert_eq!(s1, "0123456789");
-        assert_eq!(s1, s8);
     }
 
     #[test]

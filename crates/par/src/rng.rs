@@ -69,29 +69,6 @@ impl Xoshiro256pp {
         self.s[3] = self.s[3].rotate_left(45);
         result
     }
-
-    /// The 2^128-step jump, for manually splitting very long streams.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut s = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                self.step();
-            }
-        }
-        self.s = s;
-    }
 }
 
 impl RngCore for Xoshiro256pp {
@@ -243,14 +220,6 @@ mod tests {
         let mut a = Xoshiro256pp::seed_from_u64(99);
         let mut b = Xoshiro256pp::from_u64(99);
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn jump_changes_stream() {
-        let mut a = seeded_rng(5);
-        let mut b = seeded_rng(5);
-        b.jump();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub use nav_store as store;
 /// The most common imports in one place.
 pub mod prelude {
     pub use nav_analysis::fit::PowerLawFit;
-    pub use nav_analysis::stats::Summary;
     pub use nav_core::ball::BallScheme;
     pub use nav_core::kleinberg::KleinbergScheme;
     pub use nav_core::routing::{route_with_fresh_oracle, GreedyRouter, RouteOutcome};

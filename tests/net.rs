@@ -12,9 +12,9 @@
 //!    **bit-identically** to a direct [`run_trials`] / local engine over
 //!    the same seeds — under both admission policies, interleaved
 //!    connections, and mid-stream client disconnects.
-//! 3. **Typed refusals** — wrong handle, oversized batch, and bad
-//!    endpoints come back as error frames, and the connection (and
-//!    engine) keep working afterwards.
+//! 3. **Typed refusals** — wrong handle, oversized batch, bad endpoints
+//!    and a batch whose sampler panics come back as error frames, and the
+//!    connection (and engine) keep working afterwards.
 //!
 //! Thread counts come from `NAV_TEST_THREADS` ([`nav_par::test_threads`]),
 //! case counts from `PROPTEST_CASES` — both pinned in CI.
@@ -772,6 +772,87 @@ fn refusals_are_typed_and_non_poisoning() {
     assert_eq!(metrics.batches, 1);
     assert_eq!(metrics.queries, 6);
     drop(client);
+    server.shutdown();
+}
+
+/// Uniform contacts everywhere except at one node, whose draw panics.
+struct PanicsAt(NodeId);
+
+impl AugmentationScheme for PanicsAt {
+    fn name(&self) -> String {
+        "panics-at".into()
+    }
+
+    fn sample_contact(&self, g: &Graph, u: NodeId, rng: &mut dyn rand::RngCore) -> Option<NodeId> {
+        assert_ne!(u, self.0, "sampler panics at node {u}");
+        UniformScheme.sample_contact(g, u, rng)
+    }
+}
+
+#[test]
+fn a_panicking_batch_costs_that_batch_only() {
+    // On a path, greedy routing toward `t` only visits nodes closer to
+    // `t` than the source, so queries with sources below the last node
+    // and targets near 0 never touch it.
+    let g = navigability::gen::classic::path(64).expect("path");
+    let hot = 63;
+    let cfg = EngineConfig {
+        seed: 17,
+        threads: 2,
+        cache_bytes: 1 << 20,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::new(g.clone(), Box::new(PanicsAt(hot)), cfg);
+    let server = NetServer::bind(engine, NetConfig::default(), "127.0.0.1:0")
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+
+    // The batch that routes from the panicking node is refused as an
+    // internal, non-retryable failure. Its cold fill of target 0 ran
+    // before the panic.
+    let err = client
+        .request(Request {
+            handle: 0,
+            rng_base: 0,
+            sampler: SamplerMode::Scalar,
+            queries: QueryBatch::from_pairs(&[(20, 0), (hot, 0)], 3).queries,
+        })
+        .expect_err("the batch that hits the panicking node must be refused");
+    assert!(
+        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::Internal),
+        "{err}"
+    );
+    assert!(!err.is_retryable());
+
+    // Another connection still gets stats: the engine lock was not
+    // poisoned, and the panicked batch recorded no batch counters.
+    let mut other = NetClient::connect(server.addr()).expect("second connection");
+    let reply = other.stats(0).expect("stats after the panic");
+    assert_eq!(reply.metrics.batches, 0);
+    assert_eq!(reply.metrics.queries, 0);
+
+    // A later batch that avoids the node (reusing the resident row for
+    // target 0) is answered bit-identically to a local engine.
+    let pairs = [(20, 0), (30, 0), (10, 5), (25, 3), (40, 41)];
+    let batch = QueryBatch::from_pairs(&pairs, 4);
+    let (answers, metrics) = client
+        .request(Request {
+            handle: 0,
+            rng_base: 2,
+            sampler: SamplerMode::Scalar,
+            queries: batch.queries.clone(),
+        })
+        .expect("healthy after the panic");
+    let mut local = Engine::new(g.clone(), Box::new(PanicsAt(hot)), cfg);
+    let reference = local
+        .serve_at(&batch, 2, SamplerMode::Scalar)
+        .expect("valid batch");
+    assert!(identical(&answers, &reference.answers));
+    assert_eq!(metrics.batches, 1);
+    assert_eq!(metrics.queries, pairs.len() as u64);
+    drop((client, other));
     server.shutdown();
 }
 
