@@ -10,8 +10,9 @@ pub fn gnp(n: usize, p: f64, rng: &mut impl Rng) -> Result<Graph, GraphError> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    let mut b = GraphBuilder::new(n);
+    let total = n * n.saturating_sub(1) / 2;
     if p >= 1.0 {
+        let mut b = GraphBuilder::with_capacity(n, total);
         for u in 0..n {
             for v in (u + 1)..n {
                 b.add_edge(u as NodeId, v as NodeId);
@@ -19,10 +20,16 @@ pub fn gnp(n: usize, p: f64, rng: &mut impl Rng) -> Result<Graph, GraphError> {
         }
         return b.build();
     }
+    // The edge count is Binomial(total, p): reserve its mean plus
+    // 6·√mean (at least six standard deviations), so the edge list
+    // almost never regrows.
+    let mean = p.max(0.0) * total as f64;
+    let slack = 6.0 * mean.sqrt() + 64.0;
+    let mut b = GraphBuilder::with_capacity(n, ((mean + slack) as usize).min(total));
     if p > 0.0 {
         // Walk the flattened upper-triangle index space with geometric jumps.
         let log1p = (1.0 - p).ln();
-        let total = n * n.saturating_sub(1) / 2;
+        let mut rows = TriangleRows::new(n);
         let mut idx: i64 = -1;
         loop {
             let r: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
@@ -31,33 +38,45 @@ pub fn gnp(n: usize, p: f64, rng: &mut impl Rng) -> Result<Graph, GraphError> {
             if idx as usize >= total {
                 break;
             }
-            let (u, v) = unflatten_pair(idx as usize, n);
+            let (u, v) = rows.unflatten_pair(idx as usize);
             b.add_edge(u as NodeId, v as NodeId);
         }
     }
     b.build()
 }
 
-/// Maps a flattened upper-triangle index to the pair `(u, v)`, `u < v`.
-fn unflatten_pair(idx: usize, n: usize) -> (usize, usize) {
-    // Row u owns (n-1-u) cells; find u by walking rows (amortised O(1)
-    // when called with increasing idx, but we do the direct O(√) solve).
-    // Solve u from idx using the quadratic formula on the prefix sums.
-    let nf = n as f64;
-    let i = idx as f64;
-    let mut u = (nf - 0.5 - ((nf - 0.5) * (nf - 0.5) - 2.0 * i).max(0.0).sqrt()).floor() as usize;
-    // Fix possible off-by-one from floating point.
-    loop {
-        // First flattened index of row u: sum of earlier row lengths.
-        let row_start = u * n - u * (u + 1) / 2;
-        let row_len = n - 1 - u;
-        if idx < row_start {
-            u -= 1;
-        } else if idx >= row_start + row_len {
-            u += 1;
-        } else {
-            let v = u + 1 + (idx - row_start);
-            return (u, v);
+/// Maps flattened upper-triangle indices back to pairs `(u, v)`, `u < v`,
+/// row by row: row `u` owns the `n − 1 − u` cells after the earlier rows.
+/// The geometric walk's index only grows, so the cursor only moves down
+/// the rows and a whole walk costs `O(n + m)` row steps in total.
+struct TriangleRows {
+    n: usize,
+    /// Current row.
+    u: usize,
+    /// Flattened index of row `u`'s first cell.
+    row_start: usize,
+}
+
+impl TriangleRows {
+    fn new(n: usize) -> Self {
+        TriangleRows {
+            n,
+            u: 0,
+            row_start: 0,
+        }
+    }
+
+    /// The pair at flattened index `idx`, which must not be smaller than
+    /// the previous call's and must lie inside the triangle.
+    fn unflatten_pair(&mut self, idx: usize) -> (usize, usize) {
+        debug_assert!(idx >= self.row_start, "indices must not decrease");
+        loop {
+            let row_len = self.n - 1 - self.u;
+            if idx < self.row_start + row_len {
+                return (self.u, self.u + 1 + (idx - self.row_start));
+            }
+            self.row_start += row_len;
+            self.u += 1;
         }
     }
 }
@@ -69,7 +88,7 @@ fn unflatten_pair(idx: usize, n: usize) -> (usize, usize) {
 /// above the connectivity threshold the repair is almost always a no-op.
 pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Result<Graph, GraphError> {
     let g = gnp(n, p, rng)?;
-    Ok(connect_components(&g).0)
+    Ok(connect_components(g).0)
 }
 
 /// Random `d`-regular simple connected graph for **even** `d`: the union
@@ -191,7 +210,7 @@ pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Result<Gra
         }
     }
     let g = b.build()?;
-    Ok(connect_components(&g).0)
+    Ok(connect_components(g).0)
 }
 
 #[cfg(test)]
@@ -208,9 +227,10 @@ mod tests {
     #[test]
     fn unflatten_pair_enumerates_upper_triangle() {
         let n = 7;
+        let mut rows = TriangleRows::new(n);
         let mut pairs = Vec::new();
         for idx in 0..(n * (n - 1) / 2) {
-            pairs.push(unflatten_pair(idx, n));
+            pairs.push(rows.unflatten_pair(idx));
         }
         let mut expect = Vec::new();
         for u in 0..n {
@@ -219,6 +239,23 @@ mod tests {
             }
         }
         assert_eq!(pairs, expect);
+    }
+
+    #[test]
+    fn unflatten_pair_follows_jumps_across_rows() {
+        let n = 40;
+        let mut all = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                all.push((u, v));
+            }
+        }
+        // Repeats, one-cell steps, and jumps over many whole rows.
+        let picks = [0, 0, 1, 38, 39, 40, 300, 301, 700, 779];
+        let mut rows = TriangleRows::new(n);
+        for idx in picks {
+            assert_eq!(rows.unflatten_pair(idx), all[idx], "idx {idx}");
+        }
     }
 
     #[test]

@@ -87,6 +87,12 @@ impl GraphBuilder {
     }
 
     /// Finalises the CSR graph: sorts, deduplicates, and checks invariants.
+    ///
+    /// One global sort of the `(min, max)` pairs, then a counting scatter
+    /// into CSR. The scatter leaves every adjacency run sorted with no
+    /// per-node sort: node `x` first receives each `w < x` in ascending
+    /// order (from the edges `(w, x)`, sorted by `w`), then each `v > x`
+    /// in ascending order (from its own edges `(x, v)`).
     pub fn build(mut self) -> Result<Graph, GraphError> {
         if let Some(e) = self.deferred_error.take() {
             return Err(e);
@@ -105,16 +111,15 @@ impl GraphBuilder {
 
         // Counting sort into CSR: each edge contributes to both endpoints.
         let n = self.num_nodes;
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
         let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
+        for &(u, v) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut cursor = offsets.clone();
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
         let mut targets = vec![0 as NodeId; 2 * m];
         for &(u, v) in &self.edges {
             targets[cursor[u as usize]] = v;
@@ -122,11 +127,12 @@ impl GraphBuilder {
             targets[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        // Edges were sorted by (min, max); within a node's list the order of
-        // arrival is not globally sorted, so sort each adjacency run.
-        for u in 0..n {
-            targets[offsets[u]..offsets[u + 1]].sort_unstable();
-        }
+        debug_assert!(
+            offsets
+                .windows(2)
+                .all(|w| targets[w[0]..w[1]].windows(2).all(|p| p[0] < p[1])),
+            "the scatter of sorted (min, max) edges leaves every run sorted"
+        );
         Ok(Graph::from_parts(offsets, targets, m))
     }
 

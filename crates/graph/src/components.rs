@@ -5,10 +5,10 @@
 //! produce disconnected graphs; this module finds components and links
 //! them into one [`Graph`].
 
-use crate::{bfs::Bfs, csr::Graph, NodeId, NO_NODE};
+use crate::{bfs::Bfs, csr::Graph, NodeId};
 
 /// Component labelling: `label[v]` is the 0-based component index of `v`,
-/// components numbered in order of discovery (by smallest contained node).
+/// components numbered in order of their smallest node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Components {
     /// Component index per node.
@@ -24,26 +24,50 @@ impl Components {
     }
 }
 
-/// Computes connected components via repeated BFS.
+/// Computes connected components by union-find over the CSR edges, in
+/// `O(n + m·α)`-ish time and one `n`-word array.
+///
+/// Unions link the larger root under the smaller, so every node's parent
+/// is at most the node itself and every root is its component's minimum.
+/// One ascending pass then resolves each node through its (already
+/// resolved) parent and hands out labels as roots appear — the same
+/// numbering by smallest node as a BFS sweep over `0..n`.
 pub fn components(g: &Graph) -> Components {
     let n = g.num_nodes();
-    let mut label = vec![NO_NODE; n];
-    let mut sizes = Vec::new();
-    let mut bfs = Bfs::new(n);
-    for s in 0..n {
-        if label[s] != NO_NODE {
-            continue;
+    let mut label: Vec<u32> = (0..n as u32).collect();
+    for u in g.nodes() {
+        let nb = g.neighbors(u);
+        // Each undirected edge once, from its smaller end.
+        for &v in &nb[nb.partition_point(|&v| v < u)..] {
+            let (ru, rv) = (find_root(&mut label, u), find_root(&mut label, v));
+            label[ru.max(rv) as usize] = ru.min(rv);
         }
-        let idx = sizes.len() as u32;
-        let mut size = 0usize;
-        bfs.run(g, s as NodeId, u32::MAX, |v, _| {
-            label[v as usize] = idx;
-            size += 1;
-            true
-        });
-        sizes.push(size);
+    }
+    // `label` holds parents, each `≤` its node. Ascending, a root keeps
+    // its own id until its turn and is then given the next label; any
+    // other node copies its parent's entry, already a label by then.
+    let mut sizes: Vec<usize> = Vec::new();
+    for v in 0..n {
+        let p = label[v] as usize;
+        label[v] = if p == v {
+            sizes.push(0);
+            (sizes.len() - 1) as u32
+        } else {
+            label[p]
+        };
+        sizes[label[v] as usize] += 1;
     }
     Components { label, sizes }
+}
+
+/// The root of `x` in the parent array, halving the path on the way.
+fn find_root(parent: &mut [u32], mut x: NodeId) -> NodeId {
+    while parent[x as usize] != x {
+        let grand = parent[parent[x as usize] as usize];
+        parent[x as usize] = grand;
+        x = grand;
+    }
+    x
 }
 
 /// Whether the graph is connected (vacuously true for a single node).
@@ -53,32 +77,64 @@ pub fn is_connected(g: &Graph) -> bool {
 }
 
 /// Ensures connectivity by linking consecutive components with an edge
-/// between their smallest-id nodes. Returns the (possibly identical)
-/// connected graph and the number of edges added.
-pub fn connect_components(g: &Graph) -> (Graph, usize) {
-    let comps = components(g);
+/// between their smallest-id nodes. Returns the connected graph (`g`
+/// itself, uncopied, when it already is) and the number of edges added.
+///
+/// A bridge joins two different components, so it is never a duplicate
+/// or a self-loop, and the bridges merge straight into the CSR arrays in
+/// place: the targets grow by two per bridge and one backward pass
+/// shifts each node's run right by the bridge ends at nodes before it,
+/// dropping the node's own bridge partners into their sorted slots.
+pub fn connect_components(g: Graph) -> (Graph, usize) {
+    let comps = components(&g);
     if comps.count() <= 1 {
-        return (g.clone(), 0);
+        return (g, 0);
     }
-    // Smallest node of each component, in component order.
-    let mut representative = vec![NO_NODE; comps.count()];
-    for v in g.nodes() {
-        let c = comps.label[v as usize] as usize;
-        if representative[c] == NO_NODE {
-            representative[c] = v;
+    // Smallest node of each component, in component order (ascending).
+    let mut representative: Vec<NodeId> = Vec::with_capacity(comps.count());
+    for (v, &c) in comps.label.iter().enumerate() {
+        if c as usize == representative.len() {
+            representative.push(v as NodeId);
         }
     }
-    let mut b = crate::GraphBuilder::with_capacity(g.num_nodes(), g.num_edges() + comps.count());
-    b.extend_edges(g.edges());
-    let mut added = 0usize;
-    for w in representative.windows(2) {
-        b.add_edge(w[0], w[1]);
-        added += 1;
+    drop(comps);
+    let k = representative.len();
+    let (mut offsets, mut targets, m) = g.into_parts();
+    let n = offsets.len() - 1;
+    // `shift` counts the bridge ends at representatives `0..=c`: the
+    // distance every run between representative `c` and `c + 1` moves.
+    let mut shift = 2 * (k - 1);
+    targets.resize(targets.len() + shift, 0);
+    let mut upper = n;
+    for c in (0..k).rev() {
+        let u = representative[c] as usize;
+        // Nodes `u + 1 .. upper` hold no bridge end: one block move.
+        let (lo, hi) = (offsets[u], offsets[u + 1]);
+        targets.copy_within(hi..offsets[upper], hi + shift);
+        for o in &mut offsets[u + 1..=upper] {
+            *o += shift;
+        }
+        // Node `u` itself: merge its partners in from the top down.
+        let mut read = hi;
+        let mut write = hi + shift;
+        let above = representative.get(c + 1).copied();
+        let below = c.checked_sub(1).map(|p| representative[p]);
+        for w in [above, below].into_iter().flatten() {
+            while read > lo && targets[read - 1] > w {
+                read -= 1;
+                write -= 1;
+                targets[write] = targets[read];
+            }
+            write -= 1;
+            targets[write] = w;
+            shift -= 1;
+        }
+        debug_assert_eq!(write - read, shift);
+        targets.copy_within(lo..read, lo + shift);
+        upper = u;
     }
-    (
-        b.build().expect("adding edges keeps the graph valid"),
-        added,
-    )
+    debug_assert_eq!((upper, shift), (0, 0), "node 0 is always a representative");
+    (Graph::from_parts(offsets, targets, m + k - 1), k - 1)
 }
 
 #[cfg(test)]
@@ -107,7 +163,7 @@ mod tests {
     #[test]
     fn connect_components_links_all() {
         let g = GraphBuilder::from_edges(6, [(0, 1), (2, 3), (3, 4)]).unwrap();
-        let (cg, added) = connect_components(&g);
+        let (cg, added) = connect_components(g);
         assert_eq!(added, 2);
         assert!(is_connected(&cg));
         assert_eq!(cg.num_nodes(), 6);
@@ -117,7 +173,7 @@ mod tests {
     #[test]
     fn connect_already_connected_noop() {
         let g = GraphBuilder::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-        let (cg, added) = connect_components(&g);
+        let (cg, added) = connect_components(g.clone());
         assert_eq!(added, 0);
         assert_eq!(cg, g);
     }
@@ -127,7 +183,7 @@ mod tests {
         let g = GraphBuilder::new(4).build().unwrap();
         let c = components(&g);
         assert_eq!(c.count(), 4);
-        let (cg, added) = connect_components(&g);
+        let (cg, added) = connect_components(g);
         assert_eq!(added, 3);
         assert!(is_connected(&cg));
     }

@@ -22,7 +22,8 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Assembles a graph from raw CSR parts. Used by the builder; callers
+    /// Assembles a graph from raw CSR parts. Used by the builder and the
+    /// bridge merge of [`crate::components::connect_components`]; callers
     /// should prefer [`crate::GraphBuilder`].
     pub(crate) fn from_parts(offsets: Vec<usize>, targets: Vec<NodeId>, num_edges: usize) -> Self {
         debug_assert!(!offsets.is_empty());
@@ -32,6 +33,12 @@ impl Graph {
             targets,
             num_edges,
         }
+    }
+
+    /// Takes the graph apart into `(offsets, targets, num_edges)`, the
+    /// inverse of [`Graph::from_parts`], for in-place rewrites.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<NodeId>, usize) {
+        (self.offsets, self.targets, self.num_edges)
     }
 
     /// Number of nodes `n`.

@@ -76,7 +76,8 @@ const TRACE_WIRE: usize = 8 + 4 + 4 + 1 + 8 + 8 + 8 + 8;
 pub enum ErrorCode {
     /// The request named a graph/scheme handle this server does not own.
     UnknownHandle,
-    /// The batch exceeded the server's per-request query admission limit.
+    /// The batch exceeded the server's per-request query or trial
+    /// admission limit.
     TooManyQueries,
     /// A query endpoint was out of range for the served graph.
     InvalidEndpoint,

@@ -286,7 +286,7 @@ proptest! {
 fn world(n: usize, seed: u64) -> Graph {
     let mut rng = seeded_rng(seed);
     let g = navigability::gen::random::gnp(n, 6.0 / n as f64, &mut rng).expect("gnp");
-    navigability::graph::components::connect_components(&g).0
+    navigability::graph::components::connect_components(g).0
 }
 
 fn spawn_server(g: &Graph, seed: u64, admission: AdmissionPolicy, net: NetConfig) -> ServerHandle {
@@ -852,6 +852,69 @@ fn a_panicking_batch_costs_that_batch_only() {
     assert!(identical(&answers, &reference.answers));
     assert_eq!(metrics.batches, 1);
     assert_eq!(metrics.queries, pairs.len() as u64);
+    drop((client, other));
+    server.shutdown();
+}
+
+#[test]
+fn a_trial_flood_is_refused_before_it_takes_the_engine() {
+    // One query of 4·10^9 trials fits the wire's u32 but would pin the
+    // engine mutex for hours (and, under a batched sampler, allocate its
+    // lockstep walk state up front). The summed-trial budget refuses it
+    // before the engine lock is taken.
+    let g = world(48, 11);
+    let server = spawn_server(&g, 11, AdmissionPolicy::Lru, NetConfig::default());
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let mut flood = QueryBatch::from_pairs(&[(0u32, 40u32)], 1);
+    flood.queries[0].trials = 4_000_000_000;
+    let err = client
+        .request(Request {
+            handle: 0,
+            rng_base: 0,
+            sampler: SamplerMode::Batched,
+            queries: flood.queries,
+        })
+        .expect_err("a request over the trial budget must be refused");
+    assert!(
+        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::TooManyQueries
+            && e.message.contains("trial admission limit")),
+        "{err}"
+    );
+    assert!(!err.is_retryable());
+
+    // The engine never saw it: a second connection gets stats at once.
+    let mut other = NetClient::connect(server.addr()).expect("second connection");
+    let reply = other.stats(0).expect("stats after the refusal");
+    assert_eq!((reply.metrics.batches, reply.metrics.trials), (0, 0));
+
+    // A normal batch that follows is answered bit-identically to a local
+    // engine.
+    let pairs = client_pairs(&g, 6, 12);
+    let batch = QueryBatch::from_pairs(&pairs, 4);
+    let (answers, metrics) = client
+        .request(Request {
+            handle: 0,
+            rng_base: 0,
+            sampler: SamplerMode::Scalar,
+            queries: batch.queries.clone(),
+        })
+        .expect("healthy after the refusal");
+    let mut local = Engine::new(
+        g.clone(),
+        Box::new(UniformScheme),
+        EngineConfig {
+            seed: 11,
+            threads: 1,
+            cache_bytes: 1 << 20,
+            admission: AdmissionPolicy::Lru,
+            ..EngineConfig::default()
+        },
+    );
+    let reference = local
+        .serve_at(&batch, 0, SamplerMode::Scalar)
+        .expect("valid batch");
+    assert!(identical(&answers, &reference.answers));
+    assert_eq!(metrics.batches, 1);
     drop((client, other));
     server.shutdown();
 }

@@ -42,7 +42,7 @@ fn connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
                 }
             }
             let g = b.build().expect("valid");
-            connect_components(&g).0
+            connect_components(g).0
         })
 }
 

@@ -32,7 +32,7 @@ use proptest::prelude::*;
 fn world(n: usize, seed: u64) -> Graph {
     let mut rng = seeded_rng(seed);
     let g = navigability::gen::random::gnp(n, 6.0 / n as f64, &mut rng).expect("gnp");
-    navigability::graph::components::connect_components(&g).0
+    navigability::graph::components::connect_components(g).0
 }
 
 /// Serving knobs with the fault layer fully on: link drops plus a
