@@ -24,8 +24,8 @@ impl Components {
     }
 }
 
-/// Computes connected components by union-find over the CSR edges, in
-/// `O(n + m·α)`-ish time and one `n`-word array.
+/// Computes connected components by union-find over the CSR edges
+/// (path halving, smaller root wins) in one `n`-word array.
 ///
 /// Unions link the larger root under the smaller, so every node's parent
 /// is at most the node itself and every root is its component's minimum.
@@ -81,10 +81,9 @@ pub fn is_connected(g: &Graph) -> bool {
 /// itself, uncopied, when it already is) and the number of edges added.
 ///
 /// A bridge joins two different components, so it is never a duplicate
-/// or a self-loop, and the bridges merge straight into the CSR arrays in
-/// place: the targets grow by two per bridge and one backward pass
-/// shifts each node's run right by the bridge ends at nodes before it,
-/// dropping the node's own bridge partners into their sorted slots.
+/// or a self-loop. One forward pass copies every adjacency run into
+/// fresh CSR arrays and, at each component's smallest node, merges in
+/// its one or two bridge partners at their sorted places.
 pub fn connect_components(g: Graph) -> (Graph, usize) {
     let comps = components(&g);
     if comps.count() <= 1 {
@@ -98,43 +97,30 @@ pub fn connect_components(g: Graph) -> (Graph, usize) {
         }
     }
     drop(comps);
-    let k = representative.len();
-    let (mut offsets, mut targets, m) = g.into_parts();
-    let n = offsets.len() - 1;
-    // `shift` counts the bridge ends at representatives `0..=c`: the
-    // distance every run between representative `c` and `c + 1` moves.
-    let mut shift = 2 * (k - 1);
-    targets.resize(targets.len() + shift, 0);
-    let mut upper = n;
-    for c in (0..k).rev() {
-        let u = representative[c] as usize;
-        // Nodes `u + 1 .. upper` hold no bridge end: one block move.
-        let (lo, hi) = (offsets[u], offsets[u + 1]);
-        targets.copy_within(hi..offsets[upper], hi + shift);
-        for o in &mut offsets[u + 1..=upper] {
-            *o += shift;
-        }
-        // Node `u` itself: merge its partners in from the top down.
-        let mut read = hi;
-        let mut write = hi + shift;
-        let above = representative.get(c + 1).copied();
-        let below = c.checked_sub(1).map(|p| representative[p]);
-        for w in [above, below].into_iter().flatten() {
-            while read > lo && targets[read - 1] > w {
-                read -= 1;
-                write -= 1;
-                targets[write] = targets[read];
+    let bridges = representative.len() - 1;
+    let mut offsets = Vec::with_capacity(g.num_nodes() + 1);
+    let mut targets = Vec::with_capacity(2 * (g.num_edges() + bridges));
+    offsets.push(0);
+    let mut c = 0;
+    for u in g.nodes() {
+        let mut run = g.neighbors(u);
+        if representative.get(c) == Some(&u) {
+            // Partners ascending: the previous representative, then the next.
+            let below = c.checked_sub(1).map(|p| representative[p]);
+            let above = representative.get(c + 1).copied();
+            for w in [below, above].into_iter().flatten() {
+                let (head, tail) = run.split_at(run.partition_point(|&v| v < w));
+                targets.extend_from_slice(head);
+                targets.push(w);
+                run = tail;
             }
-            write -= 1;
-            targets[write] = w;
-            shift -= 1;
+            c += 1;
         }
-        debug_assert_eq!(write - read, shift);
-        targets.copy_within(lo..read, lo + shift);
-        upper = u;
+        targets.extend_from_slice(run);
+        offsets.push(targets.len());
     }
-    debug_assert_eq!((upper, shift), (0, 0), "node 0 is always a representative");
-    (Graph::from_parts(offsets, targets, m + k - 1), k - 1)
+    let m = g.num_edges() + bridges;
+    (Graph::from_parts(offsets, targets, m), bridges)
 }
 
 #[cfg(test)]

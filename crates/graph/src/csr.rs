@@ -35,12 +35,6 @@ impl Graph {
         }
     }
 
-    /// Takes the graph apart into `(offsets, targets, num_edges)`, the
-    /// inverse of [`Graph::from_parts`], for in-place rewrites.
-    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<NodeId>, usize) {
-        (self.offsets, self.targets, self.num_edges)
-    }
-
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {

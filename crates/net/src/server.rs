@@ -39,6 +39,13 @@ use std::time::{Duration, Instant};
 /// flag. Bounds how far shutdown can lag behind an idle connection.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
+/// Per-request trial admission limit: the saturating sum of one
+/// request's `trials`. The lockstep walk state of a batched sampler costs
+/// about 32 bytes per trial, so this bounds it near 32 MiB; a larger
+/// request gets a typed [`ErrorCode::TooManyQueries`] refusal before it
+/// takes the engine.
+const MAX_BATCH_TRIALS: usize = 1 << 20;
+
 /// Serving-front knobs of a [`NetServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
@@ -54,12 +61,6 @@ pub struct NetConfig {
     /// Per-request query admission limit; longer batches get a typed
     /// [`ErrorCode::TooManyQueries`] refusal.
     pub max_batch_queries: usize,
-    /// Per-request trial admission limit: the summed `trials` of one
-    /// request's queries (saturating). The lockstep walk state of a
-    /// batched sampler costs about 32 bytes per trial, so the default
-    /// `1 << 20` bounds it near 32 MiB; a larger request gets a typed
-    /// [`ErrorCode::TooManyQueries`] refusal before it takes the engine.
-    pub max_batch_trials: usize,
     /// Accepted connections allowed to wait for a worker; a connection
     /// arriving with the queue already this deep is **refused**: the
     /// server writes a best-effort typed [`ErrorCode::Overloaded`] frame
@@ -86,7 +87,6 @@ impl Default for NetConfig {
             workers: 2,
             max_frame_bytes: DEFAULT_MAX_PAYLOAD,
             max_batch_queries: 1 << 16,
-            max_batch_trials: 1 << 20,
             max_pending: 64,
             read_deadline: None,
             write_deadline: None,
@@ -472,12 +472,11 @@ fn answer(shared: &Shared, req: Request) -> Frame {
         .queries
         .iter()
         .fold(0usize, |sum, q| sum.saturating_add(q.trials));
-    if trials > shared.cfg.max_batch_trials {
+    if trials > MAX_BATCH_TRIALS {
         return Frame::Error(ErrorFrame {
             code: ErrorCode::TooManyQueries,
             message: format!(
-                "batch of {trials} trials exceeds the {}-trial admission limit",
-                shared.cfg.max_batch_trials
+                "batch of {trials} trials exceeds the {MAX_BATCH_TRIALS}-trial admission limit"
             ),
         });
     }

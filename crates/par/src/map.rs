@@ -53,8 +53,7 @@ where
 /// rows at a time — avoiding per-chunk result vectors and the final
 /// gather copy entirely.
 ///
-/// With `threads <= 1` the cells are processed inline, in order;
-/// otherwise the calling thread is one of the `threads` workers.
+/// With `threads <= 1` the cells are processed inline, in order.
 ///
 /// # Panics
 /// Panics if `chunk_size == 0` while `buf` is non-empty.
@@ -77,21 +76,21 @@ where
     }
     let cells: Vec<Mutex<&mut [T]>> = buf.chunks_mut(chunk_size).map(Mutex::new).collect();
     let cursor = AtomicUsize::new(0);
-    let worker = || loop {
-        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-        if chunk >= cells.len() {
-            break;
-        }
-        let mut cell = cells[chunk].lock().expect("cell poisoned");
-        f(chunk, &mut cell);
-    };
-    // Worker 0 is the calling thread, which keeps its thread-local
-    // workspaces warm across calls and saves one spawn per call.
+    let workers = threads.min(cells.len());
     crossbeam::thread::scope(|scope| {
-        for _ in 1..threads.min(cells.len()) {
-            scope.spawn(|_| worker());
+        for _ in 0..workers {
+            let cursor = &cursor;
+            let cells = &cells;
+            let f = &f;
+            scope.spawn(move |_| loop {
+                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+                if chunk >= cells.len() {
+                    break;
+                }
+                let mut cell = cells[chunk].lock().expect("cell poisoned");
+                f(chunk, &mut cell);
+            });
         }
-        worker();
     })
     .expect("thread scope failed");
 }
