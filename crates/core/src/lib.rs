@@ -39,7 +39,8 @@
 //!
 //! Two evaluation paths cross-check each other:
 //! * Monte-Carlo trials ([`trial`], [`diameter`]) — parallel, seeded,
-//!   reproducible;
+//!   reproducible, run by the one trial executor ([`wave`]) that the
+//!   serving engine shares;
 //! * an exact expected-steps evaluator ([`exact`]) for any scheme that can
 //!   enumerate its distribution ([`scheme::ExplicitScheme`]), processing
 //!   nodes in increasing target-distance order.
@@ -66,6 +67,7 @@ pub mod theorem2;
 pub mod theorem3;
 pub mod trial;
 pub mod uniform;
+pub mod wave;
 pub mod workspace;
 
 pub use ball::{BallRowSampler, BallScheme};

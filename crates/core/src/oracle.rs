@@ -1,15 +1,16 @@
 //! Exact distance rows for a set of routing targets.
 //!
 //! Greedy routing consults `dist_G(·, t)` at every hop, so each trial
-//! target needs one full distance row. The Monte-Carlo engine used to run
-//! one scalar BFS per (s, t) pair — recomputing the same target row for
-//! every pair sharing a target, and paying a full traversal per row. The
-//! [`TargetDistanceCache`] fixes both: it deduplicates the targets of a
-//! pair set, packs the distinct ones `width.lanes()` at a time into
-//! bit-parallel MS-BFS passes
-//! ([`nav_graph::msbfs::batched_compact_rows_w`], passes fanned out to
-//! `nav-par` workers), and hands each [`GreedyRouter`] a *borrowed* row
-//! instead of an owned re-BFS.
+//! target needs one full distance row. A per-pair scalar BFS recomputes
+//! the same row for every pair sharing a target and pays a full
+//! traversal per row. The [`TargetDistanceCache`] avoids both for a
+//! stand-alone pair set (the exact evaluator, the scale bench and the
+//! serving benchmark's checks use it): it deduplicates the targets,
+//! packs the distinct ones `width.lanes()` at a time into bit-parallel
+//! MS-BFS passes ([`nav_graph::msbfs::batched_compact_rows_w`], passes
+//! fanned out to `nav-par` workers), and hands each [`GreedyRouter`] a
+//! *borrowed* row instead of an owned re-BFS. The trial executor
+//! ([`crate::wave`]) fills its waves' rows through the same call.
 //!
 //! Distances are exact, so cached rows are bit-identical to per-pair BFS
 //! for every thread count and width — the engine's determinism guarantee

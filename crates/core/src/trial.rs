@@ -1,22 +1,20 @@
 //! Parallel Monte-Carlo trial running.
 //!
 //! Estimates `E(φ, s, t)` for a set of source/target pairs by repeated
-//! greedy-routing trials with fresh long-range draws. Target-distance rows
-//! come from one [`TargetDistanceCache`] per wave of targets (each
-//! distinct target's compact row computed exactly once, `width.lanes()`
-//! targets per bit-parallel BFS pass); pairs then run in parallel
-//! (`nav-par`), each pair's trials using an RNG derived from
-//! `(seed, pair index)` — results are bit-identical across thread counts.
+//! greedy-routing trials with fresh long-range draws. [`run_trials`] runs
+//! them through the wave executor ([`crate::wave`]), with no row cache:
+//! one wave of `lanes·threads` distinct targets at a time, each target's
+//! row computed once. Pair `i` draws from the RNG of `(seed, i)`, so
+//! results are bit-identical across thread counts.
 
-use crate::oracle::TargetDistanceCache;
-use crate::routing::{default_step_cap, GreedyRouter};
+use crate::faulty::FaultConfig;
+use crate::routing::GreedyRouter;
 use crate::sampler::{sampler_for_w, ContactSampler, SamplerMode};
 use crate::scheme::AugmentationScheme;
+use crate::wave::{NoCache, Query, Waves};
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, GraphError, NodeId, INFINITY};
-use nav_par::rng::task_rng;
 use rand::{Rng, RngCore};
-use std::ops::Range;
 
 /// Configuration for a trial run.
 #[derive(Clone, Debug)]
@@ -335,115 +333,41 @@ fn lockstep<C: ContactSampler + ?Sized>(
         .collect()
 }
 
-/// Pairs per work unit when the sampler does not run lockstep: small
-/// enough to balance heavy-tailed pairs, large enough to amortise the
-/// unit's set-up.
-const PAIRS_PER_UNIT: usize = 8;
-
-/// Runs `len` pairs' trials on `threads` workers, `unit(range)` per work
-/// unit, and returns the units' outputs in order. When the sampler runs
-/// lockstep, each worker gets one contiguous chunk of the pairs (and so
-/// one sampler sharing MS-BFS passes across the chunk); otherwise the
-/// pairs go out in small units, load-balanced across the workers.
-pub fn map_pair_units<T, F>(len: usize, threads: usize, lockstep: bool, unit: F) -> Vec<T>
-where
-    T: Send + Default,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let per = if lockstep {
-        len.div_ceil(threads.max(1)).max(1)
-    } else {
-        PAIRS_PER_UNIT
-    };
-    let units: Vec<Range<usize>> = (0..len)
-        .step_by(per)
-        .map(|lo| lo..(lo + per).min(len))
-        .collect();
-    let mut out: Vec<T> = units.iter().map(|_| T::default()).collect();
-    // One unit per cell, so a handful of lockstep chunks still spreads
-    // across the workers.
-    nav_par::parallel_chunks_mut(&mut out, 1, threads, |u, cell| {
-        cell[0] = unit(units[u].clone());
-    });
-    out
-}
-
-/// Runs trials for explicit (s, t) pairs.
+/// Runs trials for explicit (s, t) pairs, pair `i` on the RNG of
+/// `(seed, i)`.
 pub fn run_trials<S: AugmentationScheme + ?Sized>(
     g: &Graph,
     scheme: &S,
     pairs: &[(NodeId, NodeId)],
     cfg: &TrialConfig,
 ) -> Result<TrialResult, GraphError> {
-    for &(s, t) in pairs {
-        g.check_node(s)?;
-        g.check_node(t)?;
-    }
-    // Group the pair indices by distinct target, `width.lanes()` distinct
-    // targets per group, and process the groups in waves of `threads`:
-    // each wave builds one oracle over its targets (one MS-BFS pass per
-    // group, the passes fanned out to the workers) and the wave's pairs
-    // then share the full worker pool, so both phases scale with cores
-    // while resident rows stay bounded at `O(lanes·threads·n)` compact
-    // cells however many targets the workload has. Outputs are a pure
-    // function of `(seed, pair index)`, so neither grouping, wave
-    // partitioning nor the workers' chunks change them.
-    let lanes = cfg.width.lanes();
-    let mut slot_of = vec![u32::MAX; g.num_nodes()];
-    let mut num_targets = 0usize;
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (idx, &(_, t)) in pairs.iter().enumerate() {
-        let slot = &mut slot_of[t as usize];
-        if *slot == u32::MAX {
-            *slot = num_targets as u32;
-            num_targets += 1;
-            if num_targets.div_ceil(lanes) > groups.len() {
-                groups.push(Vec::new());
-            }
-        }
-        groups[*slot as usize / lanes].push(idx);
-    }
-    let cap = default_step_cap(g);
+    let queries: Vec<Query> = pairs
+        .iter()
+        .map(|&(s, t)| Query {
+            s,
+            t,
+            trials: cfg.trials_per_pair,
+        })
+        .collect();
     let new_sampler = || sampler_for_w(scheme, g, cfg.sampler, usize::MAX, cfg.width);
-    let lockstep = new_sampler().wants_lockstep();
-    let mut stats: Vec<PairStats> = vec![PairStats::default(); pairs.len()];
-    for wave in groups.chunks(cfg.threads.max(1)) {
-        let items: Vec<usize> = wave.concat();
-        let targets = items.iter().map(|&idx| pairs[idx].1);
-        let oracle = TargetDistanceCache::build_width(g, targets, cfg.threads, cfg.width)
-            .expect("pairs validated above");
-        let wave_stats = map_pair_units(items.len(), cfg.threads, lockstep, |range| {
-            let items = &items[range];
-            let routers: Vec<GreedyRouter<'_>> = items
-                .iter()
-                .map(|&idx| oracle.router(pairs[idx].1).expect("target cached above"))
-                .collect();
-            let mut rngs: Vec<_> = items
-                .iter()
-                .map(|&idx| task_rng(cfg.seed, idx as u64))
-                .collect();
-            let mut jobs: Vec<PairJob<'_, '_>> = items
-                .iter()
-                .zip(&routers)
-                .zip(&mut rngs)
-                .map(|((&idx, router), rng)| PairJob {
-                    router,
-                    s: pairs[idx].0,
-                    trials: cfg.trials_per_pair,
-                    rng,
-                })
-                .collect();
-            let mut sampler = new_sampler();
-            aggregate_pairs_with(&mut jobs, sampler.as_mut(), cap)
-                .into_iter()
-                .map(|(ps, _)| ps)
-                .collect::<Vec<_>>()
-        });
-        for (&idx, ps) in items.iter().zip(wave_stats.into_iter().flatten()) {
-            stats[idx] = ps;
-        }
-    }
-    Ok(TrialResult { pairs: stats })
+    // With no cache and no byte budget, each wave computes the rows of
+    // `lanes·threads` distinct targets — one MS-BFS pass per worker — so
+    // resident rows stay at `O(lanes·threads·n)` compact cells however
+    // many targets the pairs have.
+    let waves = Waves {
+        g,
+        seed: cfg.seed,
+        threads: cfg.threads,
+        width: cfg.width,
+        budget_bytes: 0,
+        fault: FaultConfig::default(),
+        new_sampler: &new_sampler,
+        traced: &|_| false,
+    };
+    let run = waves.run(&queries, 0, &mut NoCache)?;
+    Ok(TrialResult {
+        pairs: run.outcomes.into_iter().map(|o| o.stats).collect(),
+    })
 }
 
 /// Draws `count` random (s, t) pairs with `s ≠ t`.
@@ -492,9 +416,14 @@ pub fn run_standard<S: AugmentationScheme + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::default_step_cap;
     use crate::uniform::{NoAugmentation, UniformScheme};
+    use crate::wave::RowSource;
+    use nav_graph::distance::DistRowBuf;
     use nav_graph::GraphBuilder;
     use nav_par::rng::seeded_rng;
+    use nav_par::rng::task_rng;
+    use std::sync::Arc;
 
     fn path(n: usize) -> Graph {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
@@ -573,8 +502,6 @@ mod tests {
     fn oracle_engine_matches_fresh_bfs_engine() {
         // The pre-oracle engine ran one fresh BFS per pair; the cached rows
         // must reproduce its outputs bit for bit.
-        use crate::routing::{default_step_cap, GreedyRouter};
-        use nav_par::rng::task_rng;
         let g = path(96);
         let pairs: Vec<(NodeId, NodeId)> = vec![(0, 95), (95, 0), (3, 77), (12, 77), (50, 1)];
         let cfg = TrialConfig {
@@ -642,6 +569,30 @@ mod tests {
             let fresh = aggregate_pair(&router, &UniformScheme, s, &mut rng, 6, cap);
             assert!(fresh.bits_eq(&reference.pairs[idx]), "pair {idx}");
         }
+        // The wave rule, on the executor directly: with no byte budget a
+        // wave fills `lanes·threads` targets in first-appearance order
+        // (run_trials' waves), a budget of `k` rows widens the waves to
+        // `max(k, lanes·threads)`, and one covering every row gives one
+        // wave. The targets here are all distinct.
+        #[derive(Default)]
+        struct Fills(Vec<Vec<NodeId>>);
+        impl RowSource for Fills {
+            fn rows(
+                &mut self,
+                g: &Graph,
+                targets: &[NodeId],
+                threads: usize,
+                width: LaneWidth,
+            ) -> Vec<(Arc<DistRowBuf>, bool)> {
+                self.0.push(targets.to_vec());
+                NoCache.rows(g, targets, threads, width)
+            }
+        }
+        let queries: Vec<Query> = pairs
+            .iter()
+            .map(|&(s, t)| Query { s, t, trials: 6 })
+            .collect();
+        let row_bytes = 2 * g.num_nodes();
         for width in LaneWidth::ALL {
             for threads in [1usize, 3] {
                 let cfg = TrialConfig {
@@ -653,6 +604,37 @@ mod tests {
                 assert_eq!(r.pairs.len(), pairs.len());
                 for (a, b) in reference.pairs.iter().zip(&r.pairs) {
                     assert!(a.bits_eq(b), "multi-wave width {width} threads {threads}");
+                }
+                let pass = width.lanes() * threads;
+                let new_sampler =
+                    || sampler_for_w(&UniformScheme, &g, SamplerMode::Scalar, usize::MAX, width);
+                for (budget_rows, per_wave) in [(0, pass), (100, pass.max(100)), (280, 280)] {
+                    let waves = Waves {
+                        g: &g,
+                        seed: base.seed,
+                        threads,
+                        width,
+                        budget_bytes: budget_rows * row_bytes,
+                        fault: FaultConfig::default(),
+                        new_sampler: &new_sampler,
+                        traced: &|_| false,
+                    };
+                    let mut fills = Fills::default();
+                    let run = waves.run(&queries, 0, &mut fills).unwrap();
+                    let want: Vec<Vec<NodeId>> = pairs
+                        .chunks(per_wave)
+                        .map(|chunk| {
+                            let mut targets: Vec<NodeId> = chunk.iter().map(|p| p.1).collect();
+                            targets.sort_unstable();
+                            targets
+                        })
+                        .collect();
+                    let shape = format!("width {width} threads {threads} budget {budget_rows}");
+                    assert_eq!(fills.0, want, "{shape}");
+                    assert_eq!((run.cold, run.warm), (pairs.len(), 0), "{shape}");
+                    for (a, b) in reference.pairs.iter().zip(&run.outcomes) {
+                        assert!(a.bits_eq(&b.stats), "{shape}");
+                    }
                 }
             }
         }

@@ -1,24 +1,14 @@
 //! The request/response types of the serving API.
 
 use nav_core::trial::PairStats;
+pub use nav_core::wave::Query;
 use nav_graph::NodeId;
-
-/// One routing query: estimate greedy-routing behaviour from `s` to `t`
-/// over `trials` independent long-range draws.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Query {
-    /// Source node.
-    pub s: NodeId,
-    /// Target node.
-    pub t: NodeId,
-    /// Independent routing trials to aggregate for this query.
-    pub trials: usize,
-}
 
 /// A batch of queries served in one engine round-trip. Batching is the
 /// engine's unit of work: targets are deduplicated and cold rows computed
-/// 64 per MS-BFS pass *within* a batch, so bigger batches amortise better
-/// — but answers never depend on how a stream was split into batches.
+/// `width.lanes()` per MS-BFS pass *within* a batch (in waves bounded by
+/// the cache budget), so bigger batches amortise better — but answers
+/// never depend on how a stream was split into batches.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryBatch {
     /// The queries, in arrival order. Answers come back in the same order.

@@ -3,18 +3,14 @@
 use crate::batch::{BatchResult, QueryBatch};
 use crate::cache::{AdmissionPolicy, CacheStats, RowCache};
 use crate::metrics::EngineMetrics;
-use nav_core::faulty::{FaultConfig, FaultySampler};
-use nav_core::routing::{default_step_cap, GreedyRouter};
-use nav_core::sampler::{sampler_for_w, ContactSampler, SamplerMode, SamplerStats};
+use nav_core::faulty::FaultConfig;
+use nav_core::sampler::{sampler_for_w, SamplerMode};
 use nav_core::scheme::AugmentationScheme;
-use nav_core::trial::{aggregate_pairs_with, map_pair_units, PairJob, PairStats};
+use nav_core::wave::{RowSource, Waves};
 use nav_graph::distance::DistRowBuf;
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, GraphError, NodeId};
-use nav_obs::{ObsConfig, ObsSnapshot, QueryTrace, Registry, Stage, StageSpan};
-use nav_par::rng::task_rng;
-use std::collections::HashMap;
-use std::ops::Range;
+use nav_obs::{ObsConfig, ObsSnapshot, QueryTrace, Registry, Stage};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,8 +25,15 @@ pub struct EngineConfig {
     /// batch has fewer passes than threads, each pass also splits its big
     /// levels and decodes across the idle ones. Never changes answers.
     pub threads: usize,
-    /// Row-cache capacity in bytes (`0` = recompute every batch). The
-    /// same byte knob caps each trial worker's resident ball rows under
+    /// Row-cache capacity in bytes (`0` = recompute every batch). It also
+    /// bounds a batch's transient rows: a batch runs in waves of at most
+    /// `w = max(cache_bytes / 2n, width.lanes()·threads)` targets, so its
+    /// exact rows peak at `cache_bytes + w·2n` bytes (`w·4n` for `u32`
+    /// rows, past depth 65535), plus one MS-BFS workspace per worker: the
+    /// `seen`/`frontier`/`next` bit sets and 8 depth planes of
+    /// `MsBfsW`, `11·lanes/8` bytes a node, and its node lists, about
+    /// `12` bytes a node (≈ `100n` bytes at 64 lanes). The same knob caps
+    /// each trial worker's resident ball rows under
     /// [`SamplerMode::Batched`]: a smaller budget means fewer rows per
     /// MS-BFS pass, never a different answer.
     pub cache_bytes: usize,
@@ -142,21 +145,18 @@ pub struct Engine {
     /// Churn epoch of the last served batch — feeds only the
     /// [`EngineMetrics::epoch_flips`] transition counter.
     last_epoch: u64,
-    cap: u32,
 }
 
 impl Engine {
     /// Builds an engine owning `g` and `scheme`.
     pub fn new(g: Graph, scheme: Box<dyn AugmentationScheme + Send>, cfg: EngineConfig) -> Self {
         cfg.fault.validate();
-        let cap = default_step_cap(&g);
         Engine {
             cache: RowCache::with_policy(cfg.cache_bytes, cfg.admission),
             metrics: EngineMetrics::default(),
             obs: Registry::new(cfg.obs, cfg.seed),
             served: 0,
             last_epoch: 0,
-            cap,
             g,
             scheme,
             cfg,
@@ -235,24 +235,19 @@ impl Engine {
         }
     }
 
-    /// Serves one batch through the pipeline:
-    ///
-    /// 1. **admission** — validate every endpoint, deduplicate the batch's
-    ///    targets;
-    /// 2. **cache** — serve resident rows from the cross-batch LRU;
-    /// 3. **execute (rows)** — evict the rows the fresh ones will
-    ///    displace, then pack the cold targets `width.lanes()` per
-    ///    bit-parallel MS-BFS pass, each pass one traversal at any graph
-    ///    depth, passes fanned out to `threads` workers (a lone pass
-    ///    splits its big levels across them instead). Each pass writes
-    ///    its rows straight into compact `u16` row buffers — `u32` only
-    ///    when a distance outgrows `u16` — with no batch-sized staging
-    ///    buffer, and each fresh row is admitted to the cache;
-    /// 4. **execute (trials)** — answer queries in parallel, query `i` of
-    ///    the batch using the RNG derived from
-    ///    `(seed, lifetime_index + i)`: each query on its own under the
-    ///    scalar sampler, one contiguous chunk per worker under a lockstep
-    ///    sampler (see [`EngineConfig::sampler`]).
+    /// Serves one batch through the wave executor ([`nav_core::wave`]).
+    /// **Admission** validates every endpoint and numbers the distinct
+    /// targets. Then, per wave of at most `max(cache_bytes / 2n,
+    /// width.lanes()·threads)` targets (every benchmark batch is one
+    /// wave), **cache lookup** takes the resident rows from the
+    /// cross-batch LRU; **cold fill** evicts the rows the fresh ones will
+    /// displace, computes the rest `width.lanes()` per bit-parallel MS-BFS
+    /// pass straight into compact `u16` rows (passes fanned out to
+    /// `threads` workers, a lone pass splitting its big levels across
+    /// them) and admits each to the cache; and **trials** answer the
+    /// wave's queries in parallel, query `i` of the batch on the RNG of
+    /// `(seed, lifetime_index + i)`, one sampler per work unit (see
+    /// [`EngineConfig::sampler`]).
     ///
     /// Answers are a pure function of `(graph, scheme, seed, sampler
     /// mode, query sequence)`: thread count, cache capacity, lane width
@@ -280,77 +275,7 @@ impl Engine {
         base: u64,
         sampler: SamplerMode,
     ) -> Result<BatchResult, GraphError> {
-        // Query `i` of the batch runs on RNG index `base + i`.
-        let indices = |range: Range<usize>| base + range.start as u64..base + range.end as u64;
-        let obs_on = self.obs.stages_enabled();
         let t0 = Instant::now();
-        // --- admission -----------------------------------------------
-        let span = StageSpan::begin(Stage::Admission, obs_on);
-        for q in &batch.queries {
-            self.g.check_node(q.s)?;
-            self.g.check_node(q.t)?;
-        }
-        let mut targets: Vec<NodeId> = batch.queries.iter().map(|q| q.t).collect();
-        targets.sort_unstable();
-        targets.dedup();
-        span.finish(self.obs.stages_mut());
-        // --- churn tick -----------------------------------------------
-        // A batch's churn epoch is the max epoch any of its queries lands
-        // in. A change from the last batch's epoch counts as one flip. It
-        // touches nothing else: every query routes under its own epoch
-        // (from its RNG index) on an exact full-graph row, so resident
-        // rows stay valid across the flip.
-        let batch_epoch = self
-            .cfg
-            .fault
-            .plan
-            .and_then(|plan| indices(0..batch.len()).map(|i| plan.epoch_of(i)).max());
-        let new_epoch = batch_epoch.filter(|&e| e != self.last_epoch);
-        // --- cache ----------------------------------------------------
-        let span = StageSpan::begin(Stage::CacheLookup, obs_on);
-        let mut rows: HashMap<NodeId, Arc<DistRowBuf>> = HashMap::with_capacity(targets.len());
-        let mut cold: Vec<NodeId> = Vec::new();
-        for &t in &targets {
-            match self.cache.get(t) {
-                Some(row) => {
-                    rows.insert(t, row);
-                }
-                None => cold.push(t),
-            }
-        }
-        span.finish(self.obs.stages_mut());
-        // --- execute: cold rows ----------------------------------------
-        if !cold.is_empty() {
-            let span = StageSpan::begin(Stage::ColdFill, obs_on);
-            // Free the rows the inserts below will evict before the fill
-            // allocates the fresh ones, so the batch stays inside
-            // `cache_bytes`. Room is made for `u16` rows; a `u32` row
-            // (depth ≥ 65535) evicts the rest when it is inserted, and the
-            // guard keeps it admissible, so the victims never change.
-            let n = self.g.num_nodes();
-            if n * std::mem::size_of::<u32>() <= self.cache.capacity_bytes() {
-                self.cache
-                    .make_room(cold.len(), n * std::mem::size_of::<u16>());
-            }
-            let fresh = nav_graph::msbfs::batched_compact_rows_w(
-                &self.g,
-                &cold,
-                self.cfg.threads,
-                self.cfg.width,
-            );
-            for (&t, row) in cold.iter().zip(fresh) {
-                let row = Arc::new(row);
-                self.cache.insert(t, Arc::clone(&row));
-                rows.insert(t, row);
-            }
-            span.finish(self.obs.stages_mut());
-        }
-        // --- execute: trials -------------------------------------------
-        let span = StageSpan::begin(Stage::Trials, obs_on);
-        let fault = self.cfg.fault;
-        // Trace sampling is pure in the query's RNG index, so the traced
-        // set is identical whatever thread or batch split runs the query.
-        let tracer = self.obs.sampler();
         // Transient sampler state, byte-capped by the engine's one memory
         // knob; one sampler per work unit, freed when the unit answers.
         let new_sampler = || {
@@ -362,99 +287,64 @@ impl Engine {
                 self.cfg.width,
             )
         };
-        let lockstep = new_sampler().wants_lockstep();
-        let units = map_pair_units(batch.len(), self.cfg.threads, lockstep, |range| {
-            let queries = &batch.queries[range.clone()];
-            let routers: Vec<GreedyRouter<'_>> = queries
-                .iter()
-                .zip(indices(range.clone()))
-                .map(|(q, index)| {
-                    let row = rows.get(&q.t).expect("row staged above");
-                    let router = GreedyRouter::from_row(&self.g, q.t, row.view())
-                        .expect("endpoints validated at admission");
-                    // The query's churn epoch is a pure function of its
-                    // RNG index, so a retried query always routes under
-                    // the same down-node set.
-                    match fault.plan {
-                        Some(plan) => router.with_fault(plan, plan.epoch_of(index)),
-                        None => router,
-                    }
-                })
-                .collect();
-            let mut rngs: Vec<_> = indices(range.clone())
-                .map(|index| task_rng(self.cfg.seed, index))
-                .collect();
-            let mut jobs: Vec<PairJob<'_, '_>> = queries
-                .iter()
-                .zip(&routers)
-                .zip(&mut rngs)
-                .map(|((q, router), rng)| PairJob {
-                    router,
-                    s: q.s,
-                    trials: q.trials,
-                    rng,
-                })
-                .collect();
-            // A lockstep sampler serves the whole unit at once; otherwise
-            // each query runs, and is timed, on its own.
-            let group = if lockstep { jobs.len() } else { 1 };
-            let mut answers: Vec<(PairStats, u64, u64, Option<f64>)> =
-                Vec::with_capacity(jobs.len());
-            let mut sampler_stats = SamplerStats::default();
-            let groups = jobs.chunks_mut(group).zip(routers.chunks(group));
-            for (gi, (group_jobs, group_routers)) in groups.enumerate() {
-                let first = range.start + gi * group;
-                let clock = indices(first..first + group_jobs.len())
-                    .any(|i| tracer.hits(i))
-                    .then(Instant::now);
-                // At `drop_prob == 0` the coin is never drawn, so the
-                // wrapper leaves the RNG stream untouched.
-                let mut s = FaultySampler::new(new_sampler(), fault.drop_prob);
-                let outcomes = aggregate_pairs_with(group_jobs, &mut s, self.cap);
-                sampler_stats.merge(&s.stats());
-                let trials_ms = clock.map(|c| c.elapsed().as_secs_f64() * 1e3);
-                for ((stats, coin_drops), router) in outcomes.into_iter().zip(group_routers) {
-                    let (churn_drops, rerouted) = router.fault_counts();
-                    answers.push((stats, coin_drops + churn_drops, rerouted, trials_ms));
-                }
-            }
-            (answers, sampler_stats)
-        });
+        // Trace sampling is pure in the query's RNG index, so the traced
+        // set is identical whatever thread or batch split runs the query.
+        let tracer = self.obs.sampler();
+        let waves = Waves {
+            g: &self.g,
+            seed: self.cfg.seed,
+            threads: self.cfg.threads,
+            width: self.cfg.width,
+            budget_bytes: self.cfg.cache_bytes,
+            fault: self.cfg.fault,
+            new_sampler: &new_sampler,
+            traced: &|index| tracer.hits(index),
+        };
+        let mut rows = CachedRows {
+            last: self.obs.stages_enabled().then(Instant::now),
+            cache: &mut self.cache,
+            obs: &mut self.obs,
+        };
+        let run = waves.run(&batch.queries, base, &mut rows)?;
         let mut answers = Vec::with_capacity(batch.len());
-        let mut sampler_stats = SamplerStats::default();
-        let mut dropped_links = 0u64;
-        let mut rerouted_hops = 0u64;
-        for (unit_answers, unit_stats) in units {
-            sampler_stats.merge(&unit_stats);
-            for (ps, dropped, rerouted, trace_ms) in unit_answers {
-                let i = answers.len();
-                let index = base + i as u64;
-                if let Some(trials_ms) = trace_ms.filter(|_| tracer.hits(index)) {
-                    let q = &batch.queries[i];
-                    self.obs.record_trace(QueryTrace {
-                        index,
-                        s: q.s,
-                        t: q.t,
-                        // `cold` is sorted (built from the sorted target list).
-                        cache_hit: cold.binary_search(&q.t).is_err(),
-                        trials: q.trials as u64,
-                        trials_ms,
-                        dropped_links: dropped,
-                        rerouted_hops: rerouted,
-                    });
-                }
-                answers.push(ps);
-                dropped_links += dropped;
-                rerouted_hops += rerouted;
+        let (mut dropped_links, mut rerouted_hops) = (0u64, 0u64);
+        for (i, (outcome, q)) in run.outcomes.into_iter().zip(&batch.queries).enumerate() {
+            if let Some(trials_ms) = outcome.trials_ms {
+                self.obs.record_trace(QueryTrace {
+                    index: base + i as u64,
+                    s: q.s,
+                    t: q.t,
+                    cache_hit: outcome.cache_hit,
+                    trials: q.trials as u64,
+                    trials_ms,
+                    dropped_links: outcome.dropped,
+                    rerouted_hops: outcome.rerouted,
+                });
             }
+            dropped_links += outcome.dropped;
+            rerouted_hops += outcome.rerouted;
+            answers.push(outcome.stats);
         }
-        span.finish(self.obs.stages_mut());
+        // A batch's churn epoch is the max epoch any of its queries lands
+        // in. A change from the last batch's epoch counts as one flip. It
+        // touches nothing else: every query routes under its own epoch
+        // (from its RNG index) on an exact full-graph row, so resident
+        // rows stay valid across the flip.
+        let new_epoch = self
+            .cfg
+            .fault
+            .plan
+            .and_then(|plan| {
+                (0..batch.len() as u64)
+                    .map(|i| plan.epoch_of(base + i))
+                    .max()
+            })
+            .filter(|&e| e != self.last_epoch);
         let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let warm = targets.len() - cold.len();
         let trials: u64 = batch.queries.iter().map(|q| q.trials as u64).sum();
         self.metrics
-            .record_batch(batch.len(), trials, warm, cold.len(), elapsed_ms);
-        self.metrics.record_sampler(&sampler_stats);
+            .record_batch(batch.len(), trials, run.warm, run.cold, elapsed_ms);
+        self.metrics.record_sampler(&run.sampler);
         // The epoch moves with the counters, once the batch completes.
         if let Some(epoch) = new_epoch {
             self.last_epoch = epoch;
@@ -463,10 +353,84 @@ impl Engine {
             .record_fault(dropped_links, rerouted_hops, new_epoch.is_some() as u64);
         Ok(BatchResult {
             answers,
-            warm_targets: warm,
-            cold_targets: cold.len(),
+            warm_targets: run.warm,
+            cold_targets: run.cold,
             elapsed_ms,
         })
+    }
+}
+
+/// The engine's [`RowSource`]: the cross-batch row cache, with every
+/// stage timed into the engine's stage histograms.
+struct CachedRows<'e> {
+    cache: &'e mut RowCache,
+    obs: &'e mut Registry,
+    /// When the last stage ended (`None` with stage timing off).
+    last: Option<Instant>,
+}
+
+impl CachedRows<'_> {
+    /// Records the time since the last stage ended as one `stage` span.
+    fn tick(&mut self, stage: Stage) {
+        if let Some(last) = self.last.as_mut() {
+            let now = Instant::now();
+            let ms = (now - *last).as_secs_f64() * 1e3;
+            self.obs.stages_mut().record(stage, ms);
+            *last = now;
+        }
+    }
+}
+
+impl RowSource for CachedRows<'_> {
+    fn rows(
+        &mut self,
+        g: &Graph,
+        targets: &[NodeId],
+        threads: usize,
+        width: LaneWidth,
+    ) -> Vec<(Arc<DistRowBuf>, bool)> {
+        let found: Vec<_> = targets.iter().map(|&t| self.cache.get(t)).collect();
+        self.tick(Stage::CacheLookup);
+        let cold: Vec<NodeId> = targets
+            .iter()
+            .zip(&found)
+            .filter_map(|(&t, row)| row.is_none().then_some(t))
+            .collect();
+        let mut fresh = Vec::new().into_iter();
+        if !cold.is_empty() {
+            // Free the rows the inserts below will evict before the fill
+            // allocates the fresh ones, so the wave stays inside
+            // `cache_bytes`. Room is made for `u16` rows; a `u32` row
+            // (depth ≥ 65535) evicts the rest when it is inserted, and
+            // the guard keeps it admissible, so the victims never change.
+            let n = g.num_nodes();
+            if n * std::mem::size_of::<u32>() <= self.cache.capacity_bytes() {
+                self.cache
+                    .make_room(cold.len(), n * std::mem::size_of::<u16>());
+            }
+            let rows = nav_graph::msbfs::batched_compact_rows_w(g, &cold, threads, width);
+            let rows: Vec<_> = rows.into_iter().map(Arc::new).collect();
+            for (&t, row) in cold.iter().zip(&rows) {
+                self.cache.insert(t, Arc::clone(row));
+            }
+            fresh = rows.into_iter();
+            self.tick(Stage::ColdFill);
+        }
+        found
+            .into_iter()
+            .map(|row| match row {
+                Some(row) => (row, true),
+                None => (fresh.next().expect("one fresh row per cold target"), false),
+            })
+            .collect()
+    }
+
+    fn admitted(&mut self) {
+        self.tick(Stage::Admission);
+    }
+
+    fn answered(&mut self) {
+        self.tick(Stage::Trials);
     }
 }
 
@@ -474,7 +438,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::batch::Query;
-    use nav_core::trial::{run_trials, TrialConfig};
+    use nav_core::trial::{run_trials, PairStats, TrialConfig};
     use nav_core::uniform::{NoAugmentation, UniformScheme};
     use nav_graph::GraphBuilder;
 

@@ -6,10 +6,10 @@
 //!   declared multiplicative quantile-error bound
 //!   ([`LogHistogram::error_factor`], ≈ 1.14) and elementwise
 //!   [`LogHistogram::merge`] so digests aggregate without sample vectors.
-//! - [`Stage`] spans — a zero-alloc [`StageSpan`] guard times named
-//!   pipeline stages (engine: admission/cache/cold-fill/trials; server:
-//!   decode/encode/socket) into a per-stage [`StageSet`]; disabled spans
-//!   cost one branch.
+//! - [`Stage`] times — named pipeline stages (engine:
+//!   admission/cache/cold-fill/trials; server: decode/encode/socket)
+//!   recorded into a per-stage [`StageSet`]; with stage timing off the
+//!   engine reads no clock.
 //! - Sampled traces — a [`TraceSampler`] picks 1-in-N queries
 //!   deterministically from the lifetime query index (identical picks
 //!   across threads and batch splits), recording a
@@ -29,5 +29,5 @@ pub mod trace;
 
 pub use hist::{LogHistogram, BUCKETS};
 pub use snapshot::{ObsConfig, ObsSnapshot, Registry};
-pub use stage::{Stage, StageSet, StageSpan};
+pub use stage::{Stage, StageSet};
 pub use trace::{QueryTrace, TraceRing, TraceSampler};

@@ -78,7 +78,7 @@ impl Registry {
         self.sampler
     }
 
-    /// Mutable access for span guards to record into.
+    /// Mutable access for the stage timers to record into.
     #[inline]
     pub fn stages_mut(&mut self) -> &mut StageSet {
         &mut self.stages

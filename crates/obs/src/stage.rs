@@ -1,13 +1,11 @@
-//! Pipeline stages and the zero-alloc span guard that times them.
+//! Pipeline stages and the per-stage histograms that time them.
 //!
 //! Each serving layer names the stages it owns: the engine times
 //! admission, cache lookup, cold fill, and trials; the network front
-//! times frame decode, encode, and socket transfer. A [`StageSpan`] costs
-//! one branch when observability is disabled and one `Instant` pair when
-//! enabled — no allocation either way.
+//! times frame decode, encode, and socket transfer. Each records its
+//! stage times into a [`StageSet`], with no allocation.
 
 use crate::hist::LogHistogram;
-use std::time::Instant;
 
 /// A named pipeline stage. Wire ids are stable (1-based; 0 is invalid on
 /// the wire).
@@ -117,44 +115,6 @@ impl StageSet {
     }
 }
 
-/// A move-consume span guard: [`StageSpan::begin`] captures the clock
-/// (or not, when disabled — the single branch hot paths pay), and
-/// [`StageSpan::finish`] records the elapsed milliseconds into a
-/// [`StageSet`]. Consuming rather than `Drop`-based so the `&mut
-/// StageSet` borrow lives only at the record site.
-#[derive(Debug)]
-#[must_use = "a span that is never finished records nothing"]
-pub struct StageSpan {
-    stage: Stage,
-    start: Option<Instant>,
-}
-
-impl StageSpan {
-    /// Opens a span for `stage`. When `enabled` is false the span is
-    /// inert: no clock read now, no record at finish.
-    #[inline]
-    pub fn begin(stage: Stage, enabled: bool) -> Self {
-        StageSpan {
-            stage,
-            start: enabled.then(Instant::now),
-        }
-    }
-
-    /// Closes the span, recording into `set`. Returns the elapsed
-    /// milliseconds (0.0 when the span was inert).
-    #[inline]
-    pub fn finish(self, set: &mut StageSet) -> f64 {
-        match self.start {
-            Some(t) => {
-                let ms = t.elapsed().as_secs_f64() * 1e3;
-                set.record(self.stage, ms);
-                ms
-            }
-            None => 0.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,19 +135,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 7);
-    }
-
-    #[test]
-    fn span_records_when_enabled_only() {
-        let mut set = StageSet::new();
-        let inert = StageSpan::begin(Stage::Trials, false);
-        assert_eq!(inert.finish(&mut set), 0.0);
-        assert!(set.is_empty());
-        let live = StageSpan::begin(Stage::Trials, true);
-        let ms = live.finish(&mut set);
-        assert!(ms >= 0.0);
-        assert_eq!(set.get(Stage::Trials).count(), 1);
-        assert_eq!(set.non_empty().count(), 1);
     }
 
     #[test]

@@ -718,6 +718,116 @@ fn one_batch_fills_all_its_cold_targets_in_one_pass() {
     assert_eq!(obs.stage(Stage::ColdFill).expect("cold fill").count(), 1);
 }
 
+/// A batch with far more cold targets than the cache holds runs in
+/// waves, and still answers every query exactly like an independent
+/// per-query reference: a scalar-BFS router, the query's own RNG and
+/// `aggregate_pair_with` — with and without faults, at every thread
+/// count. The waves keep the cache inside its capacity.
+#[test]
+fn multi_wave_batch_matches_a_per_query_scalar_reference() {
+    use navigability::core::faulty::FaultySampler;
+    use navigability::core::routing::{default_step_cap, GreedyRouter};
+    use navigability::core::sampler::{ContactSampler, ScalarSampler};
+    use navigability::core::trial::aggregate_pair_with;
+    use navigability::graph::msbfs::LaneWidth;
+    use navigability::obs::{ObsConfig, Stage};
+    use navigability::par::rng::task_rng;
+    let n = 2000usize;
+    let g = navigability::gen::random::gnp_connected(n, 3.0 / n as f64, &mut seeded_rng(17))
+        .expect("gnp");
+    // 1100 distinct targets (13 is coprime to n), the first 100 asked twice.
+    let distinct = 1100usize;
+    let pairs: Vec<(NodeId, NodeId)> = (0..distinct + 100)
+        .map(|i| {
+            (
+                ((i * 37 + 11) % n) as NodeId,
+                ((i % distinct) * 13 % n) as NodeId,
+            )
+        })
+        .collect();
+    let (seed, trials, cache_rows) = (29u64, 2usize, 20usize);
+    let cap = default_step_cap(&g);
+    let churn = FailurePlan::new(seed ^ 0xc4, 3, 250, 0.1);
+    for fault in [
+        FaultConfig::default(),
+        FaultConfig {
+            drop_prob: 0.3,
+            plan: Some(churn),
+        },
+    ] {
+        // (answer, dropped links, rerouted hops) per query.
+        let reference: Vec<(PairStats, u64, u64)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t))| {
+                let mut router = GreedyRouter::new(&g, t).expect("valid target");
+                if let Some(plan) = fault.plan {
+                    router = router.with_fault(plan, plan.epoch_of(i as u64));
+                }
+                let mut sampler =
+                    FaultySampler::new(ScalarSampler::new(&UniformScheme), fault.drop_prob);
+                let mut rng = task_rng(seed, i as u64);
+                let stats = aggregate_pair_with(&router, &mut sampler, s, &mut rng, trials, cap);
+                let (churn_drops, rerouted) = router.fault_counts();
+                (stats, sampler.dropped() + churn_drops, rerouted)
+            })
+            .collect();
+        for threads in [1usize, test_threads()] {
+            let mut engine = Engine::new(
+                g.clone(),
+                Box::new(UniformScheme),
+                EngineConfig {
+                    seed,
+                    threads,
+                    cache_bytes: cache_rows * 2 * n,
+                    fault,
+                    obs: ObsConfig {
+                        stages: true,
+                        trace_every: 1,
+                        trace_capacity: pairs.len(),
+                    },
+                    ..EngineConfig::default()
+                },
+            );
+            let result = engine
+                .serve(&QueryBatch::from_pairs(&pairs, trials))
+                .expect("valid pairs");
+            let shape = format!("{fault:?} threads={threads}");
+            for (i, (got, want)) in result.answers.iter().zip(&reference).enumerate() {
+                assert!(got.bits_eq(&want.0), "query {i} diverged at {shape}");
+            }
+            let traces = engine.obs_snapshot().traces;
+            assert_eq!(traces.len(), pairs.len());
+            for tr in &traces {
+                let (_, dropped, rerouted) = &reference[tr.index as usize];
+                assert_eq!(
+                    (tr.dropped_links, tr.rerouted_hops),
+                    (*dropped, *rerouted),
+                    "{shape}"
+                );
+                assert!(!tr.cache_hit, "a fresh engine has no warm rows: {shape}");
+            }
+            let per_wave = cache_rows.max(LaneWidth::W64.lanes() * threads);
+            let obs = engine.obs_snapshot();
+            let fills = obs.stage(Stage::ColdFill).expect("cold fill").count();
+            assert_eq!(fills as usize, distinct.div_ceil(per_wave), "{shape}");
+            let stats = engine.cache_stats();
+            assert!(
+                stats.resident_bytes <= stats.capacity_bytes,
+                "{shape}: {stats:?}"
+            );
+            assert_eq!(
+                result.cold_targets + result.warm_targets,
+                distinct,
+                "{shape}"
+            );
+        }
+        if fault.plan.is_some() {
+            assert!(reference.iter().any(|r| r.1 > 0), "the faults must bite");
+        }
+    }
+}
+
 /// Direct soak of the cache's eviction accounting: a long random
 /// insert/get/replace sequence (row sizes varied, including same-key
 /// replacements that grow and shrink) must keep `resident_bytes` within
