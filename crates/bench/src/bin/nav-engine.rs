@@ -56,6 +56,7 @@ use nav_core::ball::BallScheme;
 use nav_core::faulty::FaultConfig;
 use nav_core::sampler::SamplerMode;
 use nav_core::scheme::AugmentationScheme;
+use nav_core::trial::{digest_answers, DIGEST_BASIS};
 use nav_core::uniform::{NoAugmentation, UniformScheme};
 use nav_engine::workload::{
     parse_workload, render_workload, FaultSpec, GraphSpec, WorkloadSpec, ZipfSpec,
@@ -816,27 +817,6 @@ fn snapshot_cmd(mut args: impl Iterator<Item = String>) {
     );
 }
 
-/// FNV-1a over a byte slice, continuing from `h` — the replay command's
-/// stream digest (self-contained; stable across platforms).
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// Folds one answer into a stream digest, float fields by bit pattern —
-/// the same identity `PairStats::bits_eq` checks.
-fn hash_answer(h: &mut u64, a: &nav_core::trial::PairStats) {
-    for v in [a.s, a.t, a.dist, a.max_steps] {
-        fnv1a(h, &v.to_le_bytes());
-    }
-    fnv1a(h, &(a.failures as u64).to_le_bytes());
-    for v in [a.mean_steps, a.std_steps, a.mean_long_links] {
-        fnv1a(h, &v.to_bits().to_le_bytes());
-    }
-}
-
 /// `nav-engine replay FILE ADDR` — re-drive a `--record`ed traffic log
 /// against a running serve-tcp and check every answer against the
 /// recorded one, bit for bit. Works because each recorded request
@@ -863,8 +843,7 @@ fn replay_cmd(mut args: impl Iterator<Item = String>) {
     let entries = nav_store::read_record_log(&bytes).unwrap_or_else(|e| die!(2, "{file}: {e}"));
     let mut client =
         NetClient::connect(addr.as_str()).unwrap_or_else(|e| die!(1, "connecting {addr}: {e}"));
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let (mut recorded_digest, mut replayed_digest) = (FNV_OFFSET, FNV_OFFSET);
+    let (mut recorded_digest, mut replayed_digest) = (DIGEST_BASIS, DIGEST_BASIS);
     let max = nav_net::frame::DEFAULT_MAX_PAYLOAD;
     let (mut compared, mut refusals, mut skipped) = (0usize, 0usize, 0usize);
     for (i, entry) in entries.iter().enumerate() {
@@ -884,12 +863,8 @@ fn replay_cmd(mut args: impl Iterator<Item = String>) {
                 if !identical {
                     die!(1, "replay DIVERGED from recording at entry {i}");
                 }
-                for a in &resp.answers {
-                    hash_answer(&mut recorded_digest, a);
-                }
-                for a in &answers {
-                    hash_answer(&mut replayed_digest, a);
-                }
+                recorded_digest = digest_answers(recorded_digest, &resp.answers);
+                replayed_digest = digest_answers(replayed_digest, &answers);
                 compared += 1;
             }
             // A recorded refusal must refuse again (same deterministic

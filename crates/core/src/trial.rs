@@ -90,6 +90,33 @@ impl PairStats {
     }
 }
 
+/// The FNV-1a offset basis: [`digest_answers`]' state before any answer.
+pub const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `answers` into the FNV-1a stream digest `h` (start from
+/// [`DIGEST_BASIS`]), float fields by bit pattern — the identity
+/// [`PairStats::bits_eq`] checks — so equal digests mean bit-identical
+/// answer streams, up to a 2^-64 collision. Self-contained and stable
+/// across platforms.
+pub fn digest_answers(mut h: u64, answers: &[PairStats]) -> u64 {
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for a in answers {
+        for v in [a.s, a.t, a.dist, a.max_steps] {
+            eat(&v.to_le_bytes());
+        }
+        eat(&(a.failures as u64).to_le_bytes());
+        for v in [a.mean_steps, a.std_steps, a.mean_long_links] {
+            eat(&v.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
 /// Result of a full trial run.
 #[derive(Clone, Debug)]
 pub struct TrialResult {
