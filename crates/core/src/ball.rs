@@ -338,11 +338,6 @@ impl BallRow {
         self.ball_sizes[k as usize] as usize
     }
 
-    /// The members of `B(u, 2^k)`: the rank-major prefix of the layout.
-    pub fn ball_members(&self, k: u32) -> Vec<NodeId> {
-        (0..self.ball_size(k)).map(|i| self.member(i)).collect()
-    }
-
     /// One scheme draw from the index: uniform scale, then a uniform
     /// member of that ball — the same distribution as
     /// [`BallScheme::sample_contact`], in two `gen_range` calls.
@@ -548,6 +543,11 @@ mod tests {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
     }
 
+    /// The members of `B(u, 2^k)`: the rank-major prefix of the layout.
+    fn ball_members(row: &BallRow, k: u32) -> Vec<NodeId> {
+        (0..row.ball_size(k)).map(|i| row.member(i)).collect()
+    }
+
     #[test]
     fn ceil_log2_table() {
         assert_eq!(ceil_log2(1), 0);
@@ -717,7 +717,7 @@ mod tests {
             let mut expect: Vec<NodeId> = (0..23u32)
                 .filter(|&v| dist[v as usize] != INFINITY && dist[v as usize] <= radius)
                 .collect();
-            let mut got = row.ball_members(k);
+            let mut got = ball_members(&row, k);
             expect.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expect, "k={k}");
@@ -733,7 +733,7 @@ mod tests {
         let g = GraphBuilder::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let scheme = BallScheme::new(&g); // K = 2
         let row = BallRow::from_distances(scheme, &dist);
-        assert_eq!(row.ball_members(scheme.scales()), [0, 1, 3]);
+        assert_eq!(ball_members(&row, scheme.scales()), [0, 1, 3]);
     }
 
     #[test]

@@ -75,16 +75,16 @@ impl Labeling {
     pub fn bucket(&self, j: u32) -> &[NodeId] {
         &self.buckets[(j - 1) as usize]
     }
-
-    /// Number of distinct labels actually used.
-    pub fn labels_used(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of distinct labels actually used.
+    fn labels_used(l: &Labeling) -> usize {
+        l.buckets.iter().filter(|b| !b.is_empty()).count()
+    }
 
     #[test]
     fn identity_labeling() {
@@ -94,7 +94,7 @@ mod tests {
             assert_eq!(l.label(u), u + 1);
             assert_eq!(l.bucket(u + 1), &[u]);
         }
-        assert_eq!(l.labels_used(), 4);
+        assert_eq!(labels_used(&l), 4);
     }
 
     #[test]
@@ -103,7 +103,7 @@ mod tests {
         assert_eq!(l.bucket(2), &[0, 1, 3]);
         assert_eq!(l.bucket(1), &[2]);
         assert!(l.bucket(3).is_empty());
-        assert_eq!(l.labels_used(), 2);
+        assert_eq!(labels_used(&l), 2);
     }
 
     #[test]

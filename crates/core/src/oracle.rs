@@ -35,7 +35,7 @@ use nav_graph::{Graph, GraphError, NodeId};
 /// let g = GraphBuilder::from_edges(5, (0..4u32).map(|u| (u, u + 1))).unwrap();
 /// let pairs = [(0u32, 4u32), (1, 4), (2, 0)];
 /// let cache = TargetDistanceCache::build(&g, pairs.iter().map(|&(_, t)| t), 1).unwrap();
-/// assert_eq!(cache.num_targets(), 2); // 4 and 0, deduplicated
+/// assert_eq!(cache.targets(), &[0, 4]); // deduplicated and sorted
 /// assert_eq!(cache.dist(1, 4), Some(3));
 /// let router = cache.router(4).unwrap();
 /// assert_eq!(router.dist_to_target(0), 4);
@@ -96,11 +96,6 @@ impl<'g> TargetDistanceCache<'g> {
         self.g
     }
 
-    /// Number of distinct cached targets.
-    pub fn num_targets(&self) -> usize {
-        self.targets.len()
-    }
-
     /// The distinct targets, sorted ascending.
     pub fn targets(&self) -> &[NodeId] {
         &self.targets
@@ -148,7 +143,6 @@ mod tests {
         let g = path(40);
         let targets = [5u32, 39, 5, 0, 39, 17];
         let cache = TargetDistanceCache::build(&g, targets.iter().copied(), 2).unwrap();
-        assert_eq!(cache.num_targets(), 4);
         assert_eq!(cache.targets(), &[0, 5, 17, 39]);
         for &t in &[5u32, 39, 0, 17] {
             let fresh = GreedyRouter::new(&g, t).unwrap();
@@ -188,7 +182,7 @@ mod tests {
     fn rows_are_compact_and_out_of_range_sources_are_none() {
         let g = path(40);
         let cache = TargetDistanceCache::build(&g, [3u32, 20, 39, 3], 1).unwrap();
-        assert_eq!(cache.bytes(), cache.num_targets() * 40 * 2);
+        assert_eq!(cache.bytes(), cache.targets().len() * 40 * 2);
         assert!(matches!(cache.row(20), Some(DistRowView::Narrow(_))));
         assert_eq!(cache.dist(39, 20), Some(19));
         assert_eq!(cache.dist(40, 20), None);
@@ -212,7 +206,7 @@ mod tests {
     fn empty_target_set_is_fine() {
         let g = path(4);
         let cache = TargetDistanceCache::build(&g, std::iter::empty(), 4).unwrap();
-        assert_eq!(cache.num_targets(), 0);
+        assert!(cache.targets().is_empty());
         assert!(cache.row(0).is_none());
     }
 }

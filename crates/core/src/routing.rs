@@ -157,11 +157,6 @@ impl<'g> GreedyRouter<'g> {
         }
     }
 
-    /// The churn epoch this router is bound to, when it has a fault view.
-    pub fn fault_epoch(&self) -> Option<u64> {
-        self.fault.as_ref().map(|f| f.epoch)
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.g
@@ -660,8 +655,8 @@ mod tests {
         );
         assert_eq!(a, b);
         assert_eq!(faulty.fault_counts(), (0, 0));
-        assert_eq!(faulty.fault_epoch(), Some(2));
-        assert_eq!(plain.fault_epoch(), None);
+        assert_eq!(faulty.fault.as_ref().map(|f| f.epoch), Some(2));
+        assert!(plain.fault.is_none());
     }
 
     #[test]

@@ -11,10 +11,11 @@ use crate::faulty::FaultConfig;
 use crate::routing::GreedyRouter;
 use crate::sampler::{sampler_for_w, ContactSampler, SamplerMode};
 use crate::scheme::AugmentationScheme;
-use crate::wave::{NoCache, Query, Waves};
-use nav_graph::msbfs::LaneWidth;
+use crate::wave::{Query, Waves};
+use nav_graph::msbfs::{batched_compact_rows_w, LaneWidth};
 use nav_graph::{Graph, GraphError, NodeId, INFINITY};
 use rand::{Rng, RngCore};
+use std::sync::Arc;
 
 /// Configuration for a trial run.
 #[derive(Clone, Debug)]
@@ -99,19 +100,14 @@ pub const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// answer streams, up to a 2^-64 collision. Self-contained and stable
 /// across platforms.
 pub fn digest_answers(mut h: u64, answers: &[PairStats]) -> u64 {
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
     for a in answers {
-        for v in [a.s, a.t, a.dist, a.max_steps] {
-            eat(&v.to_le_bytes());
-        }
-        eat(&(a.failures as u64).to_le_bytes());
-        for v in [a.mean_steps, a.std_steps, a.mean_long_links] {
-            eat(&v.to_bits().to_le_bytes());
+        let ints = [a.s, a.t, a.dist, a.max_steps].map(u32::to_le_bytes);
+        let failures = (a.failures as u64).to_le_bytes();
+        let floats =
+            [a.mean_steps, a.std_steps, a.mean_long_links].map(|v| v.to_bits().to_le_bytes());
+        let bytes = ints.iter().flatten().chain(&failures);
+        for &b in bytes.chain(floats.iter().flatten()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
     h
@@ -391,7 +387,10 @@ pub fn run_trials<S: AugmentationScheme + ?Sized>(
         new_sampler: &new_sampler,
         traced: &|_| false,
     };
-    let run = waves.run(&queries, 0, &mut NoCache)?;
+    let run = waves.run(&queries, 0, |targets| {
+        let rows = batched_compact_rows_w(g, targets, cfg.threads, cfg.width);
+        rows.into_iter().map(|row| (Arc::new(row), false)).collect()
+    })?;
     Ok(TrialResult {
         pairs: run.outcomes.into_iter().map(|o| o.stats).collect(),
     })
@@ -445,12 +444,9 @@ mod tests {
     use super::*;
     use crate::routing::default_step_cap;
     use crate::uniform::{NoAugmentation, UniformScheme};
-    use crate::wave::RowSource;
-    use nav_graph::distance::DistRowBuf;
     use nav_graph::GraphBuilder;
     use nav_par::rng::seeded_rng;
     use nav_par::rng::task_rng;
-    use std::sync::Arc;
 
     fn path(n: usize) -> Graph {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
@@ -600,25 +596,24 @@ mod tests {
         // wave fills `lanes·threads` targets in first-appearance order
         // (run_trials' waves), a budget of `k` rows widens the waves to
         // `max(k, lanes·threads)`, and one covering every row gives one
-        // wave. The targets here are all distinct.
-        #[derive(Default)]
-        struct Fills(Vec<Vec<NodeId>>);
-        impl RowSource for Fills {
-            fn rows(
-                &mut self,
-                g: &Graph,
-                targets: &[NodeId],
-                threads: usize,
-                width: LaneWidth,
-            ) -> Vec<(Arc<DistRowBuf>, bool)> {
-                self.0.push(targets.to_vec());
-                NoCache.rows(g, targets, threads, width)
-            }
-        }
-        let queries: Vec<Query> = pairs
+        // wave. The first 280 targets are all distinct. The last query
+        // reuses the first target, whose wave closed long before: it is
+        // answered in that wave, and the fill log does not change.
+        let mut queries: Vec<Query> = pairs
             .iter()
             .map(|&(s, t)| Query { s, t, trials: 6 })
             .collect();
+        queries.push(Query {
+            s: 150,
+            t: pairs[0].1,
+            trials: 6,
+        });
+        let router = GreedyRouter::new(&g, pairs[0].1).unwrap();
+        let mut rng = task_rng(base.seed, pairs.len() as u64);
+        let reused = aggregate_pair(&router, &UniformScheme, 150, &mut rng, 6, cap);
+        // The same queries with an out-of-range source on the last one.
+        let mut invalid = queries.clone();
+        invalid[pairs.len()].s = 300;
         let row_bytes = 2 * g.num_nodes();
         for width in LaneWidth::ALL {
             for threads in [1usize, 3] {
@@ -646,8 +641,14 @@ mod tests {
                         new_sampler: &new_sampler,
                         traced: &|_| false,
                     };
-                    let mut fills = Fills::default();
-                    let run = waves.run(&queries, 0, &mut fills).unwrap();
+                    let mut fills = Vec::new();
+                    let run = waves
+                        .run(&queries, 0, |targets| {
+                            fills.push(targets.to_vec());
+                            let rows = batched_compact_rows_w(&g, targets, threads, width);
+                            rows.into_iter().map(|row| (Arc::new(row), false)).collect()
+                        })
+                        .unwrap();
                     let want: Vec<Vec<NodeId>> = pairs
                         .chunks(per_wave)
                         .map(|chunk| {
@@ -657,11 +658,15 @@ mod tests {
                         })
                         .collect();
                     let shape = format!("width {width} threads {threads} budget {budget_rows}");
-                    assert_eq!(fills.0, want, "{shape}");
+                    assert_eq!(fills, want, "{shape}");
                     assert_eq!((run.cold, run.warm), (pairs.len(), 0), "{shape}");
                     for (a, b) in reference.pairs.iter().zip(&run.outcomes) {
                         assert!(a.bits_eq(&b.stats), "{shape}");
                     }
+                    assert!(reused.bits_eq(&run.outcomes[pairs.len()].stats), "{shape}");
+                    // Admission refuses the batch before the first fill.
+                    let refused = waves.run(&invalid, 0, |_| panic!("filled before admission"));
+                    assert!(refused.is_err(), "{shape}");
                 }
             }
         }

@@ -1,24 +1,27 @@
 //! The one trial executor, behind [`crate::trial::run_trials`] and the
 //! serving engine: validate the queries, get each distinct target's exact
-//! row from a [`RowSource`], bind routers to the rows, fan the queries out
-//! to the workers and aggregate their trials.
+//! row from the caller's row-fill callback, bind routers to the rows, fan
+//! the queries out to the workers and aggregate their trials.
 //!
 //! Targets run in **waves** of `max(budget_bytes / 2n, lanes·threads)`,
 //! in first-appearance order — the `u16` rows the budget pays for, and
 //! never fewer than one MS-BFS pass per worker — so the rows a batch
-//! holds beyond its source stay bounded however many targets it has.
-//! Query `i` draws from the RNG of index `base + i`, so neither the waves
-//! nor the workers' chunks change an answer.
+//! holds beyond its cache stay bounded however many targets it has.
+//! One admission pass validates every endpoint, gives each distinct
+//! target its first-appearance ordinal `k` and puts each query in wave
+//! `k / per_wave`; each wave then makes one callback with its sorted
+//! targets. Query `i` draws from the RNG of index `base + i`, so neither
+//! the waves nor the workers' chunks change an answer.
 
 use crate::faulty::{FaultConfig, FaultySampler};
 use crate::routing::{default_step_cap, GreedyRouter};
 use crate::sampler::{ContactSampler, SamplerStats};
 use crate::trial::{aggregate_pairs_with, PairJob, PairStats};
 use nav_graph::distance::DistRowBuf;
-use nav_graph::msbfs::{batched_compact_rows_w, LaneWidth};
+use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, GraphError, NodeId};
 use nav_par::rng::task_rng;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,36 +37,6 @@ pub struct Query {
     pub trials: usize,
 }
 
-/// Where the executor gets exact distance rows.
-pub trait RowSource {
-    /// The rows of one wave's sorted, distinct `targets`, each `true`
-    /// when the source already held it. The default holds none: it
-    /// computes every row, `width.lanes()` per MS-BFS pass on `threads`
-    /// workers, for one wave's use.
-    fn rows(
-        &mut self,
-        g: &Graph,
-        targets: &[NodeId],
-        threads: usize,
-        width: LaneWidth,
-    ) -> Vec<(Arc<DistRowBuf>, bool)> {
-        let rows = batched_compact_rows_w(g, targets, threads, width);
-        rows.into_iter().map(|row| (Arc::new(row), false)).collect()
-    }
-
-    /// Called once the queries are validated and their targets numbered
-    /// (a hook for timing the stages).
-    fn admitted(&mut self) {}
-
-    /// Called as each wave's trials end.
-    fn answered(&mut self) {}
-}
-
-/// The source that holds no rows.
-pub struct NoCache;
-
-impl RowSource for NoCache {}
-
 /// One query's result.
 #[derive(Clone, Debug, Default)]
 pub struct QueryOutcome {
@@ -73,7 +46,7 @@ pub struct QueryOutcome {
     pub dropped: u64,
     /// Hops rerouted around down neighbours.
     pub rerouted: u64,
-    /// `true` when the source already held the target's row.
+    /// `true` when the caller already held the target's row.
     pub cache_hit: bool,
     /// Wall time of the trials that ran the query, in milliseconds, for
     /// queries [`Waves::traced`] selects.
@@ -87,7 +60,7 @@ pub struct WaveRun {
     pub outcomes: Vec<QueryOutcome>,
     /// Counters summed over every worker's sampler.
     pub sampler: SamplerStats,
-    /// Distinct targets whose rows the source already held.
+    /// Distinct targets whose rows the caller already held.
     pub warm: usize,
     /// Distinct targets whose rows were computed.
     pub cold: usize,
@@ -119,47 +92,52 @@ pub struct Waves<'a> {
 const PAIRS_PER_UNIT: usize = 8;
 
 impl Waves<'_> {
-    /// Answers `queries`, query `i` on RNG index `base + i`. Errors on an
-    /// out-of-range endpoint before touching `rows`.
-    pub fn run<R: RowSource>(
+    /// Answers `queries`, query `i` on RNG index `base + i`. `rows` gets
+    /// each wave's sorted, distinct targets and returns their rows, each
+    /// `true` when the caller already held it. Errors on an out-of-range
+    /// endpoint before calling `rows`.
+    pub fn run(
         &self,
         queries: &[Query],
         base: u64,
-        rows: &mut R,
+        mut rows: impl FnMut(&[NodeId]) -> Vec<(Arc<DistRowBuf>, bool)>,
     ) -> Result<WaveRun, GraphError> {
-        let mut seen = HashSet::with_capacity(queries.len());
-        let mut order = Vec::new();
-        for q in queries {
-            self.g.check_node(q.s)?;
-            self.g.check_node(q.t)?;
-            if seen.insert(q.t) {
-                order.push(q.t);
-            }
-        }
-        rows.admitted();
         let lanes = self.width.lanes().saturating_mul(self.threads.max(1));
         let per_wave = (self.budget_bytes / (2 * self.g.num_nodes()).max(1)).max(lanes);
+        // Per wave, its targets and its queries, both in query order.
+        let mut waves: Vec<(Vec<NodeId>, Vec<usize>)> = Vec::new();
+        let mut ordinal = HashMap::with_capacity(queries.len());
+        for (i, q) in queries.iter().enumerate() {
+            self.g.check_node(q.s)?;
+            self.g.check_node(q.t)?;
+            let next = ordinal.len();
+            let k = *ordinal.entry(q.t).or_insert(next);
+            if k / per_wave == waves.len() {
+                waves.push(Default::default());
+            }
+            let wave = &mut waves[k / per_wave];
+            if k == next {
+                wave.0.push(q.t);
+            }
+            wave.1.push(i);
+        }
         let lockstep = (self.new_sampler)().wants_lockstep();
         let mut run = WaveRun {
             outcomes: vec![QueryOutcome::default(); queries.len()],
             ..WaveRun::default()
         };
-        // Warm targets take wave slots too. Only rows the source held when
-        // the run began can be warm, and the engine's source (the budget
-        // is its capacity) holds at most `budget_bytes / 2n`, so that
-        // costs at most one wave.
-        for wave in order.chunks(per_wave) {
-            let mut targets = wave.to_vec();
+        // Warm targets take wave slots too. Only rows the caller held when
+        // the run began can be warm, and the engine's cache (the budget is
+        // its capacity) holds at most `budget_bytes / 2n`, so that costs
+        // at most one wave.
+        for (mut targets, items) in waves {
             targets.sort_unstable();
             // `wave[k]`: the row of `targets[k]`, and whether it was warm.
-            let wave = rows.rows(self.g, &targets, self.threads, self.width);
+            let wave = rows(&targets);
             let warm = wave.iter().filter(|row| row.1).count();
             run.warm += warm;
             run.cold += targets.len() - warm;
             let row_of = |t| &wave[targets.binary_search(&t).expect("target in wave")];
-            let items: Vec<usize> = (0..queries.len())
-                .filter(|&i| targets.binary_search(&queries[i].t).is_ok())
-                .collect();
             // Under a lockstep sampler each worker gets one contiguous
             // chunk (one sampler sharing MS-BFS passes across it);
             // otherwise small units balance the workers.
@@ -181,7 +159,6 @@ impl Waves<'_> {
                     run.outcomes[i] = outcome;
                 }
             }
-            rows.answered();
         }
         Ok(run)
     }

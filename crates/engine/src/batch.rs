@@ -32,12 +32,6 @@ impl QueryBatch {
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
-
-    /// The `(s, t)` pairs of the batch, in order — the exact slice a
-    /// reference [`nav_core::trial::run_trials`] over this batch takes.
-    pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        self.queries.iter().map(|q| (q.s, q.t)).collect()
-    }
 }
 
 /// The engine's answer to one batch.
@@ -73,6 +67,7 @@ mod tests {
                 trials: 5
             }
         );
-        assert_eq!(b.pairs(), pairs.to_vec());
+        let round: Vec<_> = b.queries.iter().map(|q| (q.s, q.t)).collect();
+        assert_eq!(round, pairs);
     }
 }

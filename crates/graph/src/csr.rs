@@ -84,11 +84,6 @@ impl Graph {
         })
     }
 
-    /// Maximum degree over all nodes; 0 for an edgeless graph.
-    pub fn max_degree(&self) -> usize {
-        self.nodes().map(|u| self.degree(u)).max().unwrap_or(0)
-    }
-
     /// Average degree `2m / n`.
     pub fn avg_degree(&self) -> f64 {
         if self.num_nodes() == 0 {
@@ -139,7 +134,7 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.degree(3), 1);
-        assert_eq!(g.max_degree(), 3);
+        assert_eq!(g.nodes().map(|u| g.degree(u)).max(), Some(3));
         assert!((g.avg_degree() - 2.0).abs() < 1e-12);
     }
 

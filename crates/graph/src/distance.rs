@@ -224,11 +224,6 @@ impl DistanceMatrix {
         self.rows.len()
     }
 
-    /// `true` when every row is stored at 16-bit width.
-    pub fn is_compact(&self) -> bool {
-        self.rows.iter().all(DistRowBuf::is_narrow)
-    }
-
     /// Resident payload size in bytes.
     pub fn bytes(&self) -> usize {
         self.rows.iter().map(DistRowBuf::bytes).sum()
@@ -342,7 +337,7 @@ mod tests {
     fn matrix_is_compact_and_halves_bytes() {
         let g = path(10);
         let m = DistanceMatrix::new(&g);
-        assert!(m.is_compact());
+        assert!(m.rows.iter().all(DistRowBuf::is_narrow));
         assert_eq!(m.bytes(), 10 * 10 * 2);
     }
 
