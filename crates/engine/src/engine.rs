@@ -438,3 +438,556 @@ impl CachedRows<'_> {
             .collect()
     }
 }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::Query;
+    use nav_core::trial::{run_trials, PairStats, TrialConfig};
+    use nav_core::uniform::{NoAugmentation, UniformScheme};
+    use nav_graph::GraphBuilder;
+
+    fn path(n: usize) -> Graph {
+        GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
+    }
+
+    fn identical(a: &[PairStats], b: &[PairStats]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
+    }
+
+    #[test]
+    fn answers_match_run_trials_bit_for_bit() {
+        let g = path(96);
+        let pairs: Vec<(NodeId, NodeId)> = vec![(0, 95), (95, 0), (3, 77), (12, 77), (50, 1)];
+        let cfg = EngineConfig {
+            seed: 41,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let got = engine.serve(&QueryBatch::from_pairs(&pairs, 16)).unwrap();
+        let want = run_trials(
+            &g,
+            &UniformScheme,
+            &pairs,
+            &TrialConfig {
+                trials_per_pair: 16,
+                seed: 41,
+                threads: 1,
+                ..TrialConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(identical(&got.answers, &want.pairs));
+    }
+
+    #[test]
+    fn batch_split_never_changes_answers() {
+        let g = path(64);
+        let pairs: Vec<(NodeId, NodeId)> = (0..20).map(|i| (i, 63 - (i % 7))).collect();
+        let cfg = EngineConfig {
+            seed: 5,
+            threads: 1,
+            cache_bytes: 1 << 16,
+            ..EngineConfig::default()
+        };
+        let mut one = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let whole = one.serve(&QueryBatch::from_pairs(&pairs, 6)).unwrap();
+        let mut split = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let mut stitched = Vec::new();
+        for chunk in pairs.chunks(3) {
+            stitched.extend(
+                split
+                    .serve(&QueryBatch::from_pairs(chunk, 6))
+                    .unwrap()
+                    .answers,
+            );
+        }
+        assert!(identical(&whole.answers, &stitched));
+        assert_eq!(split.queries_served(), 20);
+    }
+
+    #[test]
+    fn cache_capacity_never_changes_answers() {
+        let g = path(80);
+        let pairs: Vec<(NodeId, NodeId)> = (0..12).map(|i| (i * 3, 79 - (i % 4))).collect();
+        let mut answers = Vec::new();
+        for cache_bytes in [0usize, 200, 1 << 20] {
+            let cfg = EngineConfig {
+                seed: 99,
+                threads: 2,
+                cache_bytes,
+                ..EngineConfig::default()
+            };
+            let mut e = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+            let mut got = Vec::new();
+            for chunk in pairs.chunks(4) {
+                got.extend(e.serve(&QueryBatch::from_pairs(chunk, 5)).unwrap().answers);
+            }
+            answers.push(got);
+        }
+        assert!(identical(&answers[0], &answers[1]));
+        assert!(identical(&answers[0], &answers[2]));
+    }
+
+    #[test]
+    fn warm_batches_skip_row_computation() {
+        let g = path(50);
+        let cfg = EngineConfig {
+            seed: 1,
+            threads: 1,
+            cache_bytes: 1 << 20,
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(g, Box::new(NoAugmentation), cfg);
+        let batch = QueryBatch::from_pairs(&[(0, 49), (3, 49), (7, 20)], 2);
+        let first = e.serve(&batch).unwrap();
+        assert_eq!((first.cold_targets, first.warm_targets), (2, 0));
+        let second = e.serve(&batch).unwrap();
+        assert_eq!((second.cold_targets, second.warm_targets), (0, 2));
+        let stats = e.cache_stats();
+        assert_eq!(stats.hits, 2);
+        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.resident_rows, 2);
+        // Path distances fit 16 bits → compact rows, 2 bytes per node.
+        assert_eq!(stats.resident_bytes, 2 * 50 * 2);
+        assert_eq!(e.metrics().queries, 6);
+        assert_eq!(e.metrics().batches, 2);
+        assert_eq!(e.metrics().trials, 12);
+        assert!(e.metrics().throughput_qps() > 0.0);
+        assert_eq!(e.scheme_name(), "none");
+        assert_eq!(e.config().cache_bytes, 1 << 20);
+        assert_eq!(e.graph().num_nodes(), 50);
+    }
+
+    #[test]
+    fn per_query_trial_counts_are_respected() {
+        let g = path(30);
+        let cfg = EngineConfig {
+            seed: 2,
+            threads: 1,
+            cache_bytes: 0,
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(g, Box::new(NoAugmentation), cfg);
+        let batch = QueryBatch {
+            queries: vec![
+                Query {
+                    s: 0,
+                    t: 29,
+                    trials: 1,
+                },
+                Query {
+                    s: 5,
+                    t: 29,
+                    trials: 9,
+                },
+            ],
+        };
+        let r = e.serve(&batch).unwrap();
+        assert_eq!(r.answers[0].mean_steps, 29.0);
+        assert_eq!(r.answers[1].mean_steps, 24.0);
+        assert_eq!(e.metrics().trials, 10);
+    }
+
+    #[test]
+    fn batched_ball_serving_matches_run_trials_in_batched_mode() {
+        // The batched sampler consumes RNG differently from the scalar
+        // path, but an engine in batched mode must still reproduce
+        // `run_trials` *run in the same mode* bit for bit.
+        use nav_core::ball::BallScheme;
+        let g = path(72);
+        let scheme = BallScheme::new(&g);
+        let pairs: Vec<(NodeId, NodeId)> = (0..10).map(|i| (i * 7 % 72, 71 - i)).collect();
+        let cfg = EngineConfig {
+            seed: 77,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            sampler: SamplerMode::Batched,
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(g.clone(), Box::new(scheme), cfg);
+        let got = engine.serve(&QueryBatch::from_pairs(&pairs, 6)).unwrap();
+        let want = run_trials(
+            &g,
+            &scheme,
+            &pairs,
+            &TrialConfig {
+                trials_per_pair: 6,
+                seed: 77,
+                threads: 1,
+                sampler: SamplerMode::Batched,
+                ..TrialConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(identical(&got.answers, &want.pairs));
+        let stats = engine.metrics().sampler;
+        assert!(stats.rows > 0, "{stats:?}");
+        assert!(stats.hits > 0, "{stats:?}");
+        assert_eq!(stats.fallbacks, 0);
+        assert!(stats.row_bytes > 0);
+    }
+
+    #[test]
+    fn scalar_answers_are_width_invariant() {
+        // Cold-fill rows are exact at every word-block width, so a scalar
+        // engine's answers must be bit-identical across widths.
+        let g = path(96);
+        let pairs: Vec<(NodeId, NodeId)> = (0..20).map(|i| (i, 95 - (i % 9))).collect();
+        let serve = |width: LaneWidth| {
+            let cfg = EngineConfig {
+                seed: 23,
+                threads: 2,
+                cache_bytes: 1 << 20,
+                width,
+                ..EngineConfig::default()
+            };
+            let mut e = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+            e.serve(&QueryBatch::from_pairs(&pairs, 7)).unwrap().answers
+        };
+        let base = serve(LaneWidth::W64);
+        for width in [LaneWidth::W128, LaneWidth::W256] {
+            assert!(identical(&base, &serve(width)), "width {width}");
+        }
+    }
+
+    #[test]
+    fn wide_batched_engine_matches_run_trials_at_same_width() {
+        // Ball rows are canonical at every width, so batched answers
+        // reproduce run_trials bit for bit at every width — and the
+        // widths agree with each other too.
+        use nav_core::ball::BallScheme;
+        let g = path(72);
+        let scheme = BallScheme::new(&g);
+        let pairs: Vec<(NodeId, NodeId)> = (0..10).map(|i| (i * 7 % 72, 71 - i)).collect();
+        let mut per_width = Vec::new();
+        for width in LaneWidth::ALL {
+            let cfg = EngineConfig {
+                seed: 77,
+                threads: 2,
+                cache_bytes: 1 << 20,
+                sampler: SamplerMode::Batched,
+                width,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(g.clone(), Box::new(scheme), cfg);
+            let got = engine.serve(&QueryBatch::from_pairs(&pairs, 6)).unwrap();
+            let want = run_trials(
+                &g,
+                &scheme,
+                &pairs,
+                &TrialConfig {
+                    trials_per_pair: 6,
+                    seed: 77,
+                    threads: 1,
+                    sampler: SamplerMode::Batched,
+                    width,
+                },
+            )
+            .unwrap();
+            assert!(identical(&got.answers, &want.pairs), "width {width}");
+            per_width.push(got.answers);
+        }
+        assert!(identical(&per_width[0], &per_width[1]));
+        assert!(identical(&per_width[0], &per_width[2]));
+    }
+
+    #[test]
+    fn binding_ball_row_budget_stays_correct_and_deterministic() {
+        // cache_bytes = 0 shrinks every ball-row segment to one row: more
+        // passes, the same answers as an unbounded budget, at any thread
+        // count.
+        use nav_core::ball::BallScheme;
+        let g = path(60);
+        let scheme = BallScheme::new(&g);
+        let pairs: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 9, 59 - i)).collect();
+        let serve = |threads: usize, cache_bytes: usize| {
+            let mut e = Engine::new(
+                g.clone(),
+                Box::new(scheme),
+                EngineConfig {
+                    seed: 3,
+                    threads,
+                    cache_bytes,
+                    sampler: SamplerMode::Batched,
+                    ..EngineConfig::default()
+                },
+            );
+            let r = e.serve(&QueryBatch::from_pairs(&pairs, 5)).unwrap();
+            (r, e.metrics().sampler)
+        };
+        let (r1, s1) = serve(1, 0);
+        let (r4, s4) = serve(4, 0);
+        let (free, s_free) = serve(1, usize::MAX);
+        assert!(identical(&r1.answers, &r4.answers));
+        assert!(identical(&r1.answers, &free.answers));
+        assert_eq!(s1.fallbacks + s4.fallbacks, 0, "{s1:?}");
+        assert_eq!(s1.rows, s1.passes, "one row per pass: {s1:?}");
+        assert!(s_free.rows > s_free.passes, "{s_free:?}");
+        assert_eq!(r1.answers.iter().map(|a| a.failures).sum::<usize>(), 0);
+    }
+
+    #[test]
+    fn scalar_mode_keeps_sampler_counters_at_zero() {
+        let g = path(20);
+        let mut e = Engine::new(g, Box::new(UniformScheme), EngineConfig::default());
+        e.serve(&QueryBatch::from_pairs(&[(0, 19)], 4)).unwrap();
+        assert_eq!(
+            e.metrics().sampler,
+            nav_core::sampler::SamplerStats::default()
+        );
+    }
+
+    #[test]
+    fn serve_at_is_stateless_addressing() {
+        // serve_at(batch, base) answers exactly the slice [base, base+len)
+        // of the one long stream `serve` walks — and never advances the
+        // lifetime counter.
+        let g = path(40);
+        let pairs: Vec<(NodeId, NodeId)> = (0..8).map(|i| (i, 39 - i)).collect();
+        let cfg = EngineConfig {
+            seed: 11,
+            threads: 1,
+            cache_bytes: 1 << 20,
+            ..EngineConfig::default()
+        };
+        let mut sequential = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let mut want = Vec::new();
+        for chunk in pairs.chunks(3) {
+            want.extend(
+                sequential
+                    .serve(&QueryBatch::from_pairs(chunk, 4))
+                    .unwrap()
+                    .answers,
+            );
+        }
+        let mut explicit = Engine::new(g, Box::new(UniformScheme), cfg);
+        let mut got = Vec::new();
+        let mut base = 0u64;
+        for chunk in pairs.chunks(3) {
+            let batch = QueryBatch::from_pairs(chunk, 4);
+            got.extend(
+                explicit
+                    .serve_at(&batch, base, cfg.sampler)
+                    .unwrap()
+                    .answers,
+            );
+            base += batch.len() as u64;
+            assert_eq!(explicit.queries_served(), 0, "serve_at must not advance");
+        }
+        assert!(identical(&want, &got));
+        // Replaying an offset is reproducible: the same frame twice gives
+        // the same bits.
+        let batch = QueryBatch::from_pairs(&pairs[2..5], 4);
+        let a = explicit.serve_at(&batch, 2, cfg.sampler).unwrap().answers;
+        let b = explicit.serve_at(&batch, 2, cfg.sampler).unwrap().answers;
+        assert!(identical(&a, &b));
+    }
+
+    #[test]
+    fn admission_policy_never_changes_answers() {
+        use crate::cache::AdmissionPolicy;
+        let g = path(70);
+        let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|i| (i * 2, 69 - (i % 5))).collect();
+        let mut per_policy = Vec::new();
+        for admission in [AdmissionPolicy::Lru, AdmissionPolicy::Segmented] {
+            // A capacity tight enough to force evictions, so the policies
+            // actually diverge in what they keep.
+            let cfg = EngineConfig {
+                seed: 8,
+                threads: 2,
+                cache_bytes: 3 * 70 * 2,
+                admission,
+                ..EngineConfig::default()
+            };
+            let mut e = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+            let mut got = Vec::new();
+            for chunk in pairs.chunks(4) {
+                got.extend(e.serve(&QueryBatch::from_pairs(chunk, 5)).unwrap().answers);
+            }
+            let stats = e.cache_stats();
+            assert!(stats.resident_bytes <= stats.capacity_bytes, "{stats:?}");
+            per_policy.push(got);
+        }
+        assert!(
+            identical(&per_policy[0], &per_policy[1]),
+            "cache policy leaked into answers"
+        );
+    }
+
+    #[test]
+    fn fault_drop_matches_run_trials_over_faulty_scheme_bit_for_bit() {
+        // EngineConfig::fault's drop coin at the sampler layer must be
+        // the same stream as wrapping the scheme in FaultyScheme: contact
+        // first, coin second, either way.
+        use nav_core::faulty::FaultyScheme;
+        let g = path(96);
+        let pairs: Vec<(NodeId, NodeId)> = vec![(0, 95), (95, 0), (3, 77), (12, 77), (50, 1)];
+        let p = 0.3;
+        let cfg = EngineConfig {
+            seed: 41,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            fault: FaultConfig {
+                drop_prob: p,
+                plan: None,
+            },
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+        let got = engine.serve(&QueryBatch::from_pairs(&pairs, 16)).unwrap();
+        let want = run_trials(
+            &g,
+            &FaultyScheme::new(UniformScheme, p),
+            &pairs,
+            &TrialConfig {
+                trials_per_pair: 16,
+                seed: 41,
+                threads: 1,
+                ..TrialConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(identical(&got.answers, &want.pairs));
+        assert!(engine.metrics().dropped_links > 0);
+        assert_eq!(engine.metrics().epoch_flips, 0, "no plan, no flips");
+    }
+
+    #[test]
+    fn churn_epoch_flips_keep_rows_resident_and_count_in_metrics() {
+        use nav_core::faulty::FailurePlan;
+        let g = path(50);
+        // 2-query epochs over a 3-epoch plan with some churn.
+        let plan = FailurePlan::new(99, 3, 2, 0.2);
+        let cfg = EngineConfig {
+            seed: 7,
+            threads: 1,
+            cache_bytes: 1 << 20,
+            fault: FaultConfig {
+                drop_prob: 0.0,
+                plan: Some(plan),
+            },
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(g, Box::new(NoAugmentation), cfg);
+        let batch = QueryBatch::from_pairs(&[(0, 49), (3, 49)], 2);
+        e.serve(&batch).unwrap(); // bases 0, 1 → epoch 0
+        assert_eq!(e.metrics().epoch_flips, 0, "epoch 0 is the initial one");
+        let first_cold = e.cache_stats().insertions;
+        assert_eq!(first_cold, 1, "one distinct target");
+        let second = e.serve(&batch).unwrap(); // bases 2, 3 → epoch 1: flip
+        assert_eq!(e.metrics().epoch_flips, 1);
+        assert_eq!(
+            (second.warm_targets, second.cold_targets),
+            (1, 0),
+            "the row survives the flip"
+        );
+        assert_eq!(e.cache_stats().insertions, first_cold, "no refill");
+        e.serve(&batch).unwrap(); // epoch 2
+        e.serve(&batch).unwrap(); // wraps to epoch 0 again
+        assert_eq!(e.metrics().epoch_flips, 3);
+        assert_eq!(e.cache_stats().insertions, first_cold);
+    }
+
+    #[test]
+    fn churn_answers_are_pure_functions_of_the_rng_index() {
+        // Same queries, same bases → same bits, regardless of cache
+        // capacity or thread count — the fault dimension joins the
+        // determinism contract instead of weakening it.
+        use nav_core::faulty::FailurePlan;
+        let g = path(80);
+        let pairs: Vec<(NodeId, NodeId)> = (0..12).map(|i| (i * 5, 79 - (i % 6))).collect();
+        let fault = FaultConfig {
+            drop_prob: 0.2,
+            plan: Some(FailurePlan::new(4, 4, 3, 0.15)),
+        };
+        let mut per_shape = Vec::new();
+        for (threads, cache_bytes) in [(1usize, 0usize), (4, 1 << 20)] {
+            let cfg = EngineConfig {
+                seed: 13,
+                threads,
+                cache_bytes,
+                fault,
+                ..EngineConfig::default()
+            };
+            let mut e = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+            let mut got = Vec::new();
+            for chunk in pairs.chunks(5) {
+                got.extend(e.serve(&QueryBatch::from_pairs(chunk, 6)).unwrap().answers);
+            }
+            per_shape.push(got);
+        }
+        assert!(identical(&per_shape[0], &per_shape[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn bad_fault_config_rejected_at_construction() {
+        let g = path(4);
+        let _ = Engine::new(
+            g,
+            Box::new(NoAugmentation),
+            EngineConfig {
+                fault: FaultConfig {
+                    drop_prob: 1.5,
+                    plan: None,
+                },
+                ..EngineConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn invalid_endpoint_rejected_without_side_effects() {
+        let g = path(10);
+        let mut e = Engine::new(g, Box::new(NoAugmentation), EngineConfig::default());
+        let bad = QueryBatch::from_pairs(&[(0, 10)], 2);
+        assert!(e.serve(&bad).is_err());
+        assert_eq!(e.queries_served(), 0);
+        assert_eq!(e.metrics().batches, 0);
+    }
+
+    #[test]
+    fn sharded_engine_rejects_before_any_row_fills() {
+        let g = path(10);
+        let mut e = Engine::new(g, Box::new(UniformScheme), EngineConfig::default());
+        // The valid query's target is not filled before the bad one is seen.
+        let bad = QueryBatch::from_pairs(&[(0, 4), (0, 10)], 2);
+        assert!(e.serve(&bad).is_err());
+        assert_eq!(e.queries_served(), 0);
+        assert_eq!(e.metrics().batches, 0);
+        assert_eq!(e.cache_stats().misses, 0);
+    }
+
+    #[test]
+    fn trace_every_one_traces_every_index() {
+        let g = path(90);
+        let cfg = EngineConfig {
+            seed: 31,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            obs: ObsConfig {
+                stages: true,
+                trace_every: 1, // trace everything
+                trace_capacity: 64,
+            },
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(g, Box::new(UniformScheme), cfg);
+        let pairs: Vec<(NodeId, NodeId)> = (0..24u32).map(|i| (i, 89 - (i % 11))).collect();
+        e.serve(&QueryBatch::from_pairs(&pairs, 4)).unwrap();
+        let snap = e.obs_snapshot();
+        let idx: Vec<u64> = snap.traces.iter().map(|t| t.index).collect();
+        assert_eq!(idx, (0..24u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let g = path(4);
+        let mut e = Engine::new(g, Box::new(NoAugmentation), EngineConfig::default());
+        let r = e.serve(&QueryBatch::default()).unwrap();
+        assert!(r.answers.is_empty());
+        assert_eq!(r.cold_targets + r.warm_targets, 0);
+    }
+}
